@@ -22,6 +22,9 @@ _REF_QAE = 0.0625
 _REF_ISP = 0.015
 _REF_PROP = 0.00125
 
+# Samples drawn per trim Monte Carlo batch, which bounds its peak memory.
+TRIM_BATCH = 20_000_000
+
 
 def allocate(eps_total: float, lambda_obs: float, policy: str = "paper_default",
              custom: dict | None = None) -> ErrorBudget:
@@ -149,8 +152,7 @@ def prop_error(eps_h: float, t_au: float, d_tilde: float, eps_dtilde: float,
     return eps_h * t_au + eps_dtilde + (d_tilde + 1.0) * (eps_rot + eps_phi + eps_gamma)
 
 
-def trim_error_mc(sampler, n_mc: int, alpha: float, rng=None,
-                  batch_size: int = 20_000_000) -> tuple[float, bool]:
+def trim_error_mc(sampler, n_mc: int, alpha: float, rng) -> tuple[float, bool]:
     """Monte Carlo bound on the grid-trimming error.
 
     ``sampler(rng, size)`` draws that many grid points from the prepared
@@ -160,18 +162,17 @@ def trim_error_mc(sampler, n_mc: int, alpha: float, rng=None,
     with the flag True; otherwise the empirical ``sqrt(1 - p_hat)`` with
     False.
 
-    Deterministic given ``rng``; batches are drawn in a fixed order.
+    Deterministic given ``rng``; batches of ``TRIM_BATCH`` are drawn in a
+    fixed order.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0,1)")
-    if rng is None:
-        rng = np.random.Generator(np.random.Philox(0))
     n_inside = 0
     remaining = n_mc
     while remaining > 0:
-        size = min(batch_size, remaining)
+        size = min(TRIM_BATCH, remaining)
         inside = np.asarray(sampler(rng, size), dtype=bool)
         if inside.shape != (size,):
             raise ValueError("sampler must return one flag per requested sample")
@@ -184,12 +185,13 @@ def trim_error_mc(sampler, n_mc: int, alpha: float, rng=None,
     return math.sqrt(1.0 - p_hat), False
 
 
-def gaussian_box_sampler(sigma_grid: float, interior_half: int, dims: int = 1):
-    """Sampler drawing from a centered discrete Gaussian of the given width
-    (grid units) and reporting whether each point lies in the interior box.
+def gaussian_box_sampler(sigma_grid: float, interior_half: int):
+    """Sampler drawing from a centered 1D discrete Gaussian of the given
+    width (grid units) and reporting whether each point lies in the interior
+    interval ``[-interior_half, interior_half - 1]``.
     """
     def sampler(rng, size):
-        pts = np.rint(rng.normal(0.0, sigma_grid, size=(size, dims)))
-        return np.all((pts >= -interior_half) & (pts <= interior_half - 1), axis=1)
+        pts = np.rint(rng.normal(0.0, sigma_grid, size=size))
+        return (pts >= -interior_half) & (pts <= interior_half - 1)
 
     return sampler

@@ -15,7 +15,7 @@ import hashlib
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -24,23 +24,9 @@ from qdyncost import costs, encoding, gridsizer, lct
 from qdyncost.model import (
     MoleculeSpec,
     ValidationError,
-    load_molecule,
+    molecule_from_dict,
+    validate_molecule,
 )
-
-
-@dataclass
-class RunConfig:
-    """Parsed command-line configuration for one invocation."""
-
-    command: str
-    input_path: str | None = None
-    out_path: str | None = None
-    out_format: str = "json"
-    seed: int = 0
-    budget_policy: str | None = None
-    only: str | None = None
-    batch: list = field(default_factory=list)
-    overrides: dict = field(default_factory=dict)
 
 
 # ---------------------------------------------------------------------------
@@ -71,8 +57,7 @@ def _delta_target(spec: MoleculeSpec, bud, pad_mode: str) -> tuple[float, dict]:
     ``eps <= sqrt(2)*Delta*sqrt(dims*lmax)``, plus (for the multi-shear
     route) the 2D-shear sum with its ``beta`` prefactor.
     """
-    eta_n = spec.particles.eta_n
-    dims = 3 * eta_n
+    dims = 3 * spec.particles.eta_n
     lam = _nuclear_gaussian_matrix(spec)
     low_ch, _ = lct.cholesky_unit(lam)
     shear_ssct = np.linalg.inv(low_ch).T
@@ -85,7 +70,7 @@ def _delta_target(spec: MoleculeSpec, bud, pad_mode: str) -> tuple[float, dict]:
         "lmax": lmax,
     }
     if pad_mode == "LCT":
-        beta = 18 * eta_n ** 2 - 6 * eta_n + 1
+        beta = gridsizer.shear_beta(dims)
         delta_ortho = bud.eps_ortho / (math.sqrt(2.0) * beta * math.sqrt(lmax))
         t_inv = np.asarray(spec.normal_modes.transform, dtype=float).T  # A^T = X L
         _, low_ql = lct.ql_unit_decompose(t_inv)
@@ -114,12 +99,12 @@ def _isp_deltas(spec: MoleculeSpec, bud) -> dict:
     }
 
 
-def size_grid(spec: MoleculeSpec, bud, pad_mode: str = "SSCT",
-              overrides: dict | None = None) -> tuple[gridsizer.GridParams, dict]:
+def size_grid(spec: MoleculeSpec, bud, pad_mode: str,
+              overrides: dict) -> tuple[gridsizer.GridParams, dict]:
     """Size the common grid: the spacing comes from the coordinate-transform
     error budget (which fixes the cell size L), then the cutoffs follow from
-    the truncation targets at that L."""
-    overrides = dict(overrides or {})
+    the truncation targets at that L; ``overrides`` may pin ``n_p``,
+    ``length``, ``n_isp`` and ``n_pad``."""
     deltas = _isp_deltas(spec, bud)
     delta_target, info = _delta_target(spec, bud, pad_mode)
     omegas = _rescaled_frequencies(spec)
@@ -135,16 +120,8 @@ def size_grid(spec: MoleculeSpec, bud, pad_mode: str = "SSCT",
         for w in omegas
     ]
 
-    grid = gridsizer.common_grid(
-        [k_elec] + k_nuc,
-        delta_target,
-        pad_mode=pad_mode,
-        pad_inputs={
-            "nuclear_cutoffs": k_nuc,
-            "norm_inf": norm_inf,
-            "eta_n": spec.particles.eta_n,
-        },
-    )
+    grid = gridsizer.common_grid([k_elec] + k_nuc, delta_target, k_nuc, pad_mode,
+                                 norm_inf, 3 * spec.particles.eta_n)
     if "n_p" in overrides or "length" in overrides:
         n_p = int(overrides.get("n_p", grid.n_p))
         length_o = float(overrides.get("length", grid.length))
@@ -218,8 +195,7 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0,
     budget_mod.resolve_prop_splits(bud, t_au, lam_tilde)
     prec = encoding.precision_params(
         norms.lambda_t, norms.lambda_v, lam_tilde,
-        bud.eps_t, bud.eps_v, bud.eps_theta, grid.n_p,
-        lambda_nu_value=norms.lambda_nu,
+        bud.eps_t, bud.eps_v, bud.eps_theta, grid.n_p, norms.lambda_nu,
     )
     eps_h = encoding.block_error(bud.eps_t, bud.eps_v, lam_tilde, prec.n_theta)
 
@@ -245,7 +221,7 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0,
     isp_components["NCT"] = costs.cost_isp(
         pad_mode, eta_n=p.eta_n, n_bar_isp=grid.n_bar_isp
     )
-    isp_total = costs.cost_isp_total("separable", isp_components, p.eta_n, grid.n_ext)
+    isp_total = costs.cost_isp_total(isp_components, p.eta_n, grid.n_ext)
     isp_anc_setter = max(isp_components, key=lambda k: isp_components[k].ancilla)
 
     # --- block encoding and propagator ----------------------------------
@@ -277,9 +253,7 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0,
 
     report = costs.cost_total(
         isp_total, propagator, qft, u_pis, r0_qae,
-        lambda_obs=bud.lambda_obs, eps_qae=bud.eps_qae,
-        eta=p.eta, eta_e=p.eta_e, eta_n=p.eta_n,
-        n_p=grid.n_p, n_bar_isp=grid.n_bar_isp,
+        lambda_obs=bud.lambda_obs, eps_qae=bud.eps_qae, eta_n=p.eta_n, n_ext=grid.n_ext,
     )
 
     for name, pair in isp_components.items():
@@ -346,12 +320,6 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0,
         "seed": seed,
         "pad_mode": pad_mode,
         "isp_ancilla_set_by": isp_anc_setter,
-        "iterate_ancilla_set_by": max(
-            {"U_PiS": u_pis.ancilla - 1, "propagator": propagator.ancilla,
-             "ISP": isp_total.ancilla - 3 * p.eta_n * grid.n_ext,
-             "R0_QAE": r0_qae.ancilla}.items(),
-            key=lambda kv: kv[1],
-        )[0],
         "budget": {
             "eps_total": bud.eps_total,
             "lambda_obs": bud.lambda_obs,
@@ -400,31 +368,40 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0,
     return report
 
 
-def run_estimate(config: RunConfig) -> int:
-    """Estimate command: molecule file in, deterministic report out."""
+def run_estimate(args: argparse.Namespace, input_path: str, out_path: str | None) -> int:
+    """Estimate command: molecule file in, deterministic report out.
+
+    ``params_hash`` is a hash of the effective configuration: the input
+    document, the ``--override`` values, the seed and the budget policy.
+    """
+    overrides = dict(args.override)
     try:
-        spec = load_molecule(config.input_path)
-        if config.overrides:
-            spec.overrides.update(config.overrides)
-        report = estimate_report(spec, seed=config.seed, budget_policy=config.budget_policy)
+        with open(input_path) as fh:
+            doc = json.load(fh)
+        spec = molecule_from_dict(doc)
+        spec.overrides.update(overrides)
+        report = estimate_report(validate_molecule(spec), seed=args.seed,
+                                 budget_policy=args.budget_policy)
     except (ValidationError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    with open(config.input_path, "rb") as fh:
-        report.params_hash = hashlib.sha256(fh.read()).hexdigest()[:16]
-    _write_report(report.to_json_dict(), config)
+    config = {"input": doc, "overrides": overrides, "seed": args.seed,
+              "budget_policy": args.budget_policy}
+    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    report.params_hash = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    _write_report(report.to_json_dict(), args.out_format, out_path)
     return 0
 
 
-def run_verify(config: RunConfig) -> int:
+def run_verify(args: argparse.Namespace) -> int:
     """Verify command: run the brute-force suite, emit pass/fail JSON."""
     from qdyncost import verify
 
-    suite = verify.run_suite(only=config.only, overrides=config.overrides)
+    suite = verify.run_suite(only=args.only, overrides=dict(args.override))
     doc = suite.to_json_dict()
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if config.out_path:
-        with open(config.out_path, "w") as fh:
+    if args.out_path:
+        with open(args.out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -435,9 +412,9 @@ def run_verify(config: RunConfig) -> int:
     return 0 if suite.passed else 1
 
 
-def run_lct_bench(config: RunConfig) -> int:
+def run_lct_bench(args: argparse.Namespace) -> int:
     """Sweep the coordinate-transform error against its bound, CSV out."""
-    rng = np.random.Generator(np.random.Philox(config.seed))
+    rng = np.random.Generator(np.random.Philox(args.seed))
     angle = rng.uniform(0.3, 1.2)
     shear_entry = rng.uniform(-0.3, 0.3)
     t_inv = lct.givens_matrix(2, 0, 1, angle) @ np.array([[1.0, 0.0], [shear_entry, 1.0]])
@@ -448,7 +425,7 @@ def run_lct_bench(config: RunConfig) -> int:
         n_int, n_bits = _fit_grid(2, float(delta), sigma, program)
         res = lct.gaussian_instance_error(program, sigma, float(delta), n_bits, n_int)
         rows.append((f"{delta:.6f}", f"{res['measured']:.8e}", f"{res['bound']:.8e}"))
-    out = config.out_path or "lct_bench.csv"
+    out = args.out_path or "lct_bench.csv"
     with open(out, "w", newline="") as fh:
         csv.writer(fh).writerows(rows)
     print(f"wrote {out}", file=sys.stderr)
@@ -470,9 +447,7 @@ def _fit_grid(dims: int, delta: float, sigma_prime, program) -> tuple[int, int]:
     norm_l = float(np.max(np.sum(np.abs(low), axis=1))) if low is not None else 1.0
     cap = lct.MAX_TOTAL_BITS // dims
     while True:
-        beta = 2 * dims * (dims - 1) + 1
-        inner = 1.619 * math.sqrt(dims) * (2 ** n_int * norm_l + beta) + 1.0
-        n_pad = max(0, math.ceil(math.log2(inner)) - n_int)
+        n_pad = gridsizer.pad_qubits("LCT", norm_l, dims, n_int)
         if n_int + n_pad <= cap:
             return n_int, n_int + n_pad
         n_int -= 1
@@ -480,15 +455,15 @@ def _fit_grid(dims: int, delta: float, sigma_prime, program) -> tuple[int, int]:
             raise ValueError("instance does not fit in the grid budget")
 
 
-def run_report(config: RunConfig) -> int:
+def run_report(args: argparse.Namespace) -> int:
     """Re-render a saved JSON report as markdown or CSV."""
     try:
-        with open(config.input_path) as fh:
+        with open(args.input_path) as fh:
             doc = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    _write_report(doc, config)
+    _write_report(doc, args.out_format, args.out_path)
     return 0
 
 
@@ -518,12 +493,12 @@ def _render_markdown(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report(doc: dict, config: RunConfig):
-    if config.out_format == "json":
+def _write_report(doc: dict, out_format: str, out_path: str | None):
+    if out_format == "json":
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    elif config.out_format == "markdown":
+    elif out_format == "markdown":
         text = _render_markdown(doc)
-    elif config.out_format == "csv":
+    elif out_format == "csv":
         rows = [("subroutine", "toffoli", "ancilla", "is_bound", "params_hash")]
         ph = doc.get("params_hash", "")
         for name, row in sorted(doc.get("rows", {}).items()):
@@ -534,9 +509,9 @@ def _write_report(doc: dict, config: RunConfig):
                          str(row["is_bound"]).lower(), ph))
         text = "\n".join(",".join(r) for r in rows) + "\n"
     else:
-        raise ValueError(f"unknown format {config.out_format!r}")
-    if config.out_path:
-        with open(config.out_path, "w") as fh:
+        raise ValueError(f"unknown format {out_format!r}")
+    if out_path:
+        with open(out_path, "w") as fh:
             fh.write(text)
     else:
         sys.stdout.write(text)
@@ -553,65 +528,52 @@ def _parse_override(item: str):
     return key, val
 
 
+# every flag, and the subcommands that read it
+FLAGS = {
+    "--input": dict(dest="input_path"),
+    "--out": dict(dest="out_path"),
+    "--format": dict(dest="out_format", default="json", choices=("json", "csv", "markdown")),
+    "--seed": dict(type=int, default=0),
+    "--budget-policy": dict(dest="budget_policy"),
+    "--only": dict(),
+    "--batch": dict(nargs="*", default=[]),
+    "--override": dict(action="append", default=[], type=_parse_override),
+}
+SUBCOMMAND_FLAGS = {
+    "estimate": ("--input", "--out", "--format", "--seed", "--budget-policy", "--batch",
+                 "--override"),
+    "verify": ("--out", "--only", "--override"),
+    "lct-bench": ("--out", "--seed"),
+    "report": ("--input", "--out", "--format"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="qdyncost")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(sp):
-        sp.add_argument("--input", dest="input_path")
-        sp.add_argument("--out", dest="out_path")
-        sp.add_argument("--format", dest="out_format", default="json",
-                        choices=("json", "csv", "markdown"))
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--budget-policy", dest="budget_policy")
-        sp.add_argument("--only")
-        sp.add_argument("--batch", nargs="*", default=[])
-        sp.add_argument("--override", action="append", default=[], type=_parse_override)
-
-    for name in ("estimate", "verify", "lct-bench", "report"):
-        common(sub.add_parser(name))
+    for name, flags in SUBCOMMAND_FLAGS.items():
+        sp = sub.add_parser(name)
+        for flag in flags:
+            sp.add_argument(flag, **FLAGS[flag])
     return parser
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    config = RunConfig(
-        command=args.command,
-        input_path=args.input_path,
-        out_path=args.out_path,
-        out_format=args.out_format,
-        seed=args.seed,
-        budget_policy=args.budget_policy,
-        only=args.only,
-        batch=list(args.batch),
-        overrides=dict(args.override),
-    )
-    if config.command == "estimate":
-        if config.batch:
-            import pathlib
-
-            code = 0
-            for path in config.batch:
-                prefix = config.out_path or ""
-                out = f"{prefix}{pathlib.Path(path).stem}.report.json"
-                sub = RunConfig(**{**config.__dict__, "input_path": path,
-                                   "out_path": out, "batch": []})
-                code = max(code, run_estimate(sub))
-            return code
-        if not config.input_path:
-            print("error: --input is required", file=sys.stderr)
-            return 2
-        return run_estimate(config)
-    if config.command == "verify":
-        return run_verify(config)
-    if config.command == "lct-bench":
-        return run_lct_bench(config)
-    if config.command == "report":
-        if not config.input_path:
-            print("error: --input is required", file=sys.stderr)
-            return 2
-        return run_report(config)
-    return 2
+    if args.command == "verify":
+        return run_verify(args)
+    if args.command == "lct-bench":
+        return run_lct_bench(args)
+    if args.command == "estimate" and args.batch:
+        prefix = args.out_path or ""
+        return max([run_estimate(args, path, f"{prefix}{Path(path).stem}.report.json")
+                    for path in args.batch])
+    if not args.input_path:
+        print("error: --input is required", file=sys.stderr)
+        return 2
+    if args.command == "estimate":
+        return run_estimate(args, args.input_path, args.out_path)
+    return run_report(args)
 
 
 if __name__ == "__main__":

@@ -163,15 +163,9 @@ def cost_isp(kind: str, **p) -> CostPair:
     raise ValueError(f"unknown ISP subroutine kind {kind!r}")
 
 
-def cost_isp_total(mode: str, components: dict, eta_n: int, n_ext: int) -> CostPair:
+def cost_isp_total(components: dict, eta_n: int, n_ext: int) -> CostPair:
     """Aggregate ISP cost: Toffolis add; ancillas are the held exterior-grid
-    qubits ``3*eta_n*n_ext`` plus the largest component ancilla demand.
-
-    For mode="nonseparable" the components dict is expected to already
-    include the joint arbitrary-state-preparation and configuration rows.
-    """
-    if mode not in ("separable", "nonseparable"):
-        raise ValueError(f"unknown ISP mode {mode!r}")
+    qubits ``3*eta_n*n_ext`` plus the largest component ancilla demand."""
     toff = sum(c.toffoli for c in components.values())
     anc_max = max((c.ancilla for c in components.values()), default=0)
     bound = any(c.bound for c in components.values())
@@ -247,14 +241,12 @@ def prep_h_output_size(eta: int, eta_e: int, n_p: int, n_m: int) -> int:
 
 
 def cost_walk(prep_h: CostPair, ctrl_sel_h: CostPair, unprep_h: CostPair,
-              reflect: CostPair, u_h_ancilla: int | None = None) -> CostPair:
+              reflect: CostPair) -> CostPair:
     """Controlled walk-operator cost: coefficient preparation, controlled
     term selection, unpreparation, and the reflection."""
     toff = prep_h.toffoli + ctrl_sel_h.toffoli + unprep_h.toffoli + reflect.toffoli
-    if u_h_ancilla is None:
-        u_h_ancilla = prep_h.ancilla + ctrl_sel_h.ancilla
     # reflect.toffoli is out-1, so 2*(out-1) == 2*reflect.toffoli
-    anc = max(u_h_ancilla, int(2 * reflect.toffoli))
+    anc = max(prep_h.ancilla + ctrl_sel_h.ancilla, int(2 * reflect.toffoli))
     return CostPair(toff, anc)
 
 
@@ -343,26 +335,20 @@ class CostReport:
             "params_hash": self.params_hash,
         }
 
-    def to_csv_rows(self) -> list:
-        out = [("subroutine", "toffoli", "ancilla", "is_bound", "params_hash")]
-        for name, c in sorted(self.rows.items()):
-            out.append((name, str(c.toffoli_int), str(c.ancilla), str(c.bound).lower(), self.params_hash))
-        for name, c in sorted(self.aggregates.items()):
-            out.append((name, str(c.toffoli_int), str(c.ancilla), str(c.bound).lower(), self.params_hash))
-        return out
-
 
 def cost_total(isp: CostPair, propagator: CostPair, qft: CostPair, u_pis: CostPair,
                r0_qae: CostPair, lambda_obs: float, eps_qae: float,
-               eta: int = 0, eta_e: int = 0, eta_n: int = 0,
-               n_p: int = 0, n_bar_isp: int = 0) -> CostReport:
+               eta_n: int, n_ext: int) -> CostReport:
     """Compose the end-to-end cost: one state-preparation-plus-evolution
     pass, then amplitude estimation with ``lambda_O/(2*eps_QAE)`` calls to
     the reflection iterate ``2*(U_PiS + U~) + R0_QAE``.
+
+    The iterate holds the ``3*eta_n*n_ext`` exterior-grid qubits plus the
+    largest ancilla demand of its terms; the term that sets it is recorded
+    as ``iterate_ancilla_set_by`` (the first one listed wins a tie).
     """
     if eps_qae <= 0:
         raise ValueError("eps_qae must be positive")
-    n_ext = n_bar_isp - n_p
     u_tilde_toff = qft.toffoli + propagator.toffoli + isp.toffoli
     iterate_toff = 2.0 * (u_pis.toffoli + u_tilde_toff) + r0_qae.toffoli
     calls = lambda_obs / (2.0 * eps_qae)
@@ -370,12 +356,11 @@ def cost_total(isp: CostPair, propagator: CostPair, qft: CostPair, u_pis: CostPa
     total_toff = u_tilde_toff + qae_toff
 
     s_qpe = ceil_log2(lambda_obs / eps_qae)
-    anc_iterate = 1 + 3 * eta_n * n_ext + max(
-        u_pis.ancilla - 1,
-        propagator.ancilla,
-        isp.ancilla - 3 * eta_n * n_ext,
-        r0_qae.ancilla,
-    )
+    held = 3 * eta_n * n_ext
+    demand = {"U_PiS": u_pis.ancilla - 1, "propagator": propagator.ancilla,
+              "ISP": isp.ancilla - held, "R0_QAE": r0_qae.ancilla}
+    set_by = max(demand, key=demand.get)
+    anc_iterate = 1 + held + demand[set_by]
     anc_qae = s_qpe + anc_iterate
 
     report = CostReport()
@@ -386,9 +371,6 @@ def cost_total(isp: CostPair, propagator: CostPair, qft: CostPair, u_pis: CostPa
     report.aggregates["total"] = CostPair(total_toff, anc_qae, bound=bound_any)
     report.scalars["qae_calls"] = calls
     report.scalars["qpe_register"] = s_qpe
-    if eta:
-        c_data = 3 * eta * n_p + eta_e
-        report.qubits["C_data"] = c_data
-        report.qubits["C_anc"] = anc_qae
-        report.qubits["total"] = c_data + anc_qae
+    report.scalars["iterate_ancilla_set_by"] = set_by
+    report.qubits["C_anc"] = anc_qae
     return report

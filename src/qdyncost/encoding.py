@@ -78,23 +78,17 @@ def lambda_nu(n_p: int, mode: str = "brute") -> float:
     return float(np.sum(1.0 / sq))
 
 
-def lcu_norms(particles: ParticleTable, n_p: int, omega_cell: float,
-              lambda_nu_value: float | None = None) -> LcuNorms:
+def lcu_norms(particles: ParticleTable, n_p: int, omega_cell: float) -> LcuNorms:
     """Kinetic and potential LCU norms on an ``n_p``-qubit-per-axis grid.
 
-    ``omega_cell`` is the simulation-cell volume L^3 in bohr^3.  If
-    ``lambda_nu_value`` is not supplied it is enumerated exactly for
-    ``n_p <= 6`` and replaced by the closed lower bound above that.
+    ``omega_cell`` is the simulation-cell volume L^3 in bohr^3.  The
+    momentum sum ``lambda_nu`` is enumerated exactly for ``n_p <= 6`` and
+    replaced by the closed lower bound above that.
     """
     if omega_cell <= 0:
         raise ValueError("cell volume must be positive")
-    exact = True
-    if lambda_nu_value is None:
-        if n_p <= BRUTE_NP_CAP:
-            lambda_nu_value = lambda_nu(n_p, "brute")
-        else:
-            lambda_nu_value = lambda_nu(n_p, "bound")
-            exact = False
+    exact = n_p <= BRUTE_NP_CAP
+    lambda_nu_value = lambda_nu(n_p, "brute" if exact else "bound")
     lam_m = particles.lambda_m
     lam_t = 6.0 * math.pi ** 2 / omega_cell ** (2.0 / 3.0) * (2.0 ** (n_p - 1) - 1) ** 2 * lam_m
     lam_v = particles.sum_abs_charge_pairs / (2.0 * math.pi * omega_cell ** (1.0 / 3.0)) * lambda_nu_value
@@ -212,13 +206,11 @@ def r_nu_ratio(n_p: int, lambda_nu_value: float) -> float:
 
 def precision_params(lambda_t: float, lambda_v: float, lambda_h_tilde_value: float,
                      eps_t: float, eps_v: float, eps_theta: float, n_p: int,
-                     lambda_nu_value: float | None = None) -> PrecisionParams:
-    """Register widths needed to hit the block-encoding error allocations."""
+                     lambda_nu_value: float) -> PrecisionParams:
+    """Register widths needed to hit the block-encoding error allocations;
+    ``lambda_nu_value`` is the momentum sum the LCU norms used."""
     if min(eps_t, eps_v, eps_theta) <= 0:
         raise ValueError("error allocations must be positive")
-    if lambda_nu_value is None:
-        mode = "brute" if n_p <= BRUTE_NP_CAP else "bound"
-        lambda_nu_value = lambda_nu(n_p, mode)
     r_nu = r_nu_ratio(n_p, lambda_nu_value)
     return PrecisionParams(
         mu_t=max(0, ceil_log2(lambda_t / eps_t)) if lambda_t / eps_t > 1 else 0,

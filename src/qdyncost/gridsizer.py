@@ -1,4 +1,4 @@
-"""Momentum cutoffs, bond-dimension bounds, common-grid sizing, and padding.
+"""Momentum cutoffs, common-grid sizing, and padding.
 
 All cutoff and bound formulas keep intermediate values in double precision;
 ceilings are applied exactly where the derivations put them, and final qubit
@@ -96,54 +96,28 @@ def k_cutoff_nuclear(omega: float, length: float, n_hg: int, delta_nt: float) ->
     return math.sqrt(2.0 * omega) * math.sqrt(radicand)
 
 
-def bond_dim_bounds(kind: str, **params):
-    """Bond-dimension bounds for the MPS encodings of orbitals/single-modals.
+def shear_beta(dims: int) -> int:
+    """Rounding-offset prefactor ``beta = 2 d (d-1) + 1`` of the multi-shear
+    bound on a ``dims``-dimensional grid."""
+    return 2 * dims * (dims - 1) + 1
 
-    kind="electronic": upper bound
-        ``8 e^2 N_g (2 ln(288 sqrt(3) N_g / (delta^4 sigma^2)) + l ln(4l) + 4)``
-        (returned as a float; it is a bound, not a count).
-    kind="nuclear": the sufficient bond dimension ``ceil(e^2 K^2 / omega)``.
+
+def pad_qubits(mode: str, norm_inf: float, dims: int, n_isp: int) -> int:
+    """Padding qubits per dimension so that no interior grid point wraps
+    under centered-modulo arithmetic during the coordinate transform.
+
+    mode="LCT" uses the shear-sequence bound
+    ``1.619 sqrt(d) (2^n_isp ||L||_inf + beta) + 1`` over ``dims = d``
+    coordinates with ``norm_inf = ||L||_inf``; mode="SSCT" uses the
+    single-shear bound with ``norm_inf = ||L^{-T}||_inf``.  The result is
+    clamped at 0 (the bounds can go negative when ``n_isp`` is already large).
     """
-    if kind == "electronic":
-        n_gauss = params["n_gauss"]
-        l_max = params["l_max"]
-        sigma = params["sigma"]
-        delta = params["delta"]
-        if not 0.0 < delta < 1.0:
-            raise ValueError(f"delta must be in (0,1), got {delta}")
-        log_arg = 288.0 * math.sqrt(3.0) * n_gauss / (delta ** 4 * sigma ** 2)
-        if log_arg <= 0:
-            raise ValueError("logarithm argument must be positive")
-        ang = l_max * math.log(4.0 * l_max) if l_max > 0 else 0.0
-        return 8.0 * math.e ** 2 * n_gauss * (2.0 * math.log(log_arg) + ang + 4.0)
-    if kind == "nuclear":
-        k_cut = params["k_cut"]
-        omega = params["omega"]
-        if omega <= 0:
-            raise ValueError("omega must be positive")
-        return math.ceil(math.e ** 2 * k_cut ** 2 / omega)
-    raise ValueError(f"unknown kind {kind!r}")
-
-
-def pad_qubits(mode: str, n_isp_states: int, norm_inf: float, eta_n: int, n_isp: int) -> int:
-    """Padding qubits per nuclear dimension so that no interior grid point
-    wraps under centered-modulo arithmetic during the coordinate transform.
-
-    mode="LCT" uses the shear-sequence bound with
-    ``beta = 18 eta_n^2 - 6 eta_n + 1`` and ``norm_inf = ||L||_inf``;
-    mode="SSCT" uses the single-shear bound with ``norm_inf = ||L^{-T}||_inf``.
-    The result is clamped at 0 (the bounds can go negative when ``n_isp`` is
-    already large).
-    """
-    if n_isp_states != 2 ** n_isp:
-        raise ValueError("n_isp_states must equal 2**n_isp")
     if norm_inf <= 0:
         raise ValueError("shear norm must be positive (>= 1 for unit-triangular shears)")
     if mode == "LCT":
-        beta = 18 * eta_n ** 2 - 6 * eta_n + 1
-        inner = 1.619 * math.sqrt(3.0 * eta_n) * (n_isp_states * norm_inf + beta) + 1.0
+        inner = 1.619 * math.sqrt(dims) * (2 ** n_isp * norm_inf + shear_beta(dims)) + 1.0
     elif mode == "SSCT":
-        inner = n_isp_states * norm_inf + 1.0
+        inner = 2 ** n_isp * norm_inf + 1.0
     else:
         raise ValueError(f"unknown padding mode {mode!r}")
     return max(0, ceil_log2(inner) - n_isp)
@@ -154,22 +128,21 @@ def data_qubits(eta: int, eta_e: int, n_p: int) -> int:
     return 3 * eta * n_p + eta_e
 
 
-def common_grid(k_candidates, delta_target: float, pad_mode: str = "SSCT",
-                pad_inputs: dict | None = None) -> GridParams:
+def common_grid(k_candidates, delta_target: float, nuclear_cutoffs, pad_mode: str,
+                norm_inf: float, dims: int) -> GridParams:
     """Size the common simulation grid from the candidate momentum cutoffs.
 
     ``K_max`` is the largest candidate; the odd plane-wave count
     ``N_bar = 2*ceil(K_max/delta) + 1`` is rounded up to ``N = 2**n_p - 1``
     and ``delta`` is updated to ``2*K_max/(N-1)`` keeping ``K_max`` fixed.
-    ``pad_inputs`` must carry ``nuclear_cutoffs`` (to size the ISP grid),
-    ``norm_inf``, and ``eta_n``.
+    The ISP grid holds the ``nuclear_cutoffs``; its padding follows
+    :func:`pad_qubits` over the ``dims`` nuclear coordinates.
     """
     k_candidates = list(k_candidates)
     if not k_candidates:
         raise ValueError("at least one cutoff candidate is required")
     if delta_target <= 0:
         raise ValueError("delta_target must be positive")
-    pad_inputs = dict(pad_inputs or {})
 
     k_max = max(k_candidates)
     n_bar = 2 * math.ceil(k_max / delta_target) + 1
@@ -178,15 +151,7 @@ def common_grid(k_candidates, delta_target: float, pad_mode: str = "SSCT",
     delta = 2.0 * k_max / (n_grid - 1) if n_grid > 1 else delta_target
     length = 2.0 * math.pi / delta_target
 
-    nuclear_cutoffs = list(pad_inputs.get("nuclear_cutoffs", k_candidates))
     n_isp = ceil_log2(max(2 * math.ceil(k / delta) + 1 for k in nuclear_cutoffs))
-    n_pad = pad_qubits(
-        pad_mode,
-        2 ** n_isp,
-        float(pad_inputs.get("norm_inf", 1.0)),
-        int(pad_inputs.get("eta_n", 1)),
-        n_isp,
-    )
     return GridParams(
         k_max=k_max,
         delta=delta,
@@ -195,5 +160,5 @@ def common_grid(k_candidates, delta_target: float, pad_mode: str = "SSCT",
         n_p=n_p,
         n_grid=n_grid,
         n_isp=n_isp,
-        n_pad=n_pad,
+        n_pad=pad_qubits(pad_mode, norm_inf, dims, n_isp),
     )

@@ -23,7 +23,11 @@ import numpy as np
 
 # total dense-amplitude budget: dims * n_bits may not exceed this
 MAX_TOTAL_BITS = 24
-PROGRAM_MATRIX_TOL = 1e-10
+# tolerances of the decomposition checks (the last two relative to the largest entry)
+DET_TOL = 1e-9                # | |det T| - 1 |
+UNIT_DIAG_TOL = 1e-9          # diagonal of the QL factor against 1
+PROGRAM_MATRIX_TOL = 1e-10    # program product against T^-1
+CHOLESKY_TOL = 1e-10          # L diag(d) L^T against the input
 
 
 # ---------------------------------------------------------------------------
@@ -98,7 +102,7 @@ def givens_matrix(dim: int, i: int, j: int, theta: float) -> np.ndarray:
     return g
 
 
-def ql_unit_decompose(a: np.ndarray, tol: float = 1e-9):
+def ql_unit_decompose(a: np.ndarray):
     """QL decomposition ``a = X @ L`` with orthogonal X and unit-lower L.
 
     Valid only when the QL factor's diagonal is 1 (as it is for transposes
@@ -114,7 +118,7 @@ def ql_unit_decompose(a: np.ndarray, tol: float = 1e-9):
     signs[signs == 0] = 1.0
     x = x * signs[None, :]
     low = low * signs[:, None]
-    if np.max(np.abs(np.diag(low) - 1.0)) > tol:
+    if np.max(np.abs(np.diag(low) - 1.0)) > UNIT_DIAG_TOL:
         raise ValueError(
             "transform does not factor as orthogonal times unit shear; "
             "factor out the diagonal scale first"
@@ -178,7 +182,7 @@ def reduce_angle(theta: float):
     return phi, h, sign
 
 
-def decompose_lct(t_matrix: np.ndarray, det_tol: float = 1e-9) -> TransformProgram:
+def decompose_lct(t_matrix: np.ndarray) -> TransformProgram:
     """Decompose an invertible |det| = 1 transform into a grid program.
 
     The program applies, in order: the full lower shear from the QL
@@ -189,8 +193,8 @@ def decompose_lct(t_matrix: np.ndarray, det_tol: float = 1e-9) -> TransformProgr
     t_matrix = np.asarray(t_matrix, dtype=float)
     d = t_matrix.shape[0]
     det = np.linalg.det(t_matrix)
-    if abs(abs(det) - 1.0) > det_tol:
-        raise ValueError(f"|det T| = {abs(det)!r} differs from 1 beyond {det_tol}")
+    if abs(abs(det) - 1.0) > DET_TOL:
+        raise ValueError(f"|det T| = {abs(det)!r} differs from 1 beyond {DET_TOL}")
     t_inv = np.linalg.inv(t_matrix)
     x, low = ql_unit_decompose(t_inv)
     det_x = np.linalg.det(x)
@@ -220,13 +224,13 @@ def decompose_lct(t_matrix: np.ndarray, det_tol: float = 1e-9) -> TransformProgr
         steps=steps,
         source={"T": t_matrix, "X": x, "L": low, "givens": givens_records},
     )
-    assert np.max(np.abs(prog.matrix() - t_inv)) <= PROGRAM_MATRIX_TOL * max(
-        1.0, np.max(np.abs(t_inv))
-    ), "program product deviates from T^-1"
+    if not np.max(np.abs(prog.matrix() - t_inv)) <= PROGRAM_MATRIX_TOL * max(
+            1.0, np.max(np.abs(t_inv))):
+        raise ValueError("program product deviates from T^-1")
     return prog
 
 
-def cholesky_unit(lam: np.ndarray, tol: float = 1e-10):
+def cholesky_unit(lam: np.ndarray):
     """Cholesky split ``lam = L @ diag(d) @ L.T`` with unit-lower L."""
     lam = np.asarray(lam, dtype=float)
     try:
@@ -236,7 +240,9 @@ def cholesky_unit(lam: np.ndarray, tol: float = 1e-10):
     d = np.diag(c).copy()
     low = c / d[None, :]
     d_ch = d ** 2
-    assert np.max(np.abs(low @ np.diag(d_ch) @ low.T - lam)) <= tol * max(1.0, np.max(np.abs(lam)))
+    if not np.max(np.abs(low @ np.diag(d_ch) @ low.T - lam)) <= CHOLESKY_TOL * max(
+            1.0, np.max(np.abs(lam))):
+        raise ValueError("Cholesky factors do not reproduce the matrix")
     return low, d_ch
 
 
@@ -291,13 +297,6 @@ class GridState:
         axes = [np.arange(-self.half, self.half)] * self.dims
         mesh = np.meshgrid(*axes, indexing="ij")
         return np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
-
-
-def delta_state(dims: int, n_bits: int, point) -> GridState:
-    amps = np.zeros((1 << n_bits,) * dims)
-    half = 1 << (n_bits - 1)
-    amps[tuple(int(c) + half for c in point)] = 1.0
-    return GridState(dims, n_bits, amps)
 
 
 def separable_gaussian_state(dims: int, n_bits: int, sigma_prime, delta: float,
@@ -452,31 +451,6 @@ def _permute_dense(state: GridState, program: TransformProgram,
     return GridState(state.dims, state.n_bits, out.reshape(shape), n_int=state.n_int)
 
 
-def apply_shear_grid(state: GridState, matrix: np.ndarray, direction: str) -> GridState:
-    """Apply one full shear permutation to a dense grid state.
-
-    ``matrix`` must be unit-triangular of the stated direction; the update is
-    row-sequential (descending rows for lower shears, ascending for upper)
-    with centered-modulo wraparound and half-up rounding.  The map is a
-    bijection, so the norm is preserved bit-for-bit.
-    """
-    matrix = np.asarray(matrix, dtype=float)
-    if not np.allclose(np.diag(matrix), 1.0):
-        raise ValueError("shear must be unit-triangular")
-    if direction == "lower":
-        if np.any(np.triu(matrix, 1) != 0):
-            raise ValueError("lower shear has entries above the diagonal")
-        step = Step("lower_shear", data=matrix)
-    elif direction == "upper":
-        if np.any(np.tril(matrix, -1) != 0):
-            raise ValueError("upper shear has entries below the diagonal")
-        step = Step("upper_shear", data=matrix)
-    else:
-        raise ValueError(f"unknown direction {direction!r}")
-    prog = TransformProgram(dim=state.dims, steps=[step])
-    return _permute_dense(state, prog)
-
-
 def apply_program(state: GridState, program: TransformProgram,
                   counter: WrapCounter | None = None) -> GridState:
     """Apply a full transform program to a dense grid state."""
@@ -549,20 +523,6 @@ def program_error_bound(program: TransformProgram, sigma_prime, delta: float) ->
         "total": shear_bound + ortho_bound,
         "ortho_steps": ortho,
     }
-
-
-def error_bounds(kind: str, sigma_prime, program: TransformProgram, delta: float,
-                 dims: int) -> float:
-    """Dispatcher: kind="shear" gives the full-shear bound of the program's
-    (first) full shear; kind="ortho_step" gives the summed 2D-shear bound."""
-    if kind == "shear":
-        for step in program.steps:
-            if step.kind in ("lower_shear", "upper_shear"):
-                return shear_error_bound(step.matrix(dims), sigma_prime, delta, dims)
-        return 0.0
-    if kind == "ortho_step":
-        return float(sum(v for (_, _, v) in ortho_step_bounds(program, sigma_prime, delta)))
-    raise ValueError(f"unknown bound kind {kind!r}")
 
 
 def measure_transform_error(approx: GridState, exact: GridState) -> float:

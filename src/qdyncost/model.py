@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -231,6 +231,56 @@ def _require(cond: bool, msg: str):
         raise ValidationError(msg)
 
 
+_REQUIRED = object()
+
+
+def _object(value, where: str = "value") -> dict:
+    _require(isinstance(value, dict), f"{where} must be an object, got {type(value).__name__}")
+    return value
+
+
+def _list(value) -> list:
+    if not isinstance(value, list):
+        raise TypeError(f"expected an array, got {type(value).__name__}")
+    return value
+
+
+def _field(section: dict, where: str, key: str, convert, default=_REQUIRED):
+    """``convert(section[key])``; a missing or malformed value raises
+    ValidationError naming the field ``where.key``."""
+    name = f"{where}.{key}" if where else key
+    if key not in section:
+        _require(default is not _REQUIRED, f"missing field {name}")
+        return default
+    try:
+        return convert(section[key])
+    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
+        raise ValidationError(f"{name}: {exc}") from None
+
+
+def _floats(value) -> tuple:
+    return tuple(float(x) for x in _list(value))
+
+
+def _ints(value) -> tuple:
+    return tuple(int(x) for x in _list(value))
+
+
+def _constraint(value) -> ChannelConstraint:
+    c = _object(value, "constraint")
+    return ChannelConstraint(
+        alpha=_field(c, "constraint", "alpha", int),
+        beta=_field(c, "constraint", "beta", int),
+        cutoff=_field(c, "constraint", "cutoff", float),
+        direction=_field(c, "constraint", "direction", str),
+    )
+
+
+def _channel(value) -> ReactionChannel:
+    constraints = _field(_object(value, "channel"), "channel", "constraints", _list)
+    return ReactionChannel(constraints=tuple(_constraint(c) for c in constraints))
+
+
 def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
     """Check all structural invariants of a parsed molecule description.
 
@@ -238,6 +288,7 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
     with a diagnostic message otherwise.
     """
     p = spec.particles
+    _require(p.eta_e >= 0 and p.eta_n >= 0, "particle counts must be non-negative")
     _require(len(p.masses) == len(p.charges), "masses and charges must have equal length")
     _require(p.eta == len(p.masses), f"eta={p.eta} != number of particle entries {len(p.masses)}")
     _require(p.eta >= 1, "at least one particle required")
@@ -267,20 +318,24 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
         )
         for i, w in enumerate(nm.omegas):
             _require(w > 0, f"frequency {i} must be positive, got {w}")
+        _require(len(nm.d_diag) == dim, f"scale diagonal must have {dim} entries")
         for i, d in enumerate(nm.d_diag):
             _require(d > 0, f"scale diagonal entry {i} must be positive, got {d}")
         _require(len(nm.r0) == dim, f"equilibrium geometry must have {dim} entries")
         _require(nm.gamma_trans > 0 and nm.upsilon_rot > 0, "Gaussian widths must be positive")
 
-    e = spec.electronic
+    e, n = spec.electronic, spec.nuclear
     _require(e.n_mob >= 1 and e.d_configs >= 1 and e.n_gauss >= 1, "electronic counts must be >= 1")
     _require(e.gamma_max > 0 and e.sigma_ortho > 0, "gamma_max and sigma must be positive")
     _require(e.l_max >= 0, "l_max must be non-negative")
-    _require(np.all(np.asarray(e.bond_dims) >= 1), "electronic bond dimensions must be >= 1")
+    _require(min(e.b_asp, e.b_rot, n.b_asp, n.b_rot, n.b_grad) >= 1,
+             "precision widths b_asp, b_rot and b_grad must be >= 1")
+    _require(np.size(e.bond_dims) > 0 and np.all(np.asarray(e.bond_dims) >= 1),
+             "electronic.bond_dims must be a non-empty table of entries >= 1")
 
-    n = spec.nuclear
     _require(n.n_smb >= 1 and n.d_configs >= 1 and n.n_hg >= 1, "nuclear counts must be >= 1")
-    _require(np.all(np.asarray(n.bond_dims) >= 1), "nuclear bond dimensions must be >= 1")
+    _require(np.size(n.bond_dims) > 0 and np.all(np.asarray(n.bond_dims) >= 1),
+             "nuclear.bond_dims must be a non-empty table of entries >= 1")
 
     for ch in spec.channels:
         for c in ch.constraints:
@@ -291,139 +346,89 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
         _require(ch.b_j >= 1, "reaction channel needs at least one constraint")
         _require(ch.b_j <= max_pairs, f"channel has {ch.b_j} constraints > eta_n(eta_n-1)/2 = {max_pairs}")
 
+    # settings the estimator reads must convert as it reads them
+    for where, section, fields in (
+            ("budget", spec.budget_raw, dict(eps_total=float, lambda_obs=float, b_r=int,
+                                             trim_n_mc=int, trim_alpha=float, custom=_object)),
+            ("simulation.overrides", spec.overrides, dict(n_p=int, length=float, n_isp=int,
+                                                          n_pad=int, lambda_h_tilde=float))):
+        for key, convert in fields.items():
+            _field(section, where, key, convert, None)
+    _require(all(isinstance(v, (int, float)) and v > 0 for v in spec.anchors.values()),
+             "simulation.anchors values must be positive numbers")
     return spec
 
 
 def molecule_from_dict(doc: dict) -> MoleculeSpec:
-    """Build an (unvalidated) MoleculeSpec from a parsed JSON document."""
+    """Build an (unvalidated) MoleculeSpec from a parsed JSON document.
+
+    A missing or malformed field raises :class:`ValidationError` naming it.
+    """
+    _object(doc, "molecule document")
     missing = [k for k in ("particles", "normal_modes", "electronic", "nuclear", "channels", "budget") if k not in doc]
     if missing:
         raise ValidationError(f"missing required top-level key(s): {', '.join(missing)}")
 
-    pd = doc["particles"]
+    pd = _object(doc["particles"], "particles")
     particles = ParticleTable(
-        masses=tuple(pd["masses"]),
-        charges=tuple(int(z) for z in pd["charges"]),
-        eta_e=int(pd["eta_e"]),
-        eta_n=int(pd["eta_n"]),
+        masses=_field(pd, "particles", "masses", _floats),
+        charges=_field(pd, "particles", "charges", _ints),
+        eta_e=_field(pd, "particles", "eta_e", int),
+        eta_n=_field(pd, "particles", "eta_n", int),
     )
 
-    nd = doc["normal_modes"]
+    nd = _object(doc["normal_modes"], "normal_modes")
     normal_modes = NormalModeData(
-        omegas=tuple(nd["omegas"]),
-        transform=np.asarray(nd["transform"], dtype=float),
-        d_diag=tuple(nd["d_diag"]),
-        r0=tuple(nd["r0"]),
-        gamma_trans=float(nd["gamma_trans"]),
-        upsilon_rot=float(nd["upsilon_rot"]),
+        omegas=_field(nd, "normal_modes", "omegas", _floats),
+        transform=_field(nd, "normal_modes", "transform", lambda v: np.asarray(v, dtype=float)),
+        d_diag=_field(nd, "normal_modes", "d_diag", _floats),
+        r0=_field(nd, "normal_modes", "r0", _floats),
+        gamma_trans=_field(nd, "normal_modes", "gamma_trans", float),
+        upsilon_rot=_field(nd, "normal_modes", "upsilon_rot", float),
         linear=bool(nd.get("linear", False)),
     )
 
-    ed = doc["electronic"]
+    ed = _object(doc["electronic"], "electronic")
     electronic = ElectronicMeta(
-        n_mob=int(ed["n_mob"]),
-        d_configs=int(ed["d_configs"]),
-        n_gauss=int(ed["n_gauss"]),
-        gamma_max=float(ed["gamma_max"]),
-        l_max=int(ed["l_max"]),
-        sigma_ortho=float(ed["sigma_ortho"]),
-        bond_dims=np.asarray(ed["bond_dims"], dtype=int),
-        b_asp=int(ed.get("b_asp", 10)),
-        b_rot=int(ed.get("b_rot", 8)),
+        n_mob=_field(ed, "electronic", "n_mob", int),
+        d_configs=_field(ed, "electronic", "d_configs", int),
+        n_gauss=_field(ed, "electronic", "n_gauss", int),
+        gamma_max=_field(ed, "electronic", "gamma_max", float),
+        l_max=_field(ed, "electronic", "l_max", int),
+        sigma_ortho=_field(ed, "electronic", "sigma_ortho", float),
+        bond_dims=_field(ed, "electronic", "bond_dims", lambda v: np.asarray(v, dtype=int)),
+        b_asp=_field(ed, "electronic", "b_asp", int, 10),
+        b_rot=_field(ed, "electronic", "b_rot", int, 8),
     )
 
-    nud = doc["nuclear"]
+    nud = _object(doc["nuclear"], "nuclear")
     nuclear = NuclearMeta(
-        n_smb=int(nud["n_smb"]),
-        n_vib=int(nud["n_vib"]),
-        d_configs=int(nud["d_configs"]),
-        n_hg=int(nud["n_hg"]),
-        bond_dims=np.asarray(nud["bond_dims"], dtype=int),
-        b_asp=int(nud.get("b_asp", 10)),
-        b_rot=int(nud.get("b_rot", 8)),
-        b_grad=int(nud.get("b_grad", 30)),
+        n_smb=_field(nud, "nuclear", "n_smb", int),
+        n_vib=_field(nud, "nuclear", "n_vib", int),
+        d_configs=_field(nud, "nuclear", "d_configs", int),
+        n_hg=_field(nud, "nuclear", "n_hg", int),
+        bond_dims=_field(nud, "nuclear", "bond_dims", lambda v: np.asarray(v, dtype=int)),
+        b_asp=_field(nud, "nuclear", "b_asp", int, 10),
+        b_rot=_field(nud, "nuclear", "b_rot", int, 8),
+        b_grad=_field(nud, "nuclear", "b_grad", int, 30),
     )
 
-    channels = []
-    for ch in doc["channels"]:
-        constraints = tuple(
-            ChannelConstraint(
-                alpha=int(c["alpha"]),
-                beta=int(c["beta"]),
-                cutoff=float(c["cutoff"]),
-                direction=str(c["direction"]),
-            )
-            for c in ch["constraints"]
-        )
-        channels.append(ReactionChannel(constraints=constraints))
-
-    sim = doc.get("simulation", {})
+    channels = _field(doc, "", "channels", lambda v: tuple(_channel(c) for c in _list(v)))
+    budget_raw = _object(doc["budget"], "budget")
+    sim = _object(doc.get("simulation", {}), "simulation")
     return MoleculeSpec(
         particles=particles,
         normal_modes=normal_modes,
         electronic=electronic,
         nuclear=nuclear,
-        channels=tuple(channels),
-        budget_raw=dict(doc["budget"]),
-        time_fs=float(sim.get("time_fs", doc["budget"].get("time_fs", 30.0))),
+        channels=channels,
+        budget_raw=dict(budget_raw),
+        time_fs=_field(sim, "simulation", "time_fs", float,
+                       _field(budget_raw, "budget", "time_fs", float, 30.0)),
         allow_non_neutral=bool(doc.get("allow_non_neutral", False)),
-        overrides=dict(sim.get("overrides", {})),
-        anchors=dict(sim.get("anchors", {})),
+        overrides=dict(_object(sim.get("overrides", {}), "simulation.overrides")),
+        anchors=dict(_object(sim.get("anchors", {}), "simulation.anchors")),
     )
-
-
-def molecule_to_dict(spec: MoleculeSpec) -> dict:
-    """Serialize a MoleculeSpec back to the JSON document layout."""
-    doc = {
-        "particles": {
-            "masses": list(spec.particles.masses),
-            "charges": list(spec.particles.charges),
-            "eta_e": spec.particles.eta_e,
-            "eta_n": spec.particles.eta_n,
-        },
-        "normal_modes": {
-            "omegas": list(spec.normal_modes.omegas),
-            "transform": np.asarray(spec.normal_modes.transform).tolist(),
-            "d_diag": list(spec.normal_modes.d_diag),
-            "r0": list(spec.normal_modes.r0),
-            "gamma_trans": spec.normal_modes.gamma_trans,
-            "upsilon_rot": spec.normal_modes.upsilon_rot,
-            "linear": spec.normal_modes.linear,
-        },
-        "electronic": {
-            "n_mob": spec.electronic.n_mob,
-            "d_configs": spec.electronic.d_configs,
-            "n_gauss": spec.electronic.n_gauss,
-            "gamma_max": spec.electronic.gamma_max,
-            "l_max": spec.electronic.l_max,
-            "sigma_ortho": spec.electronic.sigma_ortho,
-            "bond_dims": np.asarray(spec.electronic.bond_dims).tolist(),
-            "b_asp": spec.electronic.b_asp,
-            "b_rot": spec.electronic.b_rot,
-        },
-        "nuclear": {
-            "n_smb": spec.nuclear.n_smb,
-            "n_vib": spec.nuclear.n_vib,
-            "d_configs": spec.nuclear.d_configs,
-            "n_hg": spec.nuclear.n_hg,
-            "bond_dims": np.asarray(spec.nuclear.bond_dims).tolist(),
-            "b_asp": spec.nuclear.b_asp,
-            "b_rot": spec.nuclear.b_rot,
-            "b_grad": spec.nuclear.b_grad,
-        },
-        "channels": [
-            {"constraints": [asdict(c) for c in ch.constraints]} for ch in spec.channels
-        ],
-        "budget": dict(spec.budget_raw),
-        "simulation": {
-            "time_fs": spec.time_fs,
-            "overrides": dict(spec.overrides),
-            "anchors": dict(spec.anchors),
-        },
-    }
-    if spec.allow_non_neutral:
-        doc["allow_non_neutral"] = True
-    return doc
 
 
 def load_molecule(path) -> MoleculeSpec:

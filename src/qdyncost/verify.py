@@ -35,18 +35,53 @@ def _grid_axis(n_p: int) -> np.ndarray:
 
 
 def _basis(masses, n_p: int, dims: int):
-    """Per-particle momentum tuples and the composite index layout."""
+    """Single-particle grid points, composite strides, and each particle's
+    point index at every composite basis index."""
     eta = len(masses)
     axis = _grid_axis(n_p)
-    n_per_axis = len(axis)
-    per_particle = n_per_axis ** dims
+    per_particle = len(axis) ** dims
     total = per_particle ** eta
     if total > MAX_DENSE_DIM:
         raise ValueError(f"Hilbert dimension {total} exceeds cap {MAX_DENSE_DIM}")
     # single-particle grid points, index-major along the first axis
     mesh = np.meshgrid(*([axis] * dims), indexing="ij")
     points = np.stack([m.ravel() for m in mesh], axis=1)  # (per_particle, dims)
-    return points, per_particle, total
+    # particle j occupies stride per_particle**(eta-1-j)
+    strides = [per_particle ** (eta - 1 - j) for j in range(eta)]
+    all_idx = np.arange(total)
+    particle_pt = [(all_idx // stride) % per_particle for stride in strides]
+    return points, strides, particle_pt
+
+
+def _shift_indices(points: np.ndarray, pidx: np.ndarray, nu) -> np.ndarray:
+    """Indices of the single-particle points ``points[pidx] + nu``; -1 where
+    the shifted point leaves the cube.  The points enumerate the cube
+    ``[-h, h]**dims`` with the last axis fastest, so a point's index is its
+    base-(2h+1) numeral after adding h."""
+    half = int(points.max())
+    dims = points.shape[1]
+    shifted = points[pidx] + nu
+    flat = (shifted + half) @ ((2 * half + 1) ** np.arange(dims - 1, -1, -1))
+    return np.where(np.all(np.abs(shifted) <= half, axis=1), flat, -1)
+
+
+def _coulomb_moves(points: np.ndarray, strides: list, particle_pt: list):
+    """Every Coulomb term ``(i, j, nu)`` in assembly order, with the mask of
+    basis states whose momenta ``p_i + nu`` and ``p_j - nu`` both stay on the
+    grid and the destination indices of those states."""
+    eta = len(strides)
+    nus = points[np.any(points != 0, axis=1)]
+    for i in range(eta):
+        for j in range(eta):
+            if i == j:
+                continue
+            for nu in nus:
+                pi_new = _shift_indices(points, particle_pt[i], nu)
+                pj_new = _shift_indices(points, particle_pt[j], -nu)
+                ok = (pi_new >= 0) & (pj_new >= 0)
+                dst = np.flatnonzero(ok) + (pi_new[ok] - particle_pt[i][ok]) * strides[i] \
+                    + (pj_new[ok] - particle_pt[j][ok]) * strides[j]
+                yield i, j, nu, ok, dst
 
 
 def galerkin_hamiltonian(masses, charges, n_p: int, length: float, dims: int = 3) -> np.ndarray:
@@ -60,7 +95,8 @@ def galerkin_hamiltonian(masses, charges, n_p: int, length: float, dims: int = 3
     masses = list(masses)
     charges = list(charges)
     eta = len(masses)
-    points, per_particle, total = _basis(masses, n_p, dims)
+    points, strides, particle_pt = _basis(masses, n_p, dims)
+    per_particle, total = len(points), len(particle_pt[0])
     k_unit = 2.0 * math.pi / length
 
     # kinetic diagonal
@@ -71,48 +107,11 @@ def galerkin_hamiltonian(masses, charges, n_p: int, length: float, dims: int = 3
         diag += block / (2.0 * masses[j])
     h = np.diag(diag.astype(complex))
 
-    if eta < 2:
-        return h
-
-    axis = _grid_axis(n_p)
-    half = axis[-1]
-    nu_mesh = np.meshgrid(*([axis] * dims), indexing="ij")
-    nus = np.stack([m.ravel() for m in nu_mesh], axis=1)
-    nus = nus[np.any(nus != 0, axis=1)]
-
-    # index arithmetic: particle j occupies stride per_particle**(eta-1-j)
-    strides = [per_particle ** (eta - 1 - j) for j in range(eta)]
-    all_idx = np.arange(total)
-    particle_pt = [(all_idx // strides[j]) % per_particle for j in range(eta)]
-
-    point_index = {tuple(pt): i for i, pt in enumerate(points)}
-
-    def shift_indices(pidx, nu):
-        """Indices of single-particle points shifted by nu; -1 if off-grid."""
-        shifted = points[pidx] + nu
-        ok = np.all(np.abs(shifted) <= half, axis=1)
-        out = np.full(len(pidx), -1, dtype=int)
-        for n, (s, good) in enumerate(zip(shifted, ok)):
-            if good:
-                out[n] = point_index[tuple(s)]
-        return out
-
     coeff_base = 2.0 * math.pi / length ** 3
-    for i in range(eta):
-        for j in range(eta):
-            if i == j:
-                continue
-            zij = charges[i] * charges[j]
-            for nu in nus:
-                knu_sq = (k_unit ** 2) * float(np.dot(nu, nu))
-                coeff = coeff_base * zij / knu_sq
-                pi_new = shift_indices(particle_pt[i], nu)
-                pj_new = shift_indices(particle_pt[j], -nu)
-                ok = (pi_new >= 0) & (pj_new >= 0)
-                src = all_idx[ok]
-                dst = src + (pi_new[ok] - particle_pt[i][ok]) * strides[i] \
-                          + (pj_new[ok] - particle_pt[j][ok]) * strides[j]
-                h[dst, src] += coeff
+    for i, j, nu, ok, dst in _coulomb_moves(points, strides, particle_pt):
+        knu_sq = (k_unit ** 2) * float(np.dot(nu, nu))
+        coeff = coeff_base * (charges[i] * charges[j]) / knu_sq
+        h[dst, np.flatnonzero(ok)] += coeff
     return h
 
 
@@ -133,12 +132,10 @@ def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int | None = N
     if eta_e is None:
         eta_e = sum(1 for z in charges if z < 0)
     dims = 3
-    points, per_particle, total = _basis(masses, n_p, dims)
-    omega = length ** 3
-
-    strides = [per_particle ** (eta - 1 - j) for j in range(eta)]
+    points, strides, particle_pt = _basis(masses, n_p, dims)
+    total = len(particle_pt[0])
     all_idx = np.arange(total)
-    particle_pt = [(all_idx // strides[j]) % per_particle for j in range(eta)]
+    omega = length ** 3
 
     h = np.zeros((total, total), dtype=complex)
     lam_t_sum = 0.0
@@ -160,47 +157,21 @@ def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int | None = N
                         sign = np.where((b * ((bit_r & bit_s) ^ 1)) % 2 == 1, -1.0, 1.0)
                         h[all_idx, all_idx] += alpha * sign
 
-    if eta >= 2:
-        axis = _grid_axis(n_p)
-        half = axis[-1]
-        nu_mesh = np.meshgrid(*([axis] * dims), indexing="ij")
-        nus = np.stack([m.ravel() for m in nu_mesh], axis=1)
-        nus = nus[np.any(nus != 0, axis=1)]
-        point_index = {tuple(pt): i for i, pt in enumerate(points)}
-        k_unit = 2.0 * math.pi / length
-
-        def shift_indices(pidx, nu):
-            shifted = points[pidx] + nu
-            ok = np.all(np.abs(shifted) <= half, axis=1)
-            out = np.full(len(pidx), -1, dtype=int)
-            for n, (pt, good) in enumerate(zip(shifted, ok)):
-                if good:
-                    out[n] = point_index[tuple(pt)]
-            return out
-
-        for i in range(eta):
-            for j in range(eta):
-                if i == j:
-                    continue
-                species_xor = int(i < eta_e) ^ int(j < eta_e)
-                abs_zz = abs(charges[i]) * abs(charges[j])
-                for nu in nus:
-                    knu_sq = (k_unit ** 2) * float(np.dot(nu, nu))
-                    alpha = math.pi * abs_zz / (omega * knu_sq)
-                    pi_new = shift_indices(particle_pt[i], nu)
-                    pj_new = shift_indices(particle_pt[j], -nu)
-                    ok = (pi_new >= 0) & (pj_new >= 0)
-                    src_ok = all_idx[ok]
-                    dst_ok = src_ok + (pi_new[ok] - particle_pt[i][ok]) * strides[i] \
-                                    + (pj_new[ok] - particle_pt[j][ok]) * strides[j]
-                    src_out = all_idx[~ok]
-                    for b in (0, 1):
-                        lam_v_sum += alpha
-                        sign_in = (-1.0) ** species_xor
-                        h[dst_ok, src_ok] += alpha * sign_in
-                        # off-grid branch: identity with the extra b sign
-                        sign_out = (-1.0) ** ((b * 1) ^ species_xor)
-                        h[src_out, src_out] += alpha * sign_out
+    k_unit = 2.0 * math.pi / length
+    for i, j, nu, ok, dst_ok in _coulomb_moves(points, strides, particle_pt):
+        species_xor = int(i < eta_e) ^ int(j < eta_e)
+        abs_zz = abs(charges[i]) * abs(charges[j])
+        knu_sq = (k_unit ** 2) * float(np.dot(nu, nu))
+        alpha = math.pi * abs_zz / (omega * knu_sq)
+        src_ok = all_idx[ok]
+        src_out = all_idx[~ok]
+        for b in (0, 1):
+            lam_v_sum += alpha
+            sign_in = (-1.0) ** species_xor
+            h[dst_ok, src_ok] += alpha * sign_in
+            # off-grid branch: identity with the extra b sign
+            sign_out = (-1.0) ** ((b * 1) ^ species_xor)
+            h[src_out, src_out] += alpha * sign_out
     return h, lam_t_sum, lam_v_sum
 
 
@@ -208,24 +179,29 @@ def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int | None = N
 # walk-operator spectrum and truncated-series propagator
 
 
-def qubiterate_check(h: np.ndarray, lam: float) -> float:
-    """Max deviation of the walk operator's eigenphases from
-    +-arccos(E_k/lambda).
-
-    The walk is the block rotation ``[[H/l, -S], [S, H/l]]`` with
-    ``S = sqrt(I - (H/l)^2)`` built spectrally; its eigenvalues are compared
-    against the phases implied by the spectrum of H.
-    """
-    h = np.asarray(h, dtype=complex)
-    norm = float(np.linalg.norm(h, 2))
-    if lam < norm:
-        raise ValueError(f"lambda = {lam} < ||H|| = {norm}")
+def _walk(h: np.ndarray, lam: float):
+    """The block-rotation walk ``[[H/l, -S], [S, H/l]]`` with
+    ``S = sqrt(I - (H/l)^2)`` built spectrally, and the spectrum of H/l."""
     evals, vecs = np.linalg.eigh(h)
     e_scaled = np.clip(evals / lam, -1.0, 1.0)
     s_diag = np.sqrt(np.maximum(0.0, 1.0 - e_scaled ** 2))
     hn = (vecs * e_scaled) @ vecs.conj().T
     s_mat = (vecs * s_diag) @ vecs.conj().T
-    walk = np.block([[hn, -s_mat], [s_mat, hn]])
+    return np.block([[hn, -s_mat], [s_mat, hn]]), e_scaled
+
+
+def qubiterate_check(h: np.ndarray, lam: float) -> float:
+    """Max deviation of the walk operator's eigenphases from
+    +-arccos(E_k/lambda).
+
+    The walk's eigenvalues are compared against the phases implied by the
+    spectrum of H.
+    """
+    h = np.asarray(h, dtype=complex)
+    norm = float(np.linalg.norm(h, 2))
+    if lam < norm:
+        raise ValueError(f"lambda = {lam} < ||H|| = {norm}")
+    walk, e_scaled = _walk(h, lam)
     phases = np.sort(np.angle(np.linalg.eigvals(walk)))
     expected = np.sort(np.concatenate([np.arccos(e_scaled), -np.arccos(e_scaled)]))
     return float(np.max(np.abs(phases - expected)))
@@ -233,13 +209,7 @@ def qubiterate_check(h: np.ndarray, lam: float) -> float:
 
 def walk_unitarity_defect(h: np.ndarray, lam: float) -> float:
     """||W W^dag - I||_inf for the block-rotation walk above."""
-    h = np.asarray(h, dtype=complex)
-    evals, vecs = np.linalg.eigh(h)
-    e_scaled = np.clip(evals / lam, -1.0, 1.0)
-    s_diag = np.sqrt(np.maximum(0.0, 1.0 - e_scaled ** 2))
-    hn = (vecs * e_scaled) @ vecs.conj().T
-    s_mat = (vecs * s_diag) @ vecs.conj().T
-    walk = np.block([[hn, -s_mat], [s_mat, hn]])
+    walk, _ = _walk(np.asarray(h, dtype=complex), lam)
     eye = np.eye(walk.shape[0])
     return float(np.linalg.norm(walk @ walk.conj().T - eye, 2))
 

@@ -130,7 +130,7 @@ def test_trim_all_outside():
     def sampler(rng, size):
         return np.zeros(size, dtype=bool)
 
-    bound, all_inside = trim_error_mc(sampler, 100, 1e-3)
+    bound, all_inside = trim_error_mc(sampler, 100, 1e-3, np.random.Generator(np.random.Philox(0)))
     assert not all_inside
     assert bound == pytest.approx(1.0)
 

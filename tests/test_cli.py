@@ -141,8 +141,7 @@ def test_resize_bond_table():
 def test_grid_params_derived_fields():
     from qdyncost.gridsizer import common_grid
 
-    grid = common_grid([10.0], 1.0, pad_inputs={"nuclear_cutoffs": [10.0],
-                                                "norm_inf": 1.0, "eta_n": 1})
+    grid = common_grid([10.0], 1.0, [10.0], "SSCT", 1.0, 3)
     assert grid.n_bar_isp == grid.n_isp + grid.n_pad
     assert grid.n_ext == grid.n_bar_isp - grid.n_p
     assert grid.delta_l == pytest.approx(grid.length / grid.n_grid)
@@ -165,3 +164,61 @@ def test_estimate_batch(tmp_path):
     assert code == 0
     assert (tmp_path / "ch4_synthetic.report.json").exists()
     assert (tmp_path / "ch3obr_synthetic.report.json").exists()
+
+
+def test_flags_registered_per_subcommand():
+    from qdyncost.cli import build_parser
+
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    flags = {name: sorted(s for a in sp._actions for s in a.option_strings
+                          if s not in ("-h", "--help"))
+             for name, sp in sub.choices.items()}
+    assert flags == {
+        "estimate": ["--batch", "--budget-policy", "--format", "--input", "--out",
+                     "--override", "--seed"],
+        "verify": ["--only", "--out", "--override"],
+        "lct-bench": ["--out", "--seed"],
+        "report": ["--format", "--input", "--out"],
+    }
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--budget-policy", "x"],
+    ["verify", "--batch", "a", "b"],
+    ["verify", "--seed", "9"],
+    ["lct-bench", "--input", CH4],
+    ["report", "--seed", "1"],
+])
+def test_ignored_flag_is_usage_error(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+
+
+def test_params_hash_follows_effective_configuration(tmp_path):
+    def params_hash(*extra):
+        out = tmp_path / "r.json"
+        assert main(["estimate", "--input", CH4, "--out", str(out), *extra]) == 0
+        return json.loads(out.read_text())["params_hash"]
+
+    base = params_hash("--seed", "1")
+    assert params_hash("--seed", "1") == base
+    assert params_hash("--seed", "2") != base
+    assert params_hash("--seed", "1", "--override", "lambda_h_tilde=1e6") != base
+    assert params_hash("--seed", "1", "--budget-policy", "paper_default") != base
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("particles", "masses", None, "particles.masses"),
+    (None, "channels", 5, "channels"),
+    ("electronic", "bond_dims", [], "electronic.bond_dims"),
+])
+def test_malformed_molecule_exits_2(tmp_path, capsys, section, key, value, field):
+    doc = json.load(open(CH4))
+    (doc[section] if section else doc)[key] = value
+    mol = tmp_path / "bad.json"
+    mol.write_text(json.dumps(doc))
+    assert main(["estimate", "--input", str(mol), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err

@@ -61,7 +61,7 @@ def test_missing_parameter_raises():
 
 
 def test_isp_total_zero_components():
-    pair = cost_isp_total("separable", {}, eta_n=5, n_ext=4)
+    pair = cost_isp_total({}, eta_n=5, n_ext=4)
     assert pair.toffoli == 0
     assert pair.ancilla == 3 * 5 * 4
 
@@ -71,11 +71,11 @@ def test_isp_total_nonseparable_is_additive():
         "a": CostPair(100.0, 7),
         "b": CostPair(50.0, 3),
     }
-    sep = cost_isp_total("separable", base, eta_n=2, n_ext=1)
+    sep = cost_isp_total(base, eta_n=2, n_ext=1)
     joint = dict(base)
     joint["ASP_en"] = cost_isp("ASP", d_configs=16, b_asp=8)
     joint["SoSlat_en"] = cost_isp("SoSlat", d_configs=16)
-    non = cost_isp_total("nonseparable", joint, eta_n=2, n_ext=1)
+    non = cost_isp_total(joint, eta_n=2, n_ext=1)
     extra = joint["ASP_en"].toffoli + joint["SoSlat_en"].toffoli
     assert non.toffoli == pytest.approx(sep.toffoli + extra)
 
@@ -184,7 +184,7 @@ def _total(eps_qae, lambda_obs=1.0):
         r0_qae=CostPair(30.0, 25),
         lambda_obs=lambda_obs,
         eps_qae=eps_qae,
-        eta=4, eta_e=2, eta_n=2, n_p=3, n_bar_isp=5,
+        eta_n=2, n_ext=2,
     )
 
 
@@ -192,6 +192,9 @@ def test_cost_total_call_count_and_register():
     report = _total(0.0625)
     assert report.scalars["qae_calls"] == pytest.approx(8.0)
     assert report.scalars["qpe_register"] == 4
+    # iterate demands: U_PiS 19, propagator 60, ISP 50 - 3*2*2 = 38, R0_QAE 25
+    assert report.scalars["iterate_ancilla_set_by"] == "propagator"
+    assert report.qubits == {"C_anc": 4 + 1 + 12 + 60}
 
 
 def test_cost_total_linear_in_inverse_eps():

@@ -150,14 +150,15 @@ def test_lambda_h_tilde_peq_prefactor():
 
 
 def test_precision_params_reference():
-    p = precision_params(6.0 * math.pi ** 2, 1.0, 100.0, 1e-3, 1e-3, 1e-3, 2)
+    p = precision_params(6.0 * math.pi ** 2, 1.0, 100.0, 1e-3, 1e-3, 1e-3, 2,
+                         lambda_nu(2, "brute"))
     assert p.mu_t == 16  # ceil(log2(59217.6...))
     assert p.r_nu == pytest.approx((4.0 / (44.0 / 3.0)) * 26.25, rel=1e-12)
     assert p.r_nu <= 12.0
 
 
 def test_precision_params_unit_ratio():
-    p = precision_params(5.0, 1.0, 10.0, 5.0, 1e-3, 1e-3, 2)
+    p = precision_params(5.0, 1.0, 10.0, 5.0, 1e-3, 1e-3, 2, lambda_nu(2, "brute"))
     assert p.mu_t == 0
 
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qdyncost.gridsizer import (
-    bond_dim_bounds,
     common_grid,
     data_qubits,
     k_cutoff_electronic,
@@ -73,28 +72,8 @@ def test_k_cutoff_nuclear_negative_radicand_is_error():
         k_cutoff_nuclear(1.0, 100.0, 1, 1.5)
 
 
-def test_bond_dim_nuclear_reference():
-    # ceil(e^2 * 6.151073626081^2 / 1) = 280
-    k = 6.151073626081
-    assert bond_dim_bounds("nuclear", k_cut=k, omega=1.0) == 280
-
-
-def test_bond_dim_nuclear_unit_case():
-    # K = sqrt(omega)/e gives e^2 K^2/omega = 1 -> M = 1
-    omega = 1.7
-    k = math.sqrt(omega) / math.e
-    assert bond_dim_bounds("nuclear", k_cut=k, omega=omega) == 1
-
-
-def test_bond_dim_electronic_reference():
-    # 8*e^2*(2*ln(288*sqrt(3)/1e-4) + 4) = 2059.7859...
-    val = bond_dim_bounds("electronic", n_gauss=1, l_max=0, sigma=1.0, delta=0.1)
-    assert val == pytest.approx(2059.7859277818, rel=1e-12)
-
-
 def test_common_grid_reference():
-    grid = common_grid([10.0], 1.0, pad_mode="SSCT",
-                       pad_inputs={"nuclear_cutoffs": [10.0], "norm_inf": 1.0, "eta_n": 1})
+    grid = common_grid([10.0], 1.0, [10.0], "SSCT", 1.0, 3)
     assert grid.n_bar == 21
     assert grid.n_p == 5
     assert grid.n_grid == 31
@@ -103,14 +82,14 @@ def test_common_grid_reference():
 
 
 def test_common_grid_smallest():
-    grid = common_grid([1.0], 1.0)
+    grid = common_grid([1.0], 1.0, [1.0], "SSCT", 1.0, 3)
     assert grid.n_bar == 3
     assert grid.n_p == 2
     assert grid.n_grid == 3
 
 
 def test_common_grid_max_selection():
-    grid = common_grid([3.0, 7.0, 5.0], 1.0)
+    grid = common_grid([3.0, 7.0, 5.0], 1.0, [3.0], "SSCT", 1.0, 3)
     assert grid.k_max == 7.0
 
 
@@ -121,21 +100,21 @@ def test_data_qubits():
 
 
 def test_pad_qubits_ssct():
-    assert pad_qubits("SSCT", 16, 1.0, 1, 4) == 1
+    assert pad_qubits("SSCT", 1.0, 3, 4) == 1
 
 
 def test_pad_qubits_ssct_no_growth():
     # boundary case: N_ISP*norm + 1 landing exactly on 2**n_isp -> zero padding
-    assert pad_qubits("SSCT", 16, 15.0 / 16.0, 1, 4) == 0
+    assert pad_qubits("SSCT", 15.0 / 16.0, 3, 4) == 0
 
 
 def test_pad_qubits_lct_reference():
     # beta = 13, inner = 1.619*sqrt(3)*29 + 1 = 82.32 -> ceil(log2) = 7 -> 3
-    assert pad_qubits("LCT", 16, 1.0, 1, 4) == 3
+    assert pad_qubits("LCT", 1.0, 3, 4) == 3
 
 
 def test_pad_qubits_clamped_nonnegative():
-    assert pad_qubits("SSCT", 2 ** 20, 1.0, 1, 20) >= 0
+    assert pad_qubits("SSCT", 1.0, 3, 20) >= 0
 
 
 @given(
@@ -158,7 +137,7 @@ def test_nuclear_cutoff_increasing_in_omega(omega, factor):
 @given(st.floats(min_value=0.05, max_value=20.0), st.floats(min_value=0.001, max_value=2.0))
 @settings(max_examples=40)
 def test_grid_delta_kmax_consistency(k_max, delta_target):
-    grid = common_grid([k_max], delta_target)
+    grid = common_grid([k_max], delta_target, [k_max], "SSCT", 1.0, 3)
     assert grid.delta * (grid.n_grid - 1) / 2.0 == pytest.approx(grid.k_max, rel=1e-12)
 
 
@@ -170,7 +149,6 @@ def test_grid_delta_kmax_consistency(k_max, delta_target):
 @settings(max_examples=60)
 def test_lct_pad_at_least_ssct_pad(n_isp, norm, eta_n):
     # identical norms: the multi-shear bound has a strictly larger argument
-    n_states = 2 ** n_isp
-    assert pad_qubits("LCT", n_states, norm, eta_n, n_isp) >= pad_qubits(
-        "SSCT", n_states, norm, eta_n, n_isp
+    assert pad_qubits("LCT", norm, 3 * eta_n, n_isp) >= pad_qubits(
+        "SSCT", norm, 3 * eta_n, n_isp
     )

@@ -1,4 +1,9 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,12 +15,9 @@ from qdyncost.lct import (
     TransformProgram,
     WrapCounter,
     apply_program,
-    apply_shear_grid,
     apply_ssct,
     cholesky_unit,
     decompose_lct,
-    delta_state,
-    error_bounds,
     exact_resampled_gaussian,
     gaussian_instance_error,
     givens_matrix,
@@ -27,6 +29,20 @@ from qdyncost.lct import (
 )
 
 RNG = np.random.default_rng(20240817)
+
+
+def delta_state(dims, n_bits, point):
+    """Grid state with all amplitude on one point."""
+    amps = np.zeros((1 << n_bits,) * dims)
+    half = 1 << (n_bits - 1)
+    amps[tuple(int(c) + half for c in point)] = 1.0
+    return GridState(dims, n_bits, amps)
+
+
+def apply_lower_shear(state, matrix):
+    """One full lower shear applied to a dense state, as a one-step program."""
+    prog = TransformProgram(dim=state.dims, steps=[Step("lower_shear", data=np.asarray(matrix))])
+    return apply_program(state, prog)
 
 
 def random_unit_det_transform(rng, dim, shear_scale=0.5):
@@ -93,13 +109,13 @@ def test_decompose_rejects_scaled_matrix():
 
 def test_identity_shear_is_identity():
     state = separable_gaussian_state(2, 5, [1.0, 1.0], 0.3)
-    out = apply_shear_grid(state, np.eye(2), "lower")
+    out = apply_lower_shear(state, np.eye(2))
     assert np.array_equal(out.amplitudes, state.amplitudes)
 
 
 def test_integer_shear_delta():
     state = delta_state(2, 4, (1, 0))
-    out = apply_shear_grid(state, np.array([[1.0, 0.0], [1.0, 1.0]]), "lower")
+    out = apply_lower_shear(state, np.array([[1.0, 0.0], [1.0, 1.0]]))
     nz = np.argwhere(out.amplitudes != 0)[0] - 8
     assert tuple(nz) == (1, 1)
 
@@ -107,19 +123,14 @@ def test_integer_shear_delta():
 def test_half_rounding_convention():
     # 0.5 rounds up on the signed value
     state = delta_state(2, 4, (1, 0))
-    out = apply_shear_grid(state, np.array([[1.0, 0.0], [0.5, 1.0]]), "lower")
+    out = apply_lower_shear(state, np.array([[1.0, 0.0], [0.5, 1.0]]))
     nz = np.argwhere(out.amplitudes != 0)[0] - 8
     assert tuple(nz) == (1, 1)
     # and at -0.5 it also rounds up (towards zero here)
     state2 = delta_state(2, 4, (-1, 0))
-    out2 = apply_shear_grid(state2, np.array([[1.0, 0.0], [0.5, 1.0]]), "lower")
+    out2 = apply_lower_shear(state2, np.array([[1.0, 0.0], [0.5, 1.0]]))
     nz2 = np.argwhere(out2.amplitudes != 0)[0] - 8
     assert tuple(nz2) == (-1, 0)
-
-
-def test_shear_direction_validation():
-    with pytest.raises(ValueError, match="lower"):
-        apply_shear_grid(delta_state(2, 3, (0, 0)), np.array([[1.0, 0.5], [0.0, 1.0]]), "lower")
 
 
 def test_quarter_turn_sign_convention():
@@ -238,14 +249,14 @@ def test_bound_linear_relaxation():
 
 def test_error_bounds_dispatcher():
     prog = decompose_lct(random_unit_det_transform(np.random.default_rng(5), 2))
-    shear = error_bounds("shear", [1.0, 1.0], prog, 0.1, 2)
-    ortho = error_bounds("ortho_step", [1.0, 1.0], prog, 0.1, 2)
-    total = program_error_bound(prog, [1.0, 1.0], 0.1)["total"]
-    assert shear + ortho == pytest.approx(total)
+    bounds = program_error_bound(prog, [1.0, 1.0], 0.1)
+    assert bounds["shear"] == shear_error_bound(prog.steps[0].data, [1.0, 1.0], 0.1, 2)
+    assert bounds["ortho"] == pytest.approx(sum(v for _, _, v in bounds["ortho_steps"]))
+    assert bounds["shear"] + bounds["ortho"] == pytest.approx(bounds["total"])
     # quarter turns and reflections contribute nothing
     onlyq = TransformProgram(dim=2, steps=[Step("quarter", axes=(0, 1), coeff=1.0),
                                            Step("reflect", axes=(0,))])
-    assert error_bounds("ortho_step", [1.0, 1.0], onlyq, 0.1, 2) == 0.0
+    assert program_error_bound(onlyq, [1.0, 1.0], 0.1)["ortho"] == 0.0
 
 
 def test_measure_transform_error_limits():
@@ -306,3 +317,26 @@ def test_wrap_counter_detects_unpadded_shear():
 def test_memory_cap_enforced():
     with pytest.raises(ValueError, match="cap"):
         GridState(3, 9, np.zeros((1,) * 3))
+
+
+def test_decomposition_checks_raise_under_optimize():
+    # the checks must survive ``python -O``, which strips assert statements
+    code = textwrap.dedent("""
+        import numpy as np
+        from qdyncost import lct
+        lct.PROGRAM_MATRIX_TOL = -1.0
+        lct.CHOLESKY_TOL = -1.0
+        for call, arg in ((lct.decompose_lct, np.eye(2)),
+                          (lct.cholesky_unit, np.array([[2.0, 1.0], [1.0, 1.0]]))):
+            try:
+                call(arg)
+            except ValueError as exc:
+                print("raised:", exc)
+            else:
+                print("no error from", call.__name__)
+    """)
+    env = {**os.environ, "PYTHONPATH": str(Path(lct.__file__).resolve().parents[1])}
+    out = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout.splitlines()
+    assert out == ["raised: program product deviates from T^-1",
+                   "raised: Cholesky factors do not reproduce the matrix"]

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qdyncost.model import (
     ParticleTable,
@@ -12,7 +12,6 @@ from qdyncost.model import (
     fs_to_au,
     load_molecule,
     molecule_from_dict,
-    molecule_to_dict,
     validate_molecule,
 )
 
@@ -79,14 +78,6 @@ def test_missing_top_level_key():
         molecule_from_dict(doc)
 
 
-def test_reserialize_revalidate_idempotent():
-    spec = load_molecule(CH4)
-    doc = molecule_to_dict(spec)
-    spec2 = validate_molecule(molecule_from_dict(doc))
-    doc2 = molecule_to_dict(spec2)
-    assert json.dumps(doc, sort_keys=True) == json.dumps(doc2, sort_keys=True)
-
-
 @given(st.integers(min_value=1, max_value=10 ** 9))
 def test_n_eta_matches_bit_length(eta):
     assert ceil_log2(eta) == math.ceil(math.log2(eta)) if eta > 1 else ceil_log2(eta) == 0
@@ -119,3 +110,44 @@ def test_particle_table_helpers():
                        charges=(-1,) * 10 + (8, 1, 1), eta_e=10, eta_n=3)
     assert pt.is_neutral
     assert pt.sum_abs_charge_pairs == 400 - 76
+
+
+def _field_paths(node, path=()):
+    """Paths to every value inside the document's objects, and to the
+    objects in its arrays of objects."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) and node and isinstance(node[0], dict) else ()
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+CH4_TEXT = open(CH4).read()
+CH4_PATHS = list(_field_paths(json.loads(CH4_TEXT)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(CH4_PATHS),
+       st.one_of(st.none(), st.integers(), st.text(max_size=8), st.just([]), st.just({})))
+def test_malformed_field_raises_validation_error(path, value):
+    doc = json.loads(CH4_TEXT)
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    try:
+        validate_molecule(molecule_from_dict(doc))
+    except ValidationError:
+        pass
+
+
+@pytest.mark.parametrize("section, key, value, field", [
+    ("particles", "masses", None, "particles.masses"),
+    (None, "channels", 5, "channels"),
+    ("electronic", "bond_dims", [], "electronic.bond_dims"),
+])
+def test_malformed_field_named_in_error(section, key, value, field):
+    doc = json.load(open(CH4))
+    (doc[section] if section else doc)[key] = value
+    with pytest.raises(ValidationError, match=field):
+        validate_molecule(molecule_from_dict(doc))

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from qdyncost import encoding
+from qdyncost import encoding, verify
 from qdyncost.gridsizer import k_cutoff_nuclear
 from qdyncost.model import ChannelConstraint, ParticleTable, ReactionChannel
 from qdyncost.verify import (
@@ -46,6 +46,31 @@ def test_galerkin_two_charges_hermitian_real():
 def test_galerkin_dimension_cap():
     with pytest.raises(ValueError, match="cap"):
         galerkin_hamiltonian([1.0, 1.0, 1.0], [-1, -1, 2], 2, 5.0)
+
+
+def shift_indices_reference(points, pidx, nu, half):
+    """Per-point dictionary lookup of the shifted single-particle indices."""
+    point_index = {tuple(pt): i for i, pt in enumerate(points)}
+    shifted = points[pidx] + nu
+    ok = np.all(np.abs(shifted) <= half, axis=1)
+    out = np.full(len(pidx), -1, dtype=int)
+    for n, (s, good) in enumerate(zip(shifted, ok)):
+        if good:
+            out[n] = point_index[tuple(s)]
+    return out
+
+
+@pytest.mark.parametrize("n_p", [2, 3])
+@pytest.mark.parametrize("dims", [1, 3])
+def test_shift_indices_match_dictionary_lookup(n_p, dims):
+    points, _, particle_pt = verify._basis([1.0], n_p, dims)
+    half = (2 ** n_p - 2) // 2
+    pidx = particle_pt[0]  # every point of the cube
+    for nu in points:
+        for shift in (nu, -nu):
+            want = shift_indices_reference(points, pidx, shift, half)
+            assert np.array_equal(verify._shift_indices(points, pidx, shift), want)
+    assert np.any(want == -1)
 
 
 # ---------------------------------------------------------------------------
