@@ -14,6 +14,7 @@ import math
 
 import numpy as np
 
+from qdyncost import costs
 from qdyncost.model import ErrorBudget
 
 # Default allocation proportions, normalized to a total budget of 0.095.
@@ -66,6 +67,13 @@ def allocate(eps_total: float, lambda_obs: float, policy: str = "paper_default",
             f"infeasible split: 2*lambda_O*(eps_ISP+eps_prop+eps_B)+eps_meas "
             f"exceeds eps_total by {-b.feasibility_margin():.3e}"
         )
+    # a zero share divides the sizing formulas; a negative one inflates the margin
+    for name in ("eps_isp", "eps_prop", "eps_qae"):
+        if not getattr(b, name) > 0:
+            raise ValueError(f"{name} must be positive, got {getattr(b, name)}")
+    for name in ("eps_b", "eps_obs"):
+        if not getattr(b, name) >= 0:
+            raise ValueError(f"{name} must be non-negative, got {getattr(b, name)}")
 
     # uniform split of the ISP budget across its seven contributions
     share = b.eps_isp / 7.0
@@ -96,7 +104,7 @@ def resolve_prop_splits(b: ErrorBudget, t_au: float, lambda_h_tilde: float) -> E
     b.eps_theta = b.eps_h / 3.0
     b.eps_dtilde = b.eps_prop / 4.0
     b.eps_qsp = b.eps_prop / 2.0
-    d_tilde = lambda_h_tilde * t_au + math.log2(1.0 / b.eps_dtilde)
+    d_tilde = costs.qsp_degree(lambda_h_tilde, t_au, b.eps_dtilde)
     per_rot = b.eps_prop / 4.0 / (3.0 * (d_tilde + 1.0))
     b.eps_rot = per_rot
     b.eps_phi = per_rot

@@ -177,12 +177,9 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0,
         warn.append(f"lambda_nu uses the closed lower bound at n_p={grid.n_p}")
 
     t_au = spec.time_au
-    # first-pass effective norm to resolve the error splits, then refine n_M
+    # p_nu is evaluated at n_M = 8, not at the n_M chosen below (ROADMAP item 2)
     b_r = int(braw.get("b_r", 8))
-    import warnings as _warnings
-    with _warnings.catch_warnings():
-        _warnings.simplefilter("ignore", RuntimeWarning)
-        probs = encoding.success_probs(p, grid.n_p, n_m=8, b_r=b_r)
+    probs = encoding.success_probs(p, grid.n_p, n_m=8, b_r=b_r)
     if not probs.p_nu_exact:
         warn.append(f"p_nu uses the nominal 1/4 at n_p={grid.n_p}")
     lam_tilde, strategy = encoding.lambda_h_tilde(
@@ -397,7 +394,7 @@ def run_verify(args: argparse.Namespace) -> int:
     """Verify command: run the brute-force suite, emit pass/fail JSON."""
     from qdyncost import verify
 
-    suite = verify.run_suite(only=args.only, overrides=dict(args.override))
+    suite = verify.run_suite(only=args.only)
     doc = suite.to_json_dict()
     text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     if args.out_path:
@@ -542,7 +539,7 @@ FLAGS = {
 SUBCOMMAND_FLAGS = {
     "estimate": ("--input", "--out", "--format", "--seed", "--budget-policy", "--batch",
                  "--override"),
-    "verify": ("--out", "--only", "--override"),
+    "verify": ("--out", "--only"),
     "lct-bench": ("--out", "--seed"),
     "report": ("--input", "--out", "--format"),
 }

@@ -4,7 +4,6 @@ precision parameters for the grid-basis molecular Hamiltonian."""
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,6 +54,11 @@ class PrecisionParams:
     r_nu: float
 
 
+def _lambda_nu_bound_numerator(n_p: int) -> float:
+    """Three times the closed lower bound of :func:`lambda_nu`."""
+    return 7.0 * 2.0 ** (n_p + 1) - 9.0 * n_p - 11.0 - 3.0 * 2.0 ** (-n_p)
+
+
 def lambda_nu(n_p: int, mode: str = "brute") -> float:
     """Sum of inverse squared norms over the 3D momentum grid minus origin.
 
@@ -65,7 +69,7 @@ def lambda_nu(n_p: int, mode: str = "brute") -> float:
     if n_p < 2:
         raise ValueError("n_p must be at least 2")
     if mode == "bound":
-        return (7.0 * 2.0 ** (n_p + 1) - 9.0 * n_p - 11.0 - 3.0 * 2.0 ** (-n_p)) / 3.0
+        return _lambda_nu_bound_numerator(n_p) / 3.0
     if mode != "brute":
         raise ValueError(f"unknown mode {mode!r}")
     if n_p > BRUTE_NP_CAP:
@@ -120,13 +124,12 @@ def uniform_prep_success(n: int, b_r: int) -> float:
     return x * ((1.0 + (2.0 - 4.0 * x) * math.sin(theta) ** 2) ** 2 + math.sin(2.0 * theta) ** 2)
 
 
-def _p_nu_brute(n_p: int, n_m: int) -> float | None:
+def _p_nu_brute(n_p: int, n_m: int) -> float:
     """Exact success probability of the inverse-momentum state preparation.
 
     Sums ``ceil(M (2^(mu-2)/|nu|)^2) / (M 2^(2 mu) 2^(n_p+1))`` over the
     nested-cube shells intersected with the grid ``G_0``; the value
-    converges to ~0.24 as the grid grows.  Returns None if a shell exceeds
-    the enumeration cap.
+    converges to ~0.24 as the grid grows.
     """
     m_val = 2 ** n_m
     total = 0.0
@@ -137,8 +140,6 @@ def _p_nu_brute(n_p: int, n_m: int) -> float | None:
         hi = min(outer - 1, half)
         if hi < inner:
             continue
-        if (2 * hi + 1) ** 3 > SHELL_POINT_CAP:
-            return None
         axis = np.arange(-hi, hi + 1)
         nx, ny, nz = np.meshgrid(axis, axis, axis, indexing="ij")
         in_shell = (np.maximum.reduce([np.abs(nx), np.abs(ny), np.abs(nz)]) >= inner)
@@ -151,20 +152,17 @@ def _p_nu_brute(n_p: int, n_m: int) -> float | None:
 def success_probs(particles: ParticleTable, n_p: int, n_m: int, b_r: int = 8) -> SuccessProbs:
     """All success probabilities entering the block-encoding LCU norm.
 
-    ``p_nu`` is enumerated exactly while the shells fit in memory (the value
-    is approximately 1/4); beyond the cap the nominal 1/4 is used and a
-    warning is issued.  ``p_zeta = 1 - sum(z^2)/(sum|z|)^2``.
+    ``p_nu`` is enumerated exactly while its shells fit under
+    ``SHELL_POINT_CAP`` (n_p <= 7; the value is approximately 1/4); above
+    that the nominal 1/4 is used and ``p_nu_exact`` is False.
+    ``p_zeta = 1 - sum(z^2)/(sum|z|)^2``.
     """
     if b_r < 1:
         raise ValueError("b_r must be >= 1")
-    p_nu = _p_nu_brute(n_p, n_m)
-    exact = p_nu is not None
-    if not exact:
-        warnings.warn(
-            f"momentum-state shells too large at n_p={n_p}; using nominal p_nu=1/4",
-            RuntimeWarning,
-        )
-        p_nu = 0.25
+    # the largest enumerated shell is the whole cube of (2^n_p - 1)^3 points,
+    # so whether every shell fits is known before any enumeration
+    exact = (2 ** n_p - 1) ** 3 <= SHELL_POINT_CAP
+    p_nu = _p_nu_brute(n_p, n_m) if exact else 0.25
     abs_sum = sum(abs(z) for z in particles.charges)
     sq_sum = sum(z * z for z in particles.charges)
     p_zeta = 1.0 - sq_sum / abs_sum ** 2
@@ -201,7 +199,7 @@ def lambda_h_tilde(lambda_t: float, lambda_v: float, p_nu: float, p_zeta: float,
 
 def r_nu_ratio(n_p: int, lambda_nu_value: float) -> float:
     """Ratio bounding the amplitude error of the momentum state; <= 12."""
-    return 4.0 / lambda_nu_value * (7.0 * 2.0 ** (n_p + 1) - 9.0 * n_p - 11.0 - 3.0 * 2.0 ** (-n_p))
+    return 4.0 / lambda_nu_value * _lambda_nu_bound_numerator(n_p)
 
 
 def precision_params(lambda_t: float, lambda_v: float, lambda_h_tilde_value: float,

@@ -41,11 +41,6 @@ class GridParams:
     def n_ext(self) -> int:
         return self.n_bar_isp - self.n_p
 
-    @property
-    def delta_l(self) -> float:
-        """Real-space grid spacing L/N in bohr."""
-        return self.length / self.n_grid
-
 
 def k_cutoff_electronic(gamma_max: float, l_max: int, n_gauss: int,
                         sigma: float, delta_eca: float) -> float:

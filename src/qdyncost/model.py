@@ -258,6 +258,16 @@ def _field(section: dict, where: str, key: str, convert, default=_REQUIRED):
         raise ValidationError(f"{name}: {exc}") from None
 
 
+def _at_least(convert, low, strict: bool = False):
+    """``convert``, then reject values below ``low`` (or equal to it if ``strict``)."""
+    def check(value):
+        v = convert(value)
+        _require(v > low if strict else v >= low,
+                 f"must be {'>' if strict else '>='} {low}, got {v}")
+        return v
+    return check
+
+
 def _floats(value) -> tuple:
     return tuple(float(x) for x in _list(value))
 
@@ -350,8 +360,10 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
     for where, section, fields in (
             ("budget", spec.budget_raw, dict(eps_total=float, lambda_obs=float, b_r=int,
                                              trim_n_mc=int, trim_alpha=float, custom=_object)),
-            ("simulation.overrides", spec.overrides, dict(n_p=int, length=float, n_isp=int,
-                                                          n_pad=int, lambda_h_tilde=float))):
+            ("simulation.overrides", spec.overrides, dict(
+                n_p=_at_least(int, 2), length=_at_least(float, 0, strict=True),
+                n_isp=_at_least(int, 1), n_pad=_at_least(int, 0),
+                lambda_h_tilde=_at_least(float, 0, strict=True)))):
         for key, convert in fields.items():
             _field(section, where, key, convert, None)
     _require(all(isinstance(v, (int, float)) and v > 0 for v in spec.anchors.values()),

@@ -403,15 +403,10 @@ class SuiteReport:
         }
 
 
-def run_suite(only: str | None = None, overrides: dict | None = None) -> SuiteReport:
-    """Run the verification suite; ``only`` filters check names by glob.
-
-    ``overrides`` supports fault injection for plumbing tests, e.g.
-    ``{"qubiterate_lambda_scale": 0.9}`` shrinks the walk normalization.
-    """
+def run_suite(only: str | None = None) -> SuiteReport:
+    """Run the verification suite; ``only`` filters check names by glob."""
     from qdyncost import encoding  # local import to avoid cycles
 
-    overrides = dict(overrides or {})
     rng = np.random.Generator(np.random.Philox(20240817))
     checks = []
 
@@ -452,13 +447,12 @@ def run_suite(only: str | None = None, overrides: dict | None = None) -> SuiteRe
         return float(max(devs)), 1e-10
 
     def check_qubiterate():
-        lam_scale = float(overrides.get("qubiterate_lambda_scale", 2.0))
         worst = 0.0
         for _ in range(20):
             dim = int(rng.integers(4, 17))
             a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             h = (a + a.conj().T) / 2.0
-            lam = lam_scale * float(np.linalg.norm(h, 2))
+            lam = 2.0 * float(np.linalg.norm(h, 2))
             worst = max(worst, qubiterate_check(h, lam))
         return worst, 1e-10
 

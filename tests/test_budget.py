@@ -51,6 +51,15 @@ def test_custom_split_accepted():
     assert b.feasibility_margin() >= 0
 
 
+@pytest.mark.parametrize("share, value", [
+    ("eps_isp", 0.0), ("eps_prop", 0.0), ("eps_qae", 0.0), ("eps_b", -1e-3), ("eps_obs", -1e-3),
+])
+def test_custom_split_rejects_out_of_range_share(share, value):
+    custom = {"eps_qae": 0.05, "eps_isp": 0.02, "eps_prop": 0.005, share: value}
+    with pytest.raises(ValueError, match=share):
+        allocate(0.1, 1.0, policy="custom", custom=custom)
+
+
 @given(st.floats(min_value=1e-4, max_value=0.9), st.floats(min_value=0.25, max_value=8.0))
 @settings(max_examples=60)
 def test_allocation_always_satisfies_split(eps_total, lam):

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -16,7 +17,7 @@ def test_estimate_deterministic_bytes(tmp_path):
 
 
 def test_estimate_missing_budget_key(tmp_path, capsys):
-    doc = json.load(open(CH4))
+    doc = json.loads(Path(CH4).read_text())
     del doc["budget"]
     broken = tmp_path / "broken.json"
     broken.write_text(json.dumps(doc))
@@ -75,14 +76,19 @@ def test_verify_only_filter(tmp_path):
     assert doc["passed"]
 
 
-def test_verify_failure_injection_exit_code(tmp_path):
+def test_verify_failure_injection_exit_code(tmp_path, monkeypatch):
+    from qdyncost import verify
+
+    check = verify.qubiterate_check
+    # the suite normalizes by 2*||H||; a quarter of that is below ||H||
+    monkeypatch.setattr(verify, "qubiterate_check", lambda h, lam: check(h, 0.25 * lam))
     out = tmp_path / "verify.json"
-    code = main(["verify", "--only", "qubiterate", "--out", str(out),
-                 "--override", "qubiterate_lambda_scale=0.5"])
+    code = main(["verify", "--only", "qubiterate", "--out", str(out)])
     assert code == 1
     doc = json.loads(out.read_text())
     assert not doc["passed"]
     assert doc["checks"][0]["name"] == "qubiterate"
+    assert "lambda" in doc["checks"][0]["details"]
 
 
 def test_lct_bench_csv(tmp_path):
@@ -106,7 +112,7 @@ def test_estimate_override_flag(tmp_path):
 
 
 def test_estimate_lct_pad_mode(tmp_path):
-    doc = json.load(open(CH4))
+    doc = json.loads(Path(CH4).read_text())
     doc["budget"]["pad_mode"] = "LCT"
     mol = tmp_path / "lct_mode.json"
     mol.write_text(json.dumps(doc))
@@ -144,7 +150,6 @@ def test_grid_params_derived_fields():
     grid = common_grid([10.0], 1.0, [10.0], "SSCT", 1.0, 3)
     assert grid.n_bar_isp == grid.n_isp + grid.n_pad
     assert grid.n_ext == grid.n_bar_isp - grid.n_p
-    assert grid.delta_l == pytest.approx(grid.length / grid.n_grid)
 
 
 def test_anchor_side_by_side_in_markdown(tmp_path):
@@ -176,7 +181,7 @@ def test_flags_registered_per_subcommand():
     assert flags == {
         "estimate": ["--batch", "--budget-policy", "--format", "--input", "--out",
                      "--override", "--seed"],
-        "verify": ["--only", "--out", "--override"],
+        "verify": ["--only", "--out"],
         "lct-bench": ["--out", "--seed"],
         "report": ["--format", "--input", "--out"],
     }
@@ -188,6 +193,7 @@ def test_flags_registered_per_subcommand():
     ["verify", "--seed", "9"],
     ["lct-bench", "--input", CH4],
     ["report", "--seed", "1"],
+    ["verify", "--override", "qubiterate_lambda_scale=0.5"],
 ])
 def test_ignored_flag_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
@@ -214,7 +220,7 @@ def test_params_hash_follows_effective_configuration(tmp_path):
     ("electronic", "bond_dims", [], "electronic.bond_dims"),
 ])
 def test_malformed_molecule_exits_2(tmp_path, capsys, section, key, value, field):
-    doc = json.load(open(CH4))
+    doc = json.loads(Path(CH4).read_text())
     (doc[section] if section else doc)[key] = value
     mol = tmp_path / "bad.json"
     mol.write_text(json.dumps(doc))
@@ -222,3 +228,25 @@ def test_malformed_molecule_exits_2(tmp_path, capsys, section, key, value, field
     err = capsys.readouterr().err
     assert field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [
+    ("n_p", 1), ("length", 0), ("n_isp", 0), ("n_pad", -1), ("lambda_h_tilde", 0),
+])
+def test_out_of_range_override_exits_2(tmp_path, capsys, key, value):
+    code = main(["estimate", "--input", CH4, "--out", str(tmp_path / "o.json"),
+                 "--override", f"{key}={value}"])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert f"simulation.overrides.{key}" in err
+    assert "Traceback" not in err
+
+
+def test_custom_budget_zero_share_exits_2(tmp_path, capsys):
+    doc = json.loads(Path(CH4).read_text())
+    doc["budget"].update(policy="custom",
+                         custom={"eps_qae": 0.05, "eps_isp": 0.02, "eps_prop": 0.0})
+    mol = tmp_path / "custom.json"
+    mol.write_text(json.dumps(doc))
+    assert main(["estimate", "--input", str(mol), "--out", str(tmp_path / "o.json")]) == 2
+    assert "eps_prop" in capsys.readouterr().err

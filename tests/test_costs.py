@@ -306,6 +306,8 @@ def test_isp_costs_monotone_in_bond_dims():
 
 def test_golden_report_regression():
     import json
+    from pathlib import Path
+
     from qdyncost.cli import estimate_report
     from qdyncost.model import load_molecule
 
@@ -316,5 +318,5 @@ def test_golden_report_regression():
     # byte-stable across runs
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
     # and matches the committed golden file
-    golden = json.load(open("tests/data/golden_ch4_report.json"))
+    golden = json.loads(Path("tests/data/golden_ch4_report.json").read_text())
     assert json.dumps(doc1, sort_keys=True) == json.dumps(golden, sort_keys=True)

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from qdyncost import encoding
 from qdyncost.encoding import (
     block_error,
     lambda_h_tilde,
@@ -123,12 +125,29 @@ def test_p_nu_quarter_window():
         assert 0.2 <= probs.p_nu <= 0.3
 
 
-def test_p_nu_nominal_fallback_warns():
+def test_p_nu_nominal_fallback_without_warning():
+    # the report's warnings list, not a Python warning, records the fallback
     pt = _table([-1, 1])
-    with pytest.warns(RuntimeWarning, match="nominal"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         probs = success_probs(pt, 12, n_m=8)
     assert probs.p_nu == 0.25
     assert not probs.p_nu_exact
+
+
+def test_p_nu_exactness_decided_before_enumeration(monkeypatch):
+    def no_enumeration(n_p, n_m):
+        raise AssertionError(f"enumerated p_nu shells at n_p={n_p}")
+
+    pt = _table([-1, 1])
+    exact_7 = success_probs(pt, 7, n_m=8)
+    monkeypatch.setattr(encoding, "_p_nu_brute", no_enumeration)
+    for n_p in (8, 18):
+        probs = success_probs(pt, n_p, n_m=8)
+        assert probs.p_nu == 0.25
+        assert not probs.p_nu_exact
+    assert exact_7.p_nu_exact
+    assert 0.2 <= exact_7.p_nu <= 0.25
 
 
 def test_lambda_h_tilde_boundary_or():

@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -28,7 +29,7 @@ def test_ch4_counts():
 
 
 def test_free_electron_minimal_table():
-    doc = json.load(open(CH4))
+    doc = json.loads(Path(CH4).read_text())
     doc["particles"] = {"masses": [1.0], "charges": [-1], "eta_e": 1, "eta_n": 0}
     doc["allow_non_neutral"] = True
     doc["channels"] = []
@@ -45,7 +46,7 @@ def test_identity_transform_det_check_passes():
 
 
 def test_non_neutral_rejected_without_override():
-    doc = json.load(open(CH4))
+    doc = json.loads(Path(CH4).read_text())
     doc["particles"]["charges"][-1] = 2  # break neutrality
     with pytest.raises(ValidationError, match="net charge"):
         validate_molecule(molecule_from_dict(doc))
@@ -54,25 +55,25 @@ def test_non_neutral_rejected_without_override():
 
 
 def test_det_deviation_rejected():
-    doc = json.load(open(CH4))
+    doc = json.loads(Path(CH4).read_text())
     doc["normal_modes"]["transform"][0][0] = 1.0 + 1e-6
     with pytest.raises(ValidationError, match="det"):
         validate_molecule(molecule_from_dict(doc))
 
 
 def test_negative_mass_and_frequency_rejected():
-    doc = json.load(open(CH4))
+    doc = json.loads(Path(CH4).read_text())
     doc["particles"]["masses"][12] = -5.0
     with pytest.raises(ValidationError, match="mass"):
         validate_molecule(molecule_from_dict(doc))
-    doc = json.load(open(CH4))
+    doc = json.loads(Path(CH4).read_text())
     doc["normal_modes"]["omegas"][0] = -0.01
     with pytest.raises(ValidationError, match="frequency"):
         validate_molecule(molecule_from_dict(doc))
 
 
 def test_missing_top_level_key():
-    doc = json.load(open(CH4))
+    doc = json.loads(Path(CH4).read_text())
     del doc["budget"]
     with pytest.raises(ValidationError, match="budget"):
         molecule_from_dict(doc)
@@ -122,7 +123,7 @@ def _field_paths(node, path=()):
         yield from _field_paths(child, path + (key,))
 
 
-CH4_TEXT = open(CH4).read()
+CH4_TEXT = Path(CH4).read_text()
 CH4_PATHS = list(_field_paths(json.loads(CH4_TEXT)))
 
 
@@ -147,7 +148,7 @@ def test_malformed_field_raises_validation_error(path, value):
     ("electronic", "bond_dims", [], "electronic.bond_dims"),
 ])
 def test_malformed_field_named_in_error(section, key, value, field):
-    doc = json.load(open(CH4))
+    doc = json.loads(Path(CH4).read_text())
     (doc[section] if section else doc)[key] = value
     with pytest.raises(ValidationError, match=field):
         validate_molecule(molecule_from_dict(doc))

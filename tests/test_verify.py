@@ -280,8 +280,11 @@ def test_suite_filter_runs_only_matching():
     assert report.passed
 
 
-def test_suite_failure_injection():
-    report = run_suite(only="qubiterate", overrides={"qubiterate_lambda_scale": 0.5})
+def test_suite_failure_injection(monkeypatch):
+    check = verify.qubiterate_check
+    # the suite normalizes by 2*||H||; a quarter of that is below ||H||
+    monkeypatch.setattr(verify, "qubiterate_check", lambda h, lam: check(h, 0.25 * lam))
+    report = run_suite(only="qubiterate")
     assert not report.passed
     assert report.results[0].name == "qubiterate"
     assert "lambda" in report.results[0].details
