@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import hashlib
 import json
 import math
@@ -59,8 +60,7 @@ def _delta_target(spec: MoleculeSpec, bud, pad_mode: str) -> tuple[float, dict]:
     """
     dims = 3 * spec.particles.eta_n
     lam = _nuclear_gaussian_matrix(spec)
-    low_ch, _ = lct.cholesky_unit(lam)
-    shear_ssct = np.linalg.inv(low_ch).T
+    shear_ssct = lct.ssct_program(lam)[0].steps[0].data
     # the Gaussian matrix after the single shear equals lam itself
     # (S^-T D_ch S^-1 = L D_ch L^T), so its top eigenvalue sets the bound
     lmax = float(np.linalg.eigvalsh(lam)[-1])
@@ -134,9 +134,11 @@ def size_grid(spec: MoleculeSpec, bud, pad_mode: str,
             n_bar=n_grid,
             n_p=n_p,
             n_grid=n_grid,
-            n_isp=int(overrides.get("n_isp", min(grid.n_isp, n_p))),
-            n_pad=int(overrides.get("n_pad", grid.n_pad)),
+            n_isp=min(grid.n_isp, n_p),
+            n_pad=grid.n_pad,
         )
+    grid = dataclasses.replace(grid, n_isp=int(overrides.get("n_isp", grid.n_isp)),
+                               n_pad=int(overrides.get("n_pad", grid.n_pad)))
     info.update({"k_elec": k_elec, "k_nuc_max": max(k_nuc), "deltas": deltas})
     return grid, info
 
@@ -432,7 +434,7 @@ def run_lct_bench(args: argparse.Namespace) -> int:
 def _fit_grid(dims: int, delta: float, sigma_prime, program) -> tuple[int, int]:
     """Smallest interior/padded grid exponents holding a Gaussian instance:
     the interior box covers ~5 standard deviations, and padding follows the
-    multi-shear bound; caps follow the dense-grid memory budget."""
+    multi-shear bound; dims * n_bits stays within ``lct.MAX_TOTAL_BITS``."""
     sigma_min = float(np.min(sigma_prime))
     sigma_grid = 1.0 / (delta * math.sqrt(sigma_min))
     need = 5.0 * sigma_grid

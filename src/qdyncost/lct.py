@@ -4,11 +4,12 @@ A transform with unit determinant is decomposed into a full shear, Givens
 rotations (each split into two kinds of 2D shears plus optional quarter
 turns), and an optional reflection.  On the grid, every shear becomes an
 exact permutation: row values are updated in fixed-point arithmetic,
-wrapped with a centered modulo, and rounded half-up.  The module also
-evaluates the Gaussian-state error bounds for each step and measures true
-trace distances against exactly resampled Gaussians.
+wrapped with a centered modulo, and rounded half-up.  Programs run forward
+only, on arrays of grid points.  The module also evaluates the
+Gaussian-state error bounds for each step and measures true trace distances
+against exactly resampled Gaussians.
 
-Conventions (used consistently in forward and inverse maps):
+Conventions of the point arithmetic:
   * rounding is half-up on the signed value, R(x) = floor(x + 1/2);
   * shear coefficients are quantized to r = n_bits - 1 fraction bits;
   * grids are two's-complement ranges [-2**(n_bits-1), 2**(n_bits-1) - 1].
@@ -21,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-# total dense-amplitude budget: dims * n_bits may not exceed this
+# cap on dims * n_bits for the lct-bench grid exponents
 MAX_TOTAL_BITS = 24
 # tolerances of the decomposition checks (the last two relative to the largest entry)
 DET_TOL = 1e-9                # | |det T| - 1 |
@@ -263,61 +264,7 @@ def ssct_program(lam: np.ndarray) -> tuple[TransformProgram, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# grid states and exact permutation arithmetic
-
-
-@dataclass
-class GridState:
-    """Dense amplitudes over a two's-complement integer grid.
-
-    ``amplitudes`` has shape ``(2**n_bits,) * dims`` and is indexed by
-    ``n + 2**(n_bits-1)`` along each axis.  ``n_int`` flags the interior box
-    ``[-2**(n_int-1), 2**(n_int-1)-1]**dims`` that carries the support.
-    """
-
-    dims: int
-    n_bits: int
-    amplitudes: np.ndarray
-    n_int: int | None = None
-
-    def __post_init__(self):
-        if self.dims * self.n_bits > MAX_TOTAL_BITS:
-            raise ValueError(
-                f"dims*n_bits = {self.dims * self.n_bits} exceeds cap {MAX_TOTAL_BITS}"
-            )
-        norm = np.linalg.norm(self.amplitudes)
-        if abs(norm - 1.0) > 1e-12:
-            raise ValueError(f"state norm {norm!r} deviates from 1")
-
-    @property
-    def half(self) -> int:
-        return 1 << (self.n_bits - 1)
-
-    def all_coords(self) -> np.ndarray:
-        axes = [np.arange(-self.half, self.half)] * self.dims
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
-
-
-def separable_gaussian_state(dims: int, n_bits: int, sigma_prime, delta: float,
-                             n_int: int | None = None) -> GridState:
-    """Normalized product Gaussian exp(-delta^2 sum_a sigma'_a n_a^2 / 2),
-    hard-truncated to the interior box when ``n_int`` is given."""
-    sigma_prime = np.broadcast_to(np.asarray(sigma_prime, dtype=float), (dims,))
-    half = 1 << (n_bits - 1)
-    grids = []
-    for a in range(dims):
-        n = np.arange(-half, half, dtype=float)
-        g = np.exp(-0.5 * delta ** 2 * sigma_prime[a] * n ** 2)
-        if n_int is not None:
-            ih = 1 << (n_int - 1)
-            g[(n < -ih) | (n > ih - 1)] = 0.0
-        grids.append(g)
-    amps = grids[0]
-    for g in grids[1:]:
-        amps = np.multiply.outer(amps, g)
-    amps = amps / np.linalg.norm(amps)
-    return GridState(dims, n_bits, amps, n_int=n_int)
+# exact permutation arithmetic
 
 
 class WrapCounter:
@@ -357,45 +304,36 @@ def _row_value(coords: np.ndarray, coeffs: dict, r: int) -> np.ndarray:
 
 
 def _apply_full_shear(coords: np.ndarray, matrix: np.ndarray, lower: bool,
-                      n_bits: int, counter: WrapCounter | None, inverse: bool = False):
-    """In-place full-shear permutation (or its exact inverse) on coords."""
+                      n_bits: int, counter: WrapCounter | None):
+    """In-place full-shear permutation on coords."""
     d = matrix.shape[0]
     e_half = np.int64(1) << (n_bits - 1)
     r = n_bits - 1
     m_scaled = int(e_half) << r
     order = range(d - 1, -1, -1) if lower else range(d)
-    if inverse:
-        order = reversed(list(order))
     for i in order:
         cols = range(i) if lower else range(i + 1, d)
         coeffs = {j: _quantize_coeff(matrix[i, j], r) for j in cols if matrix[i, j] != 0.0}
         if not coeffs:
             continue
         s = _row_value(coords, coeffs, r)
-        if inverse:
-            add = _round_scaled(_wrap_int(s, m_scaled, None), r)
-            coords[:, i] = _wrap_int(coords[:, i] - add, e_half, None)
-        else:
-            s = s + (coords[:, i].astype(np.int64) << r)
-            s = _wrap_int(s, m_scaled, counter)
-            rounded = _round_scaled(s, r)
-            coords[:, i] = _wrap_int(rounded, e_half, counter)
+        s = s + (coords[:, i].astype(np.int64) << r)
+        s = _wrap_int(s, m_scaled, counter)
+        rounded = _round_scaled(s, r)
+        coords[:, i] = _wrap_int(rounded, e_half, counter)
     return coords
 
 
 def _apply_2d_shear(coords: np.ndarray, target: int, source: int, coeff: float,
-                    n_bits: int, counter: WrapCounter | None, inverse: bool = False):
+                    n_bits: int, counter: WrapCounter | None):
     e_half = np.int64(1) << (n_bits - 1)
     r = n_bits - 1
     m_scaled = int(e_half) << r
     c = _quantize_coeff(coeff, r)
     s = np.int64(c) * coords[:, source]
-    s = _wrap_int(s, m_scaled, None if inverse else counter)
+    s = _wrap_int(s, m_scaled, counter)
     add = _round_scaled(s, r)
-    if inverse:
-        coords[:, target] = _wrap_int(coords[:, target] - add, e_half, None)
-    else:
-        coords[:, target] = _wrap_int(coords[:, target] + add, e_half, counter)
+    coords[:, target] = _wrap_int(coords[:, target] + add, e_half, counter)
     return coords
 
 
@@ -405,28 +343,22 @@ def _negate(vals: np.ndarray, n_bits: int) -> np.ndarray:
 
 
 def push_points(coords: np.ndarray, program: TransformProgram, n_bits: int,
-                counter: WrapCounter | None = None, inverse: bool = False) -> np.ndarray:
-    """Apply the program's grid permutation to an array of integer points.
-
-    With ``inverse=True`` the exact inverse permutation is applied (each row
-    update subtracts the same rounded value the forward map added, so
-    forward followed by inverse is the identity bit-for-bit).
-    """
+                counter: WrapCounter | None = None) -> np.ndarray:
+    """Apply the program's grid permutation to an array of integer points."""
     coords = np.array(coords, dtype=np.int64, copy=True)
-    steps = reversed(program.steps) if inverse else program.steps
-    for step in steps:
+    for step in program.steps:
         if step.kind in ("lower_shear", "upper_shear"):
             _apply_full_shear(coords, np.asarray(step.data, dtype=float),
-                              step.kind == "lower_shear", n_bits, counter, inverse)
+                              step.kind == "lower_shear", n_bits, counter)
         elif step.kind == "s1":
             i, j = step.axes
-            _apply_2d_shear(coords, i, j, step.coeff, n_bits, counter, inverse)
+            _apply_2d_shear(coords, i, j, step.coeff, n_bits, counter)
         elif step.kind == "s2":
             i, j = step.axes
-            _apply_2d_shear(coords, j, i, step.coeff, n_bits, counter, inverse)
+            _apply_2d_shear(coords, j, i, step.coeff, n_bits, counter)
         elif step.kind == "quarter":
             i, j = step.axes
-            sign = int(step.coeff if not inverse else -step.coeff)
+            sign = int(step.coeff)
             new_i = _negate(coords[:, j], n_bits) if sign < 0 else coords[:, j].copy()
             new_j = _negate(coords[:, i], n_bits) if sign > 0 else coords[:, i].copy()
             coords[:, i] = new_i
@@ -437,33 +369,6 @@ def push_points(coords: np.ndarray, program: TransformProgram, n_bits: int,
         else:
             raise ValueError(f"unknown step kind {step.kind!r}")
     return coords
-
-
-def _permute_dense(state: GridState, program: TransformProgram,
-                   counter: WrapCounter | None = None) -> GridState:
-    coords = state.all_coords()
-    new_coords = push_points(coords, program, state.n_bits, counter)
-    shape = state.amplitudes.shape
-    flat_old = np.ravel_multi_index(tuple((coords[:, a] + state.half) for a in range(state.dims)), shape)
-    flat_new = np.ravel_multi_index(tuple((new_coords[:, a] + state.half) for a in range(state.dims)), shape)
-    out = np.zeros_like(state.amplitudes).ravel()
-    out[flat_new] = state.amplitudes.ravel()[flat_old]
-    return GridState(state.dims, state.n_bits, out.reshape(shape), n_int=state.n_int)
-
-
-def apply_program(state: GridState, program: TransformProgram,
-                  counter: WrapCounter | None = None) -> GridState:
-    """Apply a full transform program to a dense grid state."""
-    return _permute_dense(state, program, counter)
-
-
-def apply_ssct(lam: np.ndarray, delta: float, n_bits: int,
-               n_int: int | None = None) -> tuple[GridState, TransformProgram]:
-    """Prepare the product Gaussian from the Cholesky diagonal of ``lam`` and
-    apply the single shear ``L^{-T}``; returns the state and the program."""
-    prog, d_ch = ssct_program(lam)
-    state = separable_gaussian_state(lam.shape[0], n_bits, d_ch, delta, n_int=n_int)
-    return apply_program(state, prog), prog
 
 
 # ---------------------------------------------------------------------------
@@ -525,37 +430,8 @@ def program_error_bound(program: TransformProgram, sigma_prime, delta: float) ->
     }
 
 
-def measure_transform_error(approx: GridState, exact: GridState) -> float:
-    """Trace distance sqrt(1 - |<approx|exact>|^2) between two grid states."""
-    if approx.amplitudes.shape != exact.amplitudes.shape:
-        raise ValueError("states live on different grids")
-    ov = abs(np.vdot(approx.amplitudes, exact.amplitudes))
-    return math.sqrt(max(0.0, 1.0 - ov ** 2))
-
-
-def exact_resampled_gaussian(t_matrix: np.ndarray, sigma_prime, delta: float,
-                             n_bits: int) -> GridState:
-    """Oracle state with amplitudes proportional to g(delta * T * n), i.e.
-    the separable Gaussian resampled exactly after the transform."""
-    t_matrix = np.asarray(t_matrix, dtype=float)
-    d = t_matrix.shape[0]
-    sigma_mat = np.diag(np.broadcast_to(np.asarray(sigma_prime, dtype=float), (d,)))
-    m_quad = t_matrix.T @ sigma_mat @ t_matrix
-    half = 1 << (n_bits - 1)
-    axes = [np.arange(-half, half, dtype=float)] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    quad = np.zeros_like(mesh[0])
-    for a in range(d):
-        for b in range(d):
-            if m_quad[a, b] != 0.0:
-                quad += m_quad[a, b] * mesh[a] * mesh[b]
-    amps = np.exp(-0.5 * delta ** 2 * quad)
-    amps /= np.linalg.norm(amps)
-    return GridState(d, n_bits, amps)
-
-
 # ---------------------------------------------------------------------------
-# point-based Gaussian instance harness (memory-light, used for sweeps)
+# Gaussian instance harness
 
 
 def _interior_coords(dims: int, n_int: int) -> np.ndarray:
@@ -596,8 +472,7 @@ def gaussian_instance_error(program: TransformProgram, sigma_prime, delta: float
 
     The initial state is the separable Gaussian hard-truncated to the
     interior box; the reference is the exactly resampled Gaussian
-    g(delta*T*n) on the full grid.  Works directly on the support points, so
-    grids beyond the dense cap are fine.
+    g(delta*T*n) on the full grid.  Works directly on the support points.
     """
     d = program.dim
     sigma_vec = np.broadcast_to(np.asarray(sigma_prime, dtype=float), (d,))

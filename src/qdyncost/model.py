@@ -342,13 +342,21 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
              "precision widths b_asp, b_rot and b_grad must be >= 1")
     _require(np.size(e.bond_dims) > 0 and np.all(np.asarray(e.bond_dims) >= 1),
              "electronic.bond_dims must be a non-empty table of entries >= 1")
+    _require(np.ndim(e.bond_dims) <= 2,
+             f"electronic.bond_dims must have rank <= 2, got {np.ndim(e.bond_dims)}")
 
     _require(n.n_smb >= 1 and n.d_configs >= 1 and n.n_hg >= 1, "nuclear counts must be >= 1")
     _require(np.size(n.bond_dims) > 0 and np.all(np.asarray(n.bond_dims) >= 1),
              "nuclear.bond_dims must be a non-empty table of entries >= 1")
+    _require(np.ndim(n.bond_dims) <= 3,
+             f"nuclear.bond_dims must have rank <= 3, got {np.ndim(n.bond_dims)}")
 
     for ch in spec.channels:
         for c in ch.constraints:
+            for name in ("alpha", "beta"):
+                _require(0 <= getattr(c, name) < p.eta_n,
+                         f"constraint {name}={getattr(c, name)} is not a nucleus index "
+                         f"in [0, eta_n={p.eta_n})")
             _require(c.alpha != c.beta, f"constraint pairs a nucleus with itself: {c}")
             _require(c.cutoff > 0, f"constraint cutoff must be positive: {c}")
             _require(c.direction in ("greater", "less"), f"unknown direction {c.direction!r}")

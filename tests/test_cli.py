@@ -218,6 +218,12 @@ def test_params_hash_follows_effective_configuration(tmp_path):
     ("particles", "masses", None, "particles.masses"),
     (None, "channels", 5, "channels"),
     ("electronic", "bond_dims", [], "electronic.bond_dims"),
+    ("electronic", "bond_dims", [[[2, 2]]], "electronic.bond_dims"),
+    ("nuclear", "bond_dims", [[[[2, 2]]]], "nuclear.bond_dims"),
+    (None, "channels", [{"constraints": [{"alpha": 99, "beta": 4, "cutoff": 3.9,
+                                          "direction": "greater"}]}], "alpha=99"),
+    (None, "channels", [{"constraints": [{"alpha": 0, "beta": -1, "cutoff": 3.9,
+                                          "direction": "greater"}]}], "beta=-1"),
 ])
 def test_malformed_molecule_exits_2(tmp_path, capsys, section, key, value, field):
     doc = json.loads(Path(CH4).read_text())
@@ -240,6 +246,15 @@ def test_out_of_range_override_exits_2(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert f"simulation.overrides.{key}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("key, value", [("n_isp", 40), ("n_pad", 9)])
+def test_isp_override_applies_alone(tmp_path, key, value):
+    # CH4 pins neither n_p nor length, so the override must act on its own
+    out = tmp_path / "o.json"
+    assert main(["estimate", "--input", CH4, "--out", str(out),
+                 "--override", f"{key}={value}"]) == 0
+    assert json.loads(out.read_text())["scalars"][key] == value
 
 
 def test_custom_budget_zero_share_exits_2(tmp_path, capsys):

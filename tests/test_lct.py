@@ -10,39 +10,37 @@ import pytest
 
 from qdyncost import lct
 from qdyncost.lct import (
-    GridState,
     Step,
     TransformProgram,
     WrapCounter,
-    apply_program,
-    apply_ssct,
     cholesky_unit,
     decompose_lct,
-    exact_resampled_gaussian,
     gaussian_instance_error,
     givens_matrix,
-    measure_transform_error,
     program_error_bound,
     push_points,
-    separable_gaussian_state,
     shear_error_bound,
 )
 
 RNG = np.random.default_rng(20240817)
 
 
-def delta_state(dims, n_bits, point):
-    """Grid state with all amplitude on one point."""
-    amps = np.zeros((1 << n_bits,) * dims)
+def push_one(point, step, n_bits=4):
+    """Image of one grid point under a one-step program."""
+    prog = TransformProgram(dim=len(point), steps=[step])
+    return tuple(int(c) for c in push_points(np.array([point]), prog, n_bits)[0])
+
+
+def lower_shear(matrix):
+    return Step("lower_shear", data=np.asarray(matrix, dtype=float))
+
+
+def assert_grid_bijection(moved, n_bits):
+    """Every pushed point lies on the grid and no two share an image."""
     half = 1 << (n_bits - 1)
-    amps[tuple(int(c) + half for c in point)] = 1.0
-    return GridState(dims, n_bits, amps)
-
-
-def apply_lower_shear(state, matrix):
-    """One full lower shear applied to a dense state, as a one-step program."""
-    prog = TransformProgram(dim=state.dims, steps=[Step("lower_shear", data=np.asarray(matrix))])
-    return apply_program(state, prog)
+    assert moved.min() >= -half and moved.max() < half
+    keys = np.ravel_multi_index(tuple((moved + half).T), (1 << n_bits,) * moved.shape[1])
+    assert len(np.unique(keys)) == len(moved)
 
 
 def random_unit_det_transform(rng, dim, shear_scale=0.5):
@@ -108,76 +106,52 @@ def test_decompose_rejects_scaled_matrix():
 
 
 def test_identity_shear_is_identity():
-    state = separable_gaussian_state(2, 5, [1.0, 1.0], 0.3)
-    out = apply_lower_shear(state, np.eye(2))
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    coords = lct._interior_coords(2, 5)
+    prog = TransformProgram(dim=2, steps=[lower_shear(np.eye(2))])
+    assert np.array_equal(push_points(coords, prog, 5), coords)
 
 
 def test_integer_shear_delta():
-    state = delta_state(2, 4, (1, 0))
-    out = apply_lower_shear(state, np.array([[1.0, 0.0], [1.0, 1.0]]))
-    nz = np.argwhere(out.amplitudes != 0)[0] - 8
-    assert tuple(nz) == (1, 1)
+    assert push_one((1, 0), lower_shear([[1.0, 0.0], [1.0, 1.0]])) == (1, 1)
 
 
 def test_half_rounding_convention():
     # 0.5 rounds up on the signed value
-    state = delta_state(2, 4, (1, 0))
-    out = apply_lower_shear(state, np.array([[1.0, 0.0], [0.5, 1.0]]))
-    nz = np.argwhere(out.amplitudes != 0)[0] - 8
-    assert tuple(nz) == (1, 1)
+    assert push_one((1, 0), lower_shear([[1.0, 0.0], [0.5, 1.0]])) == (1, 1)
     # and at -0.5 it also rounds up (towards zero here)
-    state2 = delta_state(2, 4, (-1, 0))
-    out2 = apply_lower_shear(state2, np.array([[1.0, 0.0], [0.5, 1.0]]))
-    nz2 = np.argwhere(out2.amplitudes != 0)[0] - 8
-    assert tuple(nz2) == (-1, 0)
+    assert push_one((-1, 0), lower_shear([[1.0, 0.0], [0.5, 1.0]])) == (-1, 0)
 
 
 def test_quarter_turn_sign_convention():
-    state = delta_state(2, 4, (1, 0))
-    prog = TransformProgram(dim=2, steps=[Step("quarter", axes=(0, 1), coeff=1.0)])
-    out = apply_program(state, prog)
-    nz = np.argwhere(out.amplitudes != 0)[0] - 8
-    assert tuple(nz) == (0, -1)
+    assert push_one((1, 0), Step("quarter", axes=(0, 1), coeff=1.0)) == (0, -1)
 
 
 def test_identity_program_is_identity():
-    state = separable_gaussian_state(2, 5, [1.0, 0.7], 0.2)
-    out = apply_program(state, decompose_lct(np.eye(2)))
-    assert np.array_equal(out.amplitudes, state.amplitudes)
+    coords = lct._interior_coords(2, 5)
+    assert np.array_equal(push_points(coords, decompose_lct(np.eye(2)), 5), coords)
 
 
 def test_norm_preserved_bit_for_bit():
-    state = separable_gaussian_state(2, 6, [0.9, 1.4], 0.15)
-    prog = decompose_lct(random_unit_det_transform(np.random.default_rng(3), 2))
-    out = apply_program(state, prog)
-    assert np.sort(np.abs(out.amplitudes.ravel())).tolist() == \
-        np.sort(np.abs(state.amplitudes.ravel())).tolist()
+    # a full program permutes the grid, so every amplitude lands on its own
+    # point and the state norm is preserved bit for bit
+    rng = np.random.default_rng(23)
+    for dim, n_bits in ((2, 7), (3, 4)):
+        coords = lct._interior_coords(dim, n_bits)
+        for _ in range(5):
+            prog = decompose_lct(random_unit_det_transform(rng, dim))
+            assert_grid_bijection(push_points(coords, prog, n_bits), n_bits)
 
 
 def test_shear_bijection_and_exact_inverse():
+    # a bijection of the grid has an exact inverse permutation
     rng = np.random.default_rng(17)
     for dim, n_bits in ((2, 6), (3, 4)):
         coords = lct._interior_coords(dim, n_bits)
         for _ in range(5):
             low = np.eye(dim)
             low[np.tril_indices(dim, -1)] = rng.uniform(-2.0, 2.0, size=dim * (dim - 1) // 2)
-            prog = TransformProgram(dim=dim, steps=[Step("lower_shear", data=low)])
-            fwd = push_points(coords, prog, n_bits)
-            keys = fwd @ (np.array([1 << n_bits, 1, 1 << (2 * n_bits)])[:dim][::-1])
-            assert len(np.unique(keys)) == len(coords)  # bijection
-            back = push_points(fwd, prog, n_bits, inverse=True)
-            assert np.array_equal(back, coords)
-
-
-def test_full_program_exact_inverse():
-    rng = np.random.default_rng(23)
-    coords = lct._interior_coords(2, 7)
-    for _ in range(5):
-        prog = decompose_lct(random_unit_det_transform(rng, 2))
-        fwd = push_points(coords, prog, 7)
-        back = push_points(fwd, prog, 7, inverse=True)
-        assert np.array_equal(back, coords)
+            prog = TransformProgram(dim=dim, steps=[lower_shear(low)])
+            assert_grid_bijection(push_points(coords, prog, n_bits), n_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -210,13 +184,12 @@ def test_ssct_measured_error_below_bound():
         a = rng.normal(size=(2, 2))
         lam = a @ a.T + np.eye(2)
         lam *= 2.0 / np.max(np.linalg.eigvalsh(lam))
-        state, prog = apply_ssct(lam, delta, 10, n_int=9)
-        # exact resampling of the product Gaussian through S = L^-T
-        low, d_ch = cholesky_unit(lam)
-        ideal = exact_resampled_gaussian(np.linalg.inv(prog.steps[0].data), d_ch, delta, 10)
-        measured = measure_transform_error(state, ideal)
+        prog, d_ch = lct.ssct_program(lam)
+        res = gaussian_instance_error(prog, d_ch, delta, n_bits=10, n_int=9)
         bound = shear_error_bound(prog.steps[0].data, d_ch, delta, 2)
-        assert measured <= bound
+        assert res["bound"] == bound
+        assert res["wraps"] == 0
+        assert res["measured"] <= bound
 
 
 # ---------------------------------------------------------------------------
@@ -259,38 +232,20 @@ def test_error_bounds_dispatcher():
     assert program_error_bound(onlyq, [1.0, 1.0], 0.1)["ortho"] == 0.0
 
 
-def test_measure_transform_error_limits():
-    a = delta_state(1, 4, (1,))
-    assert measure_transform_error(a, a) == 0.0
-    b = delta_state(1, 4, (2,))
-    assert measure_transform_error(a, b) == 1.0
-    with pytest.raises(ValueError, match="grids"):
-        measure_transform_error(a, delta_state(1, 5, (1,)))
-
-
-def test_measured_distance_half_cell_shift_1d():
-    # overlap of a discrete Gaussian with its half-cell-shifted copy has the
-    # closed form exp(-Sigma/4) * S(1/2)/S(0) for theta-function sums S
-    delta, sigma = 0.1, 1.0
-    n = np.arange(-2 ** 11, 2 ** 11, dtype=float)
-    g0 = np.exp(-0.5 * delta ** 2 * sigma * n ** 2)
-    g1 = np.exp(-0.5 * delta ** 2 * sigma * (n + 0.5) ** 2)
-    ov = float(np.sum(g0 * g1) / math.sqrt(np.sum(g0 ** 2) * np.sum(g1 ** 2)))
-    expect = math.sqrt(1.0 - ov ** 2)
-    s0 = GridState(1, 12, (g0 / np.linalg.norm(g0)).copy())
-    s1 = GridState(1, 12, (g1 / np.linalg.norm(g1)).copy())
-    assert measure_transform_error(s0, s1) == pytest.approx(expect, rel=1e-12)
-
-
-def test_dense_apply_matches_point_push():
-    state = separable_gaussian_state(2, 6, [1.0, 1.5], 0.2, n_int=5)
-    prog = decompose_lct(random_unit_det_transform(np.random.default_rng(21), 2))
-    dense = apply_program(state, prog)
-    coords = state.all_coords()
-    moved = push_points(coords, prog, 6)
-    rebuilt = np.zeros_like(state.amplitudes)
-    rebuilt[tuple((moved + 32).T)] = state.amplitudes[tuple((coords + 32).T)]
-    assert np.array_equal(dense.amplitudes, rebuilt)
+@pytest.mark.parametrize("n_bits, n_int, delta", [(6, 4, 0.3), (8, 5, 0.15), (5, 3, 0.5)])
+def test_identity_instance_measures_truncation_exactly(n_bits, n_int, delta):
+    # under the identity the only error is the hard truncation to the
+    # interior box: overlap^2 = prod_a S_int,a / S_full,a with 1D sums
+    # S = sum_n exp(-delta^2 sigma_a n^2) over the interior and the full grid
+    sigma = np.array([1.0, 1.5])
+    ratio = 1.0
+    for s_a in sigma:
+        full = np.arange(-(1 << (n_bits - 1)), 1 << (n_bits - 1), dtype=float)
+        inner = np.arange(-(1 << (n_int - 1)), 1 << (n_int - 1), dtype=float)
+        ratio *= np.sum(np.exp(-delta ** 2 * s_a * inner ** 2)) / \
+            np.sum(np.exp(-delta ** 2 * s_a * full ** 2))
+    res = gaussian_instance_error(decompose_lct(np.eye(2)), sigma, delta, n_bits, n_int)
+    assert res["measured"] == pytest.approx(math.sqrt(1.0 - ratio), rel=1e-12)
 
 
 def test_full_lct_gaussian_error_below_bound_2d():
@@ -312,11 +267,6 @@ def test_wrap_counter_detects_unpadded_shear():
     counter = WrapCounter()
     push_points(coords, prog, 5, counter)
     assert counter.count > 0
-
-
-def test_memory_cap_enforced():
-    with pytest.raises(ValueError, match="cap"):
-        GridState(3, 9, np.zeros((1,) * 3))
 
 
 def test_decomposition_checks_raise_under_optimize():

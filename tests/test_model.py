@@ -146,6 +146,12 @@ def test_malformed_field_raises_validation_error(path, value):
     ("particles", "masses", None, "particles.masses"),
     (None, "channels", 5, "channels"),
     ("electronic", "bond_dims", [], "electronic.bond_dims"),
+    ("electronic", "bond_dims", [[[2, 2]]], "electronic.bond_dims"),
+    ("nuclear", "bond_dims", [[[[2, 2]]]], "nuclear.bond_dims"),
+    (None, "channels", [{"constraints": [{"alpha": 99, "beta": 4, "cutoff": 3.9,
+                                          "direction": "greater"}]}], "alpha=99"),
+    (None, "channels", [{"constraints": [{"alpha": 0, "beta": -1, "cutoff": 3.9,
+                                          "direction": "greater"}]}], "beta=-1"),
 ])
 def test_malformed_field_named_in_error(section, key, value, field):
     doc = json.loads(Path(CH4).read_text())
