@@ -35,12 +35,17 @@ def lower_shear(matrix):
     return Step("lower_shear", data=np.asarray(matrix, dtype=float))
 
 
+def grid_keys(points, n_bits):
+    """Row-major index of each grid point, the order of ``_interior_coords``."""
+    half = 1 << (n_bits - 1)
+    return np.ravel_multi_index(tuple((points + half).T), (1 << n_bits,) * points.shape[1])
+
+
 def assert_grid_bijection(moved, n_bits):
     """Every pushed point lies on the grid and no two share an image."""
     half = 1 << (n_bits - 1)
     assert moved.min() >= -half and moved.max() < half
-    keys = np.ravel_multi_index(tuple((moved + half).T), (1 << n_bits,) * moved.shape[1])
-    assert len(np.unique(keys)) == len(moved)
+    assert len(np.unique(grid_keys(moved, n_bits))) == len(moved)
 
 
 def random_unit_det_transform(rng, dim, shear_scale=0.5):
@@ -134,12 +139,32 @@ def test_identity_program_is_identity():
 def test_norm_preserved_bit_for_bit():
     # a full program permutes the grid, so every amplitude lands on its own
     # point and the state norm is preserved bit for bit
+    n_bits = 6
+    coords = lct._interior_coords(2, n_bits)
+    amps = np.exp(-0.5 * np.sum((coords * 0.15 / np.array([0.9, 1.4])) ** 2, axis=1))
+    prog = decompose_lct(random_unit_det_transform(np.random.default_rng(3), 2))
+    moved = push_points(coords, prog, n_bits)
+    assert_grid_bijection(moved, n_bits)
+    out = np.zeros(len(coords))
+    out[grid_keys(moved, n_bits)] = amps
+    assert np.sort(out).tolist() == np.sort(amps).tolist()
+    assert math.fsum(out ** 2) == math.fsum(amps ** 2)
+
+
+def test_full_program_exact_inverse():
+    # full programs map the whole grid onto itself one to one, so the
+    # inverse permutation read off the images undoes the push exactly
     rng = np.random.default_rng(23)
     for dim, n_bits in ((2, 7), (3, 4)):
         coords = lct._interior_coords(dim, n_bits)
         for _ in range(5):
             prog = decompose_lct(random_unit_det_transform(rng, dim))
-            assert_grid_bijection(push_points(coords, prog, n_bits), n_bits)
+            fwd = push_points(coords, prog, n_bits)
+            assert_grid_bijection(fwd, n_bits)
+            preimage = np.full_like(coords, np.iinfo(np.int64).min)
+            preimage[grid_keys(fwd, n_bits)] = coords
+            assert np.all(preimage != np.iinfo(np.int64).min)
+            assert np.array_equal(push_points(preimage, prog, n_bits), coords)
 
 
 def test_shear_bijection_and_exact_inverse():
