@@ -143,17 +143,6 @@ def size_grid(spec: MoleculeSpec, bud, pad_mode: str,
     return grid, info
 
 
-def _resize_bond_table(table: np.ndarray, n_sites: int) -> np.ndarray:
-    """Fit a supplied per-site bond-dimension table to the computed site
-    count: truncate, or repeat the last column (profiles saturate)."""
-    table = np.atleast_2d(np.asarray(table, dtype=int))
-    have = table.shape[-1]
-    if have >= n_sites:
-        return table[..., :n_sites]
-    pad = np.repeat(table[..., -1:], n_sites - have, axis=-1)
-    return np.concatenate([table, pad], axis=-1)
-
-
 def estimate_report(spec: MoleculeSpec, seed: int = 0,
                     budget_policy: str | None = None) -> costs.CostReport:
     """Run the full estimation pipeline on a validated molecule."""
@@ -198,75 +187,32 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0,
     )
     eps_h = encoding.block_error(bud.eps_t, bud.eps_v, lam_tilde, prec.n_theta)
 
-    # --- ISP components -------------------------------------------------
-    e, nmeta = spec.electronic, spec.nuclear
-    isp_components = {
-        "ASP_e": costs.cost_isp("ASP", d_configs=e.d_configs, b_asp=e.b_asp),
-        "SoSlat_e": costs.cost_isp("SoSlat", d_configs=e.d_configs),
-        "ONB2MOB": costs.cost_isp("ONB2MOB", n_mob=e.n_mob, eta_e=p.eta_e),
-        "ASYM": costs.cost_isp("ASYM", eta_e=p.eta_e, n_p=grid.n_p),
-        "W_e": costs.cost_isp("W_e", eta_e=p.eta_e, n_mob=e.n_mob, n_p=grid.n_p,
-                              b_rot=e.b_rot,
-                              bond_dims=_resize_bond_table(e.bond_dims, grid.n_p)),
-        "ASP_n": costs.cost_isp("ASP", d_configs=nmeta.d_configs, b_asp=nmeta.b_asp),
-        "SoSlat_n": costs.cost_isp("SoSlat", d_configs=nmeta.d_configs),
-        "ONB2SMB": costs.cost_isp("ONB2SMB", n_vib=nmeta.n_vib, n_smb=nmeta.n_smb),
-        "W_n": costs.cost_isp("W_n", n_isp=grid.n_isp, b_rot=nmeta.b_rot,
-                              bond_dims=_resize_bond_table(nmeta.bond_dims, grid.n_isp)),
-        "PK": costs.cost_isp("PK", eta_n=p.eta_n, n_bar_isp=grid.n_bar_isp,
-                             b_grad=nmeta.b_grad, eps_pk=bud.eps_pk),
-        "TC2SM": costs.cost_isp("TC2SM", eta_n=p.eta_n, n_bar_isp=grid.n_bar_isp),
-    }
-    isp_components["NCT"] = costs.cost_isp(
-        pad_mode, eta_n=p.eta_n, n_bar_isp=grid.n_bar_isp
-    )
-    isp_total = costs.cost_isp_total(isp_components, p.eta_n, grid.n_ext)
-    isp_anc_setter = max(isp_components, key=lambda k: isp_components[k].ancilla)
+    # --- cost ledger ------------------------------------------------------
+    isp_rows = costs.cost_isp(spec, grid, pad_mode, bud.eps_pk)
+    isp_total = costs.cost_isp_total(isp_rows, p.eta_n, grid.n_ext)
+    isp_anc_setter = max(isp_rows, key=lambda k: isp_rows[k].ancilla)
 
-    # --- block encoding and propagator ----------------------------------
-    be_kwargs = dict(eta=p.eta, eta_e=p.eta_e, n_p=grid.n_p,
-                     mu_t=prec.mu_t, n_m=prec.n_m, n_theta=prec.n_theta, b_r=b_r)
-    prep_h = costs.cost_block_encoding("PREP_H", **be_kwargs)
-    unprep_h = costs.cost_block_encoding("UNPREP_H", **be_kwargs)
-    ctrl_sel = costs.cost_block_encoding("CTRL_SEL_H", **be_kwargs)
-    reflect = costs.cost_block_encoding("REFLECT_W", **be_kwargs)
-    walk = costs.cost_walk(prep_h, ctrl_sel, unprep_h, reflect)
-
+    walk_rows = costs.cost_block_encoding(p.eta, p.eta_e, grid.n_p, prec.mu_t, prec.n_m,
+                                          prec.n_theta, b_r)
+    walk = costs.cost_walk(walk_rows["PREP_H"], walk_rows["CTRL_SEL_H"],
+                           walk_rows["UNPREP_H"], walk_rows["REFLECT_W"])
     d_tilde = costs.qsp_degree(lam_tilde, t_au, bud.eps_dtilde)
     propagator = costs.cost_propagator(d_tilde, walk, bud.eps_rot)
 
-    # --- measurement ------------------------------------------------------
-    qft_one = costs.cost_measurement("QFT", n=grid.n_p, eps=1e-10)
+    qft_one = costs.cost_qft(grid.n_p, 1e-10)
     qft = costs.CostPair(3.0 * p.eta * qft_one.toffoli, qft_one.ancilla)
     if spec.channels:
         chan = spec.channels[0]
-        u_pis = costs.cost_measurement(
-            "U_PiS", b_j=chan.b_j, n_p=grid.n_p, n_nuc=len(chan.nuclei_involved())
-        )
+        u_pis = costs.cost_u_pis(chan.b_j, grid.n_p, len(chan.nuclei_involved()))
     else:
         u_pis = costs.CostPair(0.0, 0)
         warn.append("no reaction channels supplied; yield indicator cost is zero")
-    r0_qae = costs.cost_measurement(
-        "R0_QAE", eta_e=p.eta_e, eta_n=p.eta_n, n_p=grid.n_p, n_bar_isp=grid.n_bar_isp
-    )
+    r0_qae = costs.cost_r0_qae(p.eta_e, p.eta_n, grid.n_p, grid.n_bar_isp)
 
-    report = costs.cost_total(
-        isp_total, propagator, qft, u_pis, r0_qae,
-        lambda_obs=bud.lambda_obs, eps_qae=bud.eps_qae, eta_n=p.eta_n, n_ext=grid.n_ext,
-    )
-
-    for name, pair in isp_components.items():
-        report.add_row(name, pair)
-    report.add_row("PREP_H", prep_h)
-    report.add_row("UNPREP_H", unprep_h)
-    report.add_row("CTRL_SEL_H", ctrl_sel)
-    report.add_row("REFLECT_W", reflect)
-    report.add_row("QFT", qft)
-    report.add_row("U_PiS", u_pis)
-    report.add_row("R0_QAE", r0_qae)
-    report.aggregates["ISP_total"] = isp_total
-    report.aggregates["ctrl_walk"] = walk
-    report.aggregates["time_evolution"] = propagator
+    report = costs.cost_total(isp_total, propagator, qft, u_pis, r0_qae, lambda_obs=bud.lambda_obs,
+                              eps_qae=bud.eps_qae, eta_n=p.eta_n, n_ext=grid.n_ext)
+    report.rows = {**isp_rows, **walk_rows, "QFT": qft, "U_PiS": u_pis, "R0_QAE": r0_qae}
+    report.aggregates.update(ISP_total=isp_total, ctrl_walk=walk, time_evolution=propagator)
 
     c_data = gridsizer.data_qubits(p.eta, p.eta_e, grid.n_p)
     report.qubits["C_data"] = c_data

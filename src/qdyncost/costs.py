@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from qdyncost.model import ceil_log2
+from qdyncost.gridsizer import GridParams
+from qdyncost.model import MoleculeSpec, ceil_log2
 
 
 @dataclass(frozen=True)
@@ -85,82 +86,124 @@ def _mps_synthesis_ancilla(bond_rows, b_rot: int) -> int:
     return int(math.ceil(anc))
 
 
-def cost_isp(kind: str, **p) -> CostPair:
-    """Cost of one initial-state-preparation subroutine.
+def _resize_bond_table(table: np.ndarray, n_sites: int) -> np.ndarray:
+    """Fit a supplied per-site bond-dimension table to the computed site
+    count: truncate, or repeat the last column (profiles saturate)."""
+    table = np.atleast_2d(np.asarray(table, dtype=int))
+    have = table.shape[-1]
+    if have >= n_sites:
+        return table[..., :n_sites]
+    pad = np.repeat(table[..., -1:], n_sites - have, axis=-1)
+    return np.concatenate([table, pad], axis=-1)
 
-    Supported kinds: ASP, SoSlat, ONB2MOB, ASYM, W_e, ONB2SMB, W_n, LCT,
-    SSCT, PK, TC2SM.  Required parameters depend on the kind; a missing
-    parameter raises ``KeyError``.
-    """
-    if kind == "ASP":
-        d, b = p["d_configs"], p["b_asp"]
-        toff = 2.0 ** 2.5 * (1.0 + math.sqrt(2.0)) * d * math.sqrt(b + 1.0) \
-            + 2.0 * math.log2(d) * (b - 4.0)
-        anc = 0.5 * math.log2(d) if d > 1 else 0.0
-        anc += d * b / (4.0 * math.sqrt(b + 1.0)) + 0.5 * math.log2(b + 1.0) + 3.0 * b - 4.0
-        return CostPair(toff, int(math.ceil(max(0.0, anc))))
-    if kind == "SoSlat":
-        d = p["d_configs"]
-        logd = math.log2(d) if d > 1 else 0.0
-        # Toffoli formula is an upper bound; ancilla clamped at 0 (the
-        # 5*log(D)-3 expression goes negative for a single configuration).
-        return CostPair(d * (2.0 * logd + 3.0), max(0, int(math.ceil(5.0 * logd - 3.0))), bound=True)
-    if kind == "ONB2MOB":
-        n_mob, eta_e = p["n_mob"], p["eta_e"]
-        # the -4 constant underflows for a single orbital; clamp at zero
-        toff = max(0.0, n_mob * (2.0 * eta_e + math.ceil(math.log2(eta_e + 1))
-                                 + eta_e * ceil_log2(n_mob) - 4.0))
-        anc = n_mob + 3 * math.ceil(math.log2(eta_e + 1))
-        return CostPair(toff, int(anc))
-    if kind == "ASYM":
-        eta_e, n_p = p["eta_e"], p["n_p"]
-        nbar = 2 ** math.ceil(math.log2(n_p + 1))
-        ln = math.log2(nbar)
-        toff = 2.0 * (eta_e - 1) * (ln + 1.0) \
-            + 0.25 * nbar * ln * (1.0 + ln) * (6.0 * ln + n_p + 1.0)
-        anc = eta_e * (math.log2(eta_e) if eta_e > 1 else 0.0) \
-            + 0.25 * nbar * ln * (1.0 + ln) + 2.0 * (eta_e - 1)
-        return CostPair(toff, int(math.ceil(anc)))
-    if kind == "W_e":
-        eta_e, n_mob, n_p, b_rot = p["eta_e"], p["n_mob"], p["n_p"], p["b_rot"]
-        bond = np.asarray(p["bond_dims"], dtype=int)  # (n_mob, n_p)
-        toff = eta_e * n_mob * n_p + 2.0 * eta_e * _mps_synthesis_sum(bond, b_rot)
-        anc = n_mob * n_p + _mps_synthesis_ancilla(bond, b_rot)
-        return CostPair(toff, int(anc), bound=True)
-    if kind == "ONB2SMB":
-        n_vib, n_smb = p["n_vib"], p["n_smb"]
-        toff = n_vib * n_smb * max(0, ceil_log2(n_smb) - 2) if n_smb > 1 else 0.0
-        return CostPair(float(toff), n_smb + 3)
-    if kind == "W_n":
-        n_isp, b_rot = p["n_isp"], p["b_rot"]
-        bond = np.asarray(p["bond_dims"], dtype=int)  # (modes, n_smb, sites)
-        if bond.ndim == 2:
-            bond = bond[:, None, :]
-        n_modes, n_smb = bond.shape[0], bond.shape[1]
-        toff = 0.0
-        for i in range(n_modes):
-            toff += n_smb * n_isp + 2.0 * _mps_synthesis_sum(bond[i], b_rot)
-        anc = _mps_synthesis_ancilla(bond, b_rot)
-        return CostPair(toff, int(anc), bound=True)
-    if kind == "LCT":
-        eta_n, nb = p["eta_n"], p["n_bar_isp"]
-        toff = 4.5 * eta_n ** 2 * (8.0 * nb ** 2 + 39.0 * nb - 8.0) \
-            - 1.5 * eta_n * (8.0 * nb ** 2 + 35.0 * nb - 8.0) - nb
-        return CostPair(toff, 4 * nb - 3)
-    if kind == "SSCT":
-        eta_n, nb = p["eta_n"], p["n_bar_isp"]
-        toff = 9.0 * eta_n ** 2 * (nb ** 2 + 4.0 * nb - 1.0) \
-            - 3.0 * eta_n * (nb ** 2 + 2.0 * nb - 1.0) - 2.0 * nb
-        return CostPair(toff, 4 * nb - 3)
-    if kind == "PK":
-        eta_n, nb, b_grad, eps_pk = p["eta_n"], p["n_bar_isp"], p["b_grad"], p["eps_pk"]
-        toff = 3.0 * eta_n * (4.0 * nb * b_grad + b_grad - 2.0 * nb) \
-            + b_grad * (1.149 * math.log2(b_grad / eps_pk) + 9.2) / 4.0
-        return CostPair(toff, 4 * b_grad + 2 * nb - 1)
-    if kind == "TC2SM":
-        eta_n, nb = p["eta_n"], p["n_bar_isp"]
-        return CostPair(3.0 * eta_n * (nb - 2.0), nb - 2)
-    raise ValueError(f"unknown ISP subroutine kind {kind!r}")
+
+def cost_asp(d_configs: int, b_asp: int) -> CostPair:
+    """Arbitrary-state preparation of ``d_configs`` configuration amplitudes."""
+    d, b = d_configs, b_asp
+    toff = 2.0 ** 2.5 * (1.0 + math.sqrt(2.0)) * d * math.sqrt(b + 1.0) \
+        + 2.0 * math.log2(d) * (b - 4.0)
+    anc = 0.5 * math.log2(d) if d > 1 else 0.0
+    anc += d * b / (4.0 * math.sqrt(b + 1.0)) + 0.5 * math.log2(b + 1.0) + 3.0 * b - 4.0
+    return CostPair(toff, int(math.ceil(max(0.0, anc))))
+
+
+def cost_soslat(d_configs: int) -> CostPair:
+    """Sum of Slater determinants over ``d_configs`` configurations (a bound)."""
+    logd = math.log2(d_configs) if d_configs > 1 else 0.0
+    # ancilla clamped at 0: 5*log(D)-3 goes negative for a single configuration
+    return CostPair(d_configs * (2.0 * logd + 3.0), max(0, int(math.ceil(5.0 * logd - 3.0))),
+                    bound=True)
+
+
+def cost_onb2mob(n_mob: int, eta_e: int) -> CostPair:
+    """Occupation-number to molecular-orbital basis conversion."""
+    # the -4 constant underflows for a single orbital; clamp at zero
+    toff = max(0.0, n_mob * (2.0 * eta_e + math.ceil(math.log2(eta_e + 1))
+                             + eta_e * ceil_log2(n_mob) - 4.0))
+    return CostPair(toff, int(n_mob + 3 * math.ceil(math.log2(eta_e + 1))))
+
+
+def cost_asym(eta_e: int, n_p: int) -> CostPair:
+    """Antisymmetrization of ``eta_e`` electron registers of ``n_p`` qubits."""
+    nbar = 2 ** math.ceil(math.log2(n_p + 1))
+    ln = math.log2(nbar)
+    toff = 2.0 * (eta_e - 1) * (ln + 1.0) \
+        + 0.25 * nbar * ln * (1.0 + ln) * (6.0 * ln + n_p + 1.0)
+    anc = eta_e * (math.log2(eta_e) if eta_e > 1 else 0.0) \
+        + 0.25 * nbar * ln * (1.0 + ln) + 2.0 * (eta_e - 1)
+    return CostPair(toff, int(math.ceil(anc)))
+
+
+def cost_w_e(eta_e: int, n_mob: int, n_p: int, b_rot: int, bond_dims) -> CostPair:
+    """Electronic orbital MPS synthesis; ``bond_dims`` is (n_mob, n_p) (a bound)."""
+    toff = eta_e * n_mob * n_p + 2.0 * eta_e * _mps_synthesis_sum(bond_dims, b_rot)
+    return CostPair(toff, n_mob * n_p + _mps_synthesis_ancilla(bond_dims, b_rot), bound=True)
+
+
+def cost_onb2smb(n_vib: int, n_smb: int) -> CostPair:
+    """Occupation-number to single-modal basis conversion."""
+    toff = n_vib * n_smb * max(0, ceil_log2(n_smb) - 2) if n_smb > 1 else 0.0
+    return CostPair(float(toff), n_smb + 3)
+
+
+def cost_w_n(n_isp: int, b_rot: int, bond_dims) -> CostPair:
+    """Nuclear single-modal MPS synthesis; ``bond_dims`` is (modes, n_smb, n_isp) (a bound)."""
+    bond = np.asarray(bond_dims, dtype=int)
+    if bond.ndim == 2:
+        bond = bond[:, None, :]
+    n_smb = bond.shape[1]
+    toff = sum(n_smb * n_isp + 2.0 * _mps_synthesis_sum(mode, b_rot) for mode in bond)
+    return CostPair(toff, _mps_synthesis_ancilla(bond, b_rot), bound=True)
+
+
+def cost_lct(eta_n: int, n_bar_isp: int) -> CostPair:
+    """Nuclear coordinate transform by the multi-shear sequence."""
+    nb = n_bar_isp
+    toff = 4.5 * eta_n ** 2 * (8.0 * nb ** 2 + 39.0 * nb - 8.0) \
+        - 1.5 * eta_n * (8.0 * nb ** 2 + 35.0 * nb - 8.0) - nb
+    return CostPair(toff, 4 * nb - 3)
+
+
+def cost_ssct(eta_n: int, n_bar_isp: int) -> CostPair:
+    """Nuclear coordinate transform by a single shear."""
+    nb = n_bar_isp
+    toff = 9.0 * eta_n ** 2 * (nb ** 2 + 4.0 * nb - 1.0) \
+        - 3.0 * eta_n * (nb ** 2 + 2.0 * nb - 1.0) - 2.0 * nb
+    return CostPair(toff, 4 * nb - 3)
+
+
+def cost_pk(eta_n: int, n_bar_isp: int, b_grad: int, eps_pk: float) -> CostPair:
+    """Phase kickback onto the nuclear grid with a ``b_grad``-bit gradient state."""
+    nb = n_bar_isp
+    toff = 3.0 * eta_n * (4.0 * nb * b_grad + b_grad - 2.0 * nb) \
+        + b_grad * (1.149 * math.log2(b_grad / eps_pk) + 9.2) / 4.0
+    return CostPair(toff, 4 * b_grad + 2 * nb - 1)
+
+
+def cost_tc2sm(eta_n: int, n_bar_isp: int) -> CostPair:
+    """Two's-complement to signed-magnitude conversion of the nuclear registers."""
+    return CostPair(3.0 * eta_n * (n_bar_isp - 2.0), n_bar_isp - 2)
+
+
+def cost_isp(spec: MoleculeSpec, grid: GridParams, pad_mode: str, eps_pk: float) -> dict:
+    """An estimate's initial-state-preparation rows, name -> CostPair, in ledger
+    order (sums and first maxima follow it); ``NCT`` is the pad mode's transform."""
+    p, e, n = spec.particles, spec.electronic, spec.nuclear
+    return {
+        "ASP_e": cost_asp(e.d_configs, e.b_asp),
+        "SoSlat_e": cost_soslat(e.d_configs),
+        "ONB2MOB": cost_onb2mob(e.n_mob, p.eta_e),
+        "ASYM": cost_asym(p.eta_e, grid.n_p),
+        "W_e": cost_w_e(p.eta_e, e.n_mob, grid.n_p, e.b_rot,
+                        _resize_bond_table(e.bond_dims, grid.n_p)),
+        "ASP_n": cost_asp(n.d_configs, n.b_asp),
+        "SoSlat_n": cost_soslat(n.d_configs),
+        "ONB2SMB": cost_onb2smb(n.n_vib, n.n_smb),
+        "W_n": cost_w_n(grid.n_isp, n.b_rot, _resize_bond_table(n.bond_dims, grid.n_isp)),
+        "PK": cost_pk(p.eta_n, grid.n_bar_isp, n.b_grad, eps_pk),
+        "TC2SM": cost_tc2sm(p.eta_n, grid.n_bar_isp),
+        "NCT": (cost_lct if pad_mode == "LCT" else cost_ssct)(p.eta_n, grid.n_bar_isp),
+    }
 
 
 def cost_isp_total(components: dict, eta_n: int, n_ext: int) -> CostPair:
@@ -172,66 +215,59 @@ def cost_isp_total(components: dict, eta_n: int, n_ext: int) -> CostPair:
     return CostPair(toff, 3 * eta_n * n_ext + anc_max, bound=bound)
 
 
-def cost_block_encoding(kind: str, **p) -> CostPair:
-    """Cost of one block-encoding subroutine.
+def cost_prep_t(eta: int, n_p: int, mu_t: int) -> CostPair:
+    """Kinetic part of the coefficient preparation."""
+    n_eta = ceil_log2(eta)
+    toff = eta + mu_t + 4.0 * n_eta + 2.0 * n_p + 14.0
+    return CostPair(toff, int(3 * n_eta + 3 * mu_t + 2 * n_p + 8))
 
-    Kinds: PREP_T, UNPREP_T, PREP_V, UNPREP_V, PREP_H, UNPREP_H, SEL_H,
-    CTRL_SEL_H, REFLECT_W.  Parameters: eta, eta_e, n_p, mu_t, n_m, n_theta,
-    b_r as needed per kind.
-    """
-    if kind in ("PREP_T", "UNPREP_T"):
-        eta, n_p = p["eta"], p["n_p"]
-        n_eta = ceil_log2(eta)
-        if kind == "PREP_T":
-            mu_t = p["mu_t"]
-            toff = eta + mu_t + 4.0 * n_eta + 2.0 * n_p + 14.0
-            anc = 3 * n_eta + 3 * p["mu_t"] + 2 * n_p + 8
-        else:
-            er, n_er = erasure_cost(eta)
-            toff = er + 4.0 * n_eta + 2.0 * n_p + 16.0
-            anc = n_er
-        return CostPair(toff, int(anc))
-    if kind in ("PREP_V", "UNPREP_V"):
-        eta, eta_e, n_p, b_r = p["eta"], p["eta_e"], p["n_p"], p["b_r"]
-        n_eta = ceil_log2(eta)
-        log2e = math.ceil(math.log2(2 * eta_e))
-        if kind == "PREP_V":
-            n_m = p["n_m"]
-            toff = 4.0 * eta_e + n_eta + 6.0 * log2e + 4.0 * b_r - 24.0 \
-                + 3.0 * n_p ** 2 + 11.0 * n_p + 4.0 * n_m * (n_p + 1.0)
-            anc = 3 * n_p ** 2 + 10 * n_p + 6 * log2e + 3 * n_eta \
-                + 5 * n_m + 4 * n_m * n_p + 14
-        else:
-            er2, n_er2 = erasure_cost(2 * eta_e)
-            toff = n_eta + 2.0 * er2 + 6.0 * log2e + 4.0 * b_r - 19.0 + 4.0 * (n_p - 1.0)
-            anc = n_er2
-        return CostPair(toff, int(anc))
-    if kind in ("PREP_H", "UNPREP_H"):
-        n_theta = p["n_theta"]
-        # the n_theta - 3 rotation-synthesis count underflows below 3 bits
-        rot = CostPair(max(0.0, n_theta - 3.0), n_theta)
-        if kind == "PREP_H":
-            t_part = cost_block_encoding("PREP_T", **p)
-            v_part = cost_block_encoding("PREP_V", **p)
-        else:
-            t_part = cost_block_encoding("UNPREP_T", **p)
-            v_part = cost_block_encoding("UNPREP_V", **p)
-        return CostPair(
-            t_part.toffoli + v_part.toffoli + rot.toffoli,
-            t_part.ancilla + v_part.ancilla + rot.ancilla,
-        )
-    if kind in ("SEL_H", "CTRL_SEL_H"):
-        eta, n_p = p["eta"], p["n_p"]
-        n_eta = ceil_log2(eta)
-        # the source writes the n_p terms as 5*n_p + 24*n_p; total 29*n_p
-        toff = 18.0 * eta * n_p + 6.0 * eta + 29.0 * n_p - 9.0
-        if kind == "CTRL_SEL_H":
-            toff += 1.0
-        return CostPair(toff, 5 * n_p + n_eta + 11)
-    if kind == "REFLECT_W":
-        out = prep_h_output_size(p["eta"], p["eta_e"], p["n_p"], p["n_m"])
-        return CostPair(out - 1.0, out - 2)
-    raise ValueError(f"unknown block-encoding kind {kind!r}")
+
+def cost_unprep_t(eta: int, n_p: int) -> CostPair:
+    """Kinetic part of the coefficient unpreparation."""
+    er, n_er = erasure_cost(eta)
+    return CostPair(er + 4.0 * ceil_log2(eta) + 2.0 * n_p + 16.0, int(n_er))
+
+
+def cost_prep_v(eta: int, eta_e: int, n_p: int, n_m: int, b_r: int) -> CostPair:
+    """Potential part of the coefficient preparation."""
+    n_eta = ceil_log2(eta)
+    log2e = math.ceil(math.log2(2 * eta_e))
+    toff = 4.0 * eta_e + n_eta + 6.0 * log2e + 4.0 * b_r - 24.0 \
+        + 3.0 * n_p ** 2 + 11.0 * n_p + 4.0 * n_m * (n_p + 1.0)
+    anc = 3 * n_p ** 2 + 10 * n_p + 6 * log2e + 3 * n_eta + 5 * n_m + 4 * n_m * n_p + 14
+    return CostPair(toff, int(anc))
+
+
+def cost_unprep_v(eta: int, eta_e: int, n_p: int, b_r: int) -> CostPair:
+    """Potential part of the coefficient unpreparation."""
+    er2, n_er2 = erasure_cost(2 * eta_e)
+    toff = ceil_log2(eta) + 2.0 * er2 + 6.0 * math.ceil(math.log2(2 * eta_e)) \
+        + 4.0 * b_r - 19.0 + 4.0 * (n_p - 1.0)
+    return CostPair(toff, int(n_er2))
+
+
+def cost_ctrl_sel_h(eta: int, n_p: int) -> CostPair:
+    """Controlled selection of the Hamiltonian terms."""
+    # 29*n_p is the source's 5*n_p + 24*n_p; -8 is -9 plus the control's Toffoli
+    toff = 18.0 * eta * n_p + 6.0 * eta + 29.0 * n_p - 8.0
+    return CostPair(toff, 5 * n_p + ceil_log2(eta) + 11)
+
+
+def cost_block_encoding(eta: int, eta_e: int, n_p: int, mu_t: int, n_m: int,
+                        n_theta: int, b_r: int) -> dict:
+    """An estimate's walk-operator rows, name -> CostPair; ``PREP_H`` and
+    ``UNPREP_H`` add their T part, V part and rotation in that order."""
+    # the n_theta - 3 rotation-synthesis count underflows below 3 bits
+    rot = CostPair(max(0.0, n_theta - 3.0), n_theta)
+    prep = (cost_prep_t(eta, n_p, mu_t), cost_prep_v(eta, eta_e, n_p, n_m, b_r), rot)
+    unprep = (cost_unprep_t(eta, n_p), cost_unprep_v(eta, eta_e, n_p, b_r), rot)
+    out = prep_h_output_size(eta, eta_e, n_p, n_m)
+    return {
+        "PREP_H": CostPair(sum(c.toffoli for c in prep), sum(c.ancilla for c in prep)),
+        "UNPREP_H": CostPair(sum(c.toffoli for c in unprep), sum(c.ancilla for c in unprep)),
+        "CTRL_SEL_H": cost_ctrl_sel_h(eta, n_p),
+        "REFLECT_W": CostPair(out - 1.0, out - 2),
+    }
 
 
 def prep_h_output_size(eta: int, eta_e: int, n_p: int, n_m: int) -> int:
@@ -281,24 +317,25 @@ def cost_propagator(d_tilde: float, walk: CostPair, eps_rot: float) -> CostPair:
     return CostPair(toff, 2 + walk.ancilla, bound=True)
 
 
-def cost_measurement(kind: str, **p) -> CostPair:
-    """Measurement-stage subroutines: QFT, U_PiS (yield indicator), R0_QAE."""
-    if kind == "QFT":
-        n, eps = p["n"], p["eps"]
-        toff = 4.0 * n * (math.log2(n / eps) - 2.0) \
-            + 0.6 * math.log2(n * math.log2(n / eps) / eps)
-        return CostPair(toff, 0)
-    if kind == "U_PiS":
-        b_j, n_p, n_nuc = p["b_j"], p["n_p"], p["n_nuc"]
-        if b_j < 1:
-            raise ValueError("a reaction channel requires at least one constraint")
-        toff = 3.0 * b_j * (2.0 * n_p ** 2 + 2.0 * n_p - 3.0) + 3.0 * n_nuc * (n_p - 2.0) - 1.0
-        return CostPair(toff, 3 * n_p ** 2 - n_p)
-    if kind == "R0_QAE":
-        eta_e, eta_n, n_p, n_bar_isp = p["eta_e"], p["eta_n"], p["n_p"], p["n_bar_isp"]
-        toff = 3.0 * eta_e * n_p + 3.0 * eta_n * n_bar_isp
-        return CostPair(toff, max(0, 3 * (eta_e * n_p + eta_n * n_bar_isp) - 1))
-    raise ValueError(f"unknown measurement kind {kind!r}")
+def cost_qft(n: int, eps: float) -> CostPair:
+    """Approximate quantum Fourier transform on ``n`` qubits to accuracy ``eps``."""
+    toff = 4.0 * n * (math.log2(n / eps) - 2.0) \
+        + 0.6 * math.log2(n * math.log2(n / eps) / eps)
+    return CostPair(toff, 0)
+
+
+def cost_u_pis(b_j: int, n_p: int, n_nuc: int) -> CostPair:
+    """Yield indicator of a channel with ``b_j`` constraints on ``n_nuc`` nuclei."""
+    if b_j < 1:
+        raise ValueError("a reaction channel requires at least one constraint")
+    toff = 3.0 * b_j * (2.0 * n_p ** 2 + 2.0 * n_p - 3.0) + 3.0 * n_nuc * (n_p - 2.0) - 1.0
+    return CostPair(toff, 3 * n_p ** 2 - n_p)
+
+
+def cost_r0_qae(eta_e: int, eta_n: int, n_p: int, n_bar_isp: int) -> CostPair:
+    """Reflection about the all-zero state in amplitude estimation."""
+    toff = 3.0 * eta_e * n_p + 3.0 * eta_n * n_bar_isp
+    return CostPair(toff, max(0, 3 * (eta_e * n_p + eta_n * n_bar_isp) - 1))
 
 
 @dataclass
@@ -312,9 +349,6 @@ class CostReport:
     warnings: list = field(default_factory=list)
     anchors: dict = field(default_factory=dict)
     params_hash: str = ""
-
-    def add_row(self, name: str, pair: CostPair):
-        self.rows[name] = pair
 
     def to_json_dict(self) -> dict:
         def pair_dict(c: CostPair):

@@ -166,7 +166,7 @@ def success_probs(particles: ParticleTable, n_p: int, n_m: int, b_r: int = 8) ->
     abs_sum = sum(abs(z) for z in particles.charges)
     sq_sum = sum(z * z for z in particles.charges)
     p_zeta = 1.0 - sq_sum / abs_sum ** 2
-    ps_w = uniform_prep_success(3, 8)
+    ps_w = uniform_prep_success(3, b_r)
     ps_eta = uniform_prep_success(particles.eta, b_r)
     p_eq = ps_w * ps_eta * ps_eta ** 2
     return SuccessProbs(

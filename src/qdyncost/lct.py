@@ -447,8 +447,9 @@ def _lattice_norm_sq(quad: np.ndarray, n_bits: int, cutoff: float = 120.0) -> fl
     d = quad.shape[0]
     half = 1 << (n_bits - 1)
     inv = np.linalg.inv(quad)
-    widths = [min(half, int(math.ceil(math.sqrt(cutoff * inv[a, a]))) + 1) for a in range(d)]
-    axes = [np.arange(-w, w + 1, dtype=float) for w in widths]
+    reach = [int(math.ceil(math.sqrt(cutoff * inv[a, a]))) + 1 for a in range(d)]
+    # the box is clipped to the two's-complement grid [-half, half - 1]
+    axes = [np.arange(-min(half, r), min(half - 1, r) + 1, dtype=float) for r in reach]
     total = 0.0
     # chunk along the first axis to keep peak memory modest
     chunk = max(1, int(4e6 // max(1, np.prod([len(ax) for ax in axes[1:]]))))

@@ -346,6 +346,8 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
              f"electronic.bond_dims must have rank <= 2, got {np.ndim(e.bond_dims)}")
 
     _require(n.n_smb >= 1 and n.d_configs >= 1 and n.n_hg >= 1, "nuclear counts must be >= 1")
+    _require(n.n_vib == nm.n_vib, f"nuclear.n_vib={n.n_vib} must equal the number of "
+             f"normal_modes.omegas ({nm.n_vib})")
     _require(np.size(n.bond_dims) > 0 and np.all(np.asarray(n.bond_dims) >= 1),
              "nuclear.bond_dims must be a non-empty table of entries >= 1")
     _require(np.ndim(n.bond_dims) <= 3,

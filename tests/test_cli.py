@@ -132,18 +132,6 @@ def test_report_records_grid_caveats(tmp_path):
     assert any("periodic" in c for c in caveats)
 
 
-def test_resize_bond_table():
-    import numpy as np
-
-    from qdyncost.cli import _resize_bond_table
-
-    table = np.array([[2, 8, 4]])
-    assert _resize_bond_table(table, 2).tolist() == [[2, 8]]
-    assert _resize_bond_table(table, 5).tolist() == [[2, 8, 4, 4, 4]]
-    cube = np.ones((3, 2, 4), dtype=int)
-    assert _resize_bond_table(cube, 6).shape == (3, 2, 6)
-
-
 def test_grid_params_derived_fields():
     from qdyncost.gridsizer import common_grid
 
@@ -224,6 +212,7 @@ def test_params_hash_follows_effective_configuration(tmp_path):
                                           "direction": "greater"}]}], "alpha=99"),
     (None, "channels", [{"constraints": [{"alpha": 0, "beta": -1, "cutoff": 3.9,
                                           "direction": "greater"}]}], "beta=-1"),
+    ("nuclear", "n_vib", 99, "nuclear.n_vib"),
 ])
 def test_malformed_molecule_exits_2(tmp_path, capsys, section, key, value, field):
     doc = json.loads(Path(CH4).read_text())

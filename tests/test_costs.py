@@ -6,12 +6,30 @@ from hypothesis import given, settings, strategies as st
 
 from qdyncost.costs import (
     CostPair,
+    _resize_bond_table,
+    cost_asp,
+    cost_asym,
     cost_block_encoding,
+    cost_ctrl_sel_h,
     cost_isp,
     cost_isp_total,
-    cost_measurement,
+    cost_lct,
+    cost_onb2mob,
+    cost_onb2smb,
+    cost_pk,
+    cost_prep_t,
+    cost_prep_v,
     cost_propagator,
+    cost_qft,
+    cost_soslat,
+    cost_ssct,
+    cost_tc2sm,
     cost_total,
+    cost_u_pis,
+    cost_unprep_t,
+    cost_unprep_v,
+    cost_w_e,
+    cost_w_n,
     cost_walk,
     erasure_cost,
     prep_h_output_size,
@@ -32,32 +50,27 @@ def test_erasure_upper_bound():
 
 
 def test_tc2sm_reference():
-    pair = cost_isp("TC2SM", eta_n=5, n_bar_isp=10)
+    pair = cost_tc2sm(eta_n=5, n_bar_isp=10)
     assert pair.toffoli == 120
     assert pair.ancilla == 8
 
 
 def test_asym_reference():
-    pair = cost_isp("ASYM", eta_e=2, n_p=3)
+    pair = cost_asym(eta_e=2, n_p=3)
     assert pair.toffoli == pytest.approx(102.0)
 
 
 def test_lct_reference():
-    pair = cost_isp("LCT", eta_n=1, n_bar_isp=4)
+    pair = cost_lct(eta_n=1, n_bar_isp=4)
     assert pair.toffoli == pytest.approx(848.0)
     assert pair.ancilla == 13
 
 
 def test_ssct_matches_closed_form():
-    pair = cost_isp("SSCT", eta_n=2, n_bar_isp=6)
+    pair = cost_ssct(eta_n=2, n_bar_isp=6)
     expect = 9 * 4 * (36 + 24 - 1) - 3 * 2 * (36 + 12 - 1) - 12
     assert pair.toffoli == pytest.approx(expect)
     assert pair.ancilla == 21
-
-
-def test_missing_parameter_raises():
-    with pytest.raises(KeyError):
-        cost_isp("LCT", eta_n=1)
 
 
 def test_isp_total_zero_components():
@@ -73,8 +86,8 @@ def test_isp_total_nonseparable_is_additive():
     }
     sep = cost_isp_total(base, eta_n=2, n_ext=1)
     joint = dict(base)
-    joint["ASP_en"] = cost_isp("ASP", d_configs=16, b_asp=8)
-    joint["SoSlat_en"] = cost_isp("SoSlat", d_configs=16)
+    joint["ASP_en"] = cost_asp(d_configs=16, b_asp=8)
+    joint["SoSlat_en"] = cost_soslat(d_configs=16)
     non = cost_isp_total(joint, eta_n=2, n_ext=1)
     extra = joint["ASP_en"].toffoli + joint["SoSlat_en"].toffoli
     assert non.toffoli == pytest.approx(sep.toffoli + extra)
@@ -92,20 +105,19 @@ def test_isp_ch4_scale_order_anchor():
 
 
 def test_prep_t_reference():
-    pair = cost_block_encoding("PREP_T", eta=3, n_p=4, mu_t=10)
+    pair = cost_prep_t(eta=3, n_p=4, mu_t=10)
     assert pair.toffoli == pytest.approx(43.0)
 
 
 def test_sel_h_reference():
-    pair = cost_block_encoding("SEL_H", eta=2, n_p=3)
-    assert pair.toffoli == pytest.approx(198.0)
-    ctrl = cost_block_encoding("CTRL_SEL_H", eta=2, n_p=3)
-    assert ctrl.toffoli == pytest.approx(199.0)
+    pair = cost_ctrl_sel_h(eta=2, n_p=3)
+    assert pair.toffoli == pytest.approx(199.0)
 
 
 def test_reflect_reference():
     assert prep_h_output_size(2, 1, 3, 5) == 37
-    pair = cost_block_encoding("REFLECT_W", eta=2, eta_e=1, n_p=3, n_m=5)
+    pair = cost_block_encoding(eta=2, eta_e=1, n_p=3, mu_t=5, n_m=5, n_theta=5,
+                               b_r=8)["REFLECT_W"]
     assert pair.toffoli == pytest.approx(36.0)
     assert pair.ancilla == 35
 
@@ -124,8 +136,8 @@ def test_walk_zero_stub():
 def test_sel_h_eta_dominance():
     # the 18*eta*n_p term dominates for large eta: doubling eta roughly
     # doubles the cost
-    a = cost_block_encoding("SEL_H", eta=50, n_p=10).toffoli
-    b = cost_block_encoding("SEL_H", eta=100, n_p=10).toffoli
+    a = cost_ctrl_sel_h(eta=50, n_p=10).toffoli
+    b = cost_ctrl_sel_h(eta=100, n_p=10).toffoli
     assert b / a == pytest.approx(2.0, rel=0.05)
 
 
@@ -160,19 +172,19 @@ def test_propagator_anchor_scale():
 
 
 def test_qft_reference():
-    pair = cost_measurement("QFT", n=4, eps=0.01)
+    pair = cost_qft(n=4, eps=0.01)
     assert pair.toffoli == pytest.approx(113.355, abs=0.01)
 
 
 def test_u_pis_reference():
-    pair = cost_measurement("U_PiS", b_j=1, n_p=3, n_nuc=2)
+    pair = cost_u_pis(b_j=1, n_p=3, n_nuc=2)
     assert pair.toffoli == pytest.approx(68.0)
     assert pair.ancilla == 24
 
 
 def test_u_pis_needs_constraint():
     with pytest.raises(ValueError, match="constraint"):
-        cost_measurement("U_PiS", b_j=0, n_p=3, n_nuc=2)
+        cost_u_pis(b_j=0, n_p=3, n_nuc=2)
 
 
 def _total(eps_qae, lambda_obs=1.0):
@@ -235,10 +247,16 @@ def test_qae_ratio_anchor_ch4():
 )
 def test_block_encoding_costs_nonnegative(eta, n_p, n_m):
     eta_e = max(1, eta // 2)
-    kw = dict(eta=eta, eta_e=eta_e, n_p=n_p, mu_t=n_m, n_m=n_m, n_theta=n_m, b_r=8)
-    for kind in ("PREP_T", "UNPREP_T", "PREP_V", "UNPREP_V", "PREP_H", "UNPREP_H",
-                 "SEL_H", "CTRL_SEL_H", "REFLECT_W"):
-        pair = cost_block_encoding(kind, **kw)
+    parts = [
+        cost_prep_t(eta, n_p, n_m),
+        cost_unprep_t(eta, n_p),
+        cost_prep_v(eta, eta_e, n_p, n_m, 8),
+        cost_unprep_v(eta, eta_e, n_p, 8),
+        cost_ctrl_sel_h(eta, n_p),
+    ]
+    rows = cost_block_encoding(eta, eta_e, n_p, mu_t=n_m, n_m=n_m, n_theta=n_m, b_r=8)
+    assert list(rows) == ["PREP_H", "UNPREP_H", "CTRL_SEL_H", "REFLECT_W"]
+    for pair in parts + list(rows.values()):
         assert pair.toffoli >= 0
         assert pair.ancilla >= 0
 
@@ -246,9 +264,9 @@ def test_block_encoding_costs_nonnegative(eta, n_p, n_m):
 @settings(max_examples=30, deadline=None)
 @given(st.integers(min_value=1, max_value=100), st.integers(min_value=2, max_value=20))
 def test_sel_h_monotone_in_eta_np(eta, n_p):
-    base = cost_block_encoding("SEL_H", eta=eta, n_p=n_p).toffoli
-    assert cost_block_encoding("SEL_H", eta=eta + 1, n_p=n_p).toffoli >= base
-    assert cost_block_encoding("SEL_H", eta=eta, n_p=n_p + 1).toffoli >= base
+    base = cost_ctrl_sel_h(eta=eta, n_p=n_p).toffoli
+    assert cost_ctrl_sel_h(eta=eta + 1, n_p=n_p).toffoli >= base
+    assert cost_ctrl_sel_h(eta=eta, n_p=n_p + 1).toffoli >= base
 
 
 @settings(max_examples=40, deadline=None)
@@ -260,21 +278,21 @@ def test_sel_h_monotone_in_eta_np(eta, n_p):
     st.integers(min_value=5, max_value=12),
 )
 def test_isp_costs_nonnegative(eta_n, d_configs, n_bar, m, b):
-    draws = {
-        "ASP": dict(d_configs=d_configs, b_asp=b),
-        "SoSlat": dict(d_configs=d_configs),
-        "ONB2MOB": dict(n_mob=d_configs, eta_e=eta_n),
-        "ASYM": dict(eta_e=max(2, eta_n), n_p=n_bar),
-        "W_e": dict(eta_e=eta_n, n_mob=2, n_p=4, b_rot=8, bond_dims=[[m] * 4] * 2),
-        "ONB2SMB": dict(n_vib=eta_n, n_smb=d_configs),
-        "W_n": dict(n_isp=4, b_rot=8, bond_dims=[[[m] * 4]] * 3),
-        "LCT": dict(eta_n=eta_n, n_bar_isp=n_bar),
-        "SSCT": dict(eta_n=eta_n, n_bar_isp=n_bar),
-        "PK": dict(eta_n=eta_n, n_bar_isp=n_bar, b_grad=30, eps_pk=1e-6),
-        "TC2SM": dict(eta_n=eta_n, n_bar_isp=n_bar),
-    }
-    for kind, params in draws.items():
-        pair = cost_isp(kind, **params)
+    draws = [
+        (cost_asp, dict(d_configs=d_configs, b_asp=b)),
+        (cost_soslat, dict(d_configs=d_configs)),
+        (cost_onb2mob, dict(n_mob=d_configs, eta_e=eta_n)),
+        (cost_asym, dict(eta_e=max(2, eta_n), n_p=n_bar)),
+        (cost_w_e, dict(eta_e=eta_n, n_mob=2, n_p=4, b_rot=8, bond_dims=[[m] * 4] * 2)),
+        (cost_onb2smb, dict(n_vib=eta_n, n_smb=d_configs)),
+        (cost_w_n, dict(n_isp=4, b_rot=8, bond_dims=[[[m] * 4]] * 3)),
+        (cost_lct, dict(eta_n=eta_n, n_bar_isp=n_bar)),
+        (cost_ssct, dict(eta_n=eta_n, n_bar_isp=n_bar)),
+        (cost_pk, dict(eta_n=eta_n, n_bar_isp=n_bar, b_grad=30, eps_pk=1e-6)),
+        (cost_tc2sm, dict(eta_n=eta_n, n_bar_isp=n_bar)),
+    ]
+    for formula, params in draws:
+        pair = formula(**params)
         assert pair.toffoli >= 0
         assert pair.ancilla >= 0
 
@@ -282,41 +300,72 @@ def test_isp_costs_nonnegative(eta_n, d_configs, n_bar, m, b):
 def test_isp_costs_monotone_in_size_parameters():
     # coordinate-transform and kickback costs grow with register width and
     # nucleus count; coefficient preparation grows with particle count
-    assert cost_isp("LCT", eta_n=3, n_bar_isp=12).toffoli > \
-        cost_isp("LCT", eta_n=3, n_bar_isp=10).toffoli
-    assert cost_isp("LCT", eta_n=4, n_bar_isp=10).toffoli > \
-        cost_isp("LCT", eta_n=3, n_bar_isp=10).toffoli
-    assert cost_isp("SSCT", eta_n=4, n_bar_isp=12).toffoli > \
-        cost_isp("SSCT", eta_n=4, n_bar_isp=10).toffoli
-    assert cost_isp("PK", eta_n=4, n_bar_isp=12, b_grad=30, eps_pk=1e-6).toffoli > \
-        cost_isp("PK", eta_n=3, n_bar_isp=12, b_grad=30, eps_pk=1e-6).toffoli
-    assert cost_block_encoding("PREP_T", eta=20, n_p=8, mu_t=10).toffoli > \
-        cost_block_encoding("PREP_T", eta=10, n_p=8, mu_t=10).toffoli
-    assert cost_isp("W_n", n_isp=8, b_rot=8, bond_dims=[[[16] * 8]]).toffoli > \
-        cost_isp("W_n", n_isp=6, b_rot=8, bond_dims=[[[16] * 6]]).toffoli
+    assert cost_lct(eta_n=3, n_bar_isp=12).toffoli > cost_lct(eta_n=3, n_bar_isp=10).toffoli
+    assert cost_lct(eta_n=4, n_bar_isp=10).toffoli > cost_lct(eta_n=3, n_bar_isp=10).toffoli
+    assert cost_ssct(eta_n=4, n_bar_isp=12).toffoli > cost_ssct(eta_n=4, n_bar_isp=10).toffoli
+    assert cost_pk(eta_n=4, n_bar_isp=12, b_grad=30, eps_pk=1e-6).toffoli > \
+        cost_pk(eta_n=3, n_bar_isp=12, b_grad=30, eps_pk=1e-6).toffoli
+    assert cost_prep_t(eta=20, n_p=8, mu_t=10).toffoli > \
+        cost_prep_t(eta=10, n_p=8, mu_t=10).toffoli
+    assert cost_w_n(n_isp=8, b_rot=8, bond_dims=[[[16] * 8]]).toffoli > \
+        cost_w_n(n_isp=6, b_rot=8, bond_dims=[[[16] * 6]]).toffoli
 
 
 def test_isp_costs_monotone_in_bond_dims():
-    lo = cost_isp("W_e", eta_e=4, n_mob=3, n_p=5, b_rot=8,
-                  bond_dims=np.full((3, 5), 8))
-    hi = cost_isp("W_e", eta_e=4, n_mob=3, n_p=5, b_rot=8,
-                  bond_dims=np.full((3, 5), 16))
+    lo = cost_w_e(eta_e=4, n_mob=3, n_p=5, b_rot=8, bond_dims=np.full((3, 5), 8))
+    hi = cost_w_e(eta_e=4, n_mob=3, n_p=5, b_rot=8, bond_dims=np.full((3, 5), 16))
     assert hi.toffoli > lo.toffoli
 
 
-def test_golden_report_regression():
+def test_resize_bond_table():
+    table = np.array([[2, 8, 4]])
+    assert _resize_bond_table(table, 2).tolist() == [[2, 8]]
+    assert _resize_bond_table(table, 5).tolist() == [[2, 8, 4, 4, 4]]
+    cube = np.ones((3, 2, 4), dtype=int)
+    assert _resize_bond_table(cube, 6).shape == (3, 2, 6)
+
+
+def test_isp_rows_in_ledger_order():
+    from qdyncost.budget import allocate
+    from qdyncost.cli import size_grid
+    from qdyncost.model import load_molecule
+
+    spec = load_molecule("molecules/ch4_synthetic.json")
+    bud = allocate(0.095, 1.0)
+    for pad_mode, nct in (("SSCT", cost_ssct), ("LCT", cost_lct)):
+        grid, _ = size_grid(spec, bud, pad_mode, {})
+        rows = cost_isp(spec, grid, pad_mode, bud.eps_pk)
+        assert list(rows) == ["ASP_e", "SoSlat_e", "ONB2MOB", "ASYM", "W_e", "ASP_n",
+                              "SoSlat_n", "ONB2SMB", "W_n", "PK", "TC2SM", "NCT"]
+        assert rows["NCT"] == nct(spec.particles.eta_n, grid.n_bar_isp)
+
+
+# (molecule file, pad mode) at seed 7 -> committed report
+GOLDEN = {
+    "golden_ch4_report.json": ("molecules/ch4_synthetic.json", "SSCT"),
+    "golden_ch4_lct_report.json": ("molecules/ch4_synthetic.json", "LCT"),
+    "golden_ch3obr_report.json": ("molecules/ch3obr_synthetic.json", "SSCT"),
+}
+
+
+@pytest.mark.parametrize("golden_file", sorted(GOLDEN))
+def test_golden_report_regression(golden_file):
     import json
     from pathlib import Path
 
     from qdyncost.cli import estimate_report
     from qdyncost.model import load_molecule
 
-    spec = load_molecule("molecules/ch4_synthetic.json")
-    doc1 = estimate_report(spec, seed=7).to_json_dict()
-    spec2 = load_molecule("molecules/ch4_synthetic.json")
-    doc2 = estimate_report(spec2, seed=7).to_json_dict()
+    molecule, pad_mode = GOLDEN[golden_file]
+
+    def report():
+        spec = load_molecule(molecule)
+        spec.budget_raw["pad_mode"] = pad_mode
+        return estimate_report(spec, seed=7).to_json_dict()
+
+    doc1, doc2 = report(), report()
     # byte-stable across runs
     assert json.dumps(doc1, sort_keys=True) == json.dumps(doc2, sort_keys=True)
     # and matches the committed golden file
-    golden = json.loads(Path("tests/data/golden_ch4_report.json").read_text())
+    golden = json.loads((Path("tests/data") / golden_file).read_text())
     assert json.dumps(doc1, sort_keys=True) == json.dumps(golden, sort_keys=True)

@@ -89,6 +89,14 @@ def test_p_zeta_water():
     assert probs.p_zeta == pytest.approx(1.0 - 76.0 / 400.0, abs=1e-15)
 
 
+def test_ps_w_uses_rotation_precision():
+    # the three-way selection register is amplified with the same b_r-bit
+    # rotation as the particle register
+    pt = _table([-1, 1])
+    assert success_probs(pt, 3, n_m=8, b_r=4).ps_w == 0.9375
+    assert success_probs(pt, 3, n_m=8, b_r=8).ps_w == uniform_prep_success(3, 8)
+
+
 def test_uniform_prep_success_power_of_two_exact():
     for n in (1, 2, 4, 8, 64, 1024):
         assert uniform_prep_success(n, 8) == 1.0

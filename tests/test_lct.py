@@ -257,7 +257,8 @@ def test_error_bounds_dispatcher():
     assert program_error_bound(onlyq, [1.0, 1.0], 0.1)["ortho"] == 0.0
 
 
-@pytest.mark.parametrize("n_bits, n_int, delta", [(6, 4, 0.3), (8, 5, 0.15), (5, 3, 0.5)])
+@pytest.mark.parametrize("n_bits, n_int, delta", [(6, 4, 0.3), (8, 5, 0.15), (5, 3, 0.5),
+                                                  (4, 3, 0.1), (6, 5, 0.05)])
 def test_identity_instance_measures_truncation_exactly(n_bits, n_int, delta):
     # under the identity the only error is the hard truncation to the
     # interior box: overlap^2 = prod_a S_int,a / S_full,a with 1D sums

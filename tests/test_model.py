@@ -152,6 +152,7 @@ def test_malformed_field_raises_validation_error(path, value):
                                           "direction": "greater"}]}], "alpha=99"),
     (None, "channels", [{"constraints": [{"alpha": 0, "beta": -1, "cutoff": 3.9,
                                           "direction": "greater"}]}], "beta=-1"),
+    ("nuclear", "n_vib", 99, "nuclear.n_vib"),
 ])
 def test_malformed_field_named_in_error(section, key, value, field):
     doc = json.loads(Path(CH4).read_text())
