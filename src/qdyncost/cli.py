@@ -23,6 +23,7 @@ import numpy as np
 from qdyncost import budget as budget_mod
 from qdyncost import costs, encoding, gridsizer, lct
 from qdyncost.model import (
+    BUDGET_POLICIES,
     MoleculeSpec,
     ValidationError,
     molecule_from_dict,
@@ -60,7 +61,7 @@ def _delta_target(spec: MoleculeSpec, bud, pad_mode: str) -> tuple[float, dict]:
     """
     dims = 3 * spec.particles.eta_n
     lam = _nuclear_gaussian_matrix(spec)
-    shear_ssct = lct.ssct_program(lam)[0].steps[0].data
+    shear_ssct = lct.ssct_program(lam)[0].steps[0].matrix
     # the Gaussian matrix after the single shear equals lam itself
     # (S^-T D_ch S^-1 = L D_ch L^T), so its top eigenvalue sets the bound
     lmax = float(np.linalg.eigvalsh(lam)[-1])
@@ -385,11 +386,8 @@ def _fit_grid(dims: int, delta: float, sigma_prime, program) -> tuple[int, int]:
     sigma_grid = 1.0 / (delta * math.sqrt(sigma_min))
     need = 5.0 * sigma_grid
     n_int = max(2, math.ceil(math.log2(2.0 * need)))
-    low = None
-    for step in program.steps:
-        if step.kind == "lower_shear":
-            low = np.asarray(step.data)
-    norm_l = float(np.max(np.sum(np.abs(low), axis=1))) if low is not None else 1.0
+    # decompose_lct puts the full QL shear first
+    norm_l = float(np.max(np.sum(np.abs(program.steps[0].matrix), axis=1)))
     cap = lct.MAX_TOTAL_BITS // dims
     while True:
         n_pad = gridsizer.pad_qubits("LCT", norm_l, dims, n_int)
@@ -479,7 +477,7 @@ FLAGS = {
     "--out": dict(dest="out_path"),
     "--format": dict(dest="out_format", default="json", choices=("json", "csv", "markdown")),
     "--seed": dict(type=int, default=0),
-    "--budget-policy": dict(dest="budget_policy"),
+    "--budget-policy": dict(dest="budget_policy", choices=BUDGET_POLICIES),
     "--only": dict(),
     "--batch": dict(nargs="*", default=[]),
     "--override": dict(action="append", default=[], type=_parse_override),

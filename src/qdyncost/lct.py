@@ -1,17 +1,20 @@
 """Classical engine for linear coordinate transformations on integer grids.
 
-A transform with unit determinant is decomposed into a full shear, Givens
-rotations (each split into two kinds of 2D shears plus optional quarter
-turns), and an optional reflection.  On the grid, every shear becomes an
-exact permutation: row values are updated in fixed-point arithmetic,
-wrapped with a centered modulo, and rounded half-up.  Programs run forward
-only, on arrays of grid points.  The module also evaluates the
+A transform with unit determinant is decomposed into a program of three
+step kinds: a full unit-triangular "shear" (the QL lower shear, or the
+single upper shear of SSCT), 2D "ortho" shears (three per Givens rotation),
+and "perm" steps (quarter turns and the reflection, as signed
+permutations).  On the grid every step is an exact permutation.  A shear
+updates one row at a time: the row adds the half-up rounding of
+sum_j q(b_ij) n_j / 2**r and is wrapped once with a centered modulo, and a
+wrap is counted when that exact integer image leaves the grid.  Programs run
+forward only, on arrays of grid points.  The module also evaluates the
 Gaussian-state error bounds for each step and measures true trace distances
 against exactly resampled Gaussians.
 
 Conventions of the point arithmetic:
   * rounding is half-up on the signed value, R(x) = floor(x + 1/2);
-  * shear coefficients are quantized to r = n_bits - 1 fraction bits;
+  * shear coefficients are quantized to r = n_bits - 1 fraction bits, q(b);
   * grids are two's-complement ranges [-2**(n_bits-1), 2**(n_bits-1) - 1].
 """
 
@@ -35,45 +38,24 @@ CHOLESKY_TOL = 1e-10          # L diag(d) L^T against the input
 # transform programs
 
 
+STEP_KINDS = ("shear", "ortho", "perm")
+
+
 @dataclass(frozen=True)
 class Step:
-    """One program step.
+    """One program step, acting on coordinate vectors as ``matrix``.
 
-    kind is one of "lower_shear", "upper_shear" (matrix in ``data``),
-    "s1" (axes=(i, j), coeff=tan(phi/2) acting on row i),
-    "s2" (axes=(i, j), coeff=-sin(phi) acting on row j),
-    "quarter" (axes=(i, j), coeff=sign), "reflect" (axes=(axis,)).
+    kind is "shear" (unit triangular), "ortho" (identity plus one
+    off-diagonal entry in row ``axis``) or "perm" (signed permutation).
     """
 
     kind: str
-    axes: tuple = ()
-    coeff: float = 0.0
-    data: np.ndarray | None = None
+    matrix: np.ndarray
+    axis: int = 0
 
-    def matrix(self, dim: int) -> np.ndarray:
-        m = np.eye(dim)
-        if self.kind in ("lower_shear", "upper_shear"):
-            return np.array(self.data, dtype=float)
-        if self.kind == "s1":
-            i, j = self.axes
-            m[i, j] = self.coeff
-            return m
-        if self.kind == "s2":
-            i, j = self.axes
-            m[j, i] = self.coeff
-            return m
-        if self.kind == "quarter":
-            i, j = self.axes
-            s = self.coeff
-            m[i, i] = 0.0
-            m[j, j] = 0.0
-            m[i, j] = s
-            m[j, i] = -s
-            return m
-        if self.kind == "reflect":
-            m[self.axes[0], self.axes[0]] = -1.0
-            return m
-        raise ValueError(f"unknown step kind {self.kind!r}")
+    def __post_init__(self):
+        if self.kind not in STEP_KINDS:
+            raise ValueError(f"unknown step kind {self.kind!r}")
 
 
 @dataclass
@@ -82,13 +64,12 @@ class TransformProgram:
 
     dim: int
     steps: list = field(default_factory=list)
-    source: dict = field(default_factory=dict)   # T, X, L, givens list
 
     def matrix(self) -> np.ndarray:
         """Product of step matrices in application order (equals T^-1)."""
         m = np.eye(self.dim)
         for step in self.steps:
-            m = step.matrix(self.dim) @ m
+            m = step.matrix @ m
         return m
 
 
@@ -183,6 +164,13 @@ def reduce_angle(theta: float):
     return phi, h, sign
 
 
+def _ortho_step(dim: int, axis: int, other: int, coeff: float) -> Step:
+    """2D shear adding coeff times coordinate ``other`` to ``axis``."""
+    m = np.eye(dim)
+    m[axis, other] = coeff
+    return Step("ortho", m, axis)
+
+
 def decompose_lct(t_matrix: np.ndarray) -> TransformProgram:
     """Decompose an invertible |det| = 1 transform into a grid program.
 
@@ -205,26 +193,20 @@ def decompose_lct(t_matrix: np.ndarray) -> TransformProgram:
         x_rot[0, :] *= -1.0  # x = Y @ x_rot with Y = diag(-1, 1, ..., 1)
     givens = givens_decompose(x_rot)
 
-    steps = [Step("lower_shear", data=low)]
-    givens_records = []
+    steps = [Step("shear", low)]
     for (i, j, theta) in reversed(givens):
         phi, h, sign = reduce_angle(theta)
-        givens_records.append({"i": i, "j": j, "theta": theta, "phi": phi, "h": h})
-        if h:
-            steps.append(Step("quarter", axes=(i, j), coeff=sign))
+        if h:  # quarter turn: n_i <- sign * n_j, n_j <- -sign * n_i
+            quarter = np.eye(d)
+            quarter[[i, j, i, j], [i, j, j, i]] = 0.0, 0.0, sign, -sign
+            steps.append(Step("perm", quarter))
         t_half = math.tan(phi / 2.0)
-        s_full = math.sin(phi)
-        steps.append(Step("s1", axes=(i, j), coeff=t_half))
-        steps.append(Step("s2", axes=(i, j), coeff=-s_full))
-        steps.append(Step("s1", axes=(i, j), coeff=t_half))
+        steps += [_ortho_step(d, i, j, t_half), _ortho_step(d, j, i, -math.sin(phi)),
+                  _ortho_step(d, i, j, t_half)]
     if reflected:
-        steps.append(Step("reflect", axes=(0,)))
+        steps.append(Step("perm", np.diag([-1.0] + [1.0] * (d - 1))))
 
-    prog = TransformProgram(
-        dim=d,
-        steps=steps,
-        source={"T": t_matrix, "X": x, "L": low, "givens": givens_records},
-    )
+    prog = TransformProgram(dim=d, steps=steps)
     if not np.max(np.abs(prog.matrix() - t_inv)) <= PROGRAM_MATRIX_TOL * max(
             1.0, np.max(np.abs(t_inv))):
         raise ValueError("program product deviates from T^-1")
@@ -255,12 +237,7 @@ def ssct_program(lam: np.ndarray) -> tuple[TransformProgram, np.ndarray]:
     """
     low, d_ch = cholesky_unit(lam)
     shear = np.linalg.inv(low).T  # unit upper triangular
-    prog = TransformProgram(
-        dim=lam.shape[0],
-        steps=[Step("upper_shear", data=shear)],
-        source={"L_ch": low, "D_ch": d_ch, "S": shear},
-    )
-    return prog, d_ch
+    return TransformProgram(dim=lam.shape[0], steps=[Step("shear", shear)]), d_ch
 
 
 # ---------------------------------------------------------------------------
@@ -268,7 +245,7 @@ def ssct_program(lam: np.ndarray) -> tuple[TransformProgram, np.ndarray]:
 
 
 class WrapCounter:
-    """Counts centered-modulo wrap events during program execution."""
+    """Counts wrap events: row updates whose exact image leaves the grid."""
 
     def __init__(self):
         self.count = 0
@@ -295,51 +272,34 @@ def _round_scaled(vals: np.ndarray, r: int) -> np.ndarray:
     return (vals + (1 << (r - 1))) >> r
 
 
-def _row_value(coords: np.ndarray, coeffs: dict, r: int) -> np.ndarray:
-    """Scaled fixed-point value sum_j b_ij n_j over the given columns."""
-    s = np.zeros(coords.shape[0], dtype=np.int64)
-    for j, c in coeffs.items():
-        s += np.int64(c) * coords[:, j]
-    return s
+def _apply_shear(coords: np.ndarray, matrix: np.ndarray, n_bits: int,
+                 counter: WrapCounter | None):
+    """In-place permutation of a unit-triangular shear, one row at a time.
 
-
-def _apply_full_shear(coords: np.ndarray, matrix: np.ndarray, lower: bool,
-                      n_bits: int, counter: WrapCounter | None):
-    """In-place full-shear permutation on coords."""
+    Row i adds R(sum_j q(b_ij) n_j / 2**r) and wraps once.  Rows are updated
+    so that each reads the old values of the rows it depends on: the last
+    row first for a lower-triangular matrix, the first row first otherwise.
+    """
     d = matrix.shape[0]
-    e_half = np.int64(1) << (n_bits - 1)
     r = n_bits - 1
-    m_scaled = int(e_half) << r
-    order = range(d - 1, -1, -1) if lower else range(d)
-    for i in order:
-        cols = range(i) if lower else range(i + 1, d)
-        coeffs = {j: _quantize_coeff(matrix[i, j], r) for j in cols if matrix[i, j] != 0.0}
-        if not coeffs:
-            continue
-        s = _row_value(coords, coeffs, r)
-        s = s + (coords[:, i].astype(np.int64) << r)
-        s = _wrap_int(s, m_scaled, counter)
-        rounded = _round_scaled(s, r)
-        coords[:, i] = _wrap_int(rounded, e_half, counter)
-    return coords
+    half = np.int64(1) << r
+    lower = not np.any(np.triu(matrix, 1))
+    for i in (range(d - 1, -1, -1) if lower else range(d)):
+        cols = [j for j in range(d) if j != i and matrix[i, j] != 0.0]
+        if cols:
+            s = sum(np.int64(_quantize_coeff(matrix[i, j], r)) * coords[:, j] for j in cols)
+            coords[:, i] = _wrap_int(coords[:, i] + _round_scaled(s, r), half, counter)
 
 
-def _apply_2d_shear(coords: np.ndarray, target: int, source: int, coeff: float,
-                    n_bits: int, counter: WrapCounter | None):
-    e_half = np.int64(1) << (n_bits - 1)
-    r = n_bits - 1
-    m_scaled = int(e_half) << r
-    c = _quantize_coeff(coeff, r)
-    s = np.int64(c) * coords[:, source]
-    s = _wrap_int(s, m_scaled, counter)
-    add = _round_scaled(s, r)
-    coords[:, target] = _wrap_int(coords[:, target] + add, e_half, counter)
-    return coords
-
-
-def _negate(vals: np.ndarray, n_bits: int) -> np.ndarray:
-    e_half = np.int64(1) << (n_bits - 1)
-    return (-vals + e_half) % (2 * e_half) - e_half
+def _apply_perm(coords: np.ndarray, matrix: np.ndarray, n_bits: int):
+    """In-place signed permutation; copies only the columns that move."""
+    half = np.int64(1) << (n_bits - 1)
+    moved = {}
+    for i in np.flatnonzero(np.diag(matrix) != 1.0):
+        j = int(np.flatnonzero(matrix[i])[0])
+        moved[i] = coords[:, j].copy() if matrix[i, j] > 0 else _wrap_int(-coords[:, j], half, None)
+    for i, col in moved.items():
+        coords[:, i] = col
 
 
 def push_points(coords: np.ndarray, program: TransformProgram, n_bits: int,
@@ -347,27 +307,10 @@ def push_points(coords: np.ndarray, program: TransformProgram, n_bits: int,
     """Apply the program's grid permutation to an array of integer points."""
     coords = np.array(coords, dtype=np.int64, copy=True)
     for step in program.steps:
-        if step.kind in ("lower_shear", "upper_shear"):
-            _apply_full_shear(coords, np.asarray(step.data, dtype=float),
-                              step.kind == "lower_shear", n_bits, counter)
-        elif step.kind == "s1":
-            i, j = step.axes
-            _apply_2d_shear(coords, i, j, step.coeff, n_bits, counter)
-        elif step.kind == "s2":
-            i, j = step.axes
-            _apply_2d_shear(coords, j, i, step.coeff, n_bits, counter)
-        elif step.kind == "quarter":
-            i, j = step.axes
-            sign = int(step.coeff)
-            new_i = _negate(coords[:, j], n_bits) if sign < 0 else coords[:, j].copy()
-            new_j = _negate(coords[:, i], n_bits) if sign > 0 else coords[:, i].copy()
-            coords[:, i] = new_i
-            coords[:, j] = new_j
-        elif step.kind == "reflect":
-            a = step.axes[0]
-            coords[:, a] = _negate(coords[:, a], n_bits)
+        if step.kind == "perm":
+            _apply_perm(coords, step.matrix, n_bits)
         else:
-            raise ValueError(f"unknown step kind {step.kind!r}")
+            _apply_shear(coords, step.matrix, n_bits, counter)
     return coords
 
 
@@ -387,40 +330,28 @@ def shear_error_bound(shear: np.ndarray, sigma_prime, delta: float, dims: int) -
     return math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - math.exp(-delta ** 2 * dims * lmax)))
 
 
-def ortho_step_bounds(program: TransformProgram, sigma_prime, delta: float) -> list:
-    """Per-step 2D-shear error bounds along a program.
+def program_error_bound(program: TransformProgram, sigma_prime, delta: float) -> dict:
+    """Full-program bound: the full-shear terms plus the 2D-shear sum.
 
     Walks the program keeping the argument matrix C (amplitudes are
-    g(delta*C*n) after each step); for each 2D shear the bound uses the
-    post-step Gaussian matrix C^T Sigma' C at the updated coordinate.
-    Quarter turns and reflections contribute zero.
+    g(delta*C*n) after each step); each 2D shear's term uses the post-step
+    Gaussian matrix C^T Sigma' C at the updated coordinate.  Perm steps
+    contribute zero.
     """
     d = program.dim
     sigma_mat = np.diag(np.broadcast_to(np.asarray(sigma_prime, dtype=float), (d,)))
     c_mat = np.eye(d)
-    out = []
-    for idx, step in enumerate(program.steps):
-        c_mat = c_mat @ np.linalg.inv(step.matrix(d))
-        if step.kind == "s1":
-            k = step.axes[0]
-        elif step.kind == "s2":
-            k = step.axes[1]
-        else:
-            continue
-        lam_p = c_mat.T @ sigma_mat @ c_mat
-        val = math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - math.exp(-delta ** 2 * lam_p[k, k])))
-        out.append((idx, k, val))
-    return out
-
-
-def program_error_bound(program: TransformProgram, sigma_prime, delta: float) -> dict:
-    """Full-program bound: the full-shear term plus the 2D-shear sum."""
-    d = program.dim
     shear_bound = 0.0
-    for step in program.steps:
-        if step.kind in ("lower_shear", "upper_shear"):
-            shear_bound += shear_error_bound(step.matrix(d), sigma_prime, delta, d)
-    ortho = ortho_step_bounds(program, sigma_prime, delta)
+    ortho = []
+    for idx, step in enumerate(program.steps):
+        c_mat = c_mat @ np.linalg.inv(step.matrix)
+        if step.kind == "shear":
+            shear_bound += shear_error_bound(step.matrix, sigma_prime, delta, d)
+        elif step.kind == "ortho":
+            k = step.axis
+            lam_p = c_mat.T @ sigma_mat @ c_mat
+            val = math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - math.exp(-delta ** 2 * lam_p[k, k])))
+            ortho.append((idx, k, val))
     ortho_bound = float(sum(v for (_, _, v) in ortho))
     return {
         "shear": shear_bound,

@@ -18,6 +18,9 @@ import numpy as np
 FS_PER_ATOMIC_TIME = 0.0241888
 
 DET_A_TOL = 1e-9
+# the values budget.pad_mode and budget.policy may take
+PAD_MODES = ("SSCT", "LCT")
+BUDGET_POLICIES = ("paper_default", "custom")
 
 
 def fs_to_au(t_fs: float) -> float:
@@ -57,11 +60,6 @@ class ParticleTable:
     @property
     def eta(self) -> int:
         return self.eta_e + self.eta_n
-
-    @property
-    def n_eta(self) -> int:
-        """Qubits needed to index a particle, ceil(log2(eta))."""
-        return ceil_log2(self.eta)
 
     @property
     def is_neutral(self) -> bool:
@@ -268,6 +266,14 @@ def _at_least(convert, low, strict: bool = False):
     return check
 
 
+def _one_of(choices):
+    """Accept only a value listed in ``choices``."""
+    def check(value):
+        _require(value in choices, f"must be one of {', '.join(choices)}, got {value!r}")
+        return value
+    return check
+
+
 def _floats(value) -> tuple:
     return tuple(float(x) for x in _list(value))
 
@@ -369,7 +375,9 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
     # settings the estimator reads must convert as it reads them
     for where, section, fields in (
             ("budget", spec.budget_raw, dict(eps_total=float, lambda_obs=float, b_r=int,
-                                             trim_n_mc=int, trim_alpha=float, custom=_object)),
+                                             trim_n_mc=int, trim_alpha=float, custom=_object,
+                                             pad_mode=_one_of(PAD_MODES),
+                                             policy=_one_of(BUDGET_POLICIES))),
             ("simulation.overrides", spec.overrides, dict(
                 n_p=_at_least(int, 2), length=_at_least(float, 0, strict=True),
                 n_isp=_at_least(int, 1), n_pad=_at_least(int, 0),

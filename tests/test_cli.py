@@ -94,6 +94,7 @@ def test_verify_failure_injection_exit_code(tmp_path, monkeypatch):
 def test_lct_bench_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["lct-bench", "--out", str(out), "--seed", "3"]) == 0
+    assert out.read_bytes() == Path("tests/data/golden_lct_bench_seed3.csv").read_bytes()
     lines = out.read_text().strip().splitlines()
     assert lines[0] == "delta,measured_error,bound"
     assert len(lines) == 9
@@ -213,6 +214,8 @@ def test_params_hash_follows_effective_configuration(tmp_path):
     (None, "channels", [{"constraints": [{"alpha": 0, "beta": -1, "cutoff": 3.9,
                                           "direction": "greater"}]}], "beta=-1"),
     ("nuclear", "n_vib", 99, "nuclear.n_vib"),
+    ("budget", "pad_mode", "lct", "budget.pad_mode"),
+    ("budget", "policy", "paper", "budget.policy"),
 ])
 def test_malformed_molecule_exits_2(tmp_path, capsys, section, key, value, field):
     doc = json.loads(Path(CH4).read_text())

@@ -3,10 +3,13 @@ import os
 import subprocess
 import sys
 import textwrap
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdyncost import lct
 from qdyncost.lct import (
@@ -32,7 +35,7 @@ def push_one(point, step, n_bits=4):
 
 
 def lower_shear(matrix):
-    return Step("lower_shear", data=np.asarray(matrix, dtype=float))
+    return Step("shear", np.asarray(matrix, dtype=float))
 
 
 def grid_keys(points, n_bits):
@@ -64,9 +67,8 @@ def random_unit_det_transform(rng, dim, shear_scale=0.5):
 def test_decompose_identity():
     prog = decompose_lct(np.eye(3))
     kinds = [s.kind for s in prog.steps]
-    assert kinds == ["lower_shear"]
-    assert np.allclose(prog.steps[0].data, np.eye(3))
-    assert not prog.source["givens"]
+    assert kinds == ["shear"]
+    assert np.allclose(prog.steps[0].matrix, np.eye(3))
 
 
 def test_three_shear_identity_pi_third():
@@ -94,8 +96,12 @@ def test_program_product_equals_inverse(dim):
         t = random_unit_det_transform(rng, dim)
         prog = decompose_lct(t)
         assert np.max(np.abs(prog.matrix() - np.linalg.inv(t))) <= 1e-10
-        for rec in prog.source["givens"]:
-            assert -math.pi / 2 <= rec["phi"] < math.pi / 2
+        # reduced angles phi in [-pi/2, pi/2) keep tan(phi/2) and sin(phi) in [-1, 1]
+        for step in prog.steps:
+            if step.kind == "ortho":
+                off = step.matrix - np.eye(dim)
+                assert np.count_nonzero(off) == np.count_nonzero(off[step.axis]) == 1
+                assert np.max(np.abs(off)) <= 1.0
 
 
 def test_decompose_rejects_scaled_matrix():
@@ -128,7 +134,12 @@ def test_half_rounding_convention():
 
 
 def test_quarter_turn_sign_convention():
-    assert push_one((1, 0), Step("quarter", axes=(0, 1), coeff=1.0)) == (0, -1)
+    assert push_one((1, 0), Step("perm", np.array([[0.0, 1.0], [-1.0, 0.0]]))) == (0, -1)
+
+
+def test_unknown_step_kind_rejected():
+    with pytest.raises(ValueError, match="unknown step kind"):
+        Step("lower_shear", np.eye(2))
 
 
 def test_identity_program_is_identity():
@@ -198,7 +209,7 @@ def test_cholesky_rejects_non_spd():
 def test_ssct_diagonal_is_identity_shear():
     lam = np.diag([2.0, 0.5])
     prog, d_ch = lct.ssct_program(lam)
-    assert np.allclose(prog.steps[0].data, np.eye(2))
+    assert np.allclose(prog.steps[0].matrix, np.eye(2))
     assert np.allclose(d_ch, [2.0, 0.5])
 
 
@@ -211,7 +222,7 @@ def test_ssct_measured_error_below_bound():
         lam *= 2.0 / np.max(np.linalg.eigvalsh(lam))
         prog, d_ch = lct.ssct_program(lam)
         res = gaussian_instance_error(prog, d_ch, delta, n_bits=10, n_int=9)
-        bound = shear_error_bound(prog.steps[0].data, d_ch, delta, 2)
+        bound = shear_error_bound(prog.steps[0].matrix, d_ch, delta, 2)
         assert res["bound"] == bound
         assert res["wraps"] == 0
         assert res["measured"] <= bound
@@ -248,12 +259,12 @@ def test_bound_linear_relaxation():
 def test_error_bounds_dispatcher():
     prog = decompose_lct(random_unit_det_transform(np.random.default_rng(5), 2))
     bounds = program_error_bound(prog, [1.0, 1.0], 0.1)
-    assert bounds["shear"] == shear_error_bound(prog.steps[0].data, [1.0, 1.0], 0.1, 2)
+    assert bounds["shear"] == shear_error_bound(prog.steps[0].matrix, [1.0, 1.0], 0.1, 2)
     assert bounds["ortho"] == pytest.approx(sum(v for _, _, v in bounds["ortho_steps"]))
     assert bounds["shear"] + bounds["ortho"] == pytest.approx(bounds["total"])
     # quarter turns and reflections contribute nothing
-    onlyq = TransformProgram(dim=2, steps=[Step("quarter", axes=(0, 1), coeff=1.0),
-                                           Step("reflect", axes=(0,))])
+    onlyq = TransformProgram(dim=2, steps=[Step("perm", np.array([[0.0, 1.0], [-1.0, 0.0]])),
+                                           Step("perm", np.diag([-1.0, 1.0]))])
     assert program_error_bound(onlyq, [1.0, 1.0], 0.1)["ortho"] == 0.0
 
 
@@ -288,11 +299,68 @@ def test_full_lct_gaussian_error_below_bound_2d():
 def test_wrap_counter_detects_unpadded_shear():
     # without padding, a strong shear pushes edge points around the grid
     coords = lct._interior_coords(2, 5)
-    prog = TransformProgram(dim=2, steps=[Step("lower_shear",
-                                               data=np.array([[1.0, 0.0], [1.5, 1.0]]))])
+    prog = TransformProgram(dim=2, steps=[lower_shear([[1.0, 0.0], [1.5, 1.0]])])
     counter = WrapCounter()
     push_points(coords, prog, 5, counter)
     assert counter.count > 0
+
+
+def test_wrap_counted_once_per_row_update():
+    # -8 + R(q(-0.4) * 1 / 8) = -8 + R(-3/8) = -8 stays on the 4-bit grid, so
+    # nothing wraps; wrapping the scaled row value first would count 2
+    counter = WrapCounter()
+    prog = TransformProgram(dim=2, steps=[lower_shear([[1.0, 0.0], [-0.4, 1.0]])])
+    assert push_points(np.array([[1, -8]]), prog, 4, counter).tolist() == [[1, -8]]
+    assert counter.count == 0
+
+
+def exact_push(points, steps, n_bits):
+    """Oracle: each row update in exact integer arithmetic, then one
+    centered wrap; returns the images and the number of updates whose
+    exact image leaves the grid."""
+    r, half = n_bits - 1, 1 << (n_bits - 1)
+    d = points.shape[1]
+    out, wraps = points.tolist(), 0
+    for step in steps:
+        m = step.matrix
+        lower = not np.any(np.triu(m, 1))
+        for i in (range(d - 1, -1, -1) if lower else range(d)):
+            q = [math.floor(Fraction(float(m[i, j])) * 2 ** r + Fraction(1, 2)) if j != i else 0
+                 for j in range(d)]
+            for n in out:
+                # floor(s / 2^r + 1/2) for s = sum_j q_j n_j
+                exact = n[i] + (2 * sum(qj * nj for qj, nj in zip(q, n)) + 2 ** r) // 2 ** (r + 1)
+                wraps += not -half <= exact < half
+                n[i] = (exact + half) % (2 * half) - half
+    return np.array(out, dtype=np.int64), wraps
+
+
+@st.composite
+def shear_steps(draw, dim):
+    """A random unit-triangular "shear" or a 2D "ortho" shear."""
+    if draw(st.booleans()):
+        axis, other = draw(st.permutations(range(dim)))[:2]
+        m = np.eye(dim)
+        m[axis, other] = draw(st.floats(-1.0, 1.0))
+        return Step("ortho", m, axis)
+    m = np.eye(dim)
+    idx = np.tril_indices(dim, -1)
+    m[idx] = draw(st.lists(st.floats(-2.5, 2.5), min_size=len(idx[0]), max_size=len(idx[0])))
+    return Step("shear", m if draw(st.booleans()) else m.T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data(), st.integers(2, 3), st.integers(2, 4))
+def test_wrap_counter_matches_exact_oracle(data, dim, n_bits):
+    # unpadded grids: strong shears push points off the grid, and each
+    # row update whose exact image leaves it counts one wrap
+    steps = data.draw(st.lists(shear_steps(dim), min_size=1, max_size=3))
+    coords = lct._interior_coords(dim, n_bits)
+    counter = WrapCounter()
+    moved = push_points(coords, TransformProgram(dim=dim, steps=steps), n_bits, counter)
+    want, wraps = exact_push(coords, steps, n_bits)
+    assert np.array_equal(moved, want)
+    assert counter.count == wraps
 
 
 def test_decomposition_checks_raise_under_optimize():

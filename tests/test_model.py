@@ -25,7 +25,6 @@ def test_ch4_counts():
     assert p.eta_e == 10
     assert p.eta_n == 5
     assert p.eta == 15
-    assert p.n_eta == 4
 
 
 def test_free_electron_minimal_table():
@@ -153,6 +152,8 @@ def test_malformed_field_raises_validation_error(path, value):
     (None, "channels", [{"constraints": [{"alpha": 0, "beta": -1, "cutoff": 3.9,
                                           "direction": "greater"}]}], "beta=-1"),
     ("nuclear", "n_vib", 99, "nuclear.n_vib"),
+    ("budget", "pad_mode", "lct", "budget.pad_mode"),
+    ("budget", "policy", "paper", "budget.policy"),
 ])
 def test_malformed_field_named_in_error(section, key, value, field):
     doc = json.loads(Path(CH4).read_text())

@@ -1,8 +1,10 @@
-"""Every public library function or class is used by the library itself.
+"""Every public library function, class, method or property is used by the
+library itself.
 
 A top-level name in ``src/qdyncost/*.py`` that no file under ``src/``
-references (as a name, an attribute or an import alias) is code that only
-tests call; it belongs in ``tests/`` or goes.
+references (as a name, an attribute or an import alias), or a public method
+or property of one of its classes that no file under ``src/`` reads as an
+attribute, is code that only tests call; it belongs in ``tests/`` or goes.
 """
 
 import ast
@@ -26,6 +28,16 @@ def _public_definitions(tree):
             yield node.name
 
 
+def _public_members(tree):
+    """(class, name) of each public method or property of a top-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                        and not item.name.startswith("_"):
+                    yield node.name, item.name
+
+
 def _referenced_names(tree):
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
@@ -47,5 +59,18 @@ def test_every_public_definition_is_referenced_from_src():
         for path, tree in trees.items() if path.parent.name == "qdyncost"
         for name in _public_definitions(tree)
         if name not in referenced and f"{path.stem}.{name}" not in ALLOWED_UNREFERENCED
+    ]
+    assert unused == []
+
+
+def test_every_public_member_is_referenced_from_src():
+    trees = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+    attributes = {node.attr for tree in trees.values() for node in ast.walk(tree)
+                  if isinstance(node, ast.Attribute)}
+    unused = [
+        f"{path.stem}.{cls}.{name}"
+        for path, tree in trees.items() if path.parent.name == "qdyncost"
+        for cls, name in _public_members(tree)
+        if name not in attributes
     ]
     assert unused == []
