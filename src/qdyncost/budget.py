@@ -15,7 +15,7 @@ import math
 import numpy as np
 
 from qdyncost import costs
-from qdyncost.model import ErrorBudget
+from qdyncost.model import BudgetShares, ErrorBudget
 
 # Default allocation proportions, normalized to a total budget of 0.095.
 _REF_TOTAL = 0.095
@@ -28,15 +28,15 @@ TRIM_BATCH = 20_000_000
 
 
 def allocate(eps_total: float, lambda_obs: float, policy: str = "paper_default",
-             custom: dict | None = None) -> ErrorBudget:
+             custom: BudgetShares = BudgetShares()) -> ErrorBudget:
     """Split the total error across ISP, propagation, basis change, and
     measurement.
 
     policy="paper_default" scales the reference proportions; a "custom"
-    policy takes explicit values and verifies feasibility.  The ISP share is
-    further split uniformly across its seven contributions (arbitrary state
-    preparation, classical and quantum MPS errors, shear, orthogonal-step,
-    phase-kickback, and trimming errors).
+    policy takes the ``custom`` shares and verifies feasibility.  The ISP
+    share is further split uniformly across its seven contributions
+    (arbitrary state preparation, classical and quantum MPS errors, shear,
+    orthogonal-step, phase-kickback, and trimming errors).
     """
     if not 0.0 < eps_total < 1.0:
         raise ValueError(f"eps_total must be in (0,1), got {eps_total}")
@@ -52,12 +52,11 @@ def allocate(eps_total: float, lambda_obs: float, policy: str = "paper_default",
         b.eps_isp = _REF_ISP * scale / lambda_obs
         b.eps_prop = _REF_PROP * scale / lambda_obs
     elif policy == "custom":
-        custom = dict(custom or {})
-        b.eps_qae = float(custom.get("eps_qae", 0.0))
-        b.eps_obs = float(custom.get("eps_obs", 0.0))
-        b.eps_b = float(custom.get("eps_b", 0.0))
-        b.eps_isp = float(custom.get("eps_isp", 0.0))
-        b.eps_prop = float(custom.get("eps_prop", 0.0))
+        b.eps_qae = custom.eps_qae
+        b.eps_obs = custom.eps_obs
+        b.eps_b = custom.eps_b
+        b.eps_isp = custom.eps_isp
+        b.eps_prop = custom.eps_prop
     else:
         raise ValueError(f"unknown budget policy {policy!r}")
 

@@ -34,20 +34,23 @@ from qdyncost.model import (
 # ---------------------------------------------------------------------------
 # estimation pipeline
 
+# the error-budget fields the report echoes
+REPORTED_BUDGET = ("eps_total", "lambda_obs", "eps_isp", "eps_prop", "eps_b", "eps_qae", "eps_meas",
+                   "eps_h", "eps_t", "eps_v", "eps_theta", "eps_dtilde", "eps_rot", "policy")
+
 
 def _rescaled_frequencies(spec: MoleculeSpec) -> list:
     """Vibrational frequencies rescaled by the factored diagonal, plus the
     translational/rotational Gaussian widths treated as frequencies."""
     nm = spec.normal_modes
-    out = [nm.d_diag[i] ** 2 * nm.omegas[i] for i in range(nm.n_vib)]
-    out += [nm.gamma_trans] * 3 + [nm.upsilon_rot] * 3
-    return out
+    widths = [nm.gamma_trans] * 3 + [nm.upsilon_rot] * 3
+    return [d ** 2 * w for d, w in zip(nm.d_diag, nm.omegas)] + widths
 
 
 def _nuclear_gaussian_matrix(spec: MoleculeSpec) -> np.ndarray:
     """Momentum-space Gaussian matrix of the ground-state nuclear wavepacket
     in Cartesian coordinates: A^-1 diag(1/omega) A^-T."""
-    a_inv = np.linalg.inv(np.asarray(spec.normal_modes.transform, dtype=float))
+    a_inv = np.linalg.inv(spec.normal_modes.transform)
     omegas = np.asarray(_rescaled_frequencies(spec), dtype=float)
     return a_inv @ np.diag(1.0 / omegas) @ a_inv.T
 
@@ -73,7 +76,7 @@ def _delta_target(spec: MoleculeSpec, bud, pad_mode: str) -> tuple[float, dict]:
     if pad_mode == "LCT":
         beta = gridsizer.shear_beta(dims)
         delta_ortho = bud.eps_ortho / (math.sqrt(2.0) * beta * math.sqrt(lmax))
-        t_inv = np.asarray(spec.normal_modes.transform, dtype=float).T  # A^T = X L
+        t_inv = spec.normal_modes.transform.T  # A^T = X L
         _, low_ql = lct.ql_unit_decompose(t_inv)
         info["norm_lct"] = float(np.max(np.sum(np.abs(low_ql), axis=1)))
         return min(delta_shear, delta_ortho), info
@@ -100,12 +103,13 @@ def _isp_deltas(spec: MoleculeSpec, bud) -> dict:
     }
 
 
-def size_grid(spec: MoleculeSpec, bud, pad_mode: str,
-              overrides: dict) -> tuple[gridsizer.GridParams, dict]:
+def size_grid(spec: MoleculeSpec, bud) -> tuple[gridsizer.GridParams, dict]:
     """Size the common grid: the spacing comes from the coordinate-transform
     error budget (which fixes the cell size L), then the cutoffs follow from
-    the truncation targets at that L; ``overrides`` may pin ``n_p``,
-    ``length``, ``n_isp`` and ``n_pad``."""
+    the truncation targets at that L; the molecule's grid overrides may pin
+    ``n_p``, ``length``, ``n_isp`` and ``n_pad``."""
+    pad_mode = spec.budget.pad_mode
+    pins = spec.simulation.overrides
     deltas = _isp_deltas(spec, bud)
     delta_target, info = _delta_target(spec, bud, pad_mode)
     omegas = _rescaled_frequencies(spec)
@@ -123,9 +127,9 @@ def size_grid(spec: MoleculeSpec, bud, pad_mode: str,
 
     grid = gridsizer.common_grid([k_elec] + k_nuc, delta_target, k_nuc, pad_mode,
                                  norm_inf, 3 * spec.particles.eta_n)
-    if "n_p" in overrides or "length" in overrides:
-        n_p = int(overrides.get("n_p", grid.n_p))
-        length_o = float(overrides.get("length", grid.length))
+    if pins.n_p is not None or pins.length is not None:
+        n_p = grid.n_p if pins.n_p is None else pins.n_p
+        length_o = grid.length if pins.length is None else pins.length
         n_grid = 2 ** n_p - 1
         delta = 2.0 * math.pi / length_o
         grid = gridsizer.GridParams(
@@ -138,27 +142,20 @@ def size_grid(spec: MoleculeSpec, bud, pad_mode: str,
             n_isp=min(grid.n_isp, n_p),
             n_pad=grid.n_pad,
         )
-    grid = dataclasses.replace(grid, n_isp=int(overrides.get("n_isp", grid.n_isp)),
-                               n_pad=int(overrides.get("n_pad", grid.n_pad)))
+    grid = dataclasses.replace(grid, n_isp=grid.n_isp if pins.n_isp is None else pins.n_isp,
+                               n_pad=grid.n_pad if pins.n_pad is None else pins.n_pad)
     info.update({"k_elec": k_elec, "k_nuc_max": max(k_nuc), "deltas": deltas})
     return grid, info
 
 
-def estimate_report(spec: MoleculeSpec, seed: int = 0,
-                    budget_policy: str | None = None) -> costs.CostReport:
+def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     """Run the full estimation pipeline on a validated molecule."""
     p = spec.particles
-    overrides = dict(spec.overrides)
-    braw = dict(spec.budget_raw)
-    policy = budget_policy or braw.get("policy", "paper_default")
-    bud = budget_mod.allocate(
-        float(braw.get("eps_total", 0.095)),
-        float(braw.get("lambda_obs", 1.0)),
-        policy=policy,
-        custom=braw.get("custom"),
-    )
-    pad_mode = str(braw.get("pad_mode", "SSCT"))
-    grid, grid_info = size_grid(spec, bud, pad_mode=pad_mode, overrides=overrides)
+    settings = spec.budget
+    bud = budget_mod.allocate(settings.eps_total, settings.lambda_obs,
+                              policy=settings.policy, custom=settings.custom)
+    pad_mode = settings.pad_mode
+    grid, grid_info = size_grid(spec, bud)
 
     length_adj = 2.0 * math.pi / grid.delta
     omega_cell = length_adj ** 3
@@ -168,17 +165,16 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0,
     if not norms.lambda_nu_exact:
         warn.append(f"lambda_nu uses the closed lower bound at n_p={grid.n_p}")
 
-    t_au = spec.time_au
+    t_au = spec.simulation.time_au
     # p_nu is evaluated at n_M = 8, not at the n_M chosen below (ROADMAP item 2)
-    b_r = int(braw.get("b_r", 8))
-    probs = encoding.success_probs(p, grid.n_p, n_m=8, b_r=b_r)
+    probs = encoding.success_probs(p, grid.n_p, n_m=8, b_r=settings.b_r)
     if not probs.p_nu_exact:
         warn.append(f"p_nu uses the nominal 1/4 at n_p={grid.n_p}")
     lam_tilde, strategy = encoding.lambda_h_tilde(
         norms.lambda_t, norms.lambda_v, probs.p_nu, probs.p_zeta, probs.p_eq
     )
-    if "lambda_h_tilde" in overrides:
-        lam_tilde = float(overrides["lambda_h_tilde"])
+    if spec.simulation.overrides.lambda_h_tilde is not None:
+        lam_tilde = spec.simulation.overrides.lambda_h_tilde
         warn.append("lambda_h_tilde overridden by configuration")
 
     budget_mod.resolve_prop_splits(bud, t_au, lam_tilde)
@@ -194,7 +190,7 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0,
     isp_anc_setter = max(isp_rows, key=lambda k: isp_rows[k].ancilla)
 
     walk_rows = costs.cost_block_encoding(p.eta, p.eta_e, grid.n_p, prec.mu_t, prec.n_m,
-                                          prec.n_theta, b_r)
+                                          prec.n_theta, settings.b_r)
     walk = costs.cost_walk(walk_rows["PREP_H"], walk_rows["CTRL_SEL_H"],
                            walk_rows["UNPREP_H"], walk_rows["REFLECT_W"])
     d_tilde = costs.qsp_degree(lam_tilde, t_au, bud.eps_dtilde)
@@ -220,18 +216,17 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0,
     report.qubits["total"] = c_data + report.qubits["C_anc"]
 
     # --- trimming error (seeded Monte Carlo) -----------------------------
-    n_mc = int(braw.get("trim_n_mc", 100_000))
-    alpha = float(braw.get("trim_alpha", 1e-5))
     omega_min = min(_rescaled_frequencies(spec))
     sigma_grid = 1.0 / (grid.delta * math.sqrt(omega_min))
     rng = np.random.Generator(np.random.Philox(seed))
     sampler = budget_mod.gaussian_box_sampler(sigma_grid, 2 ** grid.n_p // 2)
-    trim_bound, all_inside = budget_mod.trim_error_mc(sampler, n_mc, alpha, rng)
+    trim_bound, all_inside = budget_mod.trim_error_mc(sampler, settings.trim_n_mc,
+                                                      settings.trim_alpha, rng)
     if not all_inside:
         warn.append("trim Monte Carlo observed samples outside the interior box")
 
     report.scalars.update({
-        "t_fs": spec.time_fs,
+        "t_fs": spec.simulation.time_fs,
         "t_au": t_au,
         "k_max": grid.k_max,
         "delta": grid.delta,
@@ -261,33 +256,18 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0,
         "d_tilde": math.ceil(d_tilde),
         "qsp_degree_real": d_tilde,
         "eps_trim_bound": trim_bound,
-        "trim_n_mc": n_mc,
-        "trim_alpha": alpha,
+        "trim_n_mc": settings.trim_n_mc,
+        "trim_alpha": settings.trim_alpha,
         "seed": seed,
         "pad_mode": pad_mode,
         "isp_ancilla_set_by": isp_anc_setter,
-        "budget": {
-            "eps_total": bud.eps_total,
-            "lambda_obs": bud.lambda_obs,
-            "eps_isp": bud.eps_isp,
-            "eps_prop": bud.eps_prop,
-            "eps_b": bud.eps_b,
-            "eps_qae": bud.eps_qae,
-            "eps_meas": bud.eps_meas,
-            "eps_h": bud.eps_h,
-            "eps_t": bud.eps_t,
-            "eps_v": bud.eps_v,
-            "eps_theta": bud.eps_theta,
-            "eps_dtilde": bud.eps_dtilde,
-            "eps_rot": bud.eps_rot,
-            "feasibility_margin": bud.feasibility_margin(),
-            "policy": bud.policy,
-        },
+        "budget": {**{name: getattr(bud, name) for name in REPORTED_BUDGET},
+                   "feasibility_margin": bud.feasibility_margin()},
     })
 
     # anchors: print the computed value and the published coarse anchor side
     # by side; never fit to them.
-    anchors = dict(spec.anchors)
+    anchors = dict(spec.simulation.anchors)
     if "c_data" in anchors:
         anchors["c_data_computed"] = c_data
         if int(anchors["c_data"]) != c_data:
@@ -314,20 +294,35 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0,
     return report
 
 
+def _with_value(doc, path: tuple, value):
+    """A copy of ``doc`` with ``value`` at the key path ``path``, copying only the
+    objects along it; a non-object on the path stays, for the parser to reject."""
+    if not isinstance(doc, dict):
+        return doc
+    key, *rest = path
+    return {**doc, key: _with_value(doc.get(key, {}), rest, value) if rest else value}
+
+
 def run_estimate(args: argparse.Namespace, input_path: str, out_path: str | None) -> int:
     """Estimate command: molecule file in, deterministic report out.
 
-    ``params_hash`` is a hash of the effective configuration: the input
-    document, the ``--override`` values, the seed and the budget policy.
+    The ``--override`` values and ``--budget-policy`` are written into the
+    document before it is parsed, so they pass the same checks as file
+    values.  ``params_hash`` is a hash of the effective configuration: the
+    input document, the ``--override`` values, the seed and the budget
+    policy.
     """
     overrides = dict(args.override)
     try:
         with open(input_path) as fh:
             doc = json.load(fh)
-        spec = molecule_from_dict(doc)
-        spec.overrides.update(overrides)
-        report = estimate_report(validate_molecule(spec), seed=args.seed,
-                                 budget_policy=args.budget_policy)
+        effective = doc
+        for key, value in overrides.items():
+            effective = _with_value(effective, ("simulation", "overrides", key), value)
+        if args.budget_policy:
+            effective = _with_value(effective, ("budget", "policy"), args.budget_policy)
+        report = estimate_report(validate_molecule(molecule_from_dict(effective)),
+                                 seed=args.seed)
     except (ValidationError, ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -345,12 +340,7 @@ def run_verify(args: argparse.Namespace) -> int:
 
     suite = verify.run_suite(only=args.only)
     doc = suite.to_json_dict()
-    text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out_path:
-        with open(args.out_path, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out_path)
     for check in doc["checks"]:
         status = "pass" if check["passed"] else "FAIL"
         print(f"{status}: {check['name']} measured={check['measured']:.3e} "
@@ -418,10 +408,10 @@ def _render_markdown(doc: dict) -> str:
         lines.append("")
     lines.append("| subroutine | toffoli | ancilla | bound |")
     lines.append("|---|---|---|---|")
-    for name, row in sorted(doc.get("rows", {}).items()):
-        lines.append(f"| {name} | {row['toffoli']:.4g} | {row['ancilla']} | {row['is_bound']} |")
-    for name, row in sorted(doc.get("aggregates", {}).items()):
-        lines.append(f"| **{name}** | {row['toffoli']:.4g} | {row['ancilla']} | {row['is_bound']} |")
+    for section, mark in (("rows", ""), ("aggregates", "**")):
+        for name, row in sorted(doc.get(section, {}).items()):
+            lines.append(f"| {mark}{name}{mark} | {row['toffoli']:.4g} | {row['ancilla']} "
+                         f"| {row['is_bound']} |")
     lines.append("")
     for name, val in sorted(doc.get("qubits", {}).items()):
         lines.append(f"- qubits/{name}: {val}")
@@ -444,15 +434,18 @@ def _write_report(doc: dict, out_format: str, out_path: str | None):
     elif out_format == "csv":
         rows = [("subroutine", "toffoli", "ancilla", "is_bound", "params_hash")]
         ph = doc.get("params_hash", "")
-        for name, row in sorted(doc.get("rows", {}).items()):
-            rows.append((name, str(row["toffoli"]), str(row["ancilla"]),
-                         str(row["is_bound"]).lower(), ph))
-        for name, row in sorted(doc.get("aggregates", {}).items()):
-            rows.append((name, str(row["toffoli"]), str(row["ancilla"]),
-                         str(row["is_bound"]).lower(), ph))
+        for section in ("rows", "aggregates"):
+            for name, row in sorted(doc.get(section, {}).items()):
+                rows.append((name, str(row["toffoli"]), str(row["ancilla"]),
+                             str(row["is_bound"]).lower(), ph))
         text = "\n".join(",".join(r) for r in rows) + "\n"
     else:
         raise ValueError(f"unknown format {out_format!r}")
+    _emit(text, out_path)
+
+
+def _emit(text: str, out_path: str | None):
+    """Write ``text`` to ``out_path``, or to standard output without one."""
     if out_path:
         with open(out_path, "w") as fh:
             fh.write(text)

@@ -7,10 +7,11 @@ and "perm" steps (quarter turns and the reflection, as signed
 permutations).  On the grid every step is an exact permutation.  A shear
 updates one row at a time: the row adds the half-up rounding of
 sum_j q(b_ij) n_j / 2**r and is wrapped once with a centered modulo, and a
-wrap is counted when that exact integer image leaves the grid.  Programs run
-forward only, on arrays of grid points.  The module also evaluates the
-Gaussian-state error bounds for each step and measures true trace distances
-against exactly resampled Gaussians.
+wrap is counted when that exact integer image leaves the grid, as a perm
+step's negated grid minimum also does.  Programs run forward only, on arrays
+of grid points.  The module also evaluates the Gaussian-state error bounds
+for each step and measures true trace distances against exactly resampled
+Gaussians.
 
 Conventions of the point arithmetic:
   * rounding is half-up on the signed value, R(x) = floor(x + 1/2);
@@ -291,13 +292,14 @@ def _apply_shear(coords: np.ndarray, matrix: np.ndarray, n_bits: int,
             coords[:, i] = _wrap_int(coords[:, i] + _round_scaled(s, r), half, counter)
 
 
-def _apply_perm(coords: np.ndarray, matrix: np.ndarray, n_bits: int):
-    """In-place signed permutation; copies only the columns that move."""
+def _apply_perm(coords: np.ndarray, matrix: np.ndarray, n_bits: int, counter: WrapCounter | None):
+    """In-place signed permutation; copies only the columns that move.  A
+    negated -2**(n_bits-1) leaves the grid and wraps back onto itself."""
     half = np.int64(1) << (n_bits - 1)
     moved = {}
     for i in np.flatnonzero(np.diag(matrix) != 1.0):
         j = int(np.flatnonzero(matrix[i])[0])
-        moved[i] = coords[:, j].copy() if matrix[i, j] > 0 else _wrap_int(-coords[:, j], half, None)
+        moved[i] = coords[:, j].copy() if matrix[i, j] > 0 else _wrap_int(-coords[:, j], half, counter)
     for i, col in moved.items():
         coords[:, i] = col
 
@@ -308,7 +310,7 @@ def push_points(coords: np.ndarray, program: TransformProgram, n_bits: int,
     coords = np.array(coords, dtype=np.int64, copy=True)
     for step in program.steps:
         if step.kind == "perm":
-            _apply_perm(coords, step.matrix, n_bits)
+            _apply_perm(coords, step.matrix, n_bits, counter)
         else:
             _apply_shear(coords, step.matrix, n_bits, counter)
     return coords

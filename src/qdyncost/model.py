@@ -1,16 +1,23 @@
-"""Domain types, unit conventions, and ingestion/validation of molecule files.
+"""Domain types, unit conventions, and the molecule-file schema.
 
 All physical quantities are in atomic units (Hartree energies, bohr lengths,
 electron masses, elementary charges).  Simulation times are accepted in
 femtoseconds and converted with ``1 a.u. of time = 0.0241888 fs``.
 Logarithms are base 2 throughout the package.
+
+This is the only module that knows the molecule file.  Each section of it is
+a frozen dataclass whose fields declare their converter and their one
+default; :func:`molecule_from_dict` builds the whole document through one
+generic section builder, which rejects unknown keys and names the full path
+of any bad field.  :func:`validate_molecule` checks what ties fields
+together.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -38,24 +45,167 @@ def ceil_log2(x) -> int:
 
 
 class ValidationError(ValueError):
-    """Raised when a molecule file violates a structural invariant."""
+    """A molecule file that breaks the schema or a structural invariant.
+
+    ``path`` holds the keys and array indices of the offending field,
+    outermost first; the message starts with it.
+    """
+
+    def __init__(self, reason: str, *path):
+        super().__init__(reason)
+        self.reason = reason
+        self.path = list(path)
+
+    def __str__(self) -> str:
+        where = "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in self.path)
+        return f"{where.lstrip('.')}: {self.reason}" if where else self.reason
+
+
+# ---------------------------------------------------------------------------
+# converters: a JSON value in, a typed value out, or TypeError/ValueError
+
+
+def _convert(convert, value, key):
+    """``convert(value)``; a failure raises ValidationError naming ``key``."""
+    try:
+        return convert(value)
+    except ValidationError as exc:
+        exc.path.insert(0, key)
+        raise
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValidationError(str(exc), key) from None
+
+
+def _typed(value, kind, what: str):
+    if not isinstance(value, kind):
+        raise TypeError(f"must be {what}, got {type(value).__name__}")
+    return value
+
+
+def _number(value) -> float:
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"must be a number, got {type(value).__name__}")
+    return float(value)
+
+
+def _whole(value) -> int:
+    """A number with no fractional part, as an int."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if _number(value).is_integer():
+        return int(value)
+    raise ValueError(f"must be a whole number, got {value!r}")
+
+
+def _bool(value) -> bool:
+    return _typed(value, bool, "true or false")
+
+
+def _at_least(convert, low, strict: bool = False):
+    """``convert``, then reject values below ``low`` (or equal to it if ``strict``)."""
+    def check(value):
+        v = convert(value)
+        if v > low or (v == low and not strict):
+            return v
+        raise ValueError(f"must be {'>' if strict else '>='} {low}, got {v}")
+    return check
+
+
+_positive = _at_least(_number, 0, strict=True)
+_count = _at_least(_whole, 1)
+
+
+def _one_of(choices):
+    """Accept only a value listed in ``choices``."""
+    def check(value):
+        if value in choices:
+            return value
+        raise ValueError(f"must be one of {', '.join(choices)}, got {value!r}")
+    return check
+
+
+def _each(convert, nonempty: bool = False):
+    """A JSON array, ``convert`` on each entry, as a tuple."""
+    def check(value):
+        value = _typed(value, list, "an array")
+        if nonempty and not value:
+            raise ValueError("must not be empty")
+        try:
+            return tuple(map(convert, value))
+        except (TypeError, ValueError, OverflowError):
+            for i, x in enumerate(value):  # find the entry to name
+                _convert(convert, x, i)
+            raise
+    return check
+
+
+def _table(max_rank: int | None = None):
+    """A (nested) JSON array of numbers as a float ndarray; with ``max_rank``,
+    a bond-dimension table: a non-empty int ndarray of at most ``max_rank``
+    axes whose entries are whole numbers >= 1."""
+    def check(value):
+        a = np.asarray(_typed(value, list, "an array"))
+        if a.dtype.kind not in "iuf":
+            raise TypeError("must be a table of numbers")
+        if max_rank is None:
+            return a.astype(float)
+        if a.dtype.kind == "f":
+            if not np.all(np.isfinite(a) & (a == np.trunc(a))):
+                raise ValueError("entries must be whole numbers")
+            a = a.astype(int)
+        if a.size == 0 or a.ndim > max_rank or not np.all(a >= 1):
+            raise ValueError(f"must be a non-empty table of rank <= {max_rank} with "
+                             f"entries >= 1, got shape {a.shape}")
+        return a
+    return check
+
+
+def _anchors(value) -> tuple:
+    """Published values by name, each a positive number, as (name, value)
+    pairs kept as written, so the report echoes them unchanged."""
+    for key, v in _typed(value, dict, "an object").items():
+        _convert(_positive, v, key)
+    return tuple(value.items())
+
+
+def _arg(convert, default=MISSING):
+    """A section field parsed by ``convert``; ``default`` is its only default."""
+    return field(default=default, metadata={"convert": convert})
+
+
+def _section(cls):
+    """The converter of section ``cls``: a JSON object in, each key through
+    its field's converter, absent optional fields at their defaults.  An
+    unknown key or a missing required field is rejected."""
+    specs = [(f.name, f.metadata["convert"], f.default is MISSING) for f in fields(cls)]
+    names = frozenset(name for name, _, _ in specs)
+
+    def build(value):
+        if not names.issuperset(_typed(value, dict, "an object")):
+            key = next(k for k in value if k not in names)
+            raise ValidationError(f"unknown key; expected one of {', '.join(sorted(names))}", key)
+        kwargs = {}
+        for name, convert, required in specs:
+            if name in value:
+                kwargs[name] = _convert(convert, value[name], name)
+            elif required:
+                raise ValidationError("missing required field", name)
+        return cls(**kwargs)
+    return build
+
+
+# ---------------------------------------------------------------------------
+# the sections of a molecule file
 
 
 @dataclass(frozen=True)
 class ParticleTable:
-    """Masses and charges of all particles, electrons first.
+    """Masses and charges of all particles, electrons first."""
 
-    Attributes:
-        masses: particle masses in electron-mass units (electrons have mass 1).
-        charges: signed integer charges in units of e (electrons have -1).
-        eta_e: number of electrons.
-        eta_n: number of nuclei.
-    """
-
-    masses: tuple
-    charges: tuple
-    eta_e: int
-    eta_n: int
+    masses: tuple = _arg(_each(_positive))       # electron-mass units; electrons have 1
+    charges: tuple = _arg(_each(_whole))         # units of e; electrons have -1
+    eta_e: int = _arg(_at_least(_whole, 0))      # number of electrons
+    eta_n: int = _arg(_at_least(_whole, 0))      # number of nuclei
 
     @property
     def eta(self) -> int:
@@ -88,13 +238,13 @@ class NormalModeData:
     harmonic frequencies in Hartree.
     """
 
-    omegas: tuple
-    transform: np.ndarray          # (3*eta_n, 3*eta_n), det = 1
-    d_diag: tuple                  # positive diagonal of the factored scale
-    r0: tuple                      # equilibrium geometry, 3*eta_n bohr values
-    gamma_trans: float             # translational Gaussian width
-    upsilon_rot: float             # rotational Gaussian width
-    linear: bool = False
+    omegas: tuple = _arg(_each(_positive))
+    transform: np.ndarray = _arg(_table())   # (3*eta_n, 3*eta_n), det = 1
+    d_diag: tuple = _arg(_each(_positive))       # diagonal of the factored scale
+    r0: tuple = _arg(_each(_number))             # equilibrium geometry, 3*eta_n bohr values
+    gamma_trans: float = _arg(_positive)         # translational Gaussian width
+    upsilon_rot: float = _arg(_positive)         # rotational Gaussian width
+    linear: bool = _arg(_bool, False)
 
     @property
     def n_vib(self) -> int:
@@ -105,57 +255,119 @@ class NormalModeData:
 class ElectronicMeta:
     """Electronic basis metadata (molecular orbitals and their MPS sizes)."""
 
-    n_mob: int                     # number of molecular orbitals
-    d_configs: int                 # number of electronic configurations
-    n_gauss: int                   # Gaussian primitives per orbital expansion
-    gamma_max: float               # largest Gaussian exponent
-    l_max: int                     # largest Cartesian angular power
-    sigma_ortho: float             # orthogonalization eigenvalue cutoff
-    bond_dims: np.ndarray          # (n_mob, n_sites) per-orbital MPS bond dims
-    b_asp: int = 10                # precision qubits, arbitrary state prep
-    b_rot: int = 8                 # precision qubits, rotation multiplexor
+    n_mob: int = _arg(_count)                    # number of molecular orbitals
+    d_configs: int = _arg(_count)                # number of electronic configurations
+    n_gauss: int = _arg(_count)                  # Gaussian primitives per orbital expansion
+    gamma_max: float = _arg(_positive)           # largest Gaussian exponent
+    l_max: int = _arg(_at_least(_whole, 0))      # largest Cartesian angular power
+    sigma_ortho: float = _arg(_positive)         # orthogonalization eigenvalue cutoff
+    bond_dims: np.ndarray = _arg(_table(max_rank=2))  # (n_mob, n_sites) per-orbital MPS bond dims
+    b_asp: int = _arg(_count, 10)                # precision qubits, arbitrary state prep
+    b_rot: int = _arg(_count, 8)                 # precision qubits, rotation multiplexor
 
 
 @dataclass(frozen=True)
 class NuclearMeta:
     """Nuclear basis metadata (single-modals and their MPS sizes)."""
 
-    n_smb: int                     # single-modal basis size per mode
-    n_vib: int
-    d_configs: int                 # number of nuclear configurations
-    n_hg: int                      # Hermite-Gaussian primitives per mode
-    bond_dims: np.ndarray          # (n_modes, n_smb, n_sites) MPS bond dims
-    b_asp: int = 10
-    b_rot: int = 8
-    b_grad: int = 30               # phase-gradient register width
+    n_smb: int = _arg(_count)                    # single-modal basis size per mode
+    n_vib: int = _arg(_whole)
+    d_configs: int = _arg(_count)                # number of nuclear configurations
+    n_hg: int = _arg(_count)                     # Hermite-Gaussian primitives per mode
+    bond_dims: np.ndarray = _arg(_table(max_rank=3))  # (n_modes, n_smb, n_sites) MPS bond dims
+    b_asp: int = _arg(_count, 10)
+    b_rot: int = _arg(_count, 8)
+    b_grad: int = _arg(_count, 30)               # phase-gradient register width
 
 
 @dataclass(frozen=True)
 class ChannelConstraint:
     """One pairwise-distance constraint of a reaction channel."""
 
-    alpha: int                     # nucleus index
-    beta: int                      # nucleus index
-    cutoff: float                  # bohr
-    direction: str                 # "greater" | "less"
+    alpha: int = _arg(_whole)                    # nucleus index
+    beta: int = _arg(_whole)                     # nucleus index
+    cutoff: float = _arg(_positive)              # bohr
+    direction: str = _arg(_one_of(("greater", "less")))
 
 
 @dataclass(frozen=True)
 class ReactionChannel:
     """A reaction channel: conjunction of pairwise-distance constraints."""
 
-    constraints: tuple
+    constraints: tuple = _arg(_each(_section(ChannelConstraint), nonempty=True))
 
     @property
     def b_j(self) -> int:
         return len(self.constraints)
 
     def nuclei_involved(self) -> set:
-        out = set()
-        for c in self.constraints:
-            out.add(c.alpha)
-            out.add(c.beta)
-        return out
+        return {c.alpha for c in self.constraints} | {c.beta for c in self.constraints}
+
+
+@dataclass(frozen=True)
+class BudgetShares:
+    """The explicit shares of the ``custom`` budget policy."""
+
+    eps_isp: float = _arg(_number, 0.0)
+    eps_prop: float = _arg(_number, 0.0)
+    eps_b: float = _arg(_number, 0.0)
+    eps_qae: float = _arg(_number, 0.0)
+    eps_obs: float = _arg(_number, 0.0)
+
+
+@dataclass(frozen=True)
+class BudgetSettings:
+    """The error budget and the settings that size the estimate."""
+
+    eps_total: float = _arg(_number, 0.095)
+    lambda_obs: float = _arg(_positive, 1.0)
+    policy: str = _arg(_one_of(BUDGET_POLICIES), "paper_default")
+    custom: BudgetShares = _arg(_section(BudgetShares), BudgetShares())
+    pad_mode: str = _arg(_one_of(PAD_MODES), "SSCT")
+    b_r: int = _arg(_count, 8)                   # amplitude-amplification rotation bits
+    trim_n_mc: int = _arg(_count, 100_000)       # trim Monte Carlo samples
+    trim_alpha: float = _arg(_number, 1e-5)      # trim Monte Carlo confidence level
+
+
+@dataclass(frozen=True)
+class GridOverrides:
+    """Grid values pinned for anchor comparisons; None leaves a value computed."""
+
+    n_p: int | None = _arg(_at_least(_whole, 2), None)
+    length: float | None = _arg(_positive, None)
+    n_isp: int | None = _arg(_count, None)
+    n_pad: int | None = _arg(_at_least(_whole, 0), None)
+    lambda_h_tilde: float | None = _arg(_positive, None)
+
+
+@dataclass(frozen=True)
+class Simulation:
+    """Simulation time, grid pins, and published values to print alongside."""
+
+    time_fs: float = _arg(_positive, 30.0)
+    overrides: GridOverrides = _arg(_section(GridOverrides), GridOverrides())
+    anchors: tuple = _arg(_anchors, ())
+
+    @property
+    def time_au(self) -> float:
+        return fs_to_au(self.time_fs)
+
+
+@dataclass(frozen=True)
+class MoleculeSpec:
+    """Parsed physical input: the estimator's sole description of a run."""
+
+    particles: ParticleTable = _arg(_section(ParticleTable))
+    normal_modes: NormalModeData = _arg(_section(NormalModeData))
+    electronic: ElectronicMeta = _arg(_section(ElectronicMeta))
+    nuclear: NuclearMeta = _arg(_section(NuclearMeta))
+    channels: tuple = _arg(_each(_section(ReactionChannel)))
+    budget: BudgetSettings = _arg(_section(BudgetSettings))
+    simulation: Simulation = _arg(_section(Simulation), Simulation())
+    allow_non_neutral: bool = _arg(_bool, False)
+
+
+_MOLECULE = _section(MoleculeSpec)
 
 
 @dataclass
@@ -171,6 +383,7 @@ class ErrorBudget:
 
     eps_total: float
     lambda_obs: float
+    policy: str
     eps_isp: float = 0.0
     eps_prop: float = 0.0
     eps_b: float = 0.0
@@ -196,7 +409,6 @@ class ErrorBudget:
     eps_pk: float = 0.0
     eps_trim: float = 0.0
     eps_lct: float = 0.0
-    policy: str = "paper_default"
 
     def feasibility_margin(self) -> float:
         """Slack of the top-level constraint; non-negative iff feasible."""
@@ -204,261 +416,65 @@ class ErrorBudget:
         return self.eps_total - used - self.eps_meas
 
 
-@dataclass
-class MoleculeSpec:
-    """Validated physical input: the estimator's sole description of a run."""
-
-    particles: ParticleTable
-    normal_modes: NormalModeData
-    electronic: ElectronicMeta
-    nuclear: NuclearMeta
-    channels: tuple
-    budget_raw: dict
-    time_fs: float = 30.0
-    allow_non_neutral: bool = False
-    overrides: dict = field(default_factory=dict)
-    anchors: dict = field(default_factory=dict)
-
-    @property
-    def time_au(self) -> float:
-        return fs_to_au(self.time_fs)
-
-
-def _require(cond: bool, msg: str):
-    if not cond:
-        raise ValidationError(msg)
-
-
-_REQUIRED = object()
-
-
-def _object(value, where: str = "value") -> dict:
-    _require(isinstance(value, dict), f"{where} must be an object, got {type(value).__name__}")
-    return value
-
-
-def _list(value) -> list:
-    if not isinstance(value, list):
-        raise TypeError(f"expected an array, got {type(value).__name__}")
-    return value
-
-
-def _field(section: dict, where: str, key: str, convert, default=_REQUIRED):
-    """``convert(section[key])``; a missing or malformed value raises
-    ValidationError naming the field ``where.key``."""
-    name = f"{where}.{key}" if where else key
-    if key not in section:
-        _require(default is not _REQUIRED, f"missing field {name}")
-        return default
-    try:
-        return convert(section[key])
-    except (TypeError, ValueError, OverflowError, ValidationError) as exc:
-        raise ValidationError(f"{name}: {exc}") from None
-
-
-def _at_least(convert, low, strict: bool = False):
-    """``convert``, then reject values below ``low`` (or equal to it if ``strict``)."""
-    def check(value):
-        v = convert(value)
-        _require(v > low if strict else v >= low,
-                 f"must be {'>' if strict else '>='} {low}, got {v}")
-        return v
-    return check
-
-
-def _one_of(choices):
-    """Accept only a value listed in ``choices``."""
-    def check(value):
-        _require(value in choices, f"must be one of {', '.join(choices)}, got {value!r}")
-        return value
-    return check
-
-
-def _floats(value) -> tuple:
-    return tuple(float(x) for x in _list(value))
-
-
-def _ints(value) -> tuple:
-    return tuple(int(x) for x in _list(value))
-
-
-def _constraint(value) -> ChannelConstraint:
-    c = _object(value, "constraint")
-    return ChannelConstraint(
-        alpha=_field(c, "constraint", "alpha", int),
-        beta=_field(c, "constraint", "beta", int),
-        cutoff=_field(c, "constraint", "cutoff", float),
-        direction=_field(c, "constraint", "direction", str),
-    )
-
-
-def _channel(value) -> ReactionChannel:
-    constraints = _field(_object(value, "channel"), "channel", "constraints", _list)
-    return ReactionChannel(constraints=tuple(_constraint(c) for c in constraints))
-
-
 def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
-    """Check all structural invariants of a parsed molecule description.
-
-    Returns the input unchanged on success; raises :class:`ValidationError`
-    with a diagnostic message otherwise.
-    """
+    """Check the invariants that tie two or more fields of a parsed molecule
+    together (its converter checked each field alone).  Returns the input
+    unchanged, or raises :class:`ValidationError` naming the field."""
     p = spec.particles
-    _require(p.eta_e >= 0 and p.eta_n >= 0, "particle counts must be non-negative")
-    _require(len(p.masses) == len(p.charges), "masses and charges must have equal length")
-    _require(p.eta == len(p.masses), f"eta={p.eta} != number of particle entries {len(p.masses)}")
-    _require(p.eta >= 1, "at least one particle required")
-    for j in range(p.eta_e):
-        _require(p.masses[j] == 1, f"electron {j} must have mass 1, got {p.masses[j]}")
-        _require(p.charges[j] == -1, f"electron {j} must have charge -1, got {p.charges[j]}")
-    for j, (m, z) in enumerate(zip(p.masses, p.charges)):
-        _require(m > 0, f"particle {j} has non-positive mass {m}")
-        _require(z == int(z), f"particle {j} has non-integer charge {z}")
+    if not len(p.masses) == len(p.charges) == p.eta >= 1:
+        raise ValidationError(f"eta_e + eta_n = {p.eta} must be >= 1 and equal the numbers of "
+                              f"masses ({len(p.masses)}) and charges ({len(p.charges)})",
+                              "particles")
+    if p.masses[:p.eta_e].count(1) + p.charges[:p.eta_e].count(-1) != 2 * p.eta_e:
+        raise ValidationError("the first eta_e particles are electrons, of mass 1 and "
+                              "charge -1", "particles")
     if not p.is_neutral and not spec.allow_non_neutral:
-        raise ValidationError(
-            f"net charge {sum(p.charges)} != 0; set allow_non_neutral to override"
-        )
+        raise ValidationError(f"net charge {sum(p.charges)} != 0; set allow_non_neutral "
+                              f"to override", "particles", "charges")
 
     nm = spec.normal_modes
-    if p.eta_n > 0:
-        dim = 3 * p.eta_n
-        a = np.asarray(nm.transform, dtype=float)
-        _require(a.shape == (dim, dim), f"transform must be {dim}x{dim}, got {a.shape}")
-        det = float(np.linalg.det(a))
-        _require(abs(det - 1.0) <= DET_A_TOL, f"det(transform)={det!r} deviates from 1 beyond {DET_A_TOL}")
-        expected_vib = max(0, dim - (5 if nm.linear else 6))
-        _require(
-            nm.n_vib == expected_vib,
-            f"expected {expected_vib} vibrational frequencies for "
-            f"{'linear' if nm.linear else 'non-linear'} molecule, got {nm.n_vib}",
-        )
-        for i, w in enumerate(nm.omegas):
-            _require(w > 0, f"frequency {i} must be positive, got {w}")
-        _require(len(nm.d_diag) == dim, f"scale diagonal must have {dim} entries")
-        for i, d in enumerate(nm.d_diag):
-            _require(d > 0, f"scale diagonal entry {i} must be positive, got {d}")
-        _require(len(nm.r0) == dim, f"equilibrium geometry must have {dim} entries")
-        _require(nm.gamma_trans > 0 and nm.upsilon_rot > 0, "Gaussian widths must be positive")
+    dim = 3 * p.eta_n
+    if dim:
+        shape = nm.transform.shape
+        det = float(np.linalg.det(nm.transform)) if shape == (dim, dim) else math.nan
+        if not abs(det - 1.0) <= DET_A_TOL:
+            raise ValidationError(f"must be {dim}x{dim} with det 1 within {DET_A_TOL}, got "
+                                  f"shape {shape} and det={det!r}", "normal_modes", "transform")
+        n_vib = max(0, dim - (5 if nm.linear else 6))
+        if nm.n_vib != n_vib:
+            raise ValidationError(f"expected {n_vib} vibrational frequencies for a "
+                                  f"{'linear' if nm.linear else 'non-linear'} molecule, "
+                                  f"got {nm.n_vib}", "normal_modes", "omegas")
+        for key in ("d_diag", "r0"):
+            if len(getattr(nm, key)) != dim:
+                raise ValidationError(f"must have {dim} entries", "normal_modes", key)
+    if spec.nuclear.n_vib != nm.n_vib:
+        raise ValidationError(f"must equal the number of normal_modes.omegas ({nm.n_vib}), "
+                              f"got {spec.nuclear.n_vib}", "nuclear", "n_vib")
 
-    e, n = spec.electronic, spec.nuclear
-    _require(e.n_mob >= 1 and e.d_configs >= 1 and e.n_gauss >= 1, "electronic counts must be >= 1")
-    _require(e.gamma_max > 0 and e.sigma_ortho > 0, "gamma_max and sigma must be positive")
-    _require(e.l_max >= 0, "l_max must be non-negative")
-    _require(min(e.b_asp, e.b_rot, n.b_asp, n.b_rot, n.b_grad) >= 1,
-             "precision widths b_asp, b_rot and b_grad must be >= 1")
-    _require(np.size(e.bond_dims) > 0 and np.all(np.asarray(e.bond_dims) >= 1),
-             "electronic.bond_dims must be a non-empty table of entries >= 1")
-    _require(np.ndim(e.bond_dims) <= 2,
-             f"electronic.bond_dims must have rank <= 2, got {np.ndim(e.bond_dims)}")
-
-    _require(n.n_smb >= 1 and n.d_configs >= 1 and n.n_hg >= 1, "nuclear counts must be >= 1")
-    _require(n.n_vib == nm.n_vib, f"nuclear.n_vib={n.n_vib} must equal the number of "
-             f"normal_modes.omegas ({nm.n_vib})")
-    _require(np.size(n.bond_dims) > 0 and np.all(np.asarray(n.bond_dims) >= 1),
-             "nuclear.bond_dims must be a non-empty table of entries >= 1")
-    _require(np.ndim(n.bond_dims) <= 3,
-             f"nuclear.bond_dims must have rank <= 3, got {np.ndim(n.bond_dims)}")
-
-    for ch in spec.channels:
-        for c in ch.constraints:
+    max_pairs = p.eta_n * (p.eta_n - 1) // 2
+    for i, ch in enumerate(spec.channels):
+        for k, c in enumerate(ch.constraints):
             for name in ("alpha", "beta"):
-                _require(0 <= getattr(c, name) < p.eta_n,
-                         f"constraint {name}={getattr(c, name)} is not a nucleus index "
-                         f"in [0, eta_n={p.eta_n})")
-            _require(c.alpha != c.beta, f"constraint pairs a nucleus with itself: {c}")
-            _require(c.cutoff > 0, f"constraint cutoff must be positive: {c}")
-            _require(c.direction in ("greater", "less"), f"unknown direction {c.direction!r}")
-        max_pairs = p.eta_n * (p.eta_n - 1) // 2
-        _require(ch.b_j >= 1, "reaction channel needs at least one constraint")
-        _require(ch.b_j <= max_pairs, f"channel has {ch.b_j} constraints > eta_n(eta_n-1)/2 = {max_pairs}")
-
-    # settings the estimator reads must convert as it reads them
-    for where, section, fields in (
-            ("budget", spec.budget_raw, dict(eps_total=float, lambda_obs=float, b_r=int,
-                                             trim_n_mc=int, trim_alpha=float, custom=_object,
-                                             pad_mode=_one_of(PAD_MODES),
-                                             policy=_one_of(BUDGET_POLICIES))),
-            ("simulation.overrides", spec.overrides, dict(
-                n_p=_at_least(int, 2), length=_at_least(float, 0, strict=True),
-                n_isp=_at_least(int, 1), n_pad=_at_least(int, 0),
-                lambda_h_tilde=_at_least(float, 0, strict=True)))):
-        for key, convert in fields.items():
-            _field(section, where, key, convert, None)
-    _require(all(isinstance(v, (int, float)) and v > 0 for v in spec.anchors.values()),
-             "simulation.anchors values must be positive numbers")
+                if not 0 <= getattr(c, name) < p.eta_n:
+                    raise ValidationError(f"{name}={getattr(c, name)} is not a nucleus index "
+                                          f"in [0, eta_n={p.eta_n})",
+                                          "channels", i, "constraints", k)
+            if c.alpha == c.beta:
+                raise ValidationError("pairs a nucleus with itself",
+                                      "channels", i, "constraints", k)
+        if ch.b_j > max_pairs:
+            raise ValidationError(f"{ch.b_j} constraints > eta_n(eta_n-1)/2 = {max_pairs}",
+                                  "channels", i, "constraints")
     return spec
 
 
 def molecule_from_dict(doc: dict) -> MoleculeSpec:
-    """Build an (unvalidated) MoleculeSpec from a parsed JSON document.
-
-    A missing or malformed field raises :class:`ValidationError` naming it.
-    """
-    _object(doc, "molecule document")
-    missing = [k for k in ("particles", "normal_modes", "electronic", "nuclear", "channels", "budget") if k not in doc]
-    if missing:
-        raise ValidationError(f"missing required top-level key(s): {', '.join(missing)}")
-
-    pd = _object(doc["particles"], "particles")
-    particles = ParticleTable(
-        masses=_field(pd, "particles", "masses", _floats),
-        charges=_field(pd, "particles", "charges", _ints),
-        eta_e=_field(pd, "particles", "eta_e", int),
-        eta_n=_field(pd, "particles", "eta_n", int),
-    )
-
-    nd = _object(doc["normal_modes"], "normal_modes")
-    normal_modes = NormalModeData(
-        omegas=_field(nd, "normal_modes", "omegas", _floats),
-        transform=_field(nd, "normal_modes", "transform", lambda v: np.asarray(v, dtype=float)),
-        d_diag=_field(nd, "normal_modes", "d_diag", _floats),
-        r0=_field(nd, "normal_modes", "r0", _floats),
-        gamma_trans=_field(nd, "normal_modes", "gamma_trans", float),
-        upsilon_rot=_field(nd, "normal_modes", "upsilon_rot", float),
-        linear=bool(nd.get("linear", False)),
-    )
-
-    ed = _object(doc["electronic"], "electronic")
-    electronic = ElectronicMeta(
-        n_mob=_field(ed, "electronic", "n_mob", int),
-        d_configs=_field(ed, "electronic", "d_configs", int),
-        n_gauss=_field(ed, "electronic", "n_gauss", int),
-        gamma_max=_field(ed, "electronic", "gamma_max", float),
-        l_max=_field(ed, "electronic", "l_max", int),
-        sigma_ortho=_field(ed, "electronic", "sigma_ortho", float),
-        bond_dims=_field(ed, "electronic", "bond_dims", lambda v: np.asarray(v, dtype=int)),
-        b_asp=_field(ed, "electronic", "b_asp", int, 10),
-        b_rot=_field(ed, "electronic", "b_rot", int, 8),
-    )
-
-    nud = _object(doc["nuclear"], "nuclear")
-    nuclear = NuclearMeta(
-        n_smb=_field(nud, "nuclear", "n_smb", int),
-        n_vib=_field(nud, "nuclear", "n_vib", int),
-        d_configs=_field(nud, "nuclear", "d_configs", int),
-        n_hg=_field(nud, "nuclear", "n_hg", int),
-        bond_dims=_field(nud, "nuclear", "bond_dims", lambda v: np.asarray(v, dtype=int)),
-        b_asp=_field(nud, "nuclear", "b_asp", int, 10),
-        b_rot=_field(nud, "nuclear", "b_rot", int, 8),
-        b_grad=_field(nud, "nuclear", "b_grad", int, 30),
-    )
-
-    channels = _field(doc, "", "channels", lambda v: tuple(_channel(c) for c in _list(v)))
-    budget_raw = _object(doc["budget"], "budget")
-    sim = _object(doc.get("simulation", {}), "simulation")
-    return MoleculeSpec(
-        particles=particles,
-        normal_modes=normal_modes,
-        electronic=electronic,
-        nuclear=nuclear,
-        channels=channels,
-        budget_raw=dict(budget_raw),
-        time_fs=_field(sim, "simulation", "time_fs", float,
-                       _field(budget_raw, "budget", "time_fs", float, 30.0)),
-        allow_non_neutral=bool(doc.get("allow_non_neutral", False)),
-        overrides=dict(_object(sim.get("overrides", {}), "simulation.overrides")),
-        anchors=dict(_object(sim.get("anchors", {}), "simulation.anchors")),
-    )
+    """Build an (unvalidated) MoleculeSpec from a parsed JSON document; a
+    missing, unknown or malformed field raises :class:`ValidationError` naming its path."""
+    if not isinstance(doc, dict):
+        raise ValidationError(f"a molecule document must be an object, got {type(doc).__name__}")
+    return _MOLECULE(doc)
 
 
 def load_molecule(path) -> MoleculeSpec:

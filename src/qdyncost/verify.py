@@ -16,13 +16,18 @@ from __future__ import annotations
 
 import fnmatch
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_hermite, jv
 
 MAX_DENSE_DIM = 4096
+# seed of the check suite; each check draws from its own stream, keyed by its
+# name, so a check's instances do not depend on which checks ran before it
+SUITE_SEED = 20240817
+SM_REF_FACTOR = 5.0   # the single-modal reference lattice reaches this multiple of the cutoff
+TT_RANK_TOL = 1e-12   # relative singular-value cut of the tensor-train rank
 
 
 # ---------------------------------------------------------------------------
@@ -115,7 +120,7 @@ def galerkin_hamiltonian(masses, charges, n_p: int, length: float, dims: int = 3
     return h
 
 
-def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int | None = None):
+def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int):
     """Explicitly sum the unitary decomposition of the grid Hamiltonian.
 
     Kinetic terms iterate over (b, particle, axis, bit r, bit s) with
@@ -129,8 +134,6 @@ def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int | None = N
     masses = list(masses)
     charges = list(charges)
     eta = len(masses)
-    if eta_e is None:
-        eta_e = sum(1 for z in charges if z < 0)
     dims = 3
     points, strides, particle_pt = _basis(masses, n_p, dims)
     total = len(particle_pt[0])
@@ -249,20 +252,19 @@ def hermite_gaussian(n: int, x: np.ndarray) -> np.ndarray:
     return cn * np.exp(-x ** 2 / 2.0) * eval_hermite(n, x)
 
 
-def sm_projection_check(nu: int, omega: float, length: float, k_cut: float,
-                        ref_factor: float = 5.0):
+def sm_projection_check(nu: int, omega: float, length: float, k_cut: float):
     """Plane-wave coefficients of a Hermite-Gaussian single-modal and the
     distance incurred by truncating the lattice at ``k_cut``.
 
     Coefficients are proportional to ``(-i)^nu psi_nu(k/sqrt(omega))`` on the
     lattice ``k = 2 pi m / L``; the reference normalization extends the
-    lattice to ``ref_factor * k_cut``.
+    lattice to ``SM_REF_FACTOR * k_cut``.
     Returns (k values, coefficients, trace distance).
     """
     if nu > 8:
         raise ValueError("single-modal index capped at 8 for desk checks")
     spacing = 2.0 * math.pi / length
-    m_ref = int(math.floor(ref_factor * k_cut / spacing))
+    m_ref = int(math.floor(SM_REF_FACTOR * k_cut / spacing))
     k_ref = spacing * np.arange(-m_ref, m_ref + 1)
     psi = hermite_gaussian(nu, k_ref / math.sqrt(omega))
     coeff_ref = (-1j) ** nu * psi
@@ -274,7 +276,7 @@ def sm_projection_check(nu: int, omega: float, length: float, k_cut: float,
     return k_ref[inside], coeff_ref[inside], dist
 
 
-def poly_mps_bond_check(coeffs, n_bits: int, tol: float = 1e-12) -> int:
+def poly_mps_bond_check(coeffs, n_bits: int) -> int:
     """Measured tensor-train rank of a polynomial sampled on the
     two's-complement grid; bounded by 2*deg + 4.
 
@@ -296,7 +298,7 @@ def poly_mps_bond_check(coeffs, n_bits: int, tol: float = 1e-12) -> int:
     for _ in range(n_bits - 1):
         rest = rest.reshape(rank * 2, -1)
         u, s, vt = np.linalg.svd(rest, full_matrices=False)
-        keep = int(np.sum(s > tol * s[0])) if s[0] > 0 else 1
+        keep = int(np.sum(s > TT_RANK_TOL * s[0])) if s[0] > 0 else 1
         keep = max(keep, 1)
         max_rank = max(max_rank, keep)
         rank = keep
@@ -388,33 +390,21 @@ class SuiteReport:
         return all(r.passed for r in self.results)
 
     def to_json_dict(self) -> dict:
-        return {
-            "passed": self.passed,
-            "checks": [
-                {
-                    "name": r.name,
-                    "passed": r.passed,
-                    "measured": r.measured,
-                    "bound": r.bound,
-                    "details": r.details,
-                }
-                for r in self.results
-            ],
-        }
+        return {"passed": self.passed, "checks": [asdict(r) for r in self.results]}
 
 
 def run_suite(only: str | None = None) -> SuiteReport:
     """Run the verification suite; ``only`` filters check names by glob."""
     from qdyncost import encoding  # local import to avoid cycles
+    from qdyncost.model import ChannelConstraint, ParticleTable, ReactionChannel
 
-    rng = np.random.Generator(np.random.Philox(20240817))
     checks = []
 
     def add(name, fn):
         if only is None or fnmatch.fnmatch(name, only):
             checks.append((name, fn))
 
-    def check_lcu_equality():
+    def check_lcu_equality(rng):
         masses = [1.0, 1836.0]
         charges = [-1, 1]
         length = 5.0
@@ -423,7 +413,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
         dev = float(np.linalg.norm(hl - hg, 2))
         return dev, 1e-12
 
-    def check_lcu_norms():
+    def check_lcu_norms(rng):
         devs = []
         for _ in range(10):
             # eta = 2 is the largest 3D instance under the dense cap
@@ -435,10 +425,8 @@ def run_suite(only: str | None = None) -> SuiteReport:
                 if charges[j] > 0:
                     masses[j] = float(rng.uniform(100.0, 2000.0))
             length = float(rng.uniform(3.0, 9.0))
-            _, lam_t_sum, lam_v_sum = lcu_assemble(masses, charges, 2, length,
-                                                   eta_e=sum(1 for z in charges if z < 0))
-            from qdyncost.model import ParticleTable
             eta_e = sum(1 for z in charges if z < 0)
+            _, lam_t_sum, lam_v_sum = lcu_assemble(masses, charges, 2, length, eta_e=eta_e)
             pt = ParticleTable(masses=tuple(masses), charges=tuple(charges),
                                eta_e=eta_e, eta_n=eta - eta_e)
             norms = encoding.lcu_norms(pt, 2, length ** 3)
@@ -446,7 +434,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
             devs.append(abs(lam_v_sum - norms.lambda_v) / norms.lambda_v)
         return float(max(devs)), 1e-10
 
-    def check_qubiterate():
+    def check_qubiterate(rng):
         worst = 0.0
         for _ in range(20):
             dim = int(rng.integers(4, 17))
@@ -456,7 +444,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
             worst = max(worst, qubiterate_check(h, lam))
         return worst, 1e-10
 
-    def check_jacobi_anger():
+    def check_jacobi_anger(rng):
         worst_ratio = 0.0
         for lt in (1.0, 5.0, 20.0):
             for eps in (1e-3, 1e-6):
@@ -470,7 +458,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
                 worst_ratio = max(worst_ratio, err / eps)
         return worst_ratio, 1.0
 
-    def check_unitarity():
+    def check_unitarity(rng):
         worst = 0.0
         for _ in range(5):
             dim = int(rng.integers(4, 13))
@@ -482,7 +470,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
             worst = max(worst, float(np.linalg.norm(u @ u.conj().T - np.eye(dim), 2)))
         return worst, 1e-10
 
-    def check_sm_truncation():
+    def check_sm_truncation(rng):
         from qdyncost.gridsizer import k_cutoff_nuclear
         worst_ratio = 0.0
         for nu in range(5):
@@ -493,7 +481,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
                     worst_ratio = max(worst_ratio, dist / delta)
         return worst_ratio, 1.0
 
-    def check_poly_mps():
+    def check_poly_mps(rng):
         worst_slack = 0.0
         for deg in range(6):
             for n_bits in (4, 6, 8, 10):
@@ -503,8 +491,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
                 worst_slack = max(worst_slack, rank - (2 * deg + 4))
         return worst_slack, 0.0
 
-    def check_yield_projectors():
-        from qdyncost.model import ChannelConstraint, ReactionChannel
+    def check_yield_projectors(rng):
         pts = rng.integers(-8, 8, size=(200, 3, 3))
         c = ChannelConstraint(alpha=0, beta=1, cutoff=5.0, direction="greater")
         chan = ReactionChannel(constraints=(c,))
@@ -515,7 +502,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
         complete = float(np.max(np.abs(diag + diag_c - 1.0)))
         return max(idem, complete), 0.0
 
-    def check_tc2sm():
+    def check_tc2sm(rng):
         bad = 0
         for v in range(64):
             if v == 32:  # -2**5 pattern has no image
@@ -536,8 +523,9 @@ def run_suite(only: str | None = None) -> SuiteReport:
 
     report = SuiteReport()
     for name, fn in checks:
+        rng = np.random.Generator(np.random.Philox([SUITE_SEED, *name.encode()]))
         try:
-            measured, bound = fn()
+            measured, bound = fn(rng)
             report.results.append(CheckResult(name, measured <= bound, measured, bound))
         except Exception as exc:  # surface as a failed check, not a crash
             report.results.append(CheckResult(name, False, math.inf, 0.0, details=str(exc)))

@@ -13,6 +13,7 @@ from qdyncost.budget import (
     resolve_prop_splits,
     trim_error_mc,
 )
+from qdyncost.model import BudgetShares
 
 
 def test_default_split_closes_exactly():
@@ -42,12 +43,12 @@ def test_zero_budget_rejected():
 def test_infeasible_custom_split_rejected():
     with pytest.raises(ValueError, match="infeasible"):
         allocate(0.01, 1.0, policy="custom",
-                 custom={"eps_qae": 0.009, "eps_isp": 0.002, "eps_prop": 0.0})
+                 custom=BudgetShares(eps_qae=0.009, eps_isp=0.002, eps_prop=0.0))
 
 
 def test_custom_split_accepted():
     b = allocate(0.1, 1.0, policy="custom",
-                 custom={"eps_qae": 0.05, "eps_isp": 0.02, "eps_prop": 0.005})
+                 custom=BudgetShares(eps_qae=0.05, eps_isp=0.02, eps_prop=0.005))
     assert b.feasibility_margin() >= 0
 
 
@@ -57,7 +58,7 @@ def test_custom_split_accepted():
 def test_custom_split_rejects_out_of_range_share(share, value):
     custom = {"eps_qae": 0.05, "eps_isp": 0.02, "eps_prop": 0.005, share: value}
     with pytest.raises(ValueError, match=share):
-        allocate(0.1, 1.0, policy="custom", custom=custom)
+        allocate(0.1, 1.0, policy="custom", custom=BudgetShares(**custom))
 
 
 @given(st.floats(min_value=1e-4, max_value=0.9), st.floats(min_value=0.25, max_value=8.0))

@@ -228,6 +228,30 @@ def test_malformed_molecule_exits_2(tmp_path, capsys, section, key, value, field
     assert "Traceback" not in err
 
 
+def _set_charge(doc):
+    doc["particles"]["charges"][12] = 1.5
+
+
+@pytest.mark.parametrize("edit, flags, field", [
+    (None, ["--override", "n_P=20"], "simulation.overrides.n_P"),
+    (lambda doc: doc["budget"].update(custom={"eps_bogus": 0.1}), [], "budget.custom.eps_bogus"),
+    (_set_charge, [], "particles.charges[12]"),
+    (lambda doc: doc["normal_modes"].update(linear="false"), [], "normal_modes.linear"),
+])
+def test_schema_violation_exits_2(tmp_path, capsys, edit, flags, field):
+    # typos, unknown shares and fractional integers were once read past
+    doc = json.loads(Path(CH4).read_text())
+    if edit:
+        edit(doc)
+    mol = tmp_path / "bad.json"
+    mol.write_text(json.dumps(doc))
+    assert main(["estimate", "--input", str(mol), "--out", str(tmp_path / "o.json"),
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert field in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("key, value", [
     ("n_p", 1), ("length", 0), ("n_isp", 0), ("n_pad", -1), ("lambda_h_tilde", 0),
 ])

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -333,7 +334,8 @@ def test_isp_rows_in_ledger_order():
     spec = load_molecule("molecules/ch4_synthetic.json")
     bud = allocate(0.095, 1.0)
     for pad_mode, nct in (("SSCT", cost_ssct), ("LCT", cost_lct)):
-        grid, _ = size_grid(spec, bud, pad_mode, {})
+        spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
+        grid, _ = size_grid(spec, bud)
         rows = cost_isp(spec, grid, pad_mode, bud.eps_pk)
         assert list(rows) == ["ASP_e", "SoSlat_e", "ONB2MOB", "ASYM", "W_e", "ASP_n",
                               "SoSlat_n", "ONB2SMB", "W_n", "PK", "TC2SM", "NCT"]
@@ -360,7 +362,7 @@ def test_golden_report_regression(golden_file):
 
     def report():
         spec = load_molecule(molecule)
-        spec.budget_raw["pad_mode"] = pad_mode
+        spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
         return estimate_report(spec, seed=7).to_json_dict()
 
     doc1, doc2 = report(), report()

@@ -314,6 +314,14 @@ def test_wrap_counted_once_per_row_update():
     assert counter.count == 0
 
 
+def test_negated_grid_minimum_counts_one_wrap():
+    # -(-8) = 8 leaves the 4-bit grid [-8, 7] and wraps back onto -8
+    counter = WrapCounter()
+    prog = TransformProgram(dim=2, steps=[Step("perm", np.diag([-1.0, 1.0]))])
+    assert push_points(np.array([[-8, 0]]), prog, 4, counter).tolist() == [[-8, 0]]
+    assert counter.count == 1
+
+
 def exact_push(points, steps, n_bits):
     """Oracle: each row update in exact integer arithmetic, then one
     centered wrap; returns the images and the number of updates whose

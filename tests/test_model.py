@@ -63,11 +63,11 @@ def test_det_deviation_rejected():
 def test_negative_mass_and_frequency_rejected():
     doc = json.loads(Path(CH4).read_text())
     doc["particles"]["masses"][12] = -5.0
-    with pytest.raises(ValidationError, match="mass"):
+    with pytest.raises(ValidationError, match=r"particles\.masses\[12\]"):
         validate_molecule(molecule_from_dict(doc))
     doc = json.loads(Path(CH4).read_text())
     doc["normal_modes"]["omegas"][0] = -0.01
-    with pytest.raises(ValidationError, match="frequency"):
+    with pytest.raises(ValidationError, match=r"normal_modes\.omegas\[0\]"):
         validate_molecule(molecule_from_dict(doc))
 
 
@@ -141,6 +141,76 @@ def test_malformed_field_raises_validation_error(path, value):
         pass
 
 
+def _leaf_paths(node, path=()):
+    """Paths to every scalar of the document, array entries included."""
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    if not items:
+        yield path
+    for key, child in items:
+        yield from _leaf_paths(child, path + (key,))
+
+
+def _object_paths(node, path=()):
+    """Paths to every object of the document, the document itself included."""
+    if isinstance(node, dict):
+        yield path
+    items = node.items() if isinstance(node, dict) else \
+        enumerate(node) if isinstance(node, list) else ()
+    for key, child in items:
+        yield from _object_paths(child, path + (key,))
+
+
+# the fixture with its optional objects present, so the fuzzers reach them
+FUZZ_DOC = json.loads(CH4_TEXT)
+FUZZ_DOC["budget"]["custom"] = {"eps_qae": 0.05}
+FUZZ_DOC["simulation"]["overrides"] = {"n_isp": 20}
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _dotted(path):
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
+
+# anchors map any name to a positive number, so a new key or a fractional
+# value is valid there; every other JSON integer sits in an integer field
+ANCHORS = ("simulation", "anchors")
+OBJECT_PATHS = [p for p in _object_paths(FUZZ_DOC) if p != ANCHORS]
+INTEGER_PATHS = [p for p in _leaf_paths(FUZZ_DOC)
+                 if p[:2] != ANCHORS and type(_at(FUZZ_DOC, p)) is int]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(OBJECT_PATHS), st.text(max_size=8))
+def test_unknown_key_named_in_error(path, suffix):
+    doc = json.loads(json.dumps(FUZZ_DOC))
+    key = "unknown_" + suffix
+    _at(doc, path)[key] = 1
+    with pytest.raises(ValidationError) as info:
+        molecule_from_dict(doc)
+    assert info.value.path == [*path, key]
+    assert str(info.value).startswith(_dotted([*path, key]) + ": unknown key")
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(INTEGER_PATHS), st.floats().filter(lambda x: not x.is_integer()))
+def test_fractional_integer_field_named_in_error(path, value):
+    doc = json.loads(json.dumps(FUZZ_DOC))
+    _at(doc, path[:-1])[path[-1]] = value
+    with pytest.raises(ValidationError) as info:
+        molecule_from_dict(doc)
+    # an entry of a table (bond_dims) is named by the table's path
+    err = info.value.path
+    assert err == list(path[:len(err)])
+    assert [k for k in err if isinstance(k, str)] == [k for k in path if isinstance(k, str)]
+    assert str(info.value).startswith(_dotted(err) + ": ")
+
+
 @pytest.mark.parametrize("section, key, value, field", [
     ("particles", "masses", None, "particles.masses"),
     (None, "channels", 5, "channels"),
@@ -154,6 +224,11 @@ def test_malformed_field_raises_validation_error(path, value):
     ("nuclear", "n_vib", 99, "nuclear.n_vib"),
     ("budget", "pad_mode", "lct", "budget.pad_mode"),
     ("budget", "policy", "paper", "budget.policy"),
+    ("budget", "eps_totl", 0.1, "budget.eps_totl"),
+    ("budget", "custom", {"eps_bogus": 0.1}, "budget.custom.eps_bogus"),
+    ("budget", "b_r", 8.9, "budget.b_r"),
+    ("electronic", "n_mob", 3.9, "electronic.n_mob"),
+    ("normal_modes", "linear", "false", "normal_modes.linear"),
 ])
 def test_malformed_field_named_in_error(section, key, value, field):
     doc = json.loads(Path(CH4).read_text())

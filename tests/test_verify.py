@@ -288,3 +288,12 @@ def test_suite_failure_injection(monkeypatch):
     assert not report.passed
     assert report.results[0].name == "qubiterate"
     assert "lambda" in report.results[0].details
+
+
+def test_single_check_reproduces_its_full_suite_instances():
+    # each check draws from its own stream, so running it alone measures
+    # exactly what it measures inside the full suite
+    full = run_suite()
+    assert full.passed
+    for result in full.results:
+        assert run_suite(only=result.name).results == [result]
