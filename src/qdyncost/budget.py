@@ -11,11 +11,11 @@ closes with equality for any lambda_O.
 from __future__ import annotations
 
 import math
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from qdyncost import costs
-from qdyncost.model import BudgetShares, ErrorBudget
+from qdyncost.model import BudgetSettings, BudgetShares
 
 # Default allocation proportions, normalized to a total budget of 0.095.
 _REF_TOTAL = 0.095
@@ -27,40 +27,87 @@ _REF_PROP = 0.00125
 TRIM_BATCH = 20_000_000
 
 
-def allocate(eps_total: float, lambda_obs: float, policy: str = "paper_default",
-             custom: BudgetShares = BudgetShares()) -> ErrorBudget:
-    """Split the total error across ISP, propagation, basis change, and
-    measurement.
+@dataclass(frozen=True)
+class ErrorBudget:
+    """Tree of error allocations from the total observable error downwards.
 
-    policy="paper_default" scales the reference proportions; a "custom"
-    policy takes the ``custom`` shares and verifies feasibility.  The ISP
-    share is further split uniformly across its seven contributions
-    (arbitrary state preparation, classical and quantum MPS errors, shear,
-    orthogonal-step, phase-kickback, and trimming errors).
+    The top-level constraint is
+    ``2 * lambda_O * (eps_ISP + eps_prop + eps_B) + eps_meas <= eps_total``
+    with ``eps_meas = eps_QAE + eps_O``; :func:`allocate` sets every leaf.
     """
+
+    eps_total: float
+    lambda_obs: float
+    policy: str
+    eps_isp: float
+    eps_prop: float
+    eps_b: float
+    eps_qae: float
+    eps_obs: float
+    # propagation sub-splits
+    eps_h: float
+    eps_t: float
+    eps_v: float
+    eps_theta: float
+    eps_dtilde: float
+    # ISP sub-splits
+    eps_asp: float
+    eps_mps_classical: float
+    eps_mps_quantum: float
+    eps_shear: float
+    eps_ortho: float
+    eps_pk: float
+    eps_trim: float
+
+    @property
+    def eps_meas(self) -> float:
+        return self.eps_qae + self.eps_obs
+
+    def feasibility_margin(self) -> float:
+        """Slack of the top-level constraint; non-negative iff feasible."""
+        used = 2.0 * self.lambda_obs * (self.eps_isp + self.eps_prop + self.eps_b)
+        return self.eps_total - used - self.eps_meas
+
+
+def allocate(settings: BudgetSettings, t_au: float) -> ErrorBudget:
+    """Split the total error across ISP, propagation, basis change, and
+    measurement, down to the leaves a simulation of ``t_au`` sizes from.
+
+    Policy "paper_default" scales the reference proportions; "custom" takes
+    ``settings.custom`` and verifies feasibility.  The ISP share splits
+    uniformly across its seven contributions (arbitrary state preparation,
+    classical and quantum MPS errors, shear, orthogonal-step, phase-kickback,
+    and trimming errors).  Half of ``eps_prop`` covers the block-encoding
+    floor ``eps_H * t`` (``eps_H`` split evenly over T, V and the rotation),
+    a quarter the series truncation ``eps_d~``, and a quarter the QSP
+    rotations (see :func:`rotation_share`).
+    """
+    eps_total, lambda_obs, policy = settings.eps_total, settings.lambda_obs, settings.policy
     if not 0.0 < eps_total < 1.0:
         raise ValueError(f"eps_total must be in (0,1), got {eps_total}")
     if lambda_obs <= 0:
         raise ValueError("lambda_obs must be positive")
+    if t_au <= 0:
+        raise ValueError("simulation time must be positive")
 
-    b = ErrorBudget(eps_total=eps_total, lambda_obs=lambda_obs, policy=policy)
     if policy == "paper_default":
         scale = eps_total / _REF_TOTAL
-        b.eps_qae = _REF_QAE * scale
-        b.eps_obs = 0.0
-        b.eps_b = 0.0
-        b.eps_isp = _REF_ISP * scale / lambda_obs
-        b.eps_prop = _REF_PROP * scale / lambda_obs
+        shares = BudgetShares(eps_isp=_REF_ISP * scale / lambda_obs,
+                              eps_prop=_REF_PROP * scale / lambda_obs, eps_qae=_REF_QAE * scale)
     elif policy == "custom":
-        b.eps_qae = custom.eps_qae
-        b.eps_obs = custom.eps_obs
-        b.eps_b = custom.eps_b
-        b.eps_isp = custom.eps_isp
-        b.eps_prop = custom.eps_prop
+        shares = settings.custom
     else:
         raise ValueError(f"unknown budget policy {policy!r}")
 
-    b.eps_meas = b.eps_qae + b.eps_obs
+    eps_h = shares.eps_prop / (2.0 * t_au)
+    isp = shares.eps_isp / 7.0
+    b = ErrorBudget(
+        eps_total=eps_total, lambda_obs=lambda_obs, policy=policy, **asdict(shares),
+        eps_h=eps_h, eps_t=eps_h / 3.0, eps_v=eps_h / 3.0, eps_theta=eps_h / 3.0,
+        eps_dtilde=shares.eps_prop / 4.0,
+        eps_asp=isp, eps_mps_classical=isp, eps_mps_quantum=isp, eps_shear=isp,
+        eps_ortho=isp, eps_pk=isp, eps_trim=isp,
+    )
     if b.feasibility_margin() < -1e-12:
         raise ValueError(
             f"infeasible split: 2*lambda_O*(eps_ISP+eps_prop+eps_B)+eps_meas "
@@ -73,42 +120,14 @@ def allocate(eps_total: float, lambda_obs: float, policy: str = "paper_default",
     for name in ("eps_b", "eps_obs"):
         if not getattr(b, name) >= 0:
             raise ValueError(f"{name} must be non-negative, got {getattr(b, name)}")
-
-    # uniform split of the ISP budget across its seven contributions
-    share = b.eps_isp / 7.0
-    b.eps_asp = share
-    b.eps_mps_classical = share
-    b.eps_mps_quantum = share
-    b.eps_shear = share
-    b.eps_ortho = share
-    b.eps_pk = share
-    b.eps_trim = share
-    b.eps_lct = b.eps_shear + b.eps_ortho
     return b
 
 
-def resolve_prop_splits(b: ErrorBudget, t_au: float, lambda_h_tilde: float) -> ErrorBudget:
-    """Fill the propagation sub-splits once the simulation time is known.
-
-    Half of ``eps_prop`` covers the block-encoding floor ``eps_H * t``,
-    one quarter the series truncation, and one quarter the ``(d~+1)`` QSP
-    rotation/angle errors; within the last, synthesized-rotation and the
-    two classical-angle errors share equally (eps_phi = eps_gamma = eps_rot).
-    """
-    if t_au <= 0:
-        raise ValueError("simulation time must be positive")
-    b.eps_h = b.eps_prop / (2.0 * t_au)
-    b.eps_t = b.eps_h / 3.0
-    b.eps_v = b.eps_h / 3.0
-    b.eps_theta = b.eps_h / 3.0
-    b.eps_dtilde = b.eps_prop / 4.0
-    b.eps_qsp = b.eps_prop / 2.0
-    d_tilde = costs.qsp_degree(lambda_h_tilde, t_au, b.eps_dtilde)
-    per_rot = b.eps_prop / 4.0 / (3.0 * (d_tilde + 1.0))
-    b.eps_rot = per_rot
-    b.eps_phi = per_rot
-    b.eps_gamma = per_rot
-    return b
+def rotation_share(b: ErrorBudget, d_tilde: float) -> float:
+    """Per-rotation error of a degree-``d_tilde`` QSP sequence: the last
+    quarter of ``eps_prop`` covers the ``(d~+1)`` rotations, each split
+    equally between the synthesized rotation and its two classical angles."""
+    return b.eps_prop / 4.0 / (3.0 * (d_tilde + 1.0))
 
 
 def asp_error_bound(b_asp: int, d_configs: int) -> float:

@@ -36,7 +36,7 @@ from qdyncost.model import (
 
 # the error-budget fields the report echoes
 REPORTED_BUDGET = ("eps_total", "lambda_obs", "eps_isp", "eps_prop", "eps_b", "eps_qae", "eps_meas",
-                   "eps_h", "eps_t", "eps_v", "eps_theta", "eps_dtilde", "eps_rot", "policy")
+                   "eps_h", "eps_t", "eps_v", "eps_theta", "eps_dtilde", "policy")
 
 
 def _rescaled_frequencies(spec: MoleculeSpec) -> list:
@@ -55,8 +55,9 @@ def _nuclear_gaussian_matrix(spec: MoleculeSpec) -> np.ndarray:
     return a_inv @ np.diag(1.0 / omegas) @ a_inv.T
 
 
-def _delta_target(spec: MoleculeSpec, bud, pad_mode: str) -> tuple[float, dict]:
-    """Momentum spacing from the coordinate-transform error budget.
+def _delta_target(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> tuple[float, float]:
+    """Momentum spacing from the coordinate-transform error budget, and the
+    infinity norm of the pad mode's shear.
 
     Uses the linear relaxation of the shear bound,
     ``eps <= sqrt(2)*Delta*sqrt(dims*lmax)``, plus (for the multi-shear
@@ -64,98 +65,80 @@ def _delta_target(spec: MoleculeSpec, bud, pad_mode: str) -> tuple[float, dict]:
     """
     dims = 3 * spec.particles.eta_n
     lam = _nuclear_gaussian_matrix(spec)
-    shear_ssct = lct.ssct_program(lam)[0].steps[0].matrix
     # the Gaussian matrix after the single shear equals lam itself
     # (S^-T D_ch S^-1 = L D_ch L^T), so its top eigenvalue sets the bound
     lmax = float(np.linalg.eigvalsh(lam)[-1])
     delta_shear = bud.eps_shear / (math.sqrt(2.0) * math.sqrt(dims * lmax))
-    info = {
-        "norm_ssct": float(np.max(np.sum(np.abs(shear_ssct), axis=1))),
-        "lmax": lmax,
-    }
-    if pad_mode == "LCT":
+    if spec.budget.pad_mode == "LCT":
         beta = gridsizer.shear_beta(dims)
         delta_ortho = bud.eps_ortho / (math.sqrt(2.0) * beta * math.sqrt(lmax))
         t_inv = spec.normal_modes.transform.T  # A^T = X L
-        _, low_ql = lct.ql_unit_decompose(t_inv)
-        info["norm_lct"] = float(np.max(np.sum(np.abs(low_ql), axis=1)))
-        return min(delta_shear, delta_ortho), info
-    return delta_shear, info
+        shear = lct.ql_unit_decompose(t_inv)[1]
+        return min(delta_shear, delta_ortho), _inf_norm(shear)
+    return delta_shear, _inf_norm(lct.ssct_program(lam)[0].steps[0].matrix)
 
 
-def _isp_deltas(spec: MoleculeSpec, bud) -> dict:
-    """Per-primitive truncation targets from the ISP budget shares.
+def _inf_norm(matrix: np.ndarray) -> float:
+    return float(np.max(np.sum(np.abs(matrix), axis=1)))
 
-    The arbitrary-state-preparation and MPS shares are split evenly between
-    the electronic and nuclear sides; the MPS shares divide across orbitals
-    (weighted by the 2^(3/2)*eta_e prefactor) and single-modals.
+
+def _isp_deltas(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> tuple[float, float]:
+    """Truncation targets of the electronic orbitals and the nuclear
+    single-modals, from the classical MPS share of the ISP budget.
+
+    The share is split evenly between the electronic and nuclear sides and
+    divides across orbitals (weighted by the 2^(3/2)*eta_e prefactor) and
+    single-modals; the nuclear side halves again into truncation.
     """
     p = spec.particles
-    e, n = spec.electronic, spec.nuclear
     mps_share = bud.eps_mps_classical / 2.0
-    delta_e = mps_share / (2.0 ** 1.5 * max(1, p.eta_e) * e.n_mob)
-    n_states = 3 * max(1, p.eta_n) * n.n_smb
+    delta_e = mps_share / (2.0 ** 1.5 * max(1, p.eta_e) * spec.electronic.n_mob)
+    n_states = 3 * max(1, p.eta_n) * spec.nuclear.n_smb
     delta_n_c = mps_share / (2.0 ** 1.5 * n_states)
-    return {
-        "delta_eca": min(0.5, delta_e),
-        "delta_nc": min(0.5, delta_n_c),
-        "delta_nt": min(0.25, delta_n_c / 2.0),  # classical share halves into truncation
-    }
+    return min(0.5, delta_e), min(0.25, delta_n_c / 2.0)
 
 
-def size_grid(spec: MoleculeSpec, bud) -> tuple[gridsizer.GridParams, dict]:
+def size_grid(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> gridsizer.GridParams:
     """Size the common grid: the spacing comes from the coordinate-transform
     error budget (which fixes the cell size L), then the cutoffs follow from
     the truncation targets at that L; the molecule's grid overrides may pin
-    ``n_p``, ``length``, ``n_isp`` and ``n_pad``."""
+    ``n_p``, ``length``, ``n_isp`` and ``n_pad``.  Unless pinned, ``n_pad``
+    pads the final ``n_isp``."""
     pad_mode = spec.budget.pad_mode
     pins = spec.simulation.overrides
-    deltas = _isp_deltas(spec, bud)
-    delta_target, info = _delta_target(spec, bud, pad_mode)
-    omegas = _rescaled_frequencies(spec)
-    norm_inf = info["norm_lct"] if pad_mode == "LCT" else info["norm_ssct"]
+    dims = 3 * spec.particles.eta_n
+    delta_eca, delta_nt = _isp_deltas(spec, bud)
+    delta_target, norm_inf = _delta_target(spec, bud)
 
     length = 2.0 * math.pi / delta_target
-    k_elec = gridsizer.k_cutoff_electronic(
-        spec.electronic.gamma_max, spec.electronic.l_max, spec.electronic.n_gauss,
-        spec.electronic.sigma_ortho, deltas["delta_eca"],
-    )
-    k_nuc = [
-        gridsizer.k_cutoff_nuclear(w, length, spec.nuclear.n_hg, deltas["delta_nt"])
-        for w in omegas
-    ]
+    e = spec.electronic
+    k_elec = gridsizer.k_cutoff_electronic(e.gamma_max, e.l_max, e.n_gauss, e.sigma_ortho,
+                                           delta_eca)
+    k_nuc = [gridsizer.k_cutoff_nuclear(w, length, spec.nuclear.n_hg, delta_nt)
+             for w in _rescaled_frequencies(spec)]
 
-    grid = gridsizer.common_grid([k_elec] + k_nuc, delta_target, k_nuc, pad_mode,
-                                 norm_inf, 3 * spec.particles.eta_n)
+    grid = gridsizer.common_grid([k_elec] + k_nuc, delta_target, k_nuc, pad_mode, norm_inf, dims)
     if pins.n_p is not None or pins.length is not None:
         n_p = grid.n_p if pins.n_p is None else pins.n_p
         length_o = grid.length if pins.length is None else pins.length
         n_grid = 2 ** n_p - 1
         delta = 2.0 * math.pi / length_o
-        grid = gridsizer.GridParams(
-            k_max=delta * (n_grid - 1) / 2.0,
-            delta=delta,
-            length=length_o,
-            n_bar=n_grid,
-            n_p=n_p,
-            n_grid=n_grid,
-            n_isp=min(grid.n_isp, n_p),
-            n_pad=grid.n_pad,
-        )
-    grid = dataclasses.replace(grid, n_isp=grid.n_isp if pins.n_isp is None else pins.n_isp,
-                               n_pad=grid.n_pad if pins.n_pad is None else pins.n_pad)
-    info.update({"k_elec": k_elec, "k_nuc_max": max(k_nuc), "deltas": deltas})
-    return grid, info
+        grid = dataclasses.replace(grid, k_max=delta * (n_grid - 1) / 2.0, delta=delta,
+                                   length=length_o, n_bar=n_grid, n_p=n_p, n_grid=n_grid,
+                                   n_isp=min(grid.n_isp, n_p))
+    n_isp = grid.n_isp if pins.n_isp is None else pins.n_isp
+    n_pad = gridsizer.pad_qubits(pad_mode, norm_inf, dims, n_isp) if pins.n_pad is None \
+        else pins.n_pad
+    return dataclasses.replace(grid, n_isp=n_isp, n_pad=n_pad)
 
 
 def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     """Run the full estimation pipeline on a validated molecule."""
     p = spec.particles
     settings = spec.budget
-    bud = budget_mod.allocate(settings.eps_total, settings.lambda_obs,
-                              policy=settings.policy, custom=settings.custom)
-    pad_mode = settings.pad_mode
-    grid, grid_info = size_grid(spec, bud)
+    t_au = spec.simulation.time_au
+    bud = budget_mod.allocate(settings, t_au)
+    grid = size_grid(spec, bud)
 
     length_adj = 2.0 * math.pi / grid.delta
     omega_cell = length_adj ** 3
@@ -165,7 +148,6 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     if not norms.lambda_nu_exact:
         warn.append(f"lambda_nu uses the closed lower bound at n_p={grid.n_p}")
 
-    t_au = spec.simulation.time_au
     # p_nu is evaluated at n_M = 8, not at the n_M chosen below (ROADMAP item 2)
     probs = encoding.success_probs(p, grid.n_p, n_m=8, b_r=settings.b_r)
     if not probs.p_nu_exact:
@@ -177,7 +159,8 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
         lam_tilde = spec.simulation.overrides.lambda_h_tilde
         warn.append("lambda_h_tilde overridden by configuration")
 
-    budget_mod.resolve_prop_splits(bud, t_au, lam_tilde)
+    d_tilde = costs.qsp_degree(lam_tilde, t_au, bud.eps_dtilde)
+    eps_rot = budget_mod.rotation_share(bud, d_tilde)
     prec = encoding.precision_params(
         norms.lambda_t, norms.lambda_v, lam_tilde,
         bud.eps_t, bud.eps_v, bud.eps_theta, grid.n_p, norms.lambda_nu,
@@ -185,16 +168,14 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     eps_h = encoding.block_error(bud.eps_t, bud.eps_v, lam_tilde, prec.n_theta)
 
     # --- cost ledger ------------------------------------------------------
-    isp_rows = costs.cost_isp(spec, grid, pad_mode, bud.eps_pk)
+    isp_rows = costs.cost_isp(spec, grid, bud.eps_pk)
     isp_total = costs.cost_isp_total(isp_rows, p.eta_n, grid.n_ext)
-    isp_anc_setter = max(isp_rows, key=lambda k: isp_rows[k].ancilla)
 
     walk_rows = costs.cost_block_encoding(p.eta, p.eta_e, grid.n_p, prec.mu_t, prec.n_m,
                                           prec.n_theta, settings.b_r)
     walk = costs.cost_walk(walk_rows["PREP_H"], walk_rows["CTRL_SEL_H"],
                            walk_rows["UNPREP_H"], walk_rows["REFLECT_W"])
-    d_tilde = costs.qsp_degree(lam_tilde, t_au, bud.eps_dtilde)
-    propagator = costs.cost_propagator(d_tilde, walk, bud.eps_rot)
+    propagator = costs.cost_propagator(d_tilde, walk, eps_rot)
 
     qft_one = costs.cost_qft(grid.n_p, 1e-10)
     qft = costs.CostPair(3.0 * p.eta * qft_one.toffoli, qft_one.ancilla)
@@ -206,14 +187,9 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
         warn.append("no reaction channels supplied; yield indicator cost is zero")
     r0_qae = costs.cost_r0_qae(p.eta_e, p.eta_n, grid.n_p, grid.n_bar_isp)
 
-    report = costs.cost_total(isp_total, propagator, qft, u_pis, r0_qae, lambda_obs=bud.lambda_obs,
-                              eps_qae=bud.eps_qae, eta_n=p.eta_n, n_ext=grid.n_ext)
-    report.rows = {**isp_rows, **walk_rows, "QFT": qft, "U_PiS": u_pis, "R0_QAE": r0_qae}
-    report.aggregates.update(ISP_total=isp_total, ctrl_walk=walk, time_evolution=propagator)
-
+    total = costs.cost_total(isp_total, propagator, qft, u_pis, r0_qae, lambda_obs=bud.lambda_obs,
+                             eps_qae=bud.eps_qae, eta_n=p.eta_n, n_ext=grid.n_ext)
     c_data = gridsizer.data_qubits(p.eta, p.eta_e, grid.n_p)
-    report.qubits["C_data"] = c_data
-    report.qubits["total"] = c_data + report.qubits["C_anc"]
 
     # --- trimming error (seeded Monte Carlo) -----------------------------
     omega_min = min(_rescaled_frequencies(spec))
@@ -224,46 +200,6 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
                                                       settings.trim_alpha, rng)
     if not all_inside:
         warn.append("trim Monte Carlo observed samples outside the interior box")
-
-    report.scalars.update({
-        "t_fs": spec.simulation.time_fs,
-        "t_au": t_au,
-        "k_max": grid.k_max,
-        "delta": grid.delta,
-        "length": grid.length,
-        "length_adjusted": length_adj,
-        "delta_l": length_adj / grid.n_grid,
-        "n_p": grid.n_p,
-        "n_grid": grid.n_grid,
-        "n_isp": grid.n_isp,
-        "n_pad": grid.n_pad,
-        "n_bar_isp": grid.n_bar_isp,
-        "lambda_m": norms.lambda_m,
-        "lambda_nu": norms.lambda_nu,
-        "lambda_t": norms.lambda_t,
-        "lambda_v": norms.lambda_v,
-        "lambda_h": norms.lambda_h,
-        "lambda_h_tilde": lam_tilde,
-        "sel_strategy": strategy,
-        "p_nu": probs.p_nu,
-        "p_zeta": probs.p_zeta,
-        "p_eq": probs.p_eq,
-        "mu_t": prec.mu_t,
-        "n_m": prec.n_m,
-        "n_theta": prec.n_theta,
-        "r_nu": prec.r_nu,
-        "eps_h": eps_h,
-        "d_tilde": math.ceil(d_tilde),
-        "qsp_degree_real": d_tilde,
-        "eps_trim_bound": trim_bound,
-        "trim_n_mc": settings.trim_n_mc,
-        "trim_alpha": settings.trim_alpha,
-        "seed": seed,
-        "pad_mode": pad_mode,
-        "isp_ancilla_set_by": isp_anc_setter,
-        "budget": {**{name: getattr(bud, name) for name in REPORTED_BUDGET},
-                   "feasibility_margin": bud.feasibility_margin()},
-    })
 
     # anchors: print the computed value and the published coarse anchor side
     # by side; never fit to them.
@@ -276,22 +212,51 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
                 f"{anchors['c_data']}; reporting the formula value"
             )
     if "time_evolution_toffoli" in anchors:
-        computed = propagator.toffoli
-        anchors["time_evolution_computed"] = computed
-        anchors["time_evolution_ratio"] = computed / float(anchors["time_evolution_toffoli"])
-    report.anchors = anchors
-    report.warnings = warn
-    # unbounded-by-construction approximations, recorded as caveats rather
-    # than numbers: the cutoff is assumed to stay sufficient during the
-    # evolution, and the periodic cell is assumed large enough that image
-    # interactions are negligible
-    report.scalars["caveats"] = [
-        "momentum cutoff K_max is validated at t=0 only; later times may "
-        "explore higher momenta",
-        "periodic boundary conditions introduce image interactions assumed "
-        "negligible at this cell size",
-    ]
-    return report
+        anchors["time_evolution_computed"] = propagator.toffoli
+        anchors["time_evolution_ratio"] = \
+            propagator.toffoli / float(anchors["time_evolution_toffoli"])
+
+    return costs.CostReport(
+        rows={**isp_rows, **walk_rows, "QFT": qft, "U_PiS": u_pis, "R0_QAE": r0_qae},
+        aggregates={**total.aggregates, "ISP_total": isp_total, "ctrl_walk": walk,
+                    "time_evolution": propagator},
+        qubits={"C_anc": total.c_anc, "C_data": c_data, "total": c_data + total.c_anc},
+        scalars={
+            # in pipeline order: inputs, grid, norms, probabilities, precision,
+            # propagator, ledger, trimming
+            "t_fs": spec.simulation.time_fs, "t_au": t_au, "seed": seed,
+            "pad_mode": settings.pad_mode,
+            "k_max": grid.k_max, "delta": grid.delta, "length": grid.length,
+            "length_adjusted": length_adj, "delta_l": length_adj / grid.n_grid,
+            "n_p": grid.n_p, "n_grid": grid.n_grid, "n_isp": grid.n_isp, "n_pad": grid.n_pad,
+            "n_bar_isp": grid.n_bar_isp,
+            "lambda_m": norms.lambda_m, "lambda_nu": norms.lambda_nu, "lambda_t": norms.lambda_t,
+            "lambda_v": norms.lambda_v, "lambda_h": norms.lambda_h,
+            "lambda_h_tilde": lam_tilde, "sel_strategy": strategy,
+            "p_nu": probs.p_nu, "p_zeta": probs.p_zeta, "p_eq": probs.p_eq,
+            "mu_t": prec.mu_t, "n_m": prec.n_m, "n_theta": prec.n_theta, "r_nu": prec.r_nu,
+            "eps_h": eps_h, "d_tilde": math.ceil(d_tilde), "qsp_degree_real": d_tilde,
+            "qae_calls": total.qae_calls, "qpe_register": total.qpe_register,
+            "iterate_ancilla_set_by": total.iterate_ancilla_set_by,
+            "isp_ancilla_set_by": max(isp_rows, key=lambda k: isp_rows[k].ancilla),
+            "eps_trim_bound": trim_bound, "trim_n_mc": settings.trim_n_mc,
+            "trim_alpha": settings.trim_alpha,
+            "budget": {**{name: getattr(bud, name) for name in REPORTED_BUDGET},
+                       "eps_rot": eps_rot, "feasibility_margin": bud.feasibility_margin()},
+            # unbounded-by-construction approximations, recorded as caveats
+            # rather than numbers: the cutoff is assumed to stay sufficient
+            # during the evolution, and the periodic cell is assumed large
+            # enough that image interactions are negligible
+            "caveats": [
+                "momentum cutoff K_max is validated at t=0 only; later times may "
+                "explore higher momenta",
+                "periodic boundary conditions introduce image interactions assumed "
+                "negligible at this cell size",
+            ],
+        },
+        warnings=tuple(warn),
+        anchors=anchors,
+    )
 
 
 def _with_value(doc, path: tuple, value):
@@ -329,7 +294,8 @@ def run_estimate(args: argparse.Namespace, input_path: str, out_path: str | None
     config = {"input": doc, "overrides": overrides, "seed": args.seed,
               "budget_policy": args.budget_policy}
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
-    report.params_hash = hashlib.sha256(canonical.encode()).hexdigest()[:16]
+    report = dataclasses.replace(
+        report, params_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16])
     _write_report(report.to_json_dict(), args.out_format, out_path)
     return 0
 
@@ -377,7 +343,7 @@ def _fit_grid(dims: int, delta: float, sigma_prime, program) -> tuple[int, int]:
     need = 5.0 * sigma_grid
     n_int = max(2, math.ceil(math.log2(2.0 * need)))
     # decompose_lct puts the full QL shear first
-    norm_l = float(np.max(np.sum(np.abs(program.steps[0].matrix), axis=1)))
+    norm_l = _inf_norm(program.steps[0].matrix)
     cap = lct.MAX_TOTAL_BITS // dims
     while True:
         n_pad = gridsizer.pad_qubits("LCT", norm_l, dims, n_int)
@@ -501,8 +467,12 @@ def main(argv=None) -> int:
     if args.command == "lct-bench":
         return run_lct_bench(args)
     if args.command == "estimate" and args.batch:
+        if args.input_path:
+            print("error: --input and --batch exclude each other", file=sys.stderr)
+            return 2
         prefix = args.out_path or ""
-        return max([run_estimate(args, path, f"{prefix}{Path(path).stem}.report.json")
+        suffix = {"json": "json", "markdown": "md", "csv": "csv"}[args.out_format]
+        return max([run_estimate(args, path, f"{prefix}{Path(path).stem}.report.{suffix}")
                     for path in args.batch])
     if not args.input_path:
         print("error: --input is required", file=sys.stderr)

@@ -10,7 +10,7 @@ formula is an upper bound carry ``bound=True``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -185,9 +185,10 @@ def cost_tc2sm(eta_n: int, n_bar_isp: int) -> CostPair:
     return CostPair(3.0 * eta_n * (n_bar_isp - 2.0), n_bar_isp - 2)
 
 
-def cost_isp(spec: MoleculeSpec, grid: GridParams, pad_mode: str, eps_pk: float) -> dict:
+def cost_isp(spec: MoleculeSpec, grid: GridParams, eps_pk: float) -> dict:
     """An estimate's initial-state-preparation rows, name -> CostPair, in ledger
-    order (sums and first maxima follow it); ``NCT`` is the pad mode's transform."""
+    order (sums and first maxima follow it); ``NCT`` is the transform of the
+    budget's pad mode."""
     p, e, n = spec.particles, spec.electronic, spec.nuclear
     return {
         "ASP_e": cost_asp(e.d_configs, e.b_asp),
@@ -202,7 +203,7 @@ def cost_isp(spec: MoleculeSpec, grid: GridParams, pad_mode: str, eps_pk: float)
         "W_n": cost_w_n(grid.n_isp, n.b_rot, _resize_bond_table(n.bond_dims, grid.n_isp)),
         "PK": cost_pk(p.eta_n, grid.n_bar_isp, n.b_grad, eps_pk),
         "TC2SM": cost_tc2sm(p.eta_n, grid.n_bar_isp),
-        "NCT": (cost_lct if pad_mode == "LCT" else cost_ssct)(p.eta_n, grid.n_bar_isp),
+        "NCT": (cost_lct if spec.budget.pad_mode == "LCT" else cost_ssct)(p.eta_n, grid.n_bar_isp),
     }
 
 
@@ -338,16 +339,16 @@ def cost_r0_qae(eta_e: int, eta_n: int, n_p: int, n_bar_isp: int) -> CostPair:
     return CostPair(toff, max(0, 3 * (eta_e * n_p + eta_n * n_bar_isp) - 1))
 
 
-@dataclass
+@dataclass(frozen=True)
 class CostReport:
     """Full cost ledger: per-subroutine rows plus derived aggregates."""
 
-    rows: dict = field(default_factory=dict)          # name -> CostPair
-    aggregates: dict = field(default_factory=dict)    # name -> CostPair
-    qubits: dict = field(default_factory=dict)        # name -> int
-    scalars: dict = field(default_factory=dict)       # misc derived numbers
-    warnings: list = field(default_factory=list)
-    anchors: dict = field(default_factory=dict)
+    rows: dict          # name -> CostPair
+    aggregates: dict    # name -> CostPair
+    qubits: dict        # name -> int
+    scalars: dict       # misc derived numbers
+    warnings: tuple
+    anchors: dict
     params_hash: str = ""
 
     def to_json_dict(self) -> dict:
@@ -370,9 +371,21 @@ class CostReport:
         }
 
 
+@dataclass(frozen=True)
+class TotalCost:
+    """The end-to-end aggregates (``U_evolution``, ``QAE_iterate``,
+    ``QAE_total``, ``total``) and the amplitude-estimation figures behind them."""
+
+    aggregates: dict              # name -> CostPair
+    qae_calls: float
+    qpe_register: int
+    iterate_ancilla_set_by: str
+    c_anc: int
+
+
 def cost_total(isp: CostPair, propagator: CostPair, qft: CostPair, u_pis: CostPair,
                r0_qae: CostPair, lambda_obs: float, eps_qae: float,
-               eta_n: int, n_ext: int) -> CostReport:
+               eta_n: int, n_ext: int) -> TotalCost:
     """Compose the end-to-end cost: one state-preparation-plus-evolution
     pass, then amplitude estimation with ``lambda_O/(2*eps_QAE)`` calls to
     the reflection iterate ``2*(U_PiS + U~) + R0_QAE``.
@@ -397,14 +410,12 @@ def cost_total(isp: CostPair, propagator: CostPair, qft: CostPair, u_pis: CostPa
     anc_iterate = 1 + held + demand[set_by]
     anc_qae = s_qpe + anc_iterate
 
-    report = CostReport()
     bound_any = any(c.bound for c in (isp, propagator, qft, u_pis, r0_qae))
-    report.aggregates["U_evolution"] = CostPair(u_tilde_toff, max(isp.ancilla, propagator.ancilla), bound=bound_any)
-    report.aggregates["QAE_iterate"] = CostPair(iterate_toff, anc_iterate, bound=bound_any)
-    report.aggregates["QAE_total"] = CostPair(qae_toff, anc_qae, bound=bound_any)
-    report.aggregates["total"] = CostPair(total_toff, anc_qae, bound=bound_any)
-    report.scalars["qae_calls"] = calls
-    report.scalars["qpe_register"] = s_qpe
-    report.scalars["iterate_ancilla_set_by"] = set_by
-    report.qubits["C_anc"] = anc_qae
-    return report
+    aggregates = {
+        "U_evolution": CostPair(u_tilde_toff, max(isp.ancilla, propagator.ancilla),
+                                bound=bound_any),
+        "QAE_iterate": CostPair(iterate_toff, anc_iterate, bound=bound_any),
+        "QAE_total": CostPair(qae_toff, anc_qae, bound=bound_any),
+        "total": CostPair(total_toff, anc_qae, bound=bound_any),
+    }
+    return TotalCost(aggregates, calls, s_qpe, set_by, anc_qae)

@@ -22,7 +22,7 @@ Conventions of the point arithmetic:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,12 +59,12 @@ class Step:
             raise ValueError(f"unknown step kind {self.kind!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransformProgram:
     """Ordered steps whose matrix product equals the inverse transform."""
 
     dim: int
-    steps: list = field(default_factory=list)
+    steps: list
 
     def matrix(self) -> np.ndarray:
         """Product of step matrices in application order (equals T^-1)."""

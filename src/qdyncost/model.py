@@ -115,6 +115,14 @@ _positive = _at_least(_number, 0, strict=True)
 _count = _at_least(_whole, 1)
 
 
+def _fraction(value) -> float:
+    """A number strictly between 0 and 1."""
+    v = _number(value)
+    if 0.0 < v < 1.0:
+        return v
+    raise ValueError(f"must be in (0, 1), got {v}")
+
+
 def _one_of(choices):
     """Accept only a value listed in ``choices``."""
     def check(value):
@@ -319,14 +327,14 @@ class BudgetShares:
 class BudgetSettings:
     """The error budget and the settings that size the estimate."""
 
-    eps_total: float = _arg(_number, 0.095)
+    eps_total: float = _arg(_fraction, 0.095)
     lambda_obs: float = _arg(_positive, 1.0)
     policy: str = _arg(_one_of(BUDGET_POLICIES), "paper_default")
     custom: BudgetShares = _arg(_section(BudgetShares), BudgetShares())
     pad_mode: str = _arg(_one_of(PAD_MODES), "SSCT")
     b_r: int = _arg(_count, 8)                   # amplitude-amplification rotation bits
     trim_n_mc: int = _arg(_count, 100_000)       # trim Monte Carlo samples
-    trim_alpha: float = _arg(_number, 1e-5)      # trim Monte Carlo confidence level
+    trim_alpha: float = _arg(_fraction, 1e-5)    # trim Monte Carlo confidence level
 
 
 @dataclass(frozen=True)
@@ -368,52 +376,6 @@ class MoleculeSpec:
 
 
 _MOLECULE = _section(MoleculeSpec)
-
-
-@dataclass
-class ErrorBudget:
-    """Tree of error allocations from the total observable error downwards.
-
-    The top-level constraint is
-    ``2 * lambda_O * (eps_ISP + eps_prop + eps_B) + eps_meas <= eps_total``
-    with ``eps_meas = eps_QAE + eps_O``.  The propagation sub-splits
-    (``eps_H = eps_T + eps_V + eps_theta``, QSP terms) are resolved once the
-    simulation time and QSP degree are known.
-    """
-
-    eps_total: float
-    lambda_obs: float
-    policy: str
-    eps_isp: float = 0.0
-    eps_prop: float = 0.0
-    eps_b: float = 0.0
-    eps_meas: float = 0.0
-    eps_qae: float = 0.0
-    eps_obs: float = 0.0
-    # propagation sub-splits (filled by resolve_prop_splits)
-    eps_h: float = 0.0
-    eps_qsp: float = 0.0
-    eps_t: float = 0.0
-    eps_v: float = 0.0
-    eps_theta: float = 0.0
-    eps_dtilde: float = 0.0
-    eps_rot: float = 0.0
-    eps_phi: float = 0.0
-    eps_gamma: float = 0.0
-    # ISP sub-splits (uniform across the seven contributions by default)
-    eps_asp: float = 0.0
-    eps_mps_classical: float = 0.0
-    eps_mps_quantum: float = 0.0
-    eps_shear: float = 0.0
-    eps_ortho: float = 0.0
-    eps_pk: float = 0.0
-    eps_trim: float = 0.0
-    eps_lct: float = 0.0
-
-    def feasibility_margin(self) -> float:
-        """Slack of the top-level constraint; non-negative iff feasible."""
-        used = 2.0 * self.lambda_obs * (self.eps_isp + self.eps_prop + self.eps_b)
-        return self.eps_total - used - self.eps_meas
 
 
 def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:

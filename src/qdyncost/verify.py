@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import fnmatch
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 from scipy.linalg import expm
@@ -372,7 +372,7 @@ def sm2tc_convert(bits: int, width: int) -> int:
 # check suite
 
 
-@dataclass
+@dataclass(frozen=True)
 class CheckResult:
     name: str
     passed: bool
@@ -381,9 +381,9 @@ class CheckResult:
     details: str = ""
 
 
-@dataclass
+@dataclass(frozen=True)
 class SuiteReport:
-    results: list = field(default_factory=list)
+    results: list
 
     @property
     def passed(self) -> bool:
@@ -521,12 +521,12 @@ def run_suite(only: str | None = None) -> SuiteReport:
     add("yield_projectors", check_yield_projectors)
     add("tc2sm_roundtrip", check_tc2sm)
 
-    report = SuiteReport()
+    results = []
     for name, fn in checks:
         rng = np.random.Generator(np.random.Philox([SUITE_SEED, *name.encode()]))
         try:
             measured, bound = fn(rng)
-            report.results.append(CheckResult(name, measured <= bound, measured, bound))
+            results.append(CheckResult(name, measured <= bound, measured, bound))
         except Exception as exc:  # surface as a failed check, not a crash
-            report.results.append(CheckResult(name, False, math.inf, 0.0, details=str(exc)))
-    return report
+            results.append(CheckResult(name, False, math.inf, 0.0, details=str(exc)))
+    return SuiteReport(results)

@@ -13,7 +13,7 @@ import pytest
 from qdyncost import budget, encoding, lct, verify
 from qdyncost.cli import estimate_report
 from qdyncost.gridsizer import k_cutoff_nuclear
-from qdyncost.model import ParticleTable, fs_to_au, load_molecule
+from qdyncost.model import BudgetSettings, ParticleTable, fs_to_au, load_molecule
 
 
 def _line(num, ok, detail):
@@ -266,7 +266,7 @@ def test_criterion_10_poly_mps_rank():
 
 
 def test_criterion_11_budget_closure():
-    b = budget.allocate(0.095, 1.0)
+    b = budget.allocate(BudgetSettings(eps_total=0.095, lambda_obs=1.0), fs_to_au(30.0))
     lhs = 2.0 * (b.eps_isp + b.eps_prop + b.eps_b) + b.eps_meas
     closure = abs(lhs - 0.095)
     sampler = budget.gaussian_box_sampler(2.0, 64)

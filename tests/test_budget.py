@@ -10,14 +10,21 @@ from qdyncost.budget import (
     gaussian_box_sampler,
     isp_error_bound,
     prop_error,
-    resolve_prop_splits,
+    rotation_share,
     trim_error_mc,
 )
-from qdyncost.model import BudgetShares
+from qdyncost.model import BudgetSettings, BudgetShares
+
+T_AU = 1240.0
+
+
+def _allocate(eps_total, lambda_obs, policy="paper_default", custom=BudgetShares()):
+    return allocate(BudgetSettings(eps_total=eps_total, lambda_obs=lambda_obs, policy=policy,
+                                   custom=custom), T_AU)
 
 
 def test_default_split_closes_exactly():
-    b = allocate(0.095, 1.0)
+    b = _allocate(0.095, 1.0)
     assert b.eps_qae == pytest.approx(0.0625, abs=1e-15)
     assert b.eps_isp == pytest.approx(0.015, abs=1e-15)
     assert b.eps_prop == pytest.approx(0.00125, abs=1e-15)
@@ -27,8 +34,8 @@ def test_default_split_closes_exactly():
 
 
 def test_lambda_obs_halves_state_errors():
-    b1 = allocate(0.095, 1.0)
-    b2 = allocate(0.095, 2.0)
+    b1 = _allocate(0.095, 1.0)
+    b2 = _allocate(0.095, 2.0)
     assert b2.eps_isp == pytest.approx(b1.eps_isp / 2.0)
     assert b2.eps_prop == pytest.approx(b1.eps_prop / 2.0)
     assert b2.eps_meas == pytest.approx(b1.eps_meas)
@@ -37,17 +44,17 @@ def test_lambda_obs_halves_state_errors():
 
 def test_zero_budget_rejected():
     with pytest.raises(ValueError):
-        allocate(0.0, 1.0)
+        _allocate(0.0, 1.0)
 
 
 def test_infeasible_custom_split_rejected():
     with pytest.raises(ValueError, match="infeasible"):
-        allocate(0.01, 1.0, policy="custom",
+        _allocate(0.01, 1.0, policy="custom",
                  custom=BudgetShares(eps_qae=0.009, eps_isp=0.002, eps_prop=0.0))
 
 
 def test_custom_split_accepted():
-    b = allocate(0.1, 1.0, policy="custom",
+    b = _allocate(0.1, 1.0, policy="custom",
                  custom=BudgetShares(eps_qae=0.05, eps_isp=0.02, eps_prop=0.005))
     assert b.feasibility_margin() >= 0
 
@@ -58,29 +65,32 @@ def test_custom_split_accepted():
 def test_custom_split_rejects_out_of_range_share(share, value):
     custom = {"eps_qae": 0.05, "eps_isp": 0.02, "eps_prop": 0.005, share: value}
     with pytest.raises(ValueError, match=share):
-        allocate(0.1, 1.0, policy="custom", custom=BudgetShares(**custom))
+        _allocate(0.1, 1.0, policy="custom", custom=BudgetShares(**custom))
 
 
 @given(st.floats(min_value=1e-4, max_value=0.9), st.floats(min_value=0.25, max_value=8.0))
 @settings(max_examples=60)
 def test_allocation_always_satisfies_split(eps_total, lam):
-    b = allocate(eps_total, lam)
+    b = _allocate(eps_total, lam)
     lhs = 2.0 * lam * (b.eps_isp + b.eps_prop + b.eps_b) + b.eps_meas
     assert lhs <= eps_total + 1e-12
     assert abs(lhs - eps_total) <= 1e-12  # default policy closes with equality
 
 
-def test_resolve_prop_splits():
-    b = allocate(0.095, 1.0)
-    resolve_prop_splits(b, 1240.0, 1e5)
-    assert b.eps_h == pytest.approx(b.eps_prop / (2 * 1240.0))
+def test_rotation_share():
+    b = _allocate(0.095, 1.0)
+    assert b.eps_h == pytest.approx(b.eps_prop / (2 * T_AU))
     assert b.eps_t + b.eps_v + b.eps_theta == pytest.approx(b.eps_h)
-    assert b.eps_phi == b.eps_rot
-    assert b.eps_gamma == b.eps_rot
     # recomposed propagation error stays within the allocation
-    d = 1e5 * 1240.0 + math.log2(1.0 / b.eps_dtilde)
-    total = prop_error(b.eps_h, 1240.0, d, b.eps_dtilde, b.eps_rot, b.eps_phi, b.eps_gamma)
+    d = 1e5 * T_AU + math.log2(1.0 / b.eps_dtilde)
+    eps_rot = rotation_share(b, d)
+    total = prop_error(b.eps_h, T_AU, d, b.eps_dtilde, eps_rot, eps_rot, eps_rot)
     assert total <= b.eps_prop * (1.0 + 1e-9)
+
+
+def test_allocate_needs_positive_time():
+    with pytest.raises(ValueError, match="time"):
+        allocate(BudgetSettings(), 0.0)
 
 
 def test_asp_bound_reference():

@@ -160,6 +160,22 @@ def test_estimate_batch(tmp_path):
     assert (tmp_path / "ch3obr_synthetic.report.json").exists()
 
 
+@pytest.mark.parametrize("out_format, suffix", [("markdown", "md"), ("csv", "csv")])
+def test_estimate_batch_names_follow_format(tmp_path, out_format, suffix):
+    assert main(["estimate", "--batch", CH4, "--format", out_format,
+                 "--out", str(tmp_path) + "/"]) == 0
+    assert [p.name for p in tmp_path.iterdir()] == [f"ch4_synthetic.report.{suffix}"]
+    text = (tmp_path / f"ch4_synthetic.report.{suffix}").read_text()
+    assert text.startswith("# Resource estimate" if out_format == "markdown" else "subroutine,")
+
+
+def test_estimate_batch_with_input_exits_2(tmp_path, capsys):
+    assert main(["estimate", "--batch", CH4, "--input", "molecules/ch3obr_synthetic.json",
+                 "--out", str(tmp_path) + "/"]) == 2
+    assert "--input" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_flags_registered_per_subcommand():
     from qdyncost.cli import build_parser
 
@@ -216,6 +232,8 @@ def test_params_hash_follows_effective_configuration(tmp_path):
     ("nuclear", "n_vib", 99, "nuclear.n_vib"),
     ("budget", "pad_mode", "lct", "budget.pad_mode"),
     ("budget", "policy", "paper", "budget.policy"),
+    ("budget", "eps_total", 2.0, "budget.eps_total:"),
+    ("budget", "trim_alpha", 0, "budget.trim_alpha:"),
 ])
 def test_malformed_molecule_exits_2(tmp_path, capsys, section, key, value, field):
     doc = json.loads(Path(CH4).read_text())
@@ -262,6 +280,23 @@ def test_out_of_range_override_exits_2(tmp_path, capsys, key, value):
     err = capsys.readouterr().err
     assert f"simulation.overrides.{key}" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("override, n_isp, n_pad", [
+    ("n_p=6", 6, 6), ("n_isp=4", 4, 8), ("n_isp=40", 40, 3), ("n_isp=4 n_pad=2", 4, 2),
+])
+def test_pinned_grid_pads_final_n_isp(tmp_path, override, n_isp, n_pad):
+    # the LCT padding bound asks for more qubits on a smaller ISP grid, so an
+    # unpinned n_pad follows the final n_isp; a pinned n_pad still wins
+    doc = json.loads(Path(CH4).read_text())
+    doc["budget"]["pad_mode"] = "LCT"
+    mol = tmp_path / "lct.json"
+    mol.write_text(json.dumps(doc))
+    out = tmp_path / "o.json"
+    flags = [f for item in override.split() for f in ("--override", item)]
+    assert main(["estimate", "--input", str(mol), "--out", str(out), *flags]) == 0
+    scalars = json.loads(out.read_text())["scalars"]
+    assert (scalars["n_isp"], scalars["n_pad"]) == (n_isp, n_pad)
 
 
 @pytest.mark.parametrize("key, value", [("n_isp", 40), ("n_pad", 9)])

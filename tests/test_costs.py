@@ -202,12 +202,12 @@ def _total(eps_qae, lambda_obs=1.0):
 
 
 def test_cost_total_call_count_and_register():
-    report = _total(0.0625)
-    assert report.scalars["qae_calls"] == pytest.approx(8.0)
-    assert report.scalars["qpe_register"] == 4
+    total = _total(0.0625)
+    assert total.qae_calls == pytest.approx(8.0)
+    assert total.qpe_register == 4
     # iterate demands: U_PiS 19, propagator 60, ISP 50 - 3*2*2 = 38, R0_QAE 25
-    assert report.scalars["iterate_ancilla_set_by"] == "propagator"
-    assert report.qubits == {"C_anc": 4 + 1 + 12 + 60}
+    assert total.iterate_ancilla_set_by == "propagator"
+    assert total.c_anc == 4 + 1 + 12 + 60
 
 
 def test_cost_total_linear_in_inverse_eps():
@@ -217,15 +217,15 @@ def test_cost_total_linear_in_inverse_eps():
 
 
 def test_cost_total_iterate_identity():
-    report = _total(0.05)
-    u_t = report.aggregates["U_evolution"].toffoli
-    iterate = report.aggregates["QAE_iterate"].toffoli
+    total = _total(0.05)
+    u_t = total.aggregates["U_evolution"].toffoli
+    iterate = total.aggregates["QAE_iterate"].toffoli
     assert iterate == pytest.approx(2 * (10.0 + u_t) + 30.0)
-    assert report.aggregates["QAE_total"].toffoli == pytest.approx(
-        report.scalars["qae_calls"] * iterate
+    assert total.aggregates["QAE_total"].toffoli == pytest.approx(
+        total.qae_calls * iterate
     )
-    assert report.aggregates["total"].toffoli == pytest.approx(
-        u_t + report.aggregates["QAE_total"].toffoli
+    assert total.aggregates["total"].toffoli == pytest.approx(
+        u_t + total.aggregates["QAE_total"].toffoli
     )
 
 
@@ -332,11 +332,11 @@ def test_isp_rows_in_ledger_order():
     from qdyncost.model import load_molecule
 
     spec = load_molecule("molecules/ch4_synthetic.json")
-    bud = allocate(0.095, 1.0)
+    bud = allocate(spec.budget, spec.simulation.time_au)
     for pad_mode, nct in (("SSCT", cost_ssct), ("LCT", cost_lct)):
         spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
-        grid, _ = size_grid(spec, bud)
-        rows = cost_isp(spec, grid, pad_mode, bud.eps_pk)
+        grid = size_grid(spec, bud)
+        rows = cost_isp(spec, grid, bud.eps_pk)
         assert list(rows) == ["ASP_e", "SoSlat_e", "ONB2MOB", "ASYM", "W_e", "ASP_n",
                               "SoSlat_n", "ONB2SMB", "W_n", "PK", "TC2SM", "NCT"]
         assert rows["NCT"] == nct(spec.particles.eta_n, grid.n_bar_isp)

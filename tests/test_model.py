@@ -229,6 +229,8 @@ def test_fractional_integer_field_named_in_error(path, value):
     ("budget", "b_r", 8.9, "budget.b_r"),
     ("electronic", "n_mob", 3.9, "electronic.n_mob"),
     ("normal_modes", "linear", "false", "normal_modes.linear"),
+    ("budget", "eps_total", 2.0, "^budget.eps_total: "),
+    ("budget", "trim_alpha", 0, "^budget.trim_alpha: "),
 ])
 def test_malformed_field_named_in_error(section, key, value, field):
     doc = json.loads(Path(CH4).read_text())
