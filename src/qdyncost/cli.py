@@ -169,7 +169,9 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
 
     # --- cost ledger ------------------------------------------------------
     isp_rows = costs.cost_isp(spec, grid, bud.eps_pk)
-    isp_total = costs.cost_isp_total(isp_rows, p.eta_n, grid.n_ext)
+    isp_set_by = max(isp_rows, key=lambda k: isp_rows[k].ancilla)
+    held = 3 * p.eta_n * grid.n_ext  # exterior-grid qubits, held through the iterate
+    isp_total = costs.cost_isp_total(isp_rows, held)
 
     walk_rows = costs.cost_block_encoding(p.eta, p.eta_e, grid.n_p, prec.mu_t, prec.n_m,
                                           prec.n_theta, settings.b_r)
@@ -188,7 +190,8 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     r0_qae = costs.cost_r0_qae(p.eta_e, p.eta_n, grid.n_p, grid.n_bar_isp)
 
     total = costs.cost_total(isp_total, propagator, qft, u_pis, r0_qae, lambda_obs=bud.lambda_obs,
-                             eps_qae=bud.eps_qae, eta_n=p.eta_n, n_ext=grid.n_ext)
+                             eps_qae=bud.eps_qae, isp_demand=isp_rows[isp_set_by].ancilla,
+                             held=held)
     c_data = gridsizer.data_qubits(p.eta, p.eta_e, grid.n_p)
 
     # --- trimming error (seeded Monte Carlo) -----------------------------
@@ -238,7 +241,7 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
             "eps_h": eps_h, "d_tilde": math.ceil(d_tilde), "qsp_degree_real": d_tilde,
             "qae_calls": total.qae_calls, "qpe_register": total.qpe_register,
             "iterate_ancilla_set_by": total.iterate_ancilla_set_by,
-            "isp_ancilla_set_by": max(isp_rows, key=lambda k: isp_rows[k].ancilla),
+            "isp_ancilla_set_by": isp_set_by,
             "eps_trim_bound": trim_bound, "trim_n_mc": settings.trim_n_mc,
             "trim_alpha": settings.trim_alpha,
             "budget": {**{name: getattr(bud, name) for name in REPORTED_BUDGET},
@@ -470,10 +473,14 @@ def main(argv=None) -> int:
         if args.input_path:
             print("error: --input and --batch exclude each other", file=sys.stderr)
             return 2
-        prefix = args.out_path or ""
         suffix = {"json": "json", "markdown": "md", "csv": "csv"}[args.out_format]
-        return max([run_estimate(args, path, f"{prefix}{Path(path).stem}.report.{suffix}")
-                    for path in args.batch])
+        inputs = {}  # output path -> input path
+        for path in args.batch:
+            out = f"{args.out_path or ''}{Path(path).stem}.report.{suffix}"
+            if inputs.setdefault(out, path) != path:
+                print(f"error: --batch {inputs[out]} and {path} both write {out}", file=sys.stderr)
+                return 2
+        return max([run_estimate(args, path, out) for out, path in inputs.items()])
     if not args.input_path:
         print("error: --input is required", file=sys.stderr)
         return 2

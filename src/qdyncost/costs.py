@@ -50,29 +50,23 @@ def erasure_cost(eta: int) -> tuple[int, int]:
     return best_val, best_k
 
 
-def _rounded_pow2(m: int) -> int:
-    return 2 ** ceil_log2(int(m)) if m > 1 else 1
+# 2**0 .. 2**62: how many are <= m - 1 is ceil(log2(m)) for int64 m > 1, 0 for m = 1
+_POW2 = 2 ** np.arange(63, dtype=np.int64)
 
 
-def _mps_synthesis_sum(bond_rows, b_rot: int) -> float:
-    """Shared rotation-synthesis sum over an MPS bond-dimension table.
-
-    ``bond_rows`` is a 2D array, one row per synthesized state, one column
-    per tensor site; the neighbour-maximum ``m_bar`` uses rounded-up powers
-    of two with an implicit open-boundary bond of 1 before the first site.
-    """
-    rows = np.atleast_2d(np.asarray(bond_rows, dtype=int))
-    total = 0.0
+def _mps_synthesis_sums(tables, b_rot: int) -> np.ndarray:
+    """Shared rotation-synthesis sum of each (states, sites) table in a stack of
+    MPS bond dimensions; ``m_bar = 2**k_bar`` is the larger rounded-up power of two
+    of a site and the one before (1 before the first), so log2(2*m_bar) = k_bar + 1.
+    Terms are added one at a time from 0.0 in site order, as a per-site loop does."""
+    m = np.asarray(tables, dtype=np.int64)
+    k = np.searchsorted(_POW2, m - 1, side="right")
+    k_bar = np.maximum(k, np.insert(k[..., :-1], 0, 0, axis=-1))
+    m_real = m.astype(float)
     coeff = 32.0 * (1.0 + math.sqrt(2.0)) * math.sqrt(b_rot + 1.0)
-    for row in rows:
-        prev = 1
-        for m in row:
-            m = int(m)
-            m_bar = max(_rounded_pow2(prev), _rounded_pow2(m))
-            total += coeff * m * math.sqrt(m_bar)
-            total += (8.0 * b_rot - 15.0) * m * math.log2(2.0 * m_bar)
-            prev = m
-    return total
+    terms = np.stack([coeff * m_real * np.sqrt(np.ldexp(1.0, k_bar)),
+                      (8.0 * b_rot - 15.0) * m_real * (k_bar + 1.0)], axis=-1)
+    return np.cumsum(terms.reshape(len(m), -1), axis=1)[:, -1]
 
 
 def _mps_synthesis_ancilla(bond_rows, b_rot: int) -> int:
@@ -136,7 +130,7 @@ def cost_asym(eta_e: int, n_p: int) -> CostPair:
 
 def cost_w_e(eta_e: int, n_mob: int, n_p: int, b_rot: int, bond_dims) -> CostPair:
     """Electronic orbital MPS synthesis; ``bond_dims`` is (n_mob, n_p) (a bound)."""
-    toff = eta_e * n_mob * n_p + 2.0 * eta_e * _mps_synthesis_sum(bond_dims, b_rot)
+    toff = eta_e * n_mob * n_p + 2.0 * eta_e * _mps_synthesis_sums([bond_dims], b_rot).item()
     return CostPair(toff, n_mob * n_p + _mps_synthesis_ancilla(bond_dims, b_rot), bound=True)
 
 
@@ -152,7 +146,7 @@ def cost_w_n(n_isp: int, b_rot: int, bond_dims) -> CostPair:
     if bond.ndim == 2:
         bond = bond[:, None, :]
     n_smb = bond.shape[1]
-    toff = sum(n_smb * n_isp + 2.0 * _mps_synthesis_sum(mode, b_rot) for mode in bond)
+    toff = sum(n_smb * n_isp + 2.0 * s for s in _mps_synthesis_sums(bond, b_rot).tolist())
     return CostPair(toff, _mps_synthesis_ancilla(bond, b_rot), bound=True)
 
 
@@ -207,13 +201,13 @@ def cost_isp(spec: MoleculeSpec, grid: GridParams, eps_pk: float) -> dict:
     }
 
 
-def cost_isp_total(components: dict, eta_n: int, n_ext: int) -> CostPair:
-    """Aggregate ISP cost: Toffolis add; ancillas are the held exterior-grid
-    qubits ``3*eta_n*n_ext`` plus the largest component ancilla demand."""
+def cost_isp_total(components: dict, held: int) -> CostPair:
+    """Aggregate ISP cost: Toffolis add; ancillas are the ``held``
+    exterior-grid qubits plus the largest component ancilla demand."""
     toff = sum(c.toffoli for c in components.values())
     anc_max = max((c.ancilla for c in components.values()), default=0)
     bound = any(c.bound for c in components.values())
-    return CostPair(toff, 3 * eta_n * n_ext + anc_max, bound=bound)
+    return CostPair(toff, held + anc_max, bound=bound)
 
 
 def cost_prep_t(eta: int, n_p: int, mu_t: int) -> CostPair:
@@ -385,14 +379,14 @@ class TotalCost:
 
 def cost_total(isp: CostPair, propagator: CostPair, qft: CostPair, u_pis: CostPair,
                r0_qae: CostPair, lambda_obs: float, eps_qae: float,
-               eta_n: int, n_ext: int) -> TotalCost:
+               isp_demand: int, held: int) -> TotalCost:
     """Compose the end-to-end cost: one state-preparation-plus-evolution
     pass, then amplitude estimation with ``lambda_O/(2*eps_QAE)`` calls to
     the reflection iterate ``2*(U_PiS + U~) + R0_QAE``.
 
-    The iterate holds the ``3*eta_n*n_ext`` exterior-grid qubits plus the
-    largest ancilla demand of its terms; the term that sets it is recorded
-    as ``iterate_ancilla_set_by`` (the first one listed wins a tie).
+    The iterate holds the ``held`` exterior-grid qubits plus the largest
+    ancilla demand of its terms (ISP's is ``isp_demand``); the term that sets
+    it is ``iterate_ancilla_set_by`` (the first one listed wins a tie).
     """
     if eps_qae <= 0:
         raise ValueError("eps_qae must be positive")
@@ -403,9 +397,8 @@ def cost_total(isp: CostPair, propagator: CostPair, qft: CostPair, u_pis: CostPa
     total_toff = u_tilde_toff + qae_toff
 
     s_qpe = ceil_log2(lambda_obs / eps_qae)
-    held = 3 * eta_n * n_ext
     demand = {"U_PiS": u_pis.ancilla - 1, "propagator": propagator.ancilla,
-              "ISP": isp.ancilla - held, "R0_QAE": r0_qae.ancilla}
+              "ISP": isp_demand, "R0_QAE": r0_qae.ancilla}
     set_by = max(demand, key=demand.get)
     anc_iterate = 1 + held + demand[set_by]
     anc_qae = s_qpe + anc_iterate

@@ -160,6 +160,20 @@ def test_estimate_batch(tmp_path):
     assert (tmp_path / "ch3obr_synthetic.report.json").exists()
 
 
+def test_estimate_batch_same_stem_exits_2(tmp_path, capsys):
+    inputs = []
+    for sub, molecule in (("a", CH4), ("b", "molecules/ch3obr_synthetic.json")):
+        (tmp_path / sub).mkdir()
+        inputs.append(str(tmp_path / sub / "m.json"))
+        Path(inputs[-1]).write_text(Path(molecule).read_text())
+    out = tmp_path / "o"
+    out.mkdir()
+    assert main(["estimate", "--batch", *inputs, "--out", str(out) + "/"]) == 2
+    err = capsys.readouterr().err
+    assert inputs[0] in err and inputs[1] in err
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("out_format, suffix", [("markdown", "md"), ("csv", "csv")])
 def test_estimate_batch_names_follow_format(tmp_path, out_format, suffix):
     assert main(["estimate", "--batch", CH4, "--format", out_format,

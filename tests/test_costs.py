@@ -1,9 +1,12 @@
+import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from qdyncost.costs import (
     CostPair,
@@ -37,6 +40,7 @@ from qdyncost.costs import (
     qsp_degree,
     qsp_rotation_cost,
 )
+from qdyncost.model import ceil_log2
 
 
 def test_erasure_reference_values():
@@ -75,7 +79,7 @@ def test_ssct_matches_closed_form():
 
 
 def test_isp_total_zero_components():
-    pair = cost_isp_total({}, eta_n=5, n_ext=4)
+    pair = cost_isp_total({}, held=3 * 5 * 4)
     assert pair.toffoli == 0
     assert pair.ancilla == 3 * 5 * 4
 
@@ -85,11 +89,11 @@ def test_isp_total_nonseparable_is_additive():
         "a": CostPair(100.0, 7),
         "b": CostPair(50.0, 3),
     }
-    sep = cost_isp_total(base, eta_n=2, n_ext=1)
+    sep = cost_isp_total(base, held=6)
     joint = dict(base)
     joint["ASP_en"] = cost_asp(d_configs=16, b_asp=8)
     joint["SoSlat_en"] = cost_soslat(d_configs=16)
-    non = cost_isp_total(joint, eta_n=2, n_ext=1)
+    non = cost_isp_total(joint, held=6)
     extra = joint["ASP_en"].toffoli + joint["SoSlat_en"].toffoli
     assert non.toffoli == pytest.approx(sep.toffoli + extra)
 
@@ -197,7 +201,7 @@ def _total(eps_qae, lambda_obs=1.0):
         r0_qae=CostPair(30.0, 25),
         lambda_obs=lambda_obs,
         eps_qae=eps_qae,
-        eta_n=2, n_ext=2,
+        isp_demand=38, held=12,
     )
 
 
@@ -205,7 +209,7 @@ def test_cost_total_call_count_and_register():
     total = _total(0.0625)
     assert total.qae_calls == pytest.approx(8.0)
     assert total.qpe_register == 4
-    # iterate demands: U_PiS 19, propagator 60, ISP 50 - 3*2*2 = 38, R0_QAE 25
+    # iterate demands: U_PiS 19, propagator 60, ISP 38, R0_QAE 25; 12 qubits held
     assert total.iterate_ancilla_set_by == "propagator"
     assert total.c_anc == 4 + 1 + 12 + 60
 
@@ -316,6 +320,78 @@ def test_isp_costs_monotone_in_bond_dims():
     lo = cost_w_e(eta_e=4, n_mob=3, n_p=5, b_rot=8, bond_dims=np.full((3, 5), 8))
     hi = cost_w_e(eta_e=4, n_mob=3, n_p=5, b_rot=8, bond_dims=np.full((3, 5), 16))
     assert hi.toffoli > lo.toffoli
+
+
+def _rounded_pow2(m: int) -> int:
+    return 2 ** ceil_log2(int(m)) if m > 1 else 1
+
+
+def _mps_synthesis_sum_loop(bond_rows, b_rot: int) -> float:
+    """Reference: the rotation-synthesis sum of one bond table, site by site."""
+    rows = np.atleast_2d(np.asarray(bond_rows, dtype=int))
+    total = 0.0
+    coeff = 32.0 * (1.0 + math.sqrt(2.0)) * math.sqrt(b_rot + 1.0)
+    for row in rows:
+        prev = 1
+        for m in row:
+            m = int(m)
+            m_bar = max(_rounded_pow2(prev), _rounded_pow2(m))
+            total += coeff * m * math.sqrt(m_bar)
+            total += (8.0 * b_rot - 15.0) * m * math.log2(2.0 * m_bar)
+            prev = m
+    return total
+
+
+# bond dimensions where a float exponent or a rounded power of two slips
+EDGE_BONDS = sorted({1, 2, 2 ** 53 + 1, 2 ** 60 - 1, 2 ** 63 - 1}
+                    | {2 ** j + d for j in range(1, 63) for d in (-1, 1)})
+BOND_TABLES = st.tuples(st.integers(1, 4), st.integers(1, 5), st.integers(1, 200),
+                        st.booleans()).flatmap(
+    lambda t: hnp.arrays(np.int64, t[1:3] if t[3] else t[:3],
+                         elements=st.integers(1, 3000) | st.sampled_from(EDGE_BONDS)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(BOND_TABLES, st.integers(4, 40))
+# m - 1 = 2**60 - 2 rounds to 2**60 as a float, so a float exponent takes m to 2**61
+@example(np.array([[2 ** 60 - 1, 3]]), 8)
+def test_mps_synthesis_matches_per_site_loop(table, b_rot):
+    # bit for bit: the vectorised sum adds the same terms in the same order
+    if table.ndim == 2:
+        n_mob, n_p = table.shape
+        w_e = cost_w_e(eta_e=2, n_mob=n_mob, n_p=n_p, b_rot=b_rot, bond_dims=table)
+        assert w_e.toffoli == 2 * n_mob * n_p + 2.0 * 2 * _mps_synthesis_sum_loop(table, b_rot)
+        modes = table[:, None, :]
+    else:
+        modes = table
+    n_smb, n_isp = modes.shape[1:]
+    w_n = cost_w_n(n_isp=n_isp, b_rot=b_rot, bond_dims=table)
+    assert w_n.toffoli == sum(n_smb * n_isp + 2.0 * _mps_synthesis_sum_loop(mode, b_rot)
+                              for mode in modes)
+
+
+# W_e/W_n toffoli_real of the per-site loop, by "molecule|pad mode|n_isp"
+PINNED_W_ROWS = json.loads((Path(__file__).parent / "data" / "pinned_w_rows.json").read_text())
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_W_ROWS))
+def test_w_rows_pinned_across_grid_sizes(case):
+    from qdyncost.budget import allocate
+    from qdyncost.cli import size_grid
+    from qdyncost.model import load_molecule
+
+    molecule, pad_mode, n_isp = case.split("|")
+    spec = load_molecule(f"molecules/{molecule}")
+    overrides = replace(spec.simulation.overrides, n_isp=int(n_isp))
+    spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode),
+                   simulation=replace(spec.simulation, overrides=overrides))
+    bud = allocate(spec.budget, spec.simulation.time_au)
+    grid = size_grid(spec, bud)
+    rows = cost_isp(spec, grid, bud.eps_pk)
+    pinned = PINNED_W_ROWS[case]
+    assert (grid.n_p, grid.n_isp) == (pinned["n_p"], pinned["n_isp"])
+    assert repr(rows["W_e"].toffoli) == pinned["W_e"]
+    assert repr(rows["W_n"].toffoli) == pinned["W_n"]
 
 
 def test_resize_bond_table():
