@@ -11,6 +11,7 @@ closes with equality for any lambda_O.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -22,9 +23,6 @@ _REF_TOTAL = 0.095
 _REF_QAE = 0.0625
 _REF_ISP = 0.015
 _REF_PROP = 0.00125
-
-# Samples drawn per trim Monte Carlo batch, which bounds its peak memory.
-TRIM_BATCH = 20_000_000
 
 
 @dataclass(frozen=True)
@@ -181,43 +179,41 @@ def prop_error(eps_h: float, t_au: float, d_tilde: float, eps_dtilde: float,
 def trim_error_mc(sampler, n_mc: int, alpha: float, rng) -> tuple[float, bool]:
     """Monte Carlo bound on the grid-trimming error.
 
-    ``sampler(rng, size)`` draws that many grid points from the prepared
-    distribution and returns a boolean array flagging which landed inside
-    the interior box.  If all ``n_mc`` samples land inside, the one-sided
-    ``1-alpha`` confidence bound ``sqrt(1 - alpha**(1/n_mc))`` is returned
-    with the flag True; otherwise the empirical ``sqrt(1 - p_hat)`` with
-    False.
-
-    Deterministic given ``rng``; batches of ``TRIM_BATCH`` are drawn in a
-    fixed order.
+    ``sampler(rng, size)`` returns how many of ``size`` points drawn from the
+    prepared distribution land inside the interior box.  It is called once,
+    for all ``n_mc``: with :func:`gaussian_box_sampler` that is one binomial
+    draw, O(1) in ``n_mc`` and deterministic given ``rng``.  If all land
+    inside, the one-sided ``1-alpha`` confidence bound
+    ``sqrt(1 - alpha**(1/n_mc))`` is returned with the flag True; otherwise
+    the empirical ``sqrt(1 - p_hat)`` with False.
     """
     if n_mc < 1:
         raise ValueError("n_mc must be >= 1")
     if not 0.0 < alpha < 1.0:
         raise ValueError("alpha must be in (0,1)")
-    n_inside = 0
-    remaining = n_mc
-    while remaining > 0:
-        size = min(TRIM_BATCH, remaining)
-        inside = np.asarray(sampler(rng, size), dtype=bool)
-        if inside.shape != (size,):
-            raise ValueError("sampler must return one flag per requested sample")
-        n_inside += int(np.count_nonzero(inside))
-        remaining -= size
+    n_inside = operator.index(sampler(rng, n_mc))
+    if not 0 <= n_inside <= n_mc:
+        raise ValueError(f"sampler returned {n_inside} inside of {n_mc} samples")
     if n_inside == n_mc:
         # alpha**(1/n) via exp(log(alpha)/n) to avoid underflow of the power
         return math.sqrt(1.0 - math.exp(math.log(alpha) / n_mc)), True
-    p_hat = n_inside / n_mc
-    return math.sqrt(1.0 - p_hat), False
+    return math.sqrt(1.0 - n_inside / n_mc), False
 
 
 def gaussian_box_sampler(sigma_grid: float, interior_half: int):
-    """Sampler drawing from a centered 1D discrete Gaussian of the given
-    width (grid units) and reporting whether each point lies in the interior
-    interval ``[-interior_half, interior_half - 1]``.
+    """Sampler of how many of ``size`` points ``rint(N(0, sigma_grid**2))``
+    (grid units) lie in ``[-interior_half, interior_half - 1]``: one
+    Binomial(size, 1 - p_out) draw, where a point is outside iff its normal
+    draw is below ``-interior_half - 1/2`` or above ``interior_half - 1/2``.
     """
+    if not (math.isfinite(sigma_grid) and sigma_grid > 0.0 and interior_half >= 1):
+        raise ValueError("sampler needs a finite sigma_grid > 0 and interior_half >= 1, "
+                         f"got {sigma_grid} and {interior_half}")
+    scale = sigma_grid * math.sqrt(2.0)
+    p_out = 0.5 * (math.erfc((interior_half + 0.5) / scale)
+                   + math.erfc((interior_half - 0.5) / scale))
+
     def sampler(rng, size):
-        pts = np.rint(rng.normal(0.0, sigma_grid, size=size))
-        return (pts >= -interior_half) & (pts <= interior_half - 1)
+        return size - int(rng.binomial(size, p_out))
 
     return sampler

@@ -132,13 +132,29 @@ def _one_of(choices):
     return check
 
 
+# Entry converters with a whole-array fast path: the entry types it takes
+# (``type`` is exact, so bool is never one), the cast each entry gets, and
+# the lower bound the converter rejects at or below (None: no bound).
+_FAST_EACH = {_number: ({int, float}, float, None),
+              _positive: ({int, float}, float, 0.0),
+              _whole: ({int}, int, None)}
+
+
 def _each(convert, nonempty: bool = False):
     """A JSON array, ``convert`` on each entry, as a tuple."""
+    fast = _FAST_EACH.get(convert)
+
     def check(value):
         value = _typed(value, list, "an array")
         if nonempty and not value:
             raise ValueError("must not be empty")
         try:
+            if fast and fast[0].issuperset(map(type, value)):
+                out = tuple(map(fast[1], value))
+                low = fast[2]
+                # min skips a NaN that is not first; the sum catches it
+                if low is None or not out or (min(out) > low and not math.isnan(sum(out))):
+                    return out
             return tuple(map(convert, value))
         except (TypeError, ValueError, OverflowError):
             for i, x in enumerate(value):  # find the entry to name

@@ -1,4 +1,5 @@
 import math
+import time
 
 import numpy as np
 import pytest
@@ -148,7 +149,7 @@ def test_trim_single_sample_inside():
 
 def test_trim_all_outside():
     def sampler(rng, size):
-        return np.zeros(size, dtype=bool)
+        return 0
 
     bound, all_inside = trim_error_mc(sampler, 100, 1e-3, np.random.Generator(np.random.Philox(0)))
     assert not all_inside
@@ -167,3 +168,65 @@ def test_trim_reference_value_small_n():
     bound, ok = trim_error_mc(sampler, 1000, 1e-5, np.random.Generator(np.random.Philox(3)))
     assert ok
     assert bound == pytest.approx(math.sqrt(1.0 - math.exp(math.log(1e-5) / 1000)), rel=1e-12)
+
+
+def _reference_inside_count(sigma_grid, interior_half, rng, size):
+    """The inside count as the Monte Carlo once drew it: ``size`` rounded
+    normal draws, each flagged inside or outside the interior box."""
+    pts = np.rint(rng.normal(0.0, sigma_grid, size=size))
+    return int(np.count_nonzero((pts >= -interior_half) & (pts <= interior_half - 1)))
+
+
+def _outside_probability(sigma_grid, interior_half):
+    scale = sigma_grid * math.sqrt(2.0)
+    return 0.5 * (math.erfc((interior_half + 0.5) / scale)
+                  + math.erfc((interior_half - 0.5) / scale))
+
+
+@pytest.mark.parametrize("sigma_grid, z", [(1.0, 1.5), (3.7, 2.2), (12.5, 3.0), (60.0, 1.8)])
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_trim_count_matches_reference_sampler(sigma_grid, z, seed):
+    # boxes 1.5 to 3 sd out, so samples land outside; both counts must fall
+    # in the band the trim-mc benchmark checks: 6 sd of a Poisson count with
+    # the expected mean, plus 3
+    interior_half = math.ceil(z * sigma_grid + 0.5)
+    n = 200_000
+    mean_out = n * _outside_probability(sigma_grid, interior_half)
+    band = 6.0 * math.sqrt(mean_out) + 3.0
+    sampler = gaussian_box_sampler(sigma_grid, interior_half)
+    for count in (sampler(np.random.Generator(np.random.Philox(seed)), n),
+                  _reference_inside_count(sigma_grid, interior_half,
+                                          np.random.Generator(np.random.Philox(seed)), n)):
+        assert isinstance(count, int)
+        assert abs((n - count) - mean_out) <= band
+
+
+@pytest.mark.parametrize("count", [-1, 101])
+def test_trim_count_out_of_range_raises(count):
+    with pytest.raises(ValueError, match="inside of 100"):
+        trim_error_mc(lambda rng, size: count, 100, 1e-3, np.random.Generator(np.random.Philox(0)))
+
+
+def test_trim_closed_form_at_huge_n_is_fast():
+    # one draw per call, whatever n_mc: 1e15 samples come back in
+    # milliseconds (the fastest of three calls, so a scheduler stall does
+    # not count)
+    n_mc = 10 ** 15
+    sampler = gaussian_box_sampler(2.0, 64)
+    elapsed = []
+    for _ in range(3):
+        start = time.perf_counter()
+        bound, all_inside = trim_error_mc(sampler, n_mc, 1e-5,
+                                          np.random.Generator(np.random.Philox(0)))
+        elapsed.append(time.perf_counter() - start)
+    assert all_inside
+    assert bound == math.sqrt(1.0 - math.exp(math.log(1e-5) / n_mc))
+    assert min(elapsed) < 0.01
+
+
+@pytest.mark.parametrize("sigma_grid, interior_half", [
+    (0.0, 8), (-1.0, 8), (math.inf, 8), (math.nan, 8), (2.0, 0), (2.0, -3),
+])
+def test_gaussian_box_sampler_rejects_bad_inputs(sigma_grid, interior_half):
+    with pytest.raises(ValueError):
+        gaussian_box_sampler(sigma_grid, interior_half)

@@ -4,8 +4,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from qdyncost import model
 from qdyncost.model import (
     ParticleTable,
     ValidationError,
@@ -237,3 +238,30 @@ def test_malformed_field_named_in_error(section, key, value, field):
     (doc[section] if section else doc)[key] = value
     with pytest.raises(ValidationError, match=field):
         validate_molecule(molecule_from_dict(doc))
+
+
+def _each_per_entry(convert, value):
+    """The array converter entry by entry, as ``model._each`` falls back to:
+    the converted tuple, or the error naming the first bad entry."""
+    try:
+        return tuple(model._convert(convert, x, i) for i, x in enumerate(value))
+    except ValidationError as exc:
+        return exc.path, str(exc)
+
+
+ENTRIES = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
+                    st.sampled_from([0, 1, -1, 0.0, -0.0, 1e-300, 2.5, 10 ** 400]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["_number", "_positive", "_whole"]), st.lists(ENTRIES, max_size=6))
+@example("_positive", [1.0, math.nan])  # min() passes over a NaN that is not first
+def test_each_fast_path_matches_per_entry(name, value):
+    convert = getattr(model, name)
+    want = _each_per_entry(convert, value)
+    try:
+        got = model._each(convert)(value)
+    except ValidationError as exc:
+        got = exc.path, str(exc)
+    assert repr(got) == repr(want)
+    assert list(map(type, got)) == list(map(type, want))
