@@ -170,7 +170,10 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     # --- cost ledger ------------------------------------------------------
     isp_rows = costs.cost_isp(spec, grid, bud.eps_pk)
     isp_set_by = max(isp_rows, key=lambda k: isp_rows[k].ancilla)
-    held = 3 * p.eta_n * grid.n_ext  # exterior-grid qubits, held through the iterate
+    # exterior-grid qubits, held through the iterate: they exist only when the
+    # ISP grid is wider than the main grid
+    n_ext = max(0, grid.n_ext)
+    held = 3 * p.eta_n * n_ext
     isp_total = costs.cost_isp_total(isp_rows, held)
 
     walk_rows = costs.cost_block_encoding(p.eta, p.eta_e, grid.n_p, prec.mu_t, prec.n_m,
@@ -187,7 +190,7 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     else:
         u_pis = costs.CostPair(0.0, 0)
         warn.append("no reaction channels supplied; yield indicator cost is zero")
-    r0_qae = costs.cost_r0_qae(p.eta_e, p.eta_n, grid.n_p, grid.n_bar_isp)
+    r0_qae = costs.cost_r0_qae(p.eta_e, p.eta_n, grid.n_p, grid.n_p + n_ext)
 
     total = costs.cost_total(isp_total, propagator, qft, u_pis, r0_qae, lambda_obs=bud.lambda_obs,
                              eps_qae=bud.eps_qae, isp_demand=isp_rows[isp_set_by].ancilla,

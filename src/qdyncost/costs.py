@@ -327,10 +327,12 @@ def cost_u_pis(b_j: int, n_p: int, n_nuc: int) -> CostPair:
     return CostPair(toff, 3 * n_p ** 2 - n_p)
 
 
-def cost_r0_qae(eta_e: int, eta_n: int, n_p: int, n_bar_isp: int) -> CostPair:
-    """Reflection about the all-zero state in amplitude estimation."""
-    toff = 3.0 * eta_e * n_p + 3.0 * eta_n * n_bar_isp
-    return CostPair(toff, max(0, 3 * (eta_e * n_p + eta_n * n_bar_isp) - 1))
+def cost_r0_qae(eta_e: int, eta_n: int, n_p: int, n_nuc: int) -> CostPair:
+    """Reflection about the all-zero state in amplitude estimation, over
+    electronic registers of ``n_p`` and nuclear registers of ``n_nuc``
+    qubits per coordinate."""
+    toff = 3.0 * eta_e * n_p + 3.0 * eta_n * n_nuc
+    return CostPair(toff, max(0, 3 * (eta_e * n_p + eta_n * n_nuc) - 1))
 
 
 @dataclass(frozen=True)

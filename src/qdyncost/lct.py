@@ -9,9 +9,12 @@ updates one row at a time: the row adds the half-up rounding of
 sum_j q(b_ij) n_j / 2**r and is wrapped once with a centered modulo, and a
 wrap is counted when that exact integer image leaves the grid, as a perm
 step's negated grid minimum also does.  Programs run forward only, on arrays
-of grid points.  The module also evaluates the Gaussian-state error bounds
-for each step and measures true trace distances against exactly resampled
-Gaussians.
+of grid points held internally as contiguous (d, N) coordinate rows.  The
+module also evaluates the Gaussian-state error bounds for each step and
+measures true trace distances against exactly resampled Gaussians, whose
+norm is a lattice sum: each row of it along the innermost axis is a shifted
+1D Gaussian, summed in closed form as a Jacobi theta value (Poisson
+summation) unless the grid edge clips the row, which is then enumerated.
 
 Conventions of the point arithmetic:
   * rounding is half-up on the signed value, R(x) = floor(x + 1/2);
@@ -33,6 +36,11 @@ DET_TOL = 1e-9                # | |det T| - 1 |
 UNIT_DIAG_TOL = 1e-9          # diagonal of the QL factor against 1
 PROGRAM_MATRIX_TOL = 1e-10    # program product against T^-1
 CHOLESKY_TOL = 1e-10          # L diag(d) L^T against the input
+# Poisson-dual terms of a lattice-norm row sum in closed form; the closed
+# form is used only where the first dropped term, exp(-pi^2 (THETA_TERMS+1)^2 / a),
+# is below exp(-THETA_TAIL_EXP)
+THETA_TERMS = 4
+THETA_TAIL_EXP = 40.0
 
 
 # ---------------------------------------------------------------------------
@@ -261,21 +269,25 @@ def _quantize_coeff(b: float, r: int) -> int:
     return int(math.floor(b * (1 << r) + 0.5))
 
 
-def _wrap_int(vals: np.ndarray, modulus: int, counter: WrapCounter | None) -> np.ndarray:
-    wrapped = (vals + modulus) % (2 * modulus) - modulus
+def _wrap_int(vals: np.ndarray, modulus: int, counter: WrapCounter | None,
+              out: np.ndarray | None = None) -> np.ndarray:
+    """Centered wrap of integers into [-modulus, modulus - 1]; ``modulus``
+    must be a positive power of two, so the wrap is a bitmask.  ``out`` must
+    not share memory with ``vals``."""
+    if modulus <= 0 or modulus & (modulus - 1):
+        raise ValueError(f"wrap modulus {modulus} is not a positive power of two")
+    wrapped = np.add(vals, modulus, out=out)
+    wrapped &= 2 * modulus - 1
+    wrapped -= modulus
     if counter is not None:
         counter.add(np.count_nonzero(wrapped != vals))
     return wrapped
 
 
-def _round_scaled(vals: np.ndarray, r: int) -> np.ndarray:
-    """Half-up rounding of fixed-point values (scaled by 2**r) to integers."""
-    return (vals + (1 << (r - 1))) >> r
-
-
-def _apply_shear(coords: np.ndarray, matrix: np.ndarray, n_bits: int,
-                 counter: WrapCounter | None):
-    """In-place permutation of a unit-triangular shear, one row at a time.
+def _apply_shear(rows: np.ndarray, matrix: np.ndarray, n_bits: int,
+                 counter: WrapCounter | None, acc: np.ndarray, tmp: np.ndarray):
+    """In-place permutation of a unit-triangular shear on (d, N) coordinate
+    rows, one row at a time, with ``acc`` and ``tmp`` as length-N scratch.
 
     Row i adds R(sum_j q(b_ij) n_j / 2**r) and wraps once.  Rows are updated
     so that each reads the old values of the rows it depends on: the last
@@ -288,32 +300,42 @@ def _apply_shear(coords: np.ndarray, matrix: np.ndarray, n_bits: int,
     for i in (range(d - 1, -1, -1) if lower else range(d)):
         cols = [j for j in range(d) if j != i and matrix[i, j] != 0.0]
         if cols:
-            s = sum(np.int64(_quantize_coeff(matrix[i, j], r)) * coords[:, j] for j in cols)
-            coords[:, i] = _wrap_int(coords[:, i] + _round_scaled(s, r), half, counter)
+            np.multiply(rows[cols[0]], _quantize_coeff(matrix[i, cols[0]], r), out=acc)
+            for j in cols[1:]:
+                acc += np.multiply(rows[j], _quantize_coeff(matrix[i, j], r), out=tmp)
+            # half-up rounding of the fixed-point sum, then the exact image
+            acc += 1 << (r - 1)
+            acc >>= r
+            acc += rows[i]
+            _wrap_int(acc, half, counter, out=rows[i])
 
 
-def _apply_perm(coords: np.ndarray, matrix: np.ndarray, n_bits: int, counter: WrapCounter | None):
-    """In-place signed permutation; copies only the columns that move.  A
-    negated -2**(n_bits-1) leaves the grid and wraps back onto itself."""
+def _apply_perm(rows: np.ndarray, matrix: np.ndarray, n_bits: int, counter: WrapCounter | None):
+    """In-place signed permutation of (d, N) coordinate rows; copies only the
+    rows that move.  A negated -2**(n_bits-1) leaves the grid and wraps back
+    onto itself."""
     half = np.int64(1) << (n_bits - 1)
     moved = {}
     for i in np.flatnonzero(np.diag(matrix) != 1.0):
         j = int(np.flatnonzero(matrix[i])[0])
-        moved[i] = coords[:, j].copy() if matrix[i, j] > 0 else _wrap_int(-coords[:, j], half, counter)
-    for i, col in moved.items():
-        coords[:, i] = col
+        moved[i] = rows[j].copy() if matrix[i, j] > 0 else _wrap_int(-rows[j], half, counter)
+    for i, row in moved.items():
+        rows[i] = row
 
 
 def push_points(coords: np.ndarray, program: TransformProgram, n_bits: int,
                 counter: WrapCounter | None = None) -> np.ndarray:
-    """Apply the program's grid permutation to an array of integer points."""
-    coords = np.array(coords, dtype=np.int64, copy=True)
+    """Apply the program's grid permutation to an (N, d) array of integer
+    points.  The steps run on one contiguous (d, N) copy, so each row update
+    reads and writes contiguous memory; the result is its (N, d) transpose."""
+    rows = np.array(np.asarray(coords).T, dtype=np.int64, order="C")
+    acc, tmp = np.empty_like(rows[0]), np.empty_like(rows[0])
     for step in program.steps:
         if step.kind == "perm":
-            _apply_perm(coords, step.matrix, n_bits, counter)
+            _apply_perm(rows, step.matrix, n_bits, counter)
         else:
-            _apply_shear(coords, step.matrix, n_bits, counter)
-    return coords
+            _apply_shear(rows, step.matrix, n_bits, counter, acc, tmp)
+    return rows.T
 
 
 # ---------------------------------------------------------------------------
@@ -368,34 +390,58 @@ def program_error_bound(program: TransformProgram, sigma_prime, delta: float) ->
 
 
 def _interior_coords(dims: int, n_int: int) -> np.ndarray:
+    """Interior-box points in row-major order, as the (N, d) transpose of a
+    contiguous (d, N) array."""
     half = 1 << (n_int - 1)
-    axes = [np.arange(-half, half)] * dims
-    mesh = np.meshgrid(*axes, indexing="ij")
-    return np.stack([m.ravel() for m in mesh], axis=1).astype(np.int64)
+    return (np.indices((2 * half,) * dims).reshape(dims, -1) - half).T
 
 
 def _lattice_norm_sq(quad: np.ndarray, n_bits: int, cutoff: float = 120.0) -> float:
-    """Sum of exp(-n^T quad n) over the grid, enumerated over the bounding
-    box of the ellipsoid quad <= cutoff (the tail beyond is below 1e-52)."""
+    """Sum of exp(-n^T quad n) over the grid [-half, half - 1]^d.
+
+    The outer d - 1 axes run over the bounding box of the ellipsoid
+    n^T quad n <= cutoff (the tail beyond is below 1e-52), clipped to the
+    grid.  Along the innermost axis each outer row is a shifted 1D Gaussian
+    a x^2 + 2 b x + c.  Where the row's window {x : q <= cutoff} lies inside
+    the grid, its sum over all integers is taken in closed form, the Jacobi
+    theta value from Poisson summation
+
+        sqrt(pi/a) exp(-(c - b^2/a)) (1 + 2 sum_m exp(-pi^2 m^2/a) cos(2 pi m b/a)).
+
+    Rows whose window the grid edge clips, and every row when a is too large
+    for THETA_TERMS dual terms to converge, are summed point by point.
+    """
     d = quad.shape[0]
     half = 1 << (n_bits - 1)
     inv = np.linalg.inv(quad)
-    reach = [int(math.ceil(math.sqrt(cutoff * inv[a, a]))) + 1 for a in range(d)]
-    # the box is clipped to the two's-complement grid [-half, half - 1]
-    axes = [np.arange(-min(half, r), min(half - 1, r) + 1, dtype=float) for r in reach]
-    total = 0.0
-    # chunk along the first axis to keep peak memory modest
-    chunk = max(1, int(4e6 // max(1, np.prod([len(ax) for ax in axes[1:]]))))
-    first = axes[0]
-    for start in range(0, len(first), chunk):
-        sub = [first[start:start + chunk]] + axes[1:]
-        mesh = np.meshgrid(*sub, indexing="ij")
-        q = np.zeros_like(mesh[0])
-        for a in range(d):
-            for b in range(d):
-                if quad[a, b] != 0.0:
-                    q += quad[a, b] * mesh[a] * mesh[b]
-        total += float(np.sum(np.exp(-q)))
+    reach = [int(math.ceil(math.sqrt(cutoff * inv[k, k]))) + 1 for k in range(d)]
+    lo = [-min(half, r) for r in reach]
+    hi = [min(half - 1, r) for r in reach]
+    lens = [hi[k] - lo[k] + 1 for k in range(d - 1)]
+    outer = np.indices(lens, dtype=float).reshape(d - 1, math.prod(lens))
+    outer += np.array(lo[:-1], dtype=float)[:, None]
+    # row q = a (x - centre)^2 + c_min, with c_min from the Schur complement
+    a = float(quad[-1, -1])
+    centre = -(quad[-1, :-1] @ outer) / a
+    schur = quad[:-1, :-1] - np.outer(quad[:-1, -1], quad[-1, :-1]) / a
+    c_min = np.sum(outer * (schur @ outer), axis=0)
+    width = np.sqrt(np.maximum(cutoff - c_min, 0.0) / a)
+    slow_dual = math.pi ** 2 * (THETA_TERMS + 1) ** 2 / a < THETA_TAIL_EXP
+    direct = slow_dual | (centre - width < -half) | (centre + width > half - 1)
+
+    theta = np.ones_like(centre[~direct])
+    frac = 2.0 * math.pi * (centre[~direct] % 1.0)
+    for m in range(1, THETA_TERMS + 1):
+        theta += 2.0 * math.exp(-(math.pi * m) ** 2 / a) * np.cos(m * frac)
+    total = math.sqrt(math.pi / a) * float(np.sum(np.exp(-c_min[~direct]) * theta))
+
+    rows = np.flatnonzero(direct)
+    x = np.arange(lo[-1], hi[-1] + 1, dtype=float)
+    chunk = max(1, int(1e6 // len(x)))
+    for start in range(0, len(rows), chunk):
+        idx = rows[start:start + chunk]
+        t = x[None, :] - centre[idx, None]
+        total += float(np.sum(np.exp(-(a * t * t + c_min[idx, None]))))
     return total
 
 
@@ -406,27 +452,29 @@ def gaussian_instance_error(program: TransformProgram, sigma_prime, delta: float
 
     The initial state is the separable Gaussian hard-truncated to the
     interior box; the reference is the exactly resampled Gaussian
-    g(delta*T*n) on the full grid.  Works directly on the support points.
+    g(delta*T*n) on the full grid.  Works directly on the support points,
+    held as (d, N) coordinate rows.
     """
     d = program.dim
     sigma_vec = np.broadcast_to(np.asarray(sigma_prime, dtype=float), (d,))
     t_matrix = np.linalg.inv(program.matrix())
 
     coords = _interior_coords(d, n_int)
-    quad0 = np.einsum("na,a,na->n", coords.astype(float), sigma_vec, coords.astype(float))
-    amps = np.exp(-0.5 * delta ** 2 * quad0)
-    norm0 = math.sqrt(float(np.sum(amps ** 2)))
+    amps = np.exp(-0.5 * delta ** 2 * (sigma_vec @ np.square(coords.T, dtype=float)))
+    norm0 = math.sqrt(float(amps @ amps))
 
     counter = WrapCounter()
-    final = push_points(coords, program, n_bits, counter)
+    final = push_points(coords, program, n_bits, counter).T.astype(float)
+    del coords
 
     sigma_mat = np.diag(sigma_vec)
     m_quad = delta ** 2 * (t_matrix.T @ sigma_mat @ t_matrix)
-    quad_f = np.einsum("na,ab,nb->n", final.astype(float), m_quad, final.astype(float))
-    g_exact = np.exp(-0.5 * quad_f)
+    quad_f = m_quad @ final
+    quad_f *= final
+    g_exact = np.exp(-0.5 * np.sum(quad_f, axis=0))
     norm_ex = math.sqrt(_lattice_norm_sq(m_quad, n_bits))
 
-    overlap = float(np.sum(amps * g_exact)) / (norm0 * norm_ex)
+    overlap = float(amps @ g_exact) / (norm0 * norm_ex)
     measured = math.sqrt(max(0.0, 1.0 - overlap ** 2))
     bounds = program_error_bound(program, sigma_vec, delta)
     return {

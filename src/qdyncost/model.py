@@ -111,6 +111,16 @@ def _at_least(convert, low, strict: bool = False):
     return check
 
 
+def _at_most(convert, high):
+    """``convert``, then reject values above ``high``."""
+    def check(value):
+        v = convert(value)
+        if v <= high:
+            return v
+        raise ValueError(f"must be <= {high}, got {v}")
+    return check
+
+
 _positive = _at_least(_number, 0, strict=True)
 _count = _at_least(_whole, 1)
 
@@ -349,7 +359,8 @@ class BudgetSettings:
     custom: BudgetShares = _arg(_section(BudgetShares), BudgetShares())
     pad_mode: str = _arg(_one_of(PAD_MODES), "SSCT")
     b_r: int = _arg(_count, 8)                   # amplitude-amplification rotation bits
-    trim_n_mc: int = _arg(_count, 100_000)       # trim Monte Carlo samples
+    # trim Monte Carlo samples, at most numpy's int64 binomial count
+    trim_n_mc: int = _arg(_at_most(_count, 2 ** 63 - 1), 100_000)
     trim_alpha: float = _arg(_fraction, 1e-5)    # trim Monte Carlo confidence level
 
 

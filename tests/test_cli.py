@@ -330,3 +330,33 @@ def test_custom_budget_zero_share_exits_2(tmp_path, capsys):
     mol.write_text(json.dumps(doc))
     assert main(["estimate", "--input", str(mol), "--out", str(tmp_path / "o.json")]) == 2
     assert "eps_prop" in capsys.readouterr().err
+
+
+def test_trim_n_mc_above_int64_exits_2(tmp_path, capsys):
+    # numpy draws the binomial inside count with an int64 sample count
+    doc = json.loads(Path(CH4).read_text())
+    doc["budget"]["trim_n_mc"] = 10 ** 19
+    mol = tmp_path / "big.json"
+    mol.write_text(json.dumps(doc))
+    assert main(["estimate", "--input", str(mol), "--out", str(tmp_path / "o.json")]) == 2
+    err = capsys.readouterr().err
+    assert "budget.trim_n_mc" in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("overrides", [("n_p=22",), ("n_p=29", "n_isp=2")])
+def test_iterate_ancilla_holds_its_parts_on_narrow_isp_grid(tmp_path, overrides):
+    # a pinned grid wider than the ISP grid (n_ext < 0) holds no exterior
+    # qubits, so the iterate needs at least the ancillas of the evolution it
+    # contains (and the ISP aggregate's ancilla stays non-negative)
+    out = tmp_path / "o.json"
+    flags = [f for item in overrides for f in ("--override", item)]
+    assert main(["estimate", "--input", CH4, "--out", str(out), *flags]) == 0
+    doc = json.loads(out.read_text())
+    scalars, agg = doc["scalars"], doc["aggregates"]
+    assert scalars["n_bar_isp"] < scalars["n_p"]
+    assert agg["QAE_iterate"]["ancilla"] >= agg["U_evolution"]["ancilla"] \
+        >= agg["time_evolution"]["ancilla"]
+    # the reflection about zero covers every particle's full n_p-qubit registers
+    eta = len(json.loads(Path(CH4).read_text())["particles"]["charges"])
+    assert doc["rows"]["R0_QAE"]["toffoli"] == 3 * eta * scalars["n_p"]

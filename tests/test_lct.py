@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -285,6 +287,116 @@ def test_identity_instance_measures_truncation_exactly(n_bits, n_int, delta):
     assert res["measured"] == pytest.approx(math.sqrt(1.0 - ratio), rel=1e-12)
 
 
+def box_lattice_norm_sq(quad, n_bits, cutoff=120.0):
+    """Oracle: sum of exp(-n^T quad n) enumerated point by point over the
+    bounding box of the ellipsoid quad <= cutoff, clipped to the grid."""
+    d = quad.shape[0]
+    half = 1 << (n_bits - 1)
+    inv = np.linalg.inv(quad)
+    reach = [int(math.ceil(math.sqrt(cutoff * inv[a, a]))) + 1 for a in range(d)]
+    axes = [np.arange(-min(half, r), min(half - 1, r) + 1, dtype=float) for r in reach]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    q = np.zeros_like(mesh[0])
+    for a in range(d):
+        for b in range(d):
+            q += quad[a, b] * mesh[a] * mesh[b]
+    return float(np.sum(np.exp(-q)))
+
+
+def row_windows(quad, n_bits, cutoff=120.0):
+    """Which grid edges clip the innermost-axis rows of the oracle's box.
+
+    Returns (one, both, edge): some row has points with q <= cutoff beyond
+    exactly one edge of [-half, half - 1], some row beyond both, and the
+    outer row n_0 = half - 1 has points with q <= cutoff.
+    """
+    d = quad.shape[0]
+    half = 1 << (n_bits - 1)
+    inv = np.linalg.inv(quad)
+    reach = [int(math.ceil(math.sqrt(cutoff * inv[a, a]))) + 1 for a in range(d)]
+    axes = [np.arange(-min(half, r), min(half - 1, r) + 1) for r in reach[:-1]]
+    x = np.arange(-4 * half, 4 * half)
+    one = both = edge = False
+    for u in np.array(np.meshgrid(*axes, indexing="ij")).reshape(d - 1, -1).T:
+        n = np.column_stack([np.broadcast_to(u, (len(x), d - 1)), x]).astype(float)
+        inside = x[np.sum(n * (n @ quad), axis=1) <= cutoff]
+        below, above = bool(np.any(inside < -half)), bool(np.any(inside > half - 1))
+        one |= below != above
+        both |= below and above
+        edge |= bool(u[0] == half - 1 and len(inside) > 0)
+    return one, both, edge
+
+
+LATTICE_EDGE_CASES = {
+    # name: (quad, n_bits, (a row clipped on one side only, a row clipped on
+    # both sides, the outer row n_0 = half - 1 carries weight))
+    # the window follows the outer row across the grid and leaves it on one side
+    "clipped_one_side": (np.array([[0.41, 0.45], [0.45, 0.5]]), 6, (True, False, True)),
+    "clipped_both_sides": (np.array([[0.41, 0.45], [0.45, 0.5]]), 4, (True, True, True)),
+    "clipped_3d": (np.array([[0.2, 0.05, 0.1], [0.05, 0.3, 0.2], [0.1, 0.2, 0.3]]), 5,
+                   (True, True, True)),
+    # 1 < a < pi^2: no row clipped, and the first dual term, 2 exp(-pi^2/a),
+    # moves a row's sum by 7% (a = 3) and 17% (a = 4)
+    "dual_terms": (np.array([[0.5, 0.3], [0.3, 3.0]]), 6, (False, False, False)),
+    "dual_terms_3d": (np.array([[0.6, 0.2, 0.4], [0.2, 0.7, 0.9], [0.4, 0.9, 4.0]]), 6,
+                      (False, False, False)),
+    # a > pi^2: the dual series converges slowly, every row is enumerated
+    "narrow_axis": (np.array([[2.0, 1.0], [1.0, 12.0]]), 4, (False, False, True)),
+    "narrow_axis_3d": (np.array([[1.0, 0.3, 0.5], [0.3, 0.8, 1.2], [0.5, 1.2, 11.0]]), 4,
+                       (False, False, True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LATTICE_EDGE_CASES))
+def test_lattice_norm_edge_cases_match_box_oracle(case):
+    quad, n_bits, windows = LATTICE_EDGE_CASES[case]
+    assert row_windows(quad, n_bits) == windows
+    if case.startswith("dual_terms"):
+        assert 1.0 < quad[-1, -1] < math.pi ** 2
+    elif case.startswith("narrow_axis"):
+        assert quad[-1, -1] > math.pi ** 2
+    want = box_lattice_norm_sq(quad, n_bits)
+    assert abs(lct._lattice_norm_sq(quad, n_bits) - want) <= 1e-13 * want
+
+
+@pytest.mark.parametrize("dim, max_bits", [(2, 12), (3, 6)])
+def test_lattice_norm_matches_box_oracle_random_spd(dim, max_bits):
+    # eigenvalues from 1e-4 (windows wider than the grid) to ~3, on grids
+    # that hold the Gaussian whole or clip it
+    rng = np.random.default_rng(70 + dim)
+    for _ in range(25):
+        a = rng.normal(size=(dim, dim))
+        quad = a @ a.T + 0.05 * np.eye(dim)
+        quad *= 10 ** rng.uniform(-3.5, 0.5) / np.linalg.eigvalsh(quad)[-1]
+        n_bits = int(rng.integers(3, max_bits + 1))
+        want = box_lattice_norm_sq(quad, n_bits)
+        assert abs(lct._lattice_norm_sq(quad, n_bits) - want) <= 1e-13 * want
+
+
+PINNED_ENSEMBLE = json.loads(
+    (Path(__file__).parent / "data" / "pinned_lct_ensemble.json").read_text())
+
+
+def test_transform_ensemble_matches_pinned(transform_ensemble):
+    # recorded from the box-enumerating lattice norm and the (N, d) shear
+    # loop: every 10th instance also pins a SHA-256 of its pushed points.
+    # measured = sqrt(1 - overlap^2) magnifies a 1e-15 change in overlap to
+    # ~1e-10 relative at measured ~ 1e-2, so measured^2 is pinned absolutely
+    assert len(transform_ensemble) == len(PINNED_ENSEMBLE) == 200
+    for (dims, delta, res, inst), pin in zip(transform_ensemble, PINNED_ENSEMBLE):
+        program, _, _, n_bits, n_int = inst
+        assert (dims, delta, n_bits, n_int) == \
+            (pin["dims"], pin["delta"], pin["n_bits"], pin["n_int"])
+        assert res["wraps"] == pin["wraps"]
+        assert res["bound"] == pin["bound"]
+        assert abs(res["overlap"] - pin["overlap"]) <= 1e-13
+        assert abs(res["measured"] ** 2 - pin["measured"] ** 2) <= 1e-13
+        if "coords_sha256" in pin:
+            final = push_points(lct._interior_coords(dims, n_int), program, n_bits)
+            digest = hashlib.sha256(np.ascontiguousarray(final, dtype="<i8").tobytes())
+            assert digest.hexdigest() == pin["coords_sha256"]
+
+
 def test_full_lct_gaussian_error_below_bound_2d():
     rng = np.random.default_rng(31)
     for _ in range(6):
@@ -312,6 +424,24 @@ def test_wrap_counted_once_per_row_update():
     prog = TransformProgram(dim=2, steps=[lower_shear([[1.0, 0.0], [-0.4, 1.0]])])
     assert push_points(np.array([[1, -8]]), prog, 4, counter).tolist() == [[1, -8]]
     assert counter.count == 0
+
+
+@pytest.mark.parametrize("modulus", [1, 2, 8, 1 << 11, 1 << 40])
+def test_wrap_bitmask_matches_centered_modulo(modulus):
+    m = modulus
+    vals = np.array([-m, m, -m - 1, -m + 1, m - 1, m + 1, -2 * m, 2 * m - 1, 0, -1],
+                    dtype=np.int64)
+    counter = WrapCounter()
+    wrapped = lct._wrap_int(vals, m, counter)
+    want = (vals + m) % (2 * m) - m
+    assert wrapped.tolist() == want.tolist()
+    assert counter.count == np.count_nonzero(want != vals)
+
+
+@pytest.mark.parametrize("modulus", [0, -8, 3, 12])
+def test_wrap_rejects_modulus_not_power_of_two(modulus):
+    with pytest.raises(ValueError, match="power of two"):
+        lct._wrap_int(np.arange(4, dtype=np.int64), modulus, None)
 
 
 def test_negated_grid_minimum_counts_one_wrap():
