@@ -313,10 +313,12 @@ def run_verify(args: argparse.Namespace) -> int:
     suite = verify.run_suite(only=args.only)
     doc = suite.to_json_dict()
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out_path)
-    for check in doc["checks"]:
-        status = "pass" if check["passed"] else "FAIL"
-        print(f"{status}: {check['name']} measured={check['measured']:.3e} "
-              f"bound={check['bound']:.3e}", file=sys.stderr)
+    for check in suite.results:
+        status = "pass" if check.passed else "FAIL"
+        details = f" details: {check.details}" if check.details else ""
+        print(f"{status}: {check.name} measured={check.measured:.3e} "
+              f"bound={check.bound:.3e} time={check.seconds * 1e3:.1f}ms{details}",
+              file=sys.stderr)
     return 0 if suite.passed else 1
 
 

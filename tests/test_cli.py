@@ -91,6 +91,44 @@ def test_verify_failure_injection_exit_code(tmp_path, monkeypatch):
     assert "lambda" in doc["checks"][0]["details"]
 
 
+def test_verify_fails_on_broken_momentum_conservation(tmp_path, monkeypatch):
+    from qdyncost import verify
+
+    assemble = verify.lcu_assemble
+
+    def leaky(*args, **kwargs):
+        # couple the lowest and highest total momentum of the grid, which no
+        # term of the Hamiltonian does
+        h, lam_t, lam_v = assemble(*args, **kwargs)
+        h[0, -1] += 1e-9
+        h[-1, 0] += 1e-9
+        return h, lam_t, lam_v
+
+    monkeypatch.setattr(verify, "lcu_assemble", leaky)
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--only", "lcu_equality", "--out", str(out)]) == 1
+    (check,) = json.loads(out.read_text())["checks"]
+    assert check["name"] == "lcu_equality" and not check["passed"]
+    assert check["measured"] >= 1e-9
+
+
+def test_verify_prints_each_check_time_and_details(tmp_path, monkeypatch, capsys):
+    from qdyncost import verify
+
+    check = verify.qubiterate_check
+    monkeypatch.setattr(verify, "qubiterate_check", lambda h, lam: check(h, 0.25 * lam))
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--only", "[qt]*", "--out", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert [line.split()[1] for line in lines] == ["qubiterate", "tc2sm_roundtrip"]
+    assert all(" time=" in line and line.split()[4].endswith("ms") for line in lines)
+    assert lines[0].startswith("FAIL: ") and "details: lambda" in lines[0]
+    assert "details" not in lines[1]
+    # wall times stay out of the deterministic JSON
+    for doc in json.loads(out.read_text())["checks"]:
+        assert sorted(doc) == ["bound", "details", "measured", "name", "passed"]
+
+
 def test_lct_bench_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     assert main(["lct-bench", "--out", str(out), "--seed", "3"]) == 0

@@ -1,7 +1,11 @@
+import hashlib
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from qdyncost import encoding, verify
 from qdyncost.gridsizer import k_cutoff_nuclear
@@ -13,6 +17,7 @@ from qdyncost.verify import (
     poly_mps_bond_check,
     qubiterate_check,
     run_suite,
+    sector_norm,
     sm_projection_check,
     sm2tc_convert,
     tc2sm_convert,
@@ -71,6 +76,16 @@ def test_shift_indices_match_dictionary_lookup(n_p, dims):
             want = shift_indices_reference(points, pidx, shift, half)
             assert np.array_equal(verify._shift_indices(points, pidx, shift), want)
     assert np.any(want == -1)
+    # the Coulomb moves tabulate every shift once over the single-particle
+    # points, one row per nu, and gather each particle's entries from it
+    stacked = verify._shift_indices(points, pidx, points[:, None])
+    if len(points) ** 2 > verify.MAX_DENSE_DIM:
+        return
+    _, _, pair_pt = verify._basis([1.0, 1.0], n_p, dims)
+    for row, nu in zip(stacked, points):
+        assert np.array_equal(row, verify._shift_indices(points, pidx, nu))
+        for pt in pair_pt:
+            assert np.array_equal(row[pt], verify._shift_indices(points, pt, nu))
 
 
 # ---------------------------------------------------------------------------
@@ -94,17 +109,89 @@ def test_lcu_electron_nucleus_attraction_sign():
 
 
 def test_lcu_equality_eta2():
+    # acceptance criterion 1 measures the same difference with a dense SVD
     h_g = galerkin_hamiltonian([1.0, 1836.0], [-1, 1], 2, 5.0)
     h_l, _, _ = lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
-    assert np.linalg.norm(h_l - h_g, 2) <= 1e-12
+    assert sector_norm(h_l - h_g, [1.0, 1836.0], 2) <= 1e-12
 
 
-def test_lcu_coefficient_sums_match_norms():
-    pt = ParticleTable(masses=(1.0, 1836.0), charges=(-1, 1), eta_e=1, eta_n=1)
-    _, lam_t, lam_v = lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
-    norms = encoding.lcu_norms(pt, 2, 125.0)
-    assert lam_t == pytest.approx(norms.lambda_t, rel=1e-10)
-    assert lam_v == pytest.approx(norms.lambda_v, rel=1e-10)
+# recorded from the assembly that recomputed every shift on every composite
+# basis state: the CH-like eta = 2 instance, one eta = 1 instance at n_p = 3
+# and the ten instances of the lcu_norms check
+PINNED_MATRICES = json.loads(
+    (Path(__file__).parent / "data" / "pinned_lcu_matrices.json").read_text())
+
+
+def _sha256(h):
+    return hashlib.sha256(np.ascontiguousarray(h).tobytes()).hexdigest()
+
+
+@pytest.mark.parametrize("pin", PINNED_MATRICES, ids=lambda pin: pin["label"])
+def test_assembled_matrices_match_pinned(pin):
+    args = (pin["masses"], pin["charges"], pin["n_p"], pin["length"])
+    h_g = galerkin_hamiltonian(*args)
+    h_l, lam_t, lam_v = lcu_assemble(*args, eta_e=pin["eta_e"])
+    assert h_g.shape == h_l.shape == (pin["dim"], pin["dim"])
+    assert _sha256(h_g) == pin["galerkin_sha256"]
+    assert _sha256(h_l) == pin["lcu_sha256"]
+    assert (repr(lam_t), repr(lam_v)) == (pin["lam_t_sum"], pin["lam_v_sum"])
+
+
+def test_pinned_matrices_are_the_lcu_norms_instances(monkeypatch):
+    calls = []
+
+    def record(masses, charges, n_p, length, eta_e):
+        calls.append({"masses": list(masses), "charges": list(charges), "n_p": n_p,
+                      "length": length, "eta_e": eta_e})
+        return lcu_assemble(masses, charges, n_p, length, eta_e)
+
+    monkeypatch.setattr(verify, "lcu_assemble", record)
+    assert run_suite(only="lcu_norms").passed
+    keys = ("masses", "charges", "n_p", "length", "eta_e")
+    pinned = [{k: pin[k] for k in keys} for pin in PINNED_MATRICES
+              if pin["label"].startswith("lcu_norms_")]
+    assert calls == pinned and len(calls) == 10
+
+
+# ---------------------------------------------------------------------------
+# total-momentum block norm
+
+# (masses, n_p, dims) of small grids: 3, 9, 27, 49 and 81 basis states
+SECTOR_GRIDS = [([1.0], 2, 1), ([1.0, 2.0], 2, 1), ([1.0], 2, 3), ([1.0, 2.0], 3, 1),
+                ([1.0, 2.0], 2, 2)]
+
+
+def _sectors(masses, n_p, dims):
+    points, _, particle_pt = verify._basis(masses, n_p, dims)
+    momentum = sum(points[pt] for pt in particle_pt)
+    return np.all(momentum[:, None, :] == momentum[None, :, :], axis=-1)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from(SECTOR_GRIDS), st.integers(0, 2 ** 32 - 1), st.booleans(),
+       st.floats(-12.0, 1.0))
+def test_sector_norm_bounds_dense_norm(grid, seed, off_sector, log_leak):
+    masses, n_p, dims = grid
+    same = _sectors(masses, n_p, dims)
+    h = random_hermitian(np.random.default_rng(seed), len(same))
+    h[~same] *= (10.0 ** log_leak) if off_sector else 0.0
+    dense = float(np.linalg.norm(h, 2))
+    measured = sector_norm(h, masses, n_p, dims)
+    assert measured >= dense * (1.0 - 1e-12)
+    if not off_sector:
+        assert measured == pytest.approx(dense, rel=1e-12)
+
+
+def test_sector_norm_counts_an_off_sector_entry():
+    # the eta = 2, n_p = 2 grid has 125 total-momentum sectors of at most 27
+    # states; a Hermitian pair linking two of them is the whole residue
+    masses = [1.0, 1836.0]
+    same = _sectors(masses, 2, 3)
+    sizes = np.unique(same, axis=0).sum(axis=1)
+    assert len(sizes) == 125 and sizes.max() == 27 and not same[0, -1]
+    d = np.zeros(same.shape, dtype=complex)
+    d[0, -1] = d[-1, 0] = 1e-9
+    assert sector_norm(d, masses, 2) == pytest.approx(1e-9, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
