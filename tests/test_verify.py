@@ -115,6 +115,14 @@ def test_lcu_equality_eta2():
     assert sector_norm(h_l - h_g, [1.0, 1836.0], 2) <= 1e-12
 
 
+def test_lcu_coefficient_sums_match_norms():
+    pt = ParticleTable(masses=(1.0, 1836.0), charges=(-1, 1), eta_e=1, eta_n=1)
+    _, lam_t, lam_v = lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
+    norms = encoding.lcu_norms(pt, 2, 125.0)
+    assert lam_t == pytest.approx(norms.lambda_t, rel=1e-10)
+    assert lam_v == pytest.approx(norms.lambda_v, rel=1e-10)
+
+
 # recorded from the assembly that recomputed every shift on every composite
 # basis state: the CH-like eta = 2 instance, one eta = 1 instance at n_p = 3
 # and the ten instances of the lcu_norms check
