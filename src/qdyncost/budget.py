@@ -14,8 +14,6 @@ import math
 import operator
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from qdyncost.model import BudgetSettings, BudgetShares
 
 # Default allocation proportions, normalized to a total budget of 0.095.
@@ -134,37 +132,20 @@ def asp_error_bound(b_asp: int, d_configs: int) -> float:
     return 2.0 * math.pi * 2.0 ** (-b_asp) * logd
 
 
-def isp_error_bound(mode: str, components: dict) -> float:
-    """Total ISP error from its individual contributions.
+def isp_error_bound(*, eps_asp: float = 0.0, eps_orbital=(), eta_e: int = 1, eps_modal=(),
+                    eps_shear: float = 0.0, eps_ortho: float = 0.0, eps_pk: float = 0.0,
+                    sum_abs_c: float = 1.0, eps_trim: float = 0.0) -> float:
+    """Total ISP error from its contributions,
+    ``eps_asp + 2^1.5 eta_e sum(eps_orbital) + 2^1.5 sum(eps_modal)
+    + sum_abs_c (eps_shear + eps_ortho + eps_pk) + eps_trim``.
 
-    components keys (all optional, default 0):
-      eps_asp             arbitrary state preparation
-      eps_orbital         list of per-orbital MPS errors (electronic)
-      eps_modal           list of per-single-modal MPS errors (nuclear)
-      eps_shear, eps_ortho, eps_pk, eps_trim
-      sum_abs_c           sum_{I,J} |C_IJ| (non-separable only)
-      eta_e               electron count (weights the orbital term)
+    ``eps_orbital`` and ``eps_modal`` list the per-orbital (electronic) and
+    per-single-modal (nuclear) MPS errors; ``sum_abs_c = sum_{I,J} |C_IJ|``
+    weights the coordinate-transform terms of a non-separable state.  An
+    electronic-only or nuclear-only state leaves the other side's terms 0.
     """
-    eps_asp = components.get("eps_asp", 0.0)
-    eta_e = components.get("eta_e", 1)
-    orb = 2.0 ** 1.5 * eta_e * float(np.sum(components.get("eps_orbital", [])))
-    modal = 2.0 ** 1.5 * float(np.sum(components.get("eps_modal", [])))
-    coord = (
-        components.get("eps_shear", 0.0)
-        + components.get("eps_ortho", 0.0)
-        + components.get("eps_pk", 0.0)
-    )
-    trim = components.get("eps_trim", 0.0)
-    if mode == "electronic":
-        return eps_asp + orb
-    if mode == "nuclear":
-        return eps_asp + modal + coord + trim
-    if mode == "separable":
-        return eps_asp + orb + modal + coord + trim
-    if mode == "nonseparable":
-        sum_abs_c = components.get("sum_abs_c", 1.0)
-        return eps_asp + trim + orb + modal + sum_abs_c * coord
-    raise ValueError(f"unknown ISP error mode {mode!r}")
+    return (eps_asp + 2.0 ** 1.5 * eta_e * sum(eps_orbital) + 2.0 ** 1.5 * sum(eps_modal)
+            + sum_abs_c * (eps_shear + eps_ortho + eps_pk) + eps_trim)
 
 
 def prop_error(eps_h: float, t_au: float, d_tilde: float, eps_dtilde: float,

@@ -104,9 +104,7 @@ def size_grid(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> gridsizer.Grid
     the truncation targets at that L; the molecule's grid overrides may pin
     ``n_p``, ``length``, ``n_isp`` and ``n_pad``.  Unless pinned, ``n_pad``
     pads the final ``n_isp``."""
-    pad_mode = spec.budget.pad_mode
     pins = spec.simulation.overrides
-    dims = 3 * spec.particles.eta_n
     delta_eca, delta_nt = _isp_deltas(spec, bud)
     delta_target, norm_inf = _delta_target(spec, bud)
 
@@ -117,18 +115,18 @@ def size_grid(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> gridsizer.Grid
     k_nuc = [gridsizer.k_cutoff_nuclear(w, length, spec.nuclear.n_hg, delta_nt)
              for w in _rescaled_frequencies(spec)]
 
-    grid = gridsizer.common_grid([k_elec] + k_nuc, delta_target, k_nuc, pad_mode, norm_inf, dims)
+    grid = gridsizer.common_grid([k_elec] + k_nuc, delta_target, k_nuc)
     if pins.n_p is not None or pins.length is not None:
         n_p = grid.n_p if pins.n_p is None else pins.n_p
         length_o = grid.length if pins.length is None else pins.length
         n_grid = 2 ** n_p - 1
         delta = 2.0 * math.pi / length_o
         grid = dataclasses.replace(grid, k_max=delta * (n_grid - 1) / 2.0, delta=delta,
-                                   length=length_o, n_bar=n_grid, n_p=n_p, n_grid=n_grid,
+                                   length=length_o, n_p=n_p, n_grid=n_grid,
                                    n_isp=min(grid.n_isp, n_p))
     n_isp = grid.n_isp if pins.n_isp is None else pins.n_isp
-    n_pad = gridsizer.pad_qubits(pad_mode, norm_inf, dims, n_isp) if pins.n_pad is None \
-        else pins.n_pad
+    n_pad = gridsizer.pad_qubits(spec.budget.pad_mode, norm_inf, 3 * spec.particles.eta_n,
+                                 n_isp) if pins.n_pad is None else pins.n_pad
     return dataclasses.replace(grid, n_isp=n_isp, n_pad=n_pad)
 
 
@@ -311,6 +309,9 @@ def run_verify(args: argparse.Namespace) -> int:
     from qdyncost import verify
 
     suite = verify.run_suite(only=args.only)
+    if not suite.results:
+        print(f"error: --only {args.only!r} matches no check", file=sys.stderr)
+        return 2
     doc = suite.to_json_dict()
     _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out_path)
     for check in suite.results:
@@ -370,8 +371,27 @@ def run_report(args: argparse.Namespace) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    problem = _report_problem(doc)
+    if problem:
+        print(f"error: {args.input_path}: {problem}", file=sys.stderr)
+        return 2
     _write_report(doc, args.out_format, args.out_path)
     return 0
+
+
+def _report_problem(doc) -> str | None:
+    """Why ``doc`` is not a report the renderers can read, or None."""
+    if not isinstance(doc, dict):
+        return f"a report is a JSON object, not {type(doc).__name__}"
+    for section in ("scalars", "rows", "aggregates", "qubits", "anchors"):
+        if not isinstance(doc.get(section, {}), dict):
+            return f"report field {section!r} is not a JSON object"
+    for section in ("rows", "aggregates"):
+        for name, row in doc.get(section, {}).items():
+            for key in ("toffoli", "ancilla", "is_bound"):
+                if not isinstance(row, dict) or key not in row:
+                    return f"report row {section}.{name} has no {key!r}"
+    return None
 
 
 def _render_markdown(doc: dict) -> str:
@@ -427,6 +447,13 @@ def _emit(text: str, out_path: str | None):
         sys.stdout.write(text)
 
 
+def _seed(text: str) -> int:
+    """A ``--seed`` value: the random streams take only non-negative integers."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text!r}")
+    return int(text)
+
+
 def _parse_override(item: str):
     key, _, raw = item.partition("=")
     if not _:
@@ -443,7 +470,7 @@ FLAGS = {
     "--input": dict(dest="input_path"),
     "--out": dict(dest="out_path"),
     "--format": dict(dest="out_format", default="json", choices=("json", "csv", "markdown")),
-    "--seed": dict(type=int, default=0),
+    "--seed": dict(type=_seed, default=0),
     "--budget-policy": dict(dest="budget_policy", choices=BUDGET_POLICIES),
     "--only": dict(),
     "--batch": dict(nargs="*", default=[]),

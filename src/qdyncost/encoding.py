@@ -12,9 +12,6 @@ from qdyncost.model import ParticleTable, ceil_log2
 
 # Largest grid exponent for exact enumeration of the momentum sum.
 BRUTE_NP_CAP = 6
-# Largest single shell enumerated when summing the success probability of the
-# inverse-momentum state; beyond this the nominal 1/4 is reported.
-SHELL_POINT_CAP = 4_000_000
 
 
 @dataclass(frozen=True)
@@ -55,25 +52,21 @@ class PrecisionParams:
 
 
 def _lambda_nu_bound_numerator(n_p: int) -> float:
-    """Three times the closed lower bound of :func:`lambda_nu`."""
+    """Three times :func:`lambda_nu_bound`."""
     return 7.0 * 2.0 ** (n_p + 1) - 9.0 * n_p - 11.0 - 3.0 * 2.0 ** (-n_p)
 
 
-def lambda_nu(n_p: int, mode: str = "brute") -> float:
-    """Sum of inverse squared norms over the 3D momentum grid minus origin.
+def lambda_nu_bound(n_p: int) -> float:
+    """Closed-form lower bound ``(1/3)(7*2^(n_p+1) - 9 n_p - 11 - 3*2^-n_p)``
+    on :func:`lambda_nu` (Su et al., PRX Quantum 2, 040332, 2021)."""
+    return _lambda_nu_bound_numerator(n_p) / 3.0
 
-    mode="brute" enumerates ``G_0`` exactly (capped at n_p <= 6);
-    mode="bound" returns the closed-form lower bound
-    ``(1/3)(7*2^(n_p+1) - 9 n_p - 11 - 3*2^-n_p)``.
-    """
-    if n_p < 2:
-        raise ValueError("n_p must be at least 2")
-    if mode == "bound":
-        return _lambda_nu_bound_numerator(n_p) / 3.0
-    if mode != "brute":
-        raise ValueError(f"unknown mode {mode!r}")
-    if n_p > BRUTE_NP_CAP:
-        raise ValueError(f"brute-force enumeration capped at n_p <= {BRUTE_NP_CAP}")
+
+def lambda_nu(n_p: int) -> float:
+    """Sum of inverse squared norms over the 3D momentum grid minus origin,
+    enumerated exactly over ``G_0`` (2 <= n_p <= BRUTE_NP_CAP)."""
+    if not 2 <= n_p <= BRUTE_NP_CAP:
+        raise ValueError(f"enumeration needs 2 <= n_p <= {BRUTE_NP_CAP}, got {n_p}")
     half = (2 ** n_p - 2) // 2  # (N-1)/2 with N = 2**n_p - 1
     axis = np.arange(-half, half + 1)
     nx, ny, nz = np.meshgrid(axis, axis, axis, indexing="ij")
@@ -92,7 +85,7 @@ def lcu_norms(particles: ParticleTable, n_p: int, omega_cell: float) -> LcuNorms
     if omega_cell <= 0:
         raise ValueError("cell volume must be positive")
     exact = n_p <= BRUTE_NP_CAP
-    lambda_nu_value = lambda_nu(n_p, "brute" if exact else "bound")
+    lambda_nu_value = lambda_nu(n_p) if exact else lambda_nu_bound(n_p)
     lam_m = particles.lambda_m
     lam_t = 6.0 * math.pi ** 2 / omega_cell ** (2.0 / 3.0) * (2.0 ** (n_p - 1) - 1) ** 2 * lam_m
     lam_v = particles.sum_abs_charge_pairs / (2.0 * math.pi * omega_cell ** (1.0 / 3.0)) * lambda_nu_value
@@ -149,19 +142,16 @@ def _p_nu_brute(n_p: int, n_m: int) -> float:
     return total
 
 
-def success_probs(particles: ParticleTable, n_p: int, n_m: int, b_r: int = 8) -> SuccessProbs:
+def success_probs(particles: ParticleTable, n_p: int, n_m: int, b_r: int) -> SuccessProbs:
     """All success probabilities entering the block-encoding LCU norm.
 
-    ``p_nu`` is enumerated exactly while its shells fit under
-    ``SHELL_POINT_CAP`` (n_p <= 7; the value is approximately 1/4); above
-    that the nominal 1/4 is used and ``p_nu_exact`` is False.
+    ``p_nu`` is enumerated exactly for n_p <= 7 (the value is approximately
+    1/4); above that the nominal 1/4 is used and ``p_nu_exact`` is False.
     ``p_zeta = 1 - sum(z^2)/(sum|z|)^2``.
     """
     if b_r < 1:
         raise ValueError("b_r must be >= 1")
-    # the largest enumerated shell is the whole cube of (2^n_p - 1)^3 points,
-    # so whether every shell fits is known before any enumeration
-    exact = (2 ** n_p - 1) ** 3 <= SHELL_POINT_CAP
+    exact = n_p <= 7
     p_nu = _p_nu_brute(n_p, n_m) if exact else 0.25
     abs_sum = sum(abs(z) for z in particles.charges)
     sq_sum = sum(z * z for z in particles.charges)

@@ -27,7 +27,6 @@ class GridParams:
     k_max: float          # 1/bohr
     delta: float          # 1/bohr, adjusted so delta*(N-1)/2 == k_max
     length: float         # bohr, L = 2*pi/delta_initial
-    n_bar: int            # minimum odd plane-wave count before rounding up
     n_p: int
     n_grid: int           # N = 2**n_p - 1
     n_isp: int
@@ -123,15 +122,14 @@ def data_qubits(eta: int, eta_e: int, n_p: int) -> int:
     return 3 * eta * n_p + eta_e
 
 
-def common_grid(k_candidates, delta_target: float, nuclear_cutoffs, pad_mode: str,
-                norm_inf: float, dims: int) -> GridParams:
+def common_grid(k_candidates, delta_target: float, nuclear_cutoffs) -> GridParams:
     """Size the common simulation grid from the candidate momentum cutoffs.
 
     ``K_max`` is the largest candidate; the odd plane-wave count
     ``N_bar = 2*ceil(K_max/delta) + 1`` is rounded up to ``N = 2**n_p - 1``
     and ``delta`` is updated to ``2*K_max/(N-1)`` keeping ``K_max`` fixed.
-    The ISP grid holds the ``nuclear_cutoffs``; its padding follows
-    :func:`pad_qubits` over the ``dims`` nuclear coordinates.
+    The ISP grid holds the ``nuclear_cutoffs``, unpadded (``n_pad = 0``);
+    :func:`pad_qubits` sizes the padding once ``n_isp`` is final.
     """
     k_candidates = list(k_candidates)
     if not k_candidates:
@@ -140,20 +138,15 @@ def common_grid(k_candidates, delta_target: float, nuclear_cutoffs, pad_mode: st
         raise ValueError("delta_target must be positive")
 
     k_max = max(k_candidates)
-    n_bar = 2 * math.ceil(k_max / delta_target) + 1
-    n_p = ceil_log2(n_bar)
+    n_p = ceil_log2(2 * math.ceil(k_max / delta_target) + 1)
     n_grid = 2 ** n_p - 1
     delta = 2.0 * k_max / (n_grid - 1) if n_grid > 1 else delta_target
-    length = 2.0 * math.pi / delta_target
-
-    n_isp = ceil_log2(max(2 * math.ceil(k / delta) + 1 for k in nuclear_cutoffs))
     return GridParams(
         k_max=k_max,
         delta=delta,
-        length=length,
-        n_bar=n_bar,
+        length=2.0 * math.pi / delta_target,
         n_p=n_p,
         n_grid=n_grid,
-        n_isp=n_isp,
-        n_pad=pad_qubits(pad_mode, norm_inf, dims, n_isp),
+        n_isp=ceil_log2(max(2 * math.ceil(k / delta) + 1 for k in nuclear_cutoffs)),
+        n_pad=0,
     )

@@ -366,23 +366,17 @@ def program_error_bound(program: TransformProgram, sigma_prime, delta: float) ->
     sigma_mat = np.diag(np.broadcast_to(np.asarray(sigma_prime, dtype=float), (d,)))
     c_mat = np.eye(d)
     shear_bound = 0.0
-    ortho = []
-    for idx, step in enumerate(program.steps):
+    ortho_bound = 0.0
+    for step in program.steps:
         c_mat = c_mat @ np.linalg.inv(step.matrix)
         if step.kind == "shear":
             shear_bound += shear_error_bound(step.matrix, sigma_prime, delta, d)
         elif step.kind == "ortho":
             k = step.axis
             lam_p = c_mat.T @ sigma_mat @ c_mat
-            val = math.sqrt(2.0) * math.sqrt(max(0.0, 1.0 - math.exp(-delta ** 2 * lam_p[k, k])))
-            ortho.append((idx, k, val))
-    ortho_bound = float(sum(v for (_, _, v) in ortho))
-    return {
-        "shear": shear_bound,
-        "ortho": ortho_bound,
-        "total": shear_bound + ortho_bound,
-        "ortho_steps": ortho,
-    }
+            ortho_bound += math.sqrt(2.0) * math.sqrt(
+                max(0.0, 1.0 - math.exp(-delta ** 2 * lam_p[k, k])))
+    return {"shear": shear_bound, "ortho": ortho_bound, "total": shear_bound + ortho_bound}
 
 
 # ---------------------------------------------------------------------------
@@ -476,12 +470,9 @@ def gaussian_instance_error(program: TransformProgram, sigma_prime, delta: float
 
     overlap = float(amps @ g_exact) / (norm0 * norm_ex)
     measured = math.sqrt(max(0.0, 1.0 - overlap ** 2))
-    bounds = program_error_bound(program, sigma_vec, delta)
     return {
         "measured": measured,
-        "bound": bounds["total"],
-        "bound_shear": bounds["shear"],
-        "bound_ortho": bounds["ortho"],
+        "bound": program_error_bound(program, sigma_vec, delta)["total"],
         "wraps": counter.count,
         "overlap": overlap,
     }

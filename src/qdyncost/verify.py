@@ -30,6 +30,9 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_hermite, jv
 
+from qdyncost import encoding, gridsizer
+from qdyncost.model import ChannelConstraint, ParticleTable, ReactionChannel
+
 MAX_DENSE_DIM = 4096
 # seed of the check suite; each check draws from its own stream, keyed by its
 # name, so a check's instances do not depend on which checks ran before it
@@ -47,18 +50,18 @@ def _grid_axis(n_p: int) -> np.ndarray:
     return np.arange(-half, half + 1)
 
 
-def _basis(masses, n_p: int, dims: int):
-    """Single-particle grid points, composite strides, and each particle's
+def _basis(masses, n_p: int):
+    """Single-particle 3D grid points, composite strides, and each particle's
     point index at every composite basis index."""
     eta = len(masses)
     axis = _grid_axis(n_p)
-    per_particle = len(axis) ** dims
+    per_particle = len(axis) ** 3
     total = per_particle ** eta
     if total > MAX_DENSE_DIM:
         raise ValueError(f"Hilbert dimension {total} exceeds cap {MAX_DENSE_DIM}")
     # single-particle grid points, index-major along the first axis
-    mesh = np.meshgrid(*([axis] * dims), indexing="ij")
-    points = np.stack([m.ravel() for m in mesh], axis=1)  # (per_particle, dims)
+    mesh = np.meshgrid(axis, axis, axis, indexing="ij")
+    points = np.stack([m.ravel() for m in mesh], axis=1)  # (per_particle, 3)
     # particle j occupies stride per_particle**(eta-1-j)
     strides = [per_particle ** (eta - 1 - j) for j in range(eta)]
     all_idx = np.arange(total)
@@ -69,13 +72,12 @@ def _basis(masses, n_p: int, dims: int):
 def _shift_indices(points: np.ndarray, pidx: np.ndarray, nu) -> np.ndarray:
     """Indices of the single-particle points ``points[pidx] + nu``; -1 where
     the shifted point leaves the cube.  The points enumerate the cube
-    ``[-h, h]**dims`` with the last axis fastest, so a point's index is its
+    ``[-h, h]**3`` with the last axis fastest, so a point's index is its
     base-(2h+1) numeral after adding h.  A stack of shifts ``nu`` of shape
-    (K, 1, dims) gives one row of indices per shift."""
+    (K, 1, 3) gives one row of indices per shift."""
     half = int(points.max())
-    dims = points.shape[1]
     shifted = points[pidx] + nu
-    flat = (shifted + half) @ ((2 * half + 1) ** np.arange(dims - 1, -1, -1))
+    flat = (shifted + half) @ ((2 * half + 1) ** np.arange(2, -1, -1))
     return np.where(np.all(np.abs(shifted) <= half, axis=-1), flat, -1)
 
 
@@ -103,18 +105,17 @@ def _coulomb_moves(points: np.ndarray, strides: list, particle_pt: list):
                 yield i, j, nu, ok, dst
 
 
-def galerkin_hamiltonian(masses, charges, n_p: int, length: float, dims: int = 3) -> np.ndarray:
+def galerkin_hamiltonian(masses, charges, n_p: int, length: float) -> np.ndarray:
     """Dense grid-basis Hamiltonian: diagonal kinetic term plus the Coulomb
     term coupling momentum transfers nu within the grid.
 
-    The 3D Coulomb coefficient is ``(2*pi/L^3) z_i z_j / |k_nu|^2`` between
-    ``|p>|q> -> |p+nu>|q-nu>`` with both results on the grid; ``dims=1`` is a
-    diagnostic reduction using the same coefficient with scalar nu.
+    The Coulomb coefficient is ``(2*pi/L^3) z_i z_j / |k_nu|^2`` between
+    ``|p>|q> -> |p+nu>|q-nu>`` with both results on the grid.
     """
     masses = list(masses)
     charges = list(charges)
     eta = len(masses)
-    points, strides, particle_pt = _basis(masses, n_p, dims)
+    points, strides, particle_pt = _basis(masses, n_p)
     per_particle, total = len(points), len(particle_pt[0])
     k_unit = 2.0 * math.pi / length
 
@@ -148,8 +149,7 @@ def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int):
     masses = list(masses)
     charges = list(charges)
     eta = len(masses)
-    dims = 3
-    points, strides, particle_pt = _basis(masses, n_p, dims)
+    points, strides, particle_pt = _basis(masses, n_p)
     total = len(particle_pt[0])
     all_idx = np.arange(total)
     omega = length ** 3
@@ -159,10 +159,10 @@ def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int):
     lam_v_sum = 0.0
 
     # kinetic family: magnitude bits of each axis component
-    mag_bits = np.abs(points)  # (per_particle, dims)
+    mag_bits = np.abs(points)  # (per_particle, 3)
     for j in range(eta):
         pts_j = particle_pt[j]
-        for w in range(dims):
+        for w in range(3):
             comp = mag_bits[pts_j, w]
             for r in range(n_p - 1):
                 bit_r = (comp >> r) & 1
@@ -192,7 +192,7 @@ def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int):
     return h, lam_t_sum, lam_v_sum
 
 
-def sector_norm(d: np.ndarray, masses, n_p: int, dims: int = 3) -> float:
+def sector_norm(d: np.ndarray, masses, n_p: int) -> float:
     """Upper bound on ``||d||_2`` for an operator on the grid basis of
     ``masses``, exact when ``d`` conserves total momentum.
 
@@ -203,8 +203,8 @@ def sector_norm(d: np.ndarray, masses, n_p: int, dims: int = 3) -> float:
     least ``||R||_2``.  Under momentum conservation R = 0 and the block
     maximum is the spectral norm, at the price of one small SVD per sector.
     """
-    points, _, particle_pt = _basis(masses, n_p, dims)
-    momentum = sum(points[pt] for pt in particle_pt)  # (basis state, dims)
+    points, _, particle_pt = _basis(masses, n_p)
+    momentum = sum(points[pt] for pt in particle_pt)  # (basis state, 3)
     sector = np.unique(momentum, axis=0, return_inverse=True)[1].ravel()
     residue = np.abs(d)
     worst = 0.0
@@ -366,12 +366,6 @@ def yield_indicator(channel, positions: np.ndarray) -> np.ndarray:
     return result
 
 
-def yield_projector(channel, positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Projector diagonal (0/1) and raw indicator values for a channel."""
-    ind = yield_indicator(channel, positions)
-    return ind.astype(float), ind
-
-
 def tc2sm_convert(bits: int, width: int) -> int:
     """Two's-complement bit pattern -> signed-magnitude bit pattern.
 
@@ -437,9 +431,6 @@ class SuiteReport:
 
 def run_suite(only: str | None = None) -> SuiteReport:
     """Run the verification suite; ``only`` filters check names by glob."""
-    from qdyncost import encoding  # local import to avoid cycles
-    from qdyncost.model import ChannelConstraint, ParticleTable, ReactionChannel
-
     checks = []
 
     def add(name, fn):
@@ -513,12 +504,11 @@ def run_suite(only: str | None = None) -> SuiteReport:
         return worst, 1e-10
 
     def check_sm_truncation(rng):
-        from qdyncost.gridsizer import k_cutoff_nuclear
         worst_ratio = 0.0
         for nu in range(5):
             for omega in (0.5, 1.0, 2.0):
                 for delta in (1e-2, 1e-3):
-                    k_cut = k_cutoff_nuclear(omega, 100.0, nu + 1, delta)
+                    k_cut = gridsizer.k_cutoff_nuclear(omega, 100.0, nu + 1, delta)
                     _, _, dist = sm_projection_check(nu, omega, 100.0, k_cut)
                     worst_ratio = max(worst_ratio, dist / delta)
         return worst_ratio, 1.0
@@ -538,8 +528,9 @@ def run_suite(only: str | None = None) -> SuiteReport:
         c = ChannelConstraint(alpha=0, beta=1, cutoff=5.0, direction="greater")
         chan = ReactionChannel(constraints=(c,))
         comp = ReactionChannel(constraints=(ChannelConstraint(0, 1, 5.0, "less"),))
-        diag, _ = yield_projector(chan, pts)
-        diag_c, _ = yield_projector(comp, pts)
+        # the projector diagonal (0/1) of each channel
+        diag = yield_indicator(chan, pts).astype(float)
+        diag_c = yield_indicator(comp, pts).astype(float)
         idem = float(np.max(np.abs(diag * diag - diag)))
         complete = float(np.max(np.abs(diag + diag_c - 1.0)))
         return max(idem, complete), 0.0

@@ -143,12 +143,12 @@ def test_criterion_06_padding_sufficiency(transform_ensemble):
 def test_criterion_07_r_nu_bound():
     ok = True
     for n_p in range(2, 21):
-        val = encoding.r_nu_ratio(n_p, encoding.lambda_nu(n_p, "bound"))
+        val = encoding.r_nu_ratio(n_p, encoding.lambda_nu_bound(n_p))
         ok &= val <= 12.0 + 1e-9
     brute_vals = []
     for n_p in range(2, 6):
-        brute = encoding.lambda_nu(n_p, "brute")
-        ok &= brute >= encoding.lambda_nu(n_p, "bound")
+        brute = encoding.lambda_nu(n_p)
+        ok &= brute >= encoding.lambda_nu_bound(n_p)
         brute_vals.append(encoding.r_nu_ratio(n_p, brute))
         ok &= brute_vals[-1] <= 12.0
     _line(7, ok, f"r_nu <= 12 for n_p in [2,20] via the closed bound; brute values "
@@ -174,7 +174,7 @@ def test_criterion_08_p_zeta_lower_bound():
         ok &= p_zeta >= bound - 1e-12
         worst_slack = min(worst_slack, p_zeta - bound)
     hydrogen = ParticleTable(masses=(1.0, 1836.2), charges=(-1, 1), eta_e=1, eta_n=1)
-    probs = encoding.success_probs(hydrogen, 3, n_m=8)
+    probs = encoding.success_probs(hydrogen, 3, n_m=8, b_r=8)
     ok &= probs.p_zeta == 0.5
     _line(8, ok, f"1000 neutral tables satisfy p_zeta >= 3/4 - 1/(4 eta_e) "
                  f"(min slack {worst_slack:.3e}); hydrogen p_zeta = {probs.p_zeta}")

@@ -100,21 +100,30 @@ def test_asp_bound_reference():
 
 
 def test_isp_error_zero_components():
-    assert isp_error_bound("separable", {}) == 0.0
+    assert isp_error_bound() == 0.0
 
 
 def test_isp_error_nonseparable_unit_amplitude():
-    comps = {"eps_shear": 1e-3, "eps_ortho": 2e-3, "eps_pk": 5e-4, "sum_abs_c": 1.0}
-    sep = isp_error_bound("separable", comps)
-    non = isp_error_bound("nonseparable", comps)
-    assert non == pytest.approx(sep)
+    coord = dict(eps_shear=1e-3, eps_ortho=2e-3, eps_pk=5e-4)
+    assert isp_error_bound(**coord, sum_abs_c=1.0) == isp_error_bound(**coord)
+    assert isp_error_bound(**coord, sum_abs_c=3.0) == pytest.approx(3.0 * 3.5e-3)
 
 
 def test_isp_error_orbital_weighting():
-    comps = {"eps_orbital": [1e-4, 2e-4], "eta_e": 3}
-    assert isp_error_bound("electronic", comps) == pytest.approx(
+    assert isp_error_bound(eps_orbital=[1e-4, 2e-4], eta_e=3) == pytest.approx(
         2.0 ** 1.5 * 3 * 3e-4
     )
+
+
+def test_isp_error_terms_add():
+    # an electronic and a nuclear state compose to the separable total
+    elec = dict(eps_orbital=[1e-4, 2e-4], eta_e=3)
+    nuc = dict(eps_modal=[3e-4], eps_shear=1e-3, eps_ortho=2e-3, eps_pk=5e-4, eps_trim=4e-4)
+    assert isp_error_bound(eps_asp=1e-3, **elec, **nuc) == pytest.approx(
+        isp_error_bound(eps_asp=1e-3, **elec) + isp_error_bound(**nuc))
+    assert isp_error_bound(**nuc) == pytest.approx(2.0 ** 1.5 * 3e-4 + 3.5e-3 + 4e-4)
+    with pytest.raises(TypeError):
+        isp_error_bound("separable", {})
 
 
 def test_prop_error_reference():

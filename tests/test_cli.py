@@ -1,9 +1,13 @@
+import dataclasses
 import json
+import math
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from qdyncost.cli import main
+from qdyncost.cli import estimate_report, main
+from qdyncost.model import molecule_from_dict, validate_molecule
 
 CH4 = "molecules/ch4_synthetic.json"
 
@@ -174,8 +178,8 @@ def test_report_records_grid_caveats(tmp_path):
 def test_grid_params_derived_fields():
     from qdyncost.gridsizer import common_grid
 
-    grid = common_grid([10.0], 1.0, [10.0], "SSCT", 1.0, 3)
-    assert grid.n_bar_isp == grid.n_isp + grid.n_pad
+    grid = dataclasses.replace(common_grid([10.0], 1.0, [10.0]), n_pad=2)
+    assert grid.n_bar_isp == grid.n_isp + 2
     assert grid.n_ext == grid.n_bar_isp - grid.n_p
 
 
@@ -398,3 +402,106 @@ def test_iterate_ancilla_holds_its_parts_on_narrow_isp_grid(tmp_path, overrides)
     # the reflection about zero covers every particle's full n_p-qubit registers
     eta = len(json.loads(Path(CH4).read_text())["particles"]["charges"])
     assert doc["rows"]["R0_QAE"]["toffoli"] == 3 * eta * scalars["n_p"]
+
+
+def test_verify_only_matching_nothing_exits_2(tmp_path, capsys):
+    # a mistyped glob must not pass on an empty suite
+    out = tmp_path / "verify.json"
+    assert main(["verify", "--only", "nomatch", "--out", str(out)]) == 2
+    assert "'nomatch'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["lct-bench", "--seed", "-1"],
+    ["estimate", "--input", CH4, "--seed", "-1"],
+    ["estimate", "--input", CH4, "--seed", "seven"],
+], ids=["lct-bench", "estimate", "estimate-word"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --seed" in err and "non-negative" in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("out_format", ["json", "markdown", "csv"])
+@pytest.mark.parametrize("doc, reason", [
+    ([1, 2], "not list"),
+    ({"rows": {"PREP": {"ancilla": 3, "is_bound": False}}}, "rows.PREP has no 'toffoli'"),
+    ({"aggregates": {"total": 5}}, "aggregates.total has no 'toffoli'"),
+    ({"qubits": [1]}, "'qubits' is not a JSON object"),
+], ids=["array", "row-without-toffoli", "aggregate-not-object", "qubits-array"])
+def test_malformed_report_input_exits_2(tmp_path, capsys, out_format, doc, reason):
+    src = tmp_path / "x.json"
+    src.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["report", "--input", str(src), "--format", out_format, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert reason in err and "Traceback" not in err
+    assert not out.exists()
+
+
+# ---------------------------------------------------------------------------
+# metamorphic invariants of the whole estimate
+
+FIXTURE_DOCS = [json.loads(Path(path).read_text())
+                for path in (CH4, "molecules/ch3obr_synthetic.json")]
+ISP_ROWS = ("ASP_e", "SoSlat_e", "ONB2MOB", "ASYM", "W_e", "ASP_n", "SoSlat_n", "ONB2SMB",
+            "W_n", "PK", "TC2SM", "NCT")
+# each grid value pinned or left computed, independently of the others
+GRID_PINS = st.fixed_dictionaries({
+    "n_p": st.none() | st.integers(6, 29), "n_isp": st.none() | st.integers(2, 19),
+    "n_pad": st.none() | st.integers(0, 9), "length": st.none() | st.floats(5.0, 500.0),
+}).map(lambda pins: {key: value for key, value in pins.items() if value is not None})
+
+
+def _variant(doc, pad_mode, eps_total, time_fs, pins):
+    sim = doc["simulation"]
+    return {**doc, "budget": {**doc["budget"], "pad_mode": pad_mode, "eps_total": eps_total},
+            "simulation": {**sim, "time_fs": time_fs,
+                           "overrides": {**sim.get("overrides", {}), **pins}}}
+
+
+def _estimate(doc) -> dict:
+    return estimate_report(validate_molecule(molecule_from_dict(doc)), seed=3).to_json_dict()
+
+
+def _reversed_keys(value):
+    if isinstance(value, dict):
+        return {key: _reversed_keys(value[key]) for key in reversed(value)}
+    if isinstance(value, list):
+        return [_reversed_keys(v) for v in value]
+    return value
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(fixture=st.sampled_from(FIXTURE_DOCS), pad_mode=st.sampled_from(("SSCT", "LCT")),
+       eps_total=st.floats(0.005, 0.2), time_fs=st.floats(5.0, 120.0),
+       pins=st.one_of(st.just({}), GRID_PINS), tighter=st.booleans(),
+       eps_other=st.floats(0.005, 0.2), time_other=st.floats(5.0, 120.0))
+def test_estimate_invariants(fixture, pad_mode, eps_total, time_fs, pins, tighter, eps_other,
+                             time_other):
+    doc = _variant(fixture, pad_mode, eps_total, time_fs, pins)
+    report = _estimate(doc)
+    agg, qubits = report["aggregates"], report["qubits"]
+    # each aggregate needs at least the ancillas of every term it contains
+    assert agg["QAE_iterate"]["ancilla"] >= agg["U_evolution"]["ancilla"] \
+        >= agg["time_evolution"]["ancilla"]
+    assert all(agg["ISP_total"]["ancilla"] >= report["rows"][name]["ancilla"]
+               for name in ISP_ROWS)
+    for section in ("rows", "aggregates"):
+        for row in report[section].values():
+            for key in ("toffoli", "toffoli_real", "ancilla"):
+                assert math.isfinite(row[key]) and row[key] >= 0
+    assert all(v >= 0 for v in qubits.values())
+    assert qubits["total"] == qubits["C_data"] + qubits["C_anc"]
+    # the document's key order does not reach the report
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert json.dumps(_estimate(_reversed_keys(doc)), indent=2, sort_keys=True) == text
+    # a tighter accuracy or a longer time never costs fewer Toffolis
+    if not pins:
+        harder = _variant(fixture, pad_mode, min(eps_total, eps_other) if tighter else eps_total,
+                          time_fs if tighter else max(time_fs, time_other), {})
+        assert _estimate(harder)["aggregates"]["total"]["toffoli"] >= agg["total"]["toffoli"]

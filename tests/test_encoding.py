@@ -10,6 +10,7 @@ from qdyncost.encoding import (
     block_error,
     lambda_h_tilde,
     lambda_nu,
+    lambda_nu_bound,
     lcu_norms,
     precision_params,
     r_nu_ratio,
@@ -30,13 +31,13 @@ def _table(charges, masses=None):
 
 def test_lambda_nu_brute_np2():
     # 6 faces + 12 edges/2 + 8 corners/3 over the 26 points of [-1,1]^3\0
-    assert lambda_nu(2, "brute") == pytest.approx(44.0 / 3.0, rel=1e-14)
+    assert lambda_nu(2) == pytest.approx(44.0 / 3.0, rel=1e-14)
 
 
 def test_lambda_nu_bound_np2():
     # (1/3)(56 - 18 - 11 - 0.75) = 8.75, below the brute value
-    assert lambda_nu(2, "bound") == pytest.approx(8.75, rel=1e-14)
-    assert lambda_nu(2, "bound") <= lambda_nu(2, "brute")
+    assert lambda_nu_bound(2) == pytest.approx(8.75, rel=1e-14)
+    assert lambda_nu_bound(2) <= lambda_nu(2)
 
 
 def test_lambda_nu_unit_shell():
@@ -48,12 +49,13 @@ def test_lambda_nu_unit_shell():
             nu[axis] = sign
             contrib += 1.0 / float(nu @ nu)
     assert contrib == 6.0
-    assert lambda_nu(2, "brute") >= contrib
+    assert lambda_nu(2) >= contrib
 
 
 def test_lambda_nu_brute_cap():
-    with pytest.raises(ValueError, match="capped"):
-        lambda_nu(7, "brute")
+    for n_p in (1, 7):
+        with pytest.raises(ValueError, match="enumeration needs"):
+            lambda_nu(n_p)
 
 
 def test_lcu_norms_single_particle():
@@ -79,13 +81,13 @@ def test_lambda_t_mass_linearity():
 
 def test_p_zeta_hydrogen_is_half():
     pt = _table([-1, 1])
-    probs = success_probs(pt, 3, n_m=8)
+    probs = success_probs(pt, 3, n_m=8, b_r=8)
     assert probs.p_zeta == pytest.approx(0.5, abs=1e-15)
 
 
 def test_p_zeta_water():
     pt = _table([-1] * 10 + [8, 1, 1])
-    probs = success_probs(pt, 3, n_m=8)
+    probs = success_probs(pt, 3, n_m=8, b_r=8)
     assert probs.p_zeta == pytest.approx(1.0 - 76.0 / 400.0, abs=1e-15)
 
 
@@ -119,7 +121,7 @@ P_NU_FIXTURES = {
 def test_p_nu_regression_fixtures():
     pt = _table([-1, 1])
     for n_p, expect in P_NU_FIXTURES.items():
-        probs = success_probs(pt, n_p, n_m=8)
+        probs = success_probs(pt, n_p, n_m=8, b_r=8)
         assert probs.p_nu_exact
         assert probs.p_nu == pytest.approx(expect, rel=1e-12)
 
@@ -129,7 +131,7 @@ def test_p_nu_quarter_window():
     # nominal window and is covered by the frozen fixture above
     pt = _table([-1, 1])
     for n_p in (4, 5, 6):
-        probs = success_probs(pt, n_p, n_m=8)
+        probs = success_probs(pt, n_p, n_m=8, b_r=8)
         assert 0.2 <= probs.p_nu <= 0.3
 
 
@@ -138,7 +140,7 @@ def test_p_nu_nominal_fallback_without_warning():
     pt = _table([-1, 1])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        probs = success_probs(pt, 12, n_m=8)
+        probs = success_probs(pt, 12, n_m=8, b_r=8)
     assert probs.p_nu == 0.25
     assert not probs.p_nu_exact
 
@@ -148,10 +150,10 @@ def test_p_nu_exactness_decided_before_enumeration(monkeypatch):
         raise AssertionError(f"enumerated p_nu shells at n_p={n_p}")
 
     pt = _table([-1, 1])
-    exact_7 = success_probs(pt, 7, n_m=8)
+    exact_7 = success_probs(pt, 7, n_m=8, b_r=8)
     monkeypatch.setattr(encoding, "_p_nu_brute", no_enumeration)
     for n_p in (8, 18):
-        probs = success_probs(pt, n_p, n_m=8)
+        probs = success_probs(pt, n_p, n_m=8, b_r=8)
         assert probs.p_nu == 0.25
         assert not probs.p_nu_exact
     assert exact_7.p_nu_exact
@@ -178,14 +180,14 @@ def test_lambda_h_tilde_peq_prefactor():
 
 def test_precision_params_reference():
     p = precision_params(6.0 * math.pi ** 2, 1.0, 100.0, 1e-3, 1e-3, 1e-3, 2,
-                         lambda_nu(2, "brute"))
+                         lambda_nu(2))
     assert p.mu_t == 16  # ceil(log2(59217.6...))
     assert p.r_nu == pytest.approx((4.0 / (44.0 / 3.0)) * 26.25, rel=1e-12)
     assert p.r_nu <= 12.0
 
 
 def test_precision_params_unit_ratio():
-    p = precision_params(5.0, 1.0, 10.0, 5.0, 1e-3, 1e-3, 2, lambda_nu(2, "brute"))
+    p = precision_params(5.0, 1.0, 10.0, 5.0, 1e-3, 1e-3, 2, lambda_nu(2))
     assert p.mu_t == 0
 
 
@@ -200,9 +202,9 @@ def test_block_error():
 
 def test_r_nu_bound_from_closed_form():
     for n_p in range(2, 21):
-        assert r_nu_ratio(n_p, lambda_nu(n_p, "bound")) == pytest.approx(12.0, rel=1e-12)
+        assert r_nu_ratio(n_p, lambda_nu_bound(n_p)) == pytest.approx(12.0, rel=1e-12)
     for n_p in range(2, 7):
-        assert r_nu_ratio(n_p, lambda_nu(n_p, "brute")) <= 12.0
+        assert r_nu_ratio(n_p, lambda_nu(n_p)) <= 12.0
 
 
 @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=12))
@@ -211,7 +213,7 @@ def test_p_zeta_lower_bound_neutral_tables(nuclear_charges):
     eta_e = sum(nuclear_charges)
     charges = [-1] * eta_e + list(nuclear_charges)
     pt = _table(charges)
-    probs = success_probs(pt, 3, n_m=8)
+    probs = success_probs(pt, 3, n_m=8, b_r=8)
     assert probs.p_zeta >= 0.75 - 1.0 / (4.0 * eta_e) - 1e-12
 
 

@@ -73,23 +73,23 @@ def test_k_cutoff_nuclear_negative_radicand_is_error():
 
 
 def test_common_grid_reference():
-    grid = common_grid([10.0], 1.0, [10.0], "SSCT", 1.0, 3)
-    assert grid.n_bar == 21
+    # N_bar = 2*ceil(10/1) + 1 = 21 rounds up to N = 31; the grid comes unpadded
+    grid = common_grid([10.0], 1.0, [10.0])
     assert grid.n_p == 5
     assert grid.n_grid == 31
     assert grid.delta == pytest.approx(20.0 / 30.0)
     assert grid.length == pytest.approx(2.0 * math.pi)
+    assert (grid.n_isp, grid.n_pad) == (5, 0)
 
 
 def test_common_grid_smallest():
-    grid = common_grid([1.0], 1.0, [1.0], "SSCT", 1.0, 3)
-    assert grid.n_bar == 3
+    grid = common_grid([1.0], 1.0, [1.0])  # N_bar = 3 = N
     assert grid.n_p == 2
     assert grid.n_grid == 3
 
 
 def test_common_grid_max_selection():
-    grid = common_grid([3.0, 7.0, 5.0], 1.0, [3.0], "SSCT", 1.0, 3)
+    grid = common_grid([3.0, 7.0, 5.0], 1.0, [3.0])
     assert grid.k_max == 7.0
 
 
@@ -137,7 +137,7 @@ def test_nuclear_cutoff_increasing_in_omega(omega, factor):
 @given(st.floats(min_value=0.05, max_value=20.0), st.floats(min_value=0.001, max_value=2.0))
 @settings(max_examples=40)
 def test_grid_delta_kmax_consistency(k_max, delta_target):
-    grid = common_grid([k_max], delta_target, [k_max], "SSCT", 1.0, 3)
+    grid = common_grid([k_max], delta_target, [k_max])
     assert grid.delta * (grid.n_grid - 1) / 2.0 == pytest.approx(grid.k_max, rel=1e-12)
 
 

@@ -262,7 +262,8 @@ def test_error_bounds_dispatcher():
     prog = decompose_lct(random_unit_det_transform(np.random.default_rng(5), 2))
     bounds = program_error_bound(prog, [1.0, 1.0], 0.1)
     assert bounds["shear"] == shear_error_bound(prog.steps[0].matrix, [1.0, 1.0], 0.1, 2)
-    assert bounds["ortho"] == pytest.approx(sum(v for _, _, v in bounds["ortho_steps"]))
+    # a 2D program with a rotation left after the shear has an ortho term
+    assert any(step.kind == "ortho" for step in prog.steps) and bounds["ortho"] > 0.0
     assert bounds["shear"] + bounds["ortho"] == pytest.approx(bounds["total"])
     # quarter turns and reflections contribute nothing
     onlyq = TransformProgram(dim=2, steps=[Step("perm", np.array([[0.0, 1.0], [-1.0, 0.0]])),

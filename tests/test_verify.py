@@ -23,7 +23,6 @@ from qdyncost.verify import (
     tc2sm_convert,
     walk_unitarity_defect,
     yield_indicator,
-    yield_projector,
 )
 
 
@@ -36,9 +35,11 @@ def random_hermitian(rng, dim):
 # Galerkin oracle
 
 
-def test_galerkin_1d_kinetic_diagonal():
-    h = galerkin_hamiltonian([1.0], [-1], 2, 2.0 * math.pi, dims=1)
-    assert np.allclose(np.diag(h), [0.5, 0.0, 0.5])
+def test_galerkin_single_particle_kinetic_diagonal():
+    # k = 2 pi/L = 1: each of the 27 points of [-1, 1]^3 has energy |n|^2 / 2
+    h = galerkin_hamiltonian([1.0], [-1], 2, 2.0 * math.pi)
+    n = np.indices((3, 3, 3)).reshape(3, -1).T - 1
+    assert np.allclose(np.diag(h), 0.5 * np.sum(n * n, axis=1))
     assert np.count_nonzero(h - np.diag(np.diag(h))) == 0  # single particle: no V
 
 
@@ -66,9 +67,8 @@ def shift_indices_reference(points, pidx, nu, half):
 
 
 @pytest.mark.parametrize("n_p", [2, 3])
-@pytest.mark.parametrize("dims", [1, 3])
-def test_shift_indices_match_dictionary_lookup(n_p, dims):
-    points, _, particle_pt = verify._basis([1.0], n_p, dims)
+def test_shift_indices_match_dictionary_lookup(n_p):
+    points, _, particle_pt = verify._basis([1.0], n_p)
     half = (2 ** n_p - 2) // 2
     pidx = particle_pt[0]  # every point of the cube
     for nu in points:
@@ -81,7 +81,7 @@ def test_shift_indices_match_dictionary_lookup(n_p, dims):
     stacked = verify._shift_indices(points, pidx, points[:, None])
     if len(points) ** 2 > verify.MAX_DENSE_DIM:
         return
-    _, _, pair_pt = verify._basis([1.0, 1.0], n_p, dims)
+    _, _, pair_pt = verify._basis([1.0, 1.0], n_p)
     for row, nu in zip(stacked, points):
         assert np.array_equal(row, verify._shift_indices(points, pidx, nu))
         for pt in pair_pt:
@@ -94,7 +94,7 @@ def test_shift_indices_match_dictionary_lookup(n_p, dims):
 
 def test_lcu_kinetic_diagonal_identity():
     # the two b-branches collapse to 2*[p_r p_s = 1], giving |k|^2/2m exactly
-    h_g = galerkin_hamiltonian([1.0], [-1], 3, 7.0, dims=3)
+    h_g = galerkin_hamiltonian([1.0], [-1], 3, 7.0)
     h_l, _, _ = lcu_assemble([1.0], [-1], 3, 7.0, eta_e=1)
     assert np.max(np.abs(h_l - h_g)) <= 1e-12
 
@@ -164,27 +164,35 @@ def test_pinned_matrices_are_the_lcu_norms_instances(monkeypatch):
 # ---------------------------------------------------------------------------
 # total-momentum block norm
 
-# (masses, n_p, dims) of small grids: 3, 9, 27, 49 and 81 basis states
-SECTOR_GRIDS = [([1.0], 2, 1), ([1.0, 2.0], 2, 1), ([1.0], 2, 3), ([1.0, 2.0], 3, 1),
-                ([1.0, 2.0], 2, 2)]
+# (masses, n_p) of grids of 27, 343 and 729 basis states; one particle's
+# sectors are single states, two particles' hold up to 27
+SECTOR_GRIDS = [([1.0], 2), ([1.0], 3), ([1.0, 2.0], 2)]
 
 
-def _sectors(masses, n_p, dims):
-    points, _, particle_pt = verify._basis(masses, n_p, dims)
+def _sectors(masses, n_p):
+    """Total-momentum sector label of each basis state."""
+    points, _, particle_pt = verify._basis(masses, n_p)
     momentum = sum(points[pt] for pt in particle_pt)
-    return np.all(momentum[:, None, :] == momentum[None, :, :], axis=-1)
+    return np.unique(momentum, axis=0, return_inverse=True)[1].ravel()
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.sampled_from(SECTOR_GRIDS), st.integers(0, 2 ** 32 - 1), st.booleans(),
        st.floats(-12.0, 1.0))
 def test_sector_norm_bounds_dense_norm(grid, seed, off_sector, log_leak):
-    masses, n_p, dims = grid
-    same = _sectors(masses, n_p, dims)
-    h = random_hermitian(np.random.default_rng(seed), len(same))
-    h[~same] *= (10.0 ** log_leak) if off_sector else 0.0
-    dense = float(np.linalg.norm(h, 2))
-    measured = sector_norm(h, masses, n_p, dims)
+    # a random Hermitian operator on the states of 27 random sectors, zero
+    # elsewhere, so the dense oracle needs only the support's eigenvalues
+    masses, n_p = grid
+    rng = np.random.default_rng(seed)
+    labels = _sectors(masses, n_p)
+    states = np.flatnonzero(np.isin(labels, rng.permutation(labels.max() + 1)[:27]))
+    same = labels[states, None] == labels[None, states]
+    h_s = random_hermitian(rng, len(states))
+    h_s[~same] *= (10.0 ** log_leak) if off_sector else 0.0
+    h = np.zeros((len(labels), len(labels)), dtype=complex)
+    h[np.ix_(states, states)] = h_s
+    dense = float(np.max(np.abs(np.linalg.eigvalsh(h_s))))
+    measured = sector_norm(h, masses, n_p)
     assert measured >= dense * (1.0 - 1e-12)
     if not off_sector:
         assert measured == pytest.approx(dense, rel=1e-12)
@@ -194,10 +202,10 @@ def test_sector_norm_counts_an_off_sector_entry():
     # the eta = 2, n_p = 2 grid has 125 total-momentum sectors of at most 27
     # states; a Hermitian pair linking two of them is the whole residue
     masses = [1.0, 1836.0]
-    same = _sectors(masses, 2, 3)
-    sizes = np.unique(same, axis=0).sum(axis=1)
-    assert len(sizes) == 125 and sizes.max() == 27 and not same[0, -1]
-    d = np.zeros(same.shape, dtype=complex)
+    labels = _sectors(masses, 2)
+    sizes = np.bincount(labels)
+    assert len(sizes) == 125 and sizes.max() == 27 and labels[0] != labels[-1]
+    d = np.zeros((len(labels), len(labels)), dtype=complex)
     d[0, -1] = d[-1, 0] = 1e-9
     assert sector_norm(d, masses, 2) == pytest.approx(1e-9, rel=1e-12)
 
@@ -337,8 +345,8 @@ def test_yield_boundary_is_strict():
 def test_yield_projector_idempotent_and_complete():
     rng = np.random.default_rng(7)
     pos = rng.integers(-10, 10, size=(500, 2, 3))
-    diag, _ = yield_projector(_channel("greater"), pos)
-    diag_c, _ = yield_projector(_channel("less"), pos)
+    diag = yield_indicator(_channel("greater"), pos).astype(float)
+    diag_c = yield_indicator(_channel("less"), pos).astype(float)
     assert np.array_equal(diag * diag, diag)
     assert np.array_equal(diag + diag_c, np.ones(len(pos)))
 
