@@ -168,10 +168,7 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     # --- cost ledger ------------------------------------------------------
     isp_rows = costs.cost_isp(spec, grid, bud.eps_pk)
     isp_set_by = max(isp_rows, key=lambda k: isp_rows[k].ancilla)
-    # exterior-grid qubits, held through the iterate: they exist only when the
-    # ISP grid is wider than the main grid
-    n_ext = max(0, grid.n_ext)
-    held = 3 * p.eta_n * n_ext
+    held = 3 * p.eta_n * grid.n_ext  # exterior-grid qubits, held through the iterate
     isp_total = costs.cost_isp_total(isp_rows, held)
 
     walk_rows = costs.cost_block_encoding(p.eta, p.eta_e, grid.n_p, prec.mu_t, prec.n_m,
@@ -188,11 +185,10 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     else:
         u_pis = costs.CostPair(0.0, 0)
         warn.append("no reaction channels supplied; yield indicator cost is zero")
-    r0_qae = costs.cost_r0_qae(p.eta_e, p.eta_n, grid.n_p, grid.n_p + n_ext)
+    r0_qae = costs.cost_r0_qae(p.eta_e, p.eta_n, grid.n_p, grid.n_p + grid.n_ext)
 
     total = costs.cost_total(isp_total, propagator, qft, u_pis, r0_qae, lambda_obs=bud.lambda_obs,
-                             eps_qae=bud.eps_qae, isp_demand=isp_rows[isp_set_by].ancilla,
-                             held=held)
+                             eps_qae=bud.eps_qae, held=held)
     c_data = gridsizer.data_qubits(p.eta, p.eta_e, grid.n_p)
 
     # --- trimming error (seeded Monte Carlo) -----------------------------
@@ -391,6 +387,10 @@ def _report_problem(doc) -> str | None:
             for key in ("toffoli", "ancilla", "is_bound"):
                 if not isinstance(row, dict) or key not in row:
                     return f"report row {section}.{name} has no {key!r}"
+            if type(row["toffoli"]) not in (int, float):
+                return f"report field {section}.{name}.toffoli is not a number"
+    if type(doc.get("scalars", {}).get("t_au", 0.0)) not in (int, float):
+        return "report field scalars.t_au is not a number"
     return None
 
 

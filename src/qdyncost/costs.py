@@ -380,15 +380,15 @@ class TotalCost:
 
 
 def cost_total(isp: CostPair, propagator: CostPair, qft: CostPair, u_pis: CostPair,
-               r0_qae: CostPair, lambda_obs: float, eps_qae: float,
-               isp_demand: int, held: int) -> TotalCost:
+               r0_qae: CostPair, lambda_obs: float, eps_qae: float, held: int) -> TotalCost:
     """Compose the end-to-end cost: one state-preparation-plus-evolution
     pass, then amplitude estimation with ``lambda_O/(2*eps_QAE)`` calls to
     the reflection iterate ``2*(U_PiS + U~) + R0_QAE``.
 
     The iterate holds the ``held`` exterior-grid qubits plus the largest
-    ancilla demand of its terms (ISP's is ``isp_demand``); the term that sets
-    it is ``iterate_ancilla_set_by`` (the first one listed wins a tie).
+    ancilla demand of its terms (ISP's is ``isp.ancilla - held``: the ISP
+    aggregate holds them too); the term that sets it is
+    ``iterate_ancilla_set_by`` (the first one listed wins a tie).
     """
     if eps_qae <= 0:
         raise ValueError("eps_qae must be positive")
@@ -400,7 +400,7 @@ def cost_total(isp: CostPair, propagator: CostPair, qft: CostPair, u_pis: CostPa
 
     s_qpe = ceil_log2(lambda_obs / eps_qae)
     demand = {"U_PiS": u_pis.ancilla - 1, "propagator": propagator.ancilla,
-              "ISP": isp_demand, "R0_QAE": r0_qae.ancilla}
+              "ISP": isp.ancilla - held, "R0_QAE": r0_qae.ancilla}
     set_by = max(demand, key=demand.get)
     anc_iterate = 1 + held + demand[set_by]
     anc_qae = s_qpe + anc_iterate

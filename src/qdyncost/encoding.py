@@ -10,8 +10,8 @@ import numpy as np
 
 from qdyncost.model import ParticleTable, ceil_log2
 
-# Largest grid exponent for exact enumeration of the momentum sum.
-BRUTE_NP_CAP = 6
+# Largest grid exponent whose momentum grid is enumerated exactly.
+BRUTE_NP_CAP = 7
 
 
 @dataclass(frozen=True)
@@ -62,25 +62,32 @@ def lambda_nu_bound(n_p: int) -> float:
     return _lambda_nu_bound_numerator(n_p) / 3.0
 
 
+def _octant(n_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``|k|^2``, the number of sign images in ``G_0`` and the max-norm of
+    every nonzero point ``0 <= k_x, k_y, k_z <= 2^(n_p-1) - 1``."""
+    axis = np.arange(2 ** (n_p - 1))
+    w = np.where(axis > 0, 2.0, 1.0)  # a nonzero coordinate has two signs
+    sq = np.add.outer(np.add.outer(axis ** 2, axis ** 2), axis ** 2)
+    images = np.multiply.outer(np.multiply.outer(w, w), w)
+    norm = np.maximum.outer(np.maximum.outer(axis, axis), axis)
+    return sq.ravel()[1:].astype(float), images.ravel()[1:], norm.ravel()[1:]
+
+
 def lambda_nu(n_p: int) -> float:
     """Sum of inverse squared norms over the 3D momentum grid minus origin,
     enumerated exactly over ``G_0`` (2 <= n_p <= BRUTE_NP_CAP)."""
     if not 2 <= n_p <= BRUTE_NP_CAP:
         raise ValueError(f"enumeration needs 2 <= n_p <= {BRUTE_NP_CAP}, got {n_p}")
-    half = (2 ** n_p - 2) // 2  # (N-1)/2 with N = 2**n_p - 1
-    axis = np.arange(-half, half + 1)
-    nx, ny, nz = np.meshgrid(axis, axis, axis, indexing="ij")
-    sq = (nx * nx + ny * ny + nz * nz).astype(float)
-    sq[half, half, half] = np.inf  # exclude the zero mode
-    return float(np.sum(1.0 / sq))
+    sq, images, _ = _octant(n_p)
+    return float(np.sum(images / sq))
 
 
 def lcu_norms(particles: ParticleTable, n_p: int, omega_cell: float) -> LcuNorms:
     """Kinetic and potential LCU norms on an ``n_p``-qubit-per-axis grid.
 
     ``omega_cell`` is the simulation-cell volume L^3 in bohr^3.  The
-    momentum sum ``lambda_nu`` is enumerated exactly for ``n_p <= 6`` and
-    replaced by the closed lower bound above that.
+    momentum sum ``lambda_nu`` is enumerated exactly for ``n_p <=
+    BRUTE_NP_CAP`` and replaced by the closed lower bound above that.
     """
     if omega_cell <= 0:
         raise ValueError("cell volume must be positive")
@@ -117,42 +124,30 @@ def uniform_prep_success(n: int, b_r: int) -> float:
     return x * ((1.0 + (2.0 - 4.0 * x) * math.sin(theta) ** 2) ** 2 + math.sin(2.0 * theta) ** 2)
 
 
-def _p_nu_brute(n_p: int, n_m: int) -> float:
-    """Exact success probability of the inverse-momentum state preparation.
-
-    Sums ``ceil(M (2^(mu-2)/|nu|)^2) / (M 2^(2 mu) 2^(n_p+1))`` over the
-    nested-cube shells intersected with the grid ``G_0``; the value
-    converges to ~0.24 as the grid grows.
-    """
+def _p_nu(n_p: int, n_m: int) -> float:
+    """Exact success probability of the inverse-momentum state preparation:
+    ``sum ceil(M 4^(mu-2)/|k|^2) / (M 4^mu 2^(n_p+1))`` over ``G_0`` minus the
+    origin, where shell ``mu`` holds max-norms in ``[2^(mu-2), 2^(mu-1))``.
+    About 0.24 on large grids; each shell sums exactly, and ``fsum`` rounds once."""
+    sq, images, norm = _octant(n_p)
+    mu = np.frexp(norm)[1] + 1  # the bit length of the max-norm is mu - 1
     m_val = 2 ** n_m
-    total = 0.0
-    half = (2 ** n_p - 2) // 2
-    for mu in range(2, n_p + 2):
-        outer = 2 ** (mu - 1)
-        inner = 2 ** (mu - 2)
-        hi = min(outer - 1, half)
-        if hi < inner:
-            continue
-        axis = np.arange(-hi, hi + 1)
-        nx, ny, nz = np.meshgrid(axis, axis, axis, indexing="ij")
-        in_shell = (np.maximum.reduce([np.abs(nx), np.abs(ny), np.abs(nz)]) >= inner)
-        sq = (nx * nx + ny * ny + nz * nz).astype(float)
-        sq = sq[in_shell]
-        total += float(np.sum(np.ceil(m_val * inner ** 2 / sq))) / (m_val * 4.0 ** mu * 2.0 ** (n_p + 1))
-    return total
+    shells = np.bincount(mu, weights=images * np.ceil(m_val * 4.0 ** (mu - 2) / sq))
+    return math.fsum(shells / 4.0 ** np.arange(shells.size)) / (m_val * 2.0 ** (n_p + 1))
 
 
 def success_probs(particles: ParticleTable, n_p: int, n_m: int, b_r: int) -> SuccessProbs:
     """All success probabilities entering the block-encoding LCU norm.
 
-    ``p_nu`` is enumerated exactly for n_p <= 7 (the value is approximately
-    1/4); above that the nominal 1/4 is used and ``p_nu_exact`` is False.
+    ``p_nu`` is enumerated exactly for n_p <= BRUTE_NP_CAP (the value is
+    approximately 1/4); above that the nominal 1/4 is used and
+    ``p_nu_exact`` is False.
     ``p_zeta = 1 - sum(z^2)/(sum|z|)^2``.
     """
     if b_r < 1:
         raise ValueError("b_r must be >= 1")
-    exact = n_p <= 7
-    p_nu = _p_nu_brute(n_p, n_m) if exact else 0.25
+    exact = n_p <= BRUTE_NP_CAP
+    p_nu = _p_nu(n_p, n_m) if exact else 0.25
     abs_sum = sum(abs(z) for z in particles.charges)
     sq_sum = sum(z * z for z in particles.charges)
     p_zeta = 1.0 - sq_sum / abs_sum ** 2
@@ -201,9 +196,9 @@ def precision_params(lambda_t: float, lambda_v: float, lambda_h_tilde_value: flo
         raise ValueError("error allocations must be positive")
     r_nu = r_nu_ratio(n_p, lambda_nu_value)
     return PrecisionParams(
-        mu_t=max(0, ceil_log2(lambda_t / eps_t)) if lambda_t / eps_t > 1 else 0,
-        n_m=max(0, ceil_log2(lambda_v * r_nu / eps_v)) if lambda_v * r_nu / eps_v > 1 else 0,
-        n_theta=max(0, ceil_log2(lambda_h_tilde_value / eps_theta)) if lambda_h_tilde_value / eps_theta > 1 else 0,
+        mu_t=ceil_log2(lambda_t / eps_t) if lambda_t / eps_t > 1 else 0,
+        n_m=ceil_log2(lambda_v * r_nu / eps_v) if lambda_v * r_nu / eps_v > 1 else 0,
+        n_theta=ceil_log2(lambda_h_tilde_value / eps_theta) if lambda_h_tilde_value / eps_theta > 1 else 0,
         r_nu=r_nu,
     )
 

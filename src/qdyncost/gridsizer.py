@@ -38,7 +38,9 @@ class GridParams:
 
     @property
     def n_ext(self) -> int:
-        return self.n_bar_isp - self.n_p
+        """Exterior qubits per coordinate: they exist only when the padded ISP
+        grid is wider than the main grid."""
+        return max(0, self.n_bar_isp - self.n_p)
 
 
 def k_cutoff_electronic(gamma_max: float, l_max: int, n_gauss: int,

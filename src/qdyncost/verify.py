@@ -30,7 +30,7 @@ import numpy as np
 from scipy.linalg import expm
 from scipy.special import eval_hermite, jv
 
-from qdyncost import encoding, gridsizer
+from qdyncost import costs, encoding, gridsizer
 from qdyncost.model import ChannelConstraint, ParticleTable, ReactionChannel
 
 MAX_DENSE_DIM = 4096
@@ -486,7 +486,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
                 h = (a + a.conj().T) / 2.0
                 lam = 1.1 * float(np.linalg.norm(h, 2))
                 t = lt / lam
-                d = math.ceil(lt + math.log2(1.0 / eps))
+                d = math.ceil(costs.qsp_degree(lam, t, eps))
                 err = jacobi_anger_check(h, lam, t, d)
                 worst_ratio = max(worst_ratio, err / eps)
         return worst_ratio, 1.0

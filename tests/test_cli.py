@@ -180,7 +180,9 @@ def test_grid_params_derived_fields():
 
     grid = dataclasses.replace(common_grid([10.0], 1.0, [10.0]), n_pad=2)
     assert grid.n_bar_isp == grid.n_isp + 2
-    assert grid.n_ext == grid.n_bar_isp - grid.n_p
+    assert grid.n_ext == max(0, grid.n_bar_isp - grid.n_p)
+    # a padded ISP grid narrower than the main grid has no exterior qubits
+    assert dataclasses.replace(grid, n_isp=1, n_pad=0, n_p=grid.n_p + 2).n_ext == 0
 
 
 def test_anchor_side_by_side_in_markdown(tmp_path):
@@ -432,7 +434,11 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
     ({"rows": {"PREP": {"ancilla": 3, "is_bound": False}}}, "rows.PREP has no 'toffoli'"),
     ({"aggregates": {"total": 5}}, "aggregates.total has no 'toffoli'"),
     ({"qubits": [1]}, "'qubits' is not a JSON object"),
-], ids=["array", "row-without-toffoli", "aggregate-not-object", "qubits-array"])
+    ({"rows": {"A": {"toffoli": "x", "ancilla": 1, "is_bound": False}}},
+     "rows.A.toffoli is not a number"),
+    ({"scalars": {"t_au": "y"}}, "scalars.t_au is not a number"),
+], ids=["array", "row-without-toffoli", "aggregate-not-object", "qubits-array",
+        "toffoli-string", "t_au-string"])
 def test_malformed_report_input_exits_2(tmp_path, capsys, out_format, doc, reason):
     src = tmp_path / "x.json"
     src.write_text(json.dumps(doc))
@@ -476,7 +482,7 @@ def _reversed_keys(value):
     return value
 
 
-@settings(max_examples=60, derandomize=True, deadline=None)
+@settings(max_examples=120, derandomize=True, deadline=None)
 @given(fixture=st.sampled_from(FIXTURE_DOCS), pad_mode=st.sampled_from(("SSCT", "LCT")),
        eps_total=st.floats(0.005, 0.2), time_fs=st.floats(5.0, 120.0),
        pins=st.one_of(st.just({}), GRID_PINS), tighter=st.booleans(),

@@ -201,7 +201,7 @@ def _total(eps_qae, lambda_obs=1.0):
         r0_qae=CostPair(30.0, 25),
         lambda_obs=lambda_obs,
         eps_qae=eps_qae,
-        isp_demand=38, held=12,
+        held=12,
     )
 
 

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from qdyncost import encoding
 from qdyncost.encoding import (
+    BRUTE_NP_CAP,
     block_error,
     lambda_h_tilde,
     lambda_nu,
@@ -27,6 +28,43 @@ def _table(charges, masses=None):
         masses = tuple(1.0 if z < 0 else 1836.0 for z in charges)
     return ParticleTable(masses=tuple(masses), charges=charges,
                         eta_e=eta_e, eta_n=len(charges) - eta_e)
+
+
+def _lambda_nu_cube(n_p):
+    """Oracle: the inverse squared norms over the whole cube ``G_0``."""
+    half = (2 ** n_p - 2) // 2  # (N-1)/2 with N = 2**n_p - 1
+    axis = np.arange(-half, half + 1)
+    nx, ny, nz = np.meshgrid(axis, axis, axis, indexing="ij")
+    sq = (nx * nx + ny * ny + nz * nz).astype(float)
+    sq[half, half, half] = np.inf  # exclude the zero mode
+    return float(np.sum(1.0 / sq))
+
+
+def _p_nu_shells(n_p, n_m):
+    """Oracle: the nested-cube p_nu sum, one shell's bounding cube at a time."""
+    m_val = 2 ** n_m
+    total = 0.0
+    half = (2 ** n_p - 2) // 2
+    for mu in range(2, n_p + 2):
+        outer = 2 ** (mu - 1)
+        inner = 2 ** (mu - 2)
+        hi = min(outer - 1, half)
+        if hi < inner:
+            continue
+        axis = np.arange(-hi, hi + 1)
+        nx, ny, nz = np.meshgrid(axis, axis, axis, indexing="ij")
+        in_shell = (np.maximum.reduce([np.abs(nx), np.abs(ny), np.abs(nz)]) >= inner)
+        sq = (nx * nx + ny * ny + nz * nz).astype(float)
+        sq = sq[in_shell]
+        total += float(np.sum(np.ceil(m_val * inner ** 2 / sq))) / (m_val * 4.0 ** mu * 2.0 ** (n_p + 1))
+    return total
+
+
+@pytest.mark.parametrize("n_p", range(2, BRUTE_NP_CAP + 1))
+def test_octant_sums_match_cube_oracles(n_p):
+    # the first octant, weighted by its sign images, stands for all of G_0
+    assert lambda_nu(n_p) == pytest.approx(_lambda_nu_cube(n_p), rel=1e-15, abs=0.0)
+    assert encoding._p_nu(n_p, 8) == _p_nu_shells(n_p, 8)
 
 
 def test_lambda_nu_brute_np2():
@@ -53,7 +91,7 @@ def test_lambda_nu_unit_shell():
 
 
 def test_lambda_nu_brute_cap():
-    for n_p in (1, 7):
+    for n_p in (1, 8):
         with pytest.raises(ValueError, match="enumeration needs"):
             lambda_nu(n_p)
 
@@ -115,6 +153,7 @@ P_NU_FIXTURES = {
     4: 0.20876312255859375,
     5: 0.22505176067352295,
     6: 0.2332334965467453,
+    7: 0.23735290579497814,
 }
 
 
@@ -146,18 +185,23 @@ def test_p_nu_nominal_fallback_without_warning():
 
 
 def test_p_nu_exactness_decided_before_enumeration(monkeypatch):
-    def no_enumeration(n_p, n_m):
-        raise AssertionError(f"enumerated p_nu shells at n_p={n_p}")
+    def no_enumeration(n_p):
+        raise AssertionError(f"enumerated the momentum grid at n_p={n_p}")
 
     pt = _table([-1, 1])
     exact_7 = success_probs(pt, 7, n_m=8, b_r=8)
-    monkeypatch.setattr(encoding, "_p_nu_brute", no_enumeration)
+    norms_7 = lcu_norms(pt, 7, 1.0)
+    monkeypatch.setattr(encoding, "_octant", no_enumeration)
     for n_p in (8, 18):
         probs = success_probs(pt, n_p, n_m=8, b_r=8)
         assert probs.p_nu == 0.25
         assert not probs.p_nu_exact
-    assert exact_7.p_nu_exact
+        norms = lcu_norms(pt, n_p, 1.0)
+        assert norms.lambda_nu == lambda_nu_bound(n_p)
+        assert not norms.lambda_nu_exact
+    assert exact_7.p_nu_exact and norms_7.lambda_nu_exact
     assert 0.2 <= exact_7.p_nu <= 0.25
+    assert norms_7.lambda_nu == pytest.approx(965.7138503998574, rel=1e-15)
 
 
 def test_lambda_h_tilde_boundary_or():
@@ -203,7 +247,7 @@ def test_block_error():
 def test_r_nu_bound_from_closed_form():
     for n_p in range(2, 21):
         assert r_nu_ratio(n_p, lambda_nu_bound(n_p)) == pytest.approx(12.0, rel=1e-12)
-    for n_p in range(2, 7):
+    for n_p in range(2, BRUTE_NP_CAP + 1):
         assert r_nu_ratio(n_p, lambda_nu(n_p)) <= 12.0
 
 
