@@ -16,6 +16,7 @@ import hashlib
 import json
 import math
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -304,7 +305,9 @@ def run_verify(args: argparse.Namespace) -> int:
     """Verify command: run the brute-force suite, emit pass/fail JSON."""
     from qdyncost import verify
 
+    t0 = time.perf_counter()
     suite = verify.run_suite(only=args.only)
+    seconds = time.perf_counter() - t0
     if not suite.results:
         print(f"error: --only {args.only!r} matches no check", file=sys.stderr)
         return 2
@@ -316,6 +319,7 @@ def run_verify(args: argparse.Namespace) -> int:
         print(f"{status}: {check.name} measured={check.measured:.3e} "
               f"bound={check.bound:.3e} time={check.seconds * 1e3:.1f}ms{details}",
               file=sys.stderr)
+    print(f"total={seconds * 1e3:.1f}ms", file=sys.stderr)
     return 0 if suite.passed else 1
 
 
@@ -391,6 +395,10 @@ def _report_problem(doc) -> str | None:
                 return f"report field {section}.{name}.toffoli is not a number"
     if type(doc.get("scalars", {}).get("t_au", 0.0)) not in (int, float):
         return "report field scalars.t_au is not a number"
+    if not isinstance(doc.get("warnings", []), list):
+        return "report field 'warnings' is not a JSON array"
+    if not isinstance(doc.get("params_hash", ""), str):
+        return "report field 'params_hash' is not a string"
     return None
 
 

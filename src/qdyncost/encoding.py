@@ -51,15 +51,10 @@ class PrecisionParams:
     r_nu: float
 
 
-def _lambda_nu_bound_numerator(n_p: int) -> float:
-    """Three times :func:`lambda_nu_bound`."""
-    return 7.0 * 2.0 ** (n_p + 1) - 9.0 * n_p - 11.0 - 3.0 * 2.0 ** (-n_p)
-
-
 def lambda_nu_bound(n_p: int) -> float:
     """Closed-form lower bound ``(1/3)(7*2^(n_p+1) - 9 n_p - 11 - 3*2^-n_p)``
     on :func:`lambda_nu` (Su et al., PRX Quantum 2, 040332, 2021)."""
-    return _lambda_nu_bound_numerator(n_p) / 3.0
+    return (7.0 * 2.0 ** (n_p + 1) - 9.0 * n_p - 11.0 - 3.0 * 2.0 ** (-n_p)) / 3.0
 
 
 def _octant(n_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -183,8 +178,9 @@ def lambda_h_tilde(lambda_t: float, lambda_v: float, p_nu: float, p_zeta: float,
 
 
 def r_nu_ratio(n_p: int, lambda_nu_value: float) -> float:
-    """Ratio bounding the amplitude error of the momentum state; <= 12."""
-    return 4.0 / lambda_nu_value * _lambda_nu_bound_numerator(n_p)
+    """Ratio ``12 * lambda_nu_bound / lambda_nu`` bounding the amplitude error
+    of the momentum state; exactly 12 at the bound and below it above."""
+    return 12.0 * (lambda_nu_bound(n_p) / lambda_nu_value)
 
 
 def precision_params(lambda_t: float, lambda_v: float, lambda_h_tilde_value: float,

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 from pathlib import Path
 
 import pytest
@@ -123,7 +124,9 @@ def test_verify_prints_each_check_time_and_details(tmp_path, monkeypatch, capsys
     monkeypatch.setattr(verify, "qubiterate_check", lambda h, lam: check(h, 0.25 * lam))
     out = tmp_path / "verify.json"
     assert main(["verify", "--only", "[qt]*", "--out", str(out)]) == 1
-    lines = capsys.readouterr().err.splitlines()
+    *lines, total = capsys.readouterr().err.splitlines()
+    # the last line is the suite's wall time
+    assert re.fullmatch(r"total=\d+\.\dms", total)
     assert [line.split()[1] for line in lines] == ["qubiterate", "tc2sm_roundtrip"]
     assert all(" time=" in line and line.split()[4].endswith("ms") for line in lines)
     assert lines[0].startswith("FAIL: ") and "details: lambda" in lines[0]
@@ -437,8 +440,11 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
     ({"rows": {"A": {"toffoli": "x", "ancilla": 1, "is_bound": False}}},
      "rows.A.toffoli is not a number"),
     ({"scalars": {"t_au": "y"}}, "scalars.t_au is not a number"),
+    ({"warnings": 5}, "'warnings' is not a JSON array"),
+    ({"rows": {"A": {"toffoli": 1, "ancilla": 1, "is_bound": False}}, "params_hash": 7},
+     "'params_hash' is not a string"),
 ], ids=["array", "row-without-toffoli", "aggregate-not-object", "qubits-array",
-        "toffoli-string", "t_au-string"])
+        "toffoli-string", "t_au-string", "warnings-number", "params_hash-number"])
 def test_malformed_report_input_exits_2(tmp_path, capsys, out_format, doc, reason):
     src = tmp_path / "x.json"
     src.write_text(json.dumps(doc))

@@ -251,6 +251,11 @@ def test_r_nu_bound_from_closed_form():
         assert r_nu_ratio(n_p, lambda_nu(n_p)) <= 12.0
 
 
+def test_r_nu_at_the_bound_never_exceeds_12():
+    for n_p in range(2, 30):
+        assert r_nu_ratio(n_p, lambda_nu_bound(n_p)) <= 12.0
+
+
 @given(st.lists(st.integers(min_value=1, max_value=12), min_size=1, max_size=12))
 @settings(max_examples=80)
 def test_p_zeta_lower_bound_neutral_tables(nuclear_charges):

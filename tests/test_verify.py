@@ -14,6 +14,7 @@ from qdyncost.verify import (
     galerkin_hamiltonian,
     jacobi_anger_check,
     lcu_assemble,
+    lcu_terms,
     poly_mps_bond_check,
     qubiterate_check,
     run_suite,
@@ -145,20 +146,36 @@ def test_assembled_matrices_match_pinned(pin):
     assert (repr(lam_t), repr(lam_v)) == (pin["lam_t_sum"], pin["lam_v_sum"])
 
 
+@pytest.mark.parametrize("pin", PINNED_MATRICES, ids=lambda pin: pin["label"])
+def test_coefficient_table_sums_match_pinned(pin):
+    terms = lcu_terms(pin["masses"], pin["charges"], pin["n_p"], pin["length"], pin["eta_e"])
+    lam_t, lam_v = terms.sums()
+    assert (repr(lam_t), repr(lam_v)) == (pin["lam_t_sum"], pin["lam_v_sum"])
+
+
 def test_pinned_matrices_are_the_lcu_norms_instances(monkeypatch):
     calls = []
 
     def record(masses, charges, n_p, length, eta_e):
         calls.append({"masses": list(masses), "charges": list(charges), "n_p": n_p,
                       "length": length, "eta_e": eta_e})
-        return lcu_assemble(masses, charges, n_p, length, eta_e)
+        return lcu_terms(masses, charges, n_p, length, eta_e)
 
-    monkeypatch.setattr(verify, "lcu_assemble", record)
+    monkeypatch.setattr(verify, "lcu_terms", record)
     assert run_suite(only="lcu_norms").passed
     keys = ("masses", "charges", "n_p", "length", "eta_e")
     pinned = [{k: pin[k] for k in keys} for pin in PINNED_MATRICES
               if pin["label"].startswith("lcu_norms_")]
     assert calls == pinned and len(calls) == 10
+
+
+def test_lcu_norms_check_builds_no_operator(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("lcu_norms must not build an operator")
+
+    monkeypatch.setattr(verify, "lcu_assemble", refuse)
+    monkeypatch.setattr(verify, "galerkin_hamiltonian", refuse)
+    assert run_suite(only="lcu_norms").passed
 
 
 # ---------------------------------------------------------------------------
@@ -174,6 +191,33 @@ def _sectors(masses, n_p):
     points, _, particle_pt = verify._basis(masses, n_p)
     momentum = sum(points[pt] for pt in particle_pt)
     return np.unique(momentum, axis=0, return_inverse=True)[1].ravel()
+
+
+def sector_norm_reference(d, masses, n_p):
+    """The sector bound one sector at a time: a spectral norm per block, and
+    the residue zeroed block by block."""
+    labels = _sectors(masses, n_p)
+    residue = np.abs(d)
+    worst = 0.0
+    for s in range(labels.max() + 1):
+        states = np.flatnonzero(labels == s)
+        block = np.ix_(states, states)
+        worst = max(worst, float(np.linalg.norm(d[block], 2)))
+        residue[block] = 0.0
+    return worst + math.sqrt(float(residue.sum(axis=0).max()) * float(residue.sum(axis=1).max()))
+
+
+@pytest.mark.parametrize("grid", SECTOR_GRIDS, ids=lambda grid: f"eta{len(grid[0])}_n_p{grid[1]}")
+def test_sector_norm_matches_per_sector_reference(grid):
+    masses, n_p = grid
+    labels = _sectors(masses, n_p)
+    rng = np.random.default_rng(len(labels))
+    dense = random_hermitian(rng, len(labels))
+    conserving = np.where(labels[:, None] == labels[None, :], dense, 0.0)
+    leaking = conserving.copy()
+    leaking[0, -1] = leaking[-1, 0] = 1e-9
+    for d in (conserving, leaking, dense):
+        assert sector_norm(d, masses, n_p) == sector_norm_reference(d, masses, n_p)
 
 
 @settings(max_examples=40, deadline=None)
