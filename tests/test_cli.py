@@ -1,7 +1,10 @@
 import dataclasses
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -70,6 +73,19 @@ def test_verify_full_suite_under_five_minutes(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["passed"]
     assert len(doc["checks"]) >= 9
+
+
+def test_cli_and_verify_run_without_scipy():
+    # scipy is only the tests' reference; the pytest process may hold it
+    # already, so a fresh interpreter imports the CLI and runs the suite
+    code = ("import sys, qdyncost.cli, qdyncost.verify\n"
+            "print(qdyncost.verify.run_suite().passed)\n"
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout.splitlines()
+    assert out == ["True", "[]"]
 
 
 def test_verify_only_filter(tmp_path):

@@ -6,16 +6,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm
+from scipy.special import eval_hermite, jv
 
 from qdyncost import encoding, verify
 from qdyncost.gridsizer import k_cutoff_nuclear
 from qdyncost.model import ChannelConstraint, ParticleTable, ReactionChannel
 from qdyncost.verify import (
+    bessel_j,
     galerkin_hamiltonian,
+    hermite_gaussian,
     jacobi_anger_check,
     lcu_assemble,
     lcu_terms,
     poly_mps_bond_check,
+    propagator,
     qubiterate_check,
     run_suite,
     sector_norm,
@@ -288,6 +293,27 @@ def test_qubiterate_rejects_small_lambda():
 # truncated-series propagator
 
 
+@pytest.mark.parametrize("z", [0.0, 1e-3, 1.0, 5.0, 20.0, 100.0, 1e3, 1e4])
+def test_bessel_j_matches_scipy(z):
+    # every order through the transition region into the decaying tail; the
+    # reference at -z is (-1)^k jv(k, z), bit for bit scipy's jv(k, -z)
+    degree = int(z + 60 + 12 * z ** (1.0 / 3.0))
+    orders = np.arange(degree + 1)
+    ref = jv(orders, z)
+    assert np.max(np.abs(bessel_j(z, degree) - ref)) <= 1e-12
+    assert np.max(np.abs(bessel_j(-z, degree) - (-1.0) ** orders * ref)) <= 1e-12
+    # a low degree must not start the recurrence inside the oscillating orders
+    assert np.max(np.abs(bessel_j(z, 2) - ref[:3])) <= 1e-12
+
+
+def test_propagator_matches_scipy_expm():
+    rng = np.random.default_rng(17)
+    for dim in (4, 11, 27):
+        h = random_hermitian(rng, dim)
+        for t in (0.0, 0.3, 5.0):
+            assert np.linalg.norm(propagator(h, t) - expm(-1j * t * h), 2) <= 1e-12
+
+
 def test_jacobi_anger_zero_time():
     rng = np.random.default_rng(3)
     h = random_hermitian(rng, 6)
@@ -316,6 +342,30 @@ def test_jacobi_anger_monotone_in_degree():
 
 # ---------------------------------------------------------------------------
 # single-modal projection
+
+
+def test_hermite_gaussian_matches_hermite_polynomial_formula():
+    # the k-grids of sm_projection_check, in units of sqrt(omega)
+    spacing = 2.0 * math.pi / 100.0
+    for n in range(9):
+        cn = (2.0 ** n * math.factorial(n) * math.sqrt(math.pi)) ** -0.5
+        for omega in (0.5, 1.0, 2.0):
+            for delta in (1e-2, 1e-3):
+                k_cut = k_cutoff_nuclear(omega, 100.0, n + 1, delta)
+                m_ref = int(math.floor(verify.SM_REF_FACTOR * k_cut / spacing))
+                x = spacing * np.arange(-m_ref, m_ref + 1) / math.sqrt(omega)
+                ref = cn * np.exp(-x ** 2 / 2.0) * eval_hermite(n, x)
+                assert np.max(np.abs(hermite_gaussian(n, x) - ref)) <= 1e-14
+
+
+def test_hermite_gaussians_orthonormal_to_high_order():
+    # H_n(x) (2^n n! sqrt(pi))^(-1/2) gives 0 from n ~ 151, where the product
+    # overflows to inf, and raises OverflowError from n = 171, where n! has no
+    # float; the recurrence forms neither
+    step = 0.1
+    x = step * np.arange(-300, 301)
+    psi = np.array([hermite_gaussian(n, x) for n in range(201)])
+    assert np.max(np.abs(step * psi @ psi.T - np.eye(201))) <= 1e-10
 
 
 def test_sm_projection_gaussian_coefficients():
