@@ -10,7 +10,6 @@ error.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import hashlib
 import json
@@ -166,31 +165,8 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     )
     eps_h = encoding.block_error(bud.eps_t, bud.eps_v, lam_tilde, prec.n_theta)
 
-    # --- cost ledger ------------------------------------------------------
-    isp_rows = costs.cost_isp(spec, grid, bud.eps_pk)
-    isp_set_by = max(isp_rows, key=lambda k: isp_rows[k].ancilla)
-    held = 3 * p.eta_n * grid.n_ext  # exterior-grid qubits, held through the iterate
-    isp_total = costs.cost_isp_total(isp_rows, held)
-
-    walk_rows = costs.cost_block_encoding(p.eta, p.eta_e, grid.n_p, prec.mu_t, prec.n_m,
-                                          prec.n_theta, settings.b_r)
-    walk = costs.cost_walk(walk_rows["PREP_H"], walk_rows["CTRL_SEL_H"],
-                           walk_rows["UNPREP_H"], walk_rows["REFLECT_W"])
-    propagator = costs.cost_propagator(d_tilde, walk, eps_rot)
-
-    qft_one = costs.cost_qft(grid.n_p, 1e-10)
-    qft = costs.CostPair(3.0 * p.eta * qft_one.toffoli, qft_one.ancilla)
-    if spec.channels:
-        chan = spec.channels[0]
-        u_pis = costs.cost_u_pis(chan.b_j, grid.n_p, len(chan.nuclei_involved()))
-    else:
-        u_pis = costs.CostPair(0.0, 0)
-        warn.append("no reaction channels supplied; yield indicator cost is zero")
-    r0_qae = costs.cost_r0_qae(p.eta_e, p.eta_n, grid.n_p, grid.n_p + grid.n_ext)
-
-    total = costs.cost_total(isp_total, propagator, qft, u_pis, r0_qae, lambda_obs=bud.lambda_obs,
-                             eps_qae=bud.eps_qae, held=held)
-    c_data = gridsizer.data_qubits(p.eta, p.eta_e, grid.n_p)
+    ledger = costs.cost_total(spec, grid, prec, d_tilde, eps_rot, bud)
+    warn.extend(ledger.warnings)
 
     # --- trimming error (seeded Monte Carlo) -----------------------------
     omega_min = min(_rescaled_frequencies(spec))
@@ -205,23 +181,19 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     # anchors: print the computed value and the published coarse anchor side
     # by side; never fit to them.
     anchors = dict(spec.simulation.anchors)
+    c_data = ledger.qubits["C_data"]
     if "c_data" in anchors:
         anchors["c_data_computed"] = c_data
         if int(anchors["c_data"]) != c_data:
-            warn.append(
-                f"C_data formula value {c_data} differs from tabulated anchor "
-                f"{anchors['c_data']}; reporting the formula value"
-            )
+            warn.append(f"C_data formula value {c_data} differs from tabulated anchor "
+                        f"{anchors['c_data']}; reporting the formula value")
     if "time_evolution_toffoli" in anchors:
-        anchors["time_evolution_computed"] = propagator.toffoli
-        anchors["time_evolution_ratio"] = \
-            propagator.toffoli / float(anchors["time_evolution_toffoli"])
+        evolution = ledger.aggregates["time_evolution"].toffoli
+        anchors["time_evolution_computed"] = evolution
+        anchors["time_evolution_ratio"] = evolution / float(anchors["time_evolution_toffoli"])
 
     return costs.CostReport(
-        rows={**isp_rows, **walk_rows, "QFT": qft, "U_PiS": u_pis, "R0_QAE": r0_qae},
-        aggregates={**total.aggregates, "ISP_total": isp_total, "ctrl_walk": walk,
-                    "time_evolution": propagator},
-        qubits={"C_anc": total.c_anc, "C_data": c_data, "total": c_data + total.c_anc},
+        rows=ledger.rows, aggregates=ledger.aggregates, qubits=ledger.qubits,
         scalars={
             # in pipeline order: inputs, grid, norms, probabilities, precision,
             # propagator, ledger, trimming
@@ -237,9 +209,9 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
             "p_nu": probs.p_nu, "p_zeta": probs.p_zeta, "p_eq": probs.p_eq,
             "mu_t": prec.mu_t, "n_m": prec.n_m, "n_theta": prec.n_theta, "r_nu": prec.r_nu,
             "eps_h": eps_h, "d_tilde": math.ceil(d_tilde), "qsp_degree_real": d_tilde,
-            "qae_calls": total.qae_calls, "qpe_register": total.qpe_register,
-            "iterate_ancilla_set_by": total.iterate_ancilla_set_by,
-            "isp_ancilla_set_by": isp_set_by,
+            "qae_calls": ledger.qae_calls, "qpe_register": ledger.qpe_register,
+            "iterate_ancilla_set_by": ledger.iterate_ancilla_set_by,
+            "isp_ancilla_set_by": ledger.isp_ancilla_set_by,
             "eps_trim_bound": trim_bound, "trim_n_mc": settings.trim_n_mc,
             "trim_alpha": settings.trim_alpha,
             "budget": {**{name: getattr(bud, name) for name in REPORTED_BUDGET},
@@ -289,7 +261,7 @@ def run_estimate(args: argparse.Namespace, input_path: str, out_path: str | None
             effective = _with_value(effective, ("budget", "policy"), args.budget_policy)
         report = estimate_report(validate_molecule(molecule_from_dict(effective)),
                                  seed=args.seed)
-    except (ValidationError, ValueError, KeyError, OSError) as exc:
+    except (ValidationError, ValueError, KeyError, OSError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = {"input": doc, "overrides": overrides, "seed": args.seed,
@@ -297,8 +269,7 @@ def run_estimate(args: argparse.Namespace, input_path: str, out_path: str | None
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     report = dataclasses.replace(
         report, params_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16])
-    _write_report(report.to_json_dict(), args.out_format, out_path)
-    return 0
+    return _write_report(report.to_json_dict(), args.out_format, out_path)
 
 
 def run_verify(args: argparse.Namespace) -> int:
@@ -311,8 +282,8 @@ def run_verify(args: argparse.Namespace) -> int:
     if not suite.results:
         print(f"error: --only {args.only!r} matches no check", file=sys.stderr)
         return 2
-    doc = suite.to_json_dict()
-    _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out_path)
+    if _emit(json.dumps(suite.to_json_dict(), indent=2, sort_keys=True) + "\n", args.out_path):
+        return 2
     for check in suite.results:
         status = "pass" if check.passed else "FAIL"
         details = f" details: {check.details}" if check.details else ""
@@ -337,8 +308,9 @@ def run_lct_bench(args: argparse.Namespace) -> int:
         res = lct.gaussian_instance_error(program, sigma, float(delta), n_bits, n_int)
         rows.append((f"{delta:.6f}", f"{res['measured']:.8e}", f"{res['bound']:.8e}"))
     out = args.out_path or "lct_bench.csv"
-    with open(out, "w", newline="") as fh:
-        csv.writer(fh).writerows(rows)
+    # csv's \r\n line ending, as the committed sweeps have it
+    if _emit("".join(",".join(row) + "\r\n" for row in rows), out):
+        return 2
     print(f"wrote {out}", file=sys.stderr)
     return 0
 
@@ -375,8 +347,7 @@ def run_report(args: argparse.Namespace) -> int:
     if problem:
         print(f"error: {args.input_path}: {problem}", file=sys.stderr)
         return 2
-    _write_report(doc, args.out_format, args.out_path)
-    return 0
+    return _write_report(doc, args.out_format, args.out_path)
 
 
 def _report_problem(doc) -> str | None:
@@ -428,7 +399,7 @@ def _render_markdown(doc: dict) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _write_report(doc: dict, out_format: str, out_path: str | None):
+def _write_report(doc: dict, out_format: str, out_path: str | None) -> int:
     if out_format == "json":
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     elif out_format == "markdown":
@@ -443,16 +414,22 @@ def _write_report(doc: dict, out_format: str, out_path: str | None):
         text = "\n".join(",".join(r) for r in rows) + "\n"
     else:
         raise ValueError(f"unknown format {out_format!r}")
-    _emit(text, out_path)
+    return _emit(text, out_path)
 
 
-def _emit(text: str, out_path: str | None):
-    """Write ``text`` to ``out_path``, or to standard output without one."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, out_path: str | None) -> int:
+    """Write ``text`` to ``out_path``, or to standard output without one; the
+    exit code, 2 if the file cannot be written."""
+    if not out_path:
         sys.stdout.write(text)
+        return 0
+    try:
+        with open(out_path, "w", newline="") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {out_path}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
+    return 0
 
 
 def _seed(text: str) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from qdyncost.gridsizer import GridParams
+from qdyncost import budget, encoding, gridsizer
 from qdyncost.model import MoleculeSpec, ceil_log2
 
 
@@ -29,6 +29,8 @@ class CostPair:
     def __post_init__(self):
         if self.toffoli < -1e-9 or self.ancilla < 0:
             raise ValueError(f"negative cost: {self}")
+        if not math.isfinite(self.toffoli):
+            raise OverflowError(f"cost is not a finite number: {self}")
 
     @property
     def toffoli_int(self) -> int:
@@ -179,7 +181,7 @@ def cost_tc2sm(eta_n: int, n_bar_isp: int) -> CostPair:
     return CostPair(3.0 * eta_n * (n_bar_isp - 2.0), n_bar_isp - 2)
 
 
-def cost_isp(spec: MoleculeSpec, grid: GridParams, eps_pk: float) -> dict:
+def cost_isp(spec: MoleculeSpec, grid: gridsizer.GridParams, eps_pk: float) -> dict:
     """An estimate's initial-state-preparation rows, name -> CostPair, in ledger
     order (sums and first maxima follow it); ``NCT`` is the transform of the
     budget's pad mode."""
@@ -199,15 +201,6 @@ def cost_isp(spec: MoleculeSpec, grid: GridParams, eps_pk: float) -> dict:
         "TC2SM": cost_tc2sm(p.eta_n, grid.n_bar_isp),
         "NCT": (cost_lct if spec.budget.pad_mode == "LCT" else cost_ssct)(p.eta_n, grid.n_bar_isp),
     }
-
-
-def cost_isp_total(components: dict, held: int) -> CostPair:
-    """Aggregate ISP cost: Toffolis add; ancillas are the ``held``
-    exterior-grid qubits plus the largest component ancilla demand."""
-    toff = sum(c.toffoli for c in components.values())
-    anc_max = max((c.ancilla for c in components.values()), default=0)
-    bound = any(c.bound for c in components.values())
-    return CostPair(toff, held + anc_max, bound=bound)
 
 
 def cost_prep_t(eta: int, n_p: int, mu_t: int) -> CostPair:
@@ -368,49 +361,78 @@ class CostReport:
 
 
 @dataclass(frozen=True)
-class TotalCost:
-    """The end-to-end aggregates (``U_evolution``, ``QAE_iterate``,
-    ``QAE_total``, ``total``) and the amplitude-estimation figures behind them."""
+class Ledger:
+    """An estimate's whole cost ledger: every row and aggregate (name ->
+    CostPair), the qubit counts (``C_anc``, ``C_data``, ``total``), the
+    amplitude-estimation figures and the row that sets each ancilla maximum."""
 
-    aggregates: dict              # name -> CostPair
+    rows: dict
+    aggregates: dict
+    qubits: dict
     qae_calls: float
     qpe_register: int
+    isp_ancilla_set_by: str
     iterate_ancilla_set_by: str
-    c_anc: int
+    warnings: tuple
 
 
-def cost_total(isp: CostPair, propagator: CostPair, qft: CostPair, u_pis: CostPair,
-               r0_qae: CostPair, lambda_obs: float, eps_qae: float, held: int) -> TotalCost:
-    """Compose the end-to-end cost: one state-preparation-plus-evolution
-    pass, then amplitude estimation with ``lambda_O/(2*eps_QAE)`` calls to
-    the reflection iterate ``2*(U_PiS + U~) + R0_QAE``.
+def cost_total(spec: MoleculeSpec, grid: gridsizer.GridParams, prec: encoding.PrecisionParams,
+               d_tilde: float, eps_rot: float, bud: budget.ErrorBudget) -> Ledger:
+    """The end-to-end ledger: ISP, the propagator over the controlled walk and
+    the QFT of all ``3*eta`` momentum registers make one pass ``U~``; amplitude
+    estimation then makes ``lambda_O/(2*eps_QAE)`` calls to the iterate
+    ``2*(U_PiS + U~) + R0_QAE``, ``U_PiS`` indicating the first reaction channel
+    (a zero row without one).  ISP and the iterate hold the ``3*eta_n*n_ext``
+    exterior-grid qubits plus their largest ancilla demand (the iterate one
+    more); the first maximum listed wins a tie."""
+    p = spec.particles
+    isp_rows = cost_isp(spec, grid, bud.eps_pk)
+    isp_set_by = max(isp_rows, key=lambda k: isp_rows[k].ancilla)
+    held = 3 * p.eta_n * grid.n_ext
+    isp = CostPair(sum(c.toffoli for c in isp_rows.values()), held + isp_rows[isp_set_by].ancilla,
+                   bound=any(c.bound for c in isp_rows.values()))
 
-    The iterate holds the ``held`` exterior-grid qubits plus the largest
-    ancilla demand of its terms (ISP's is ``isp.ancilla - held``: the ISP
-    aggregate holds them too); the term that sets it is
-    ``iterate_ancilla_set_by`` (the first one listed wins a tie).
-    """
-    if eps_qae <= 0:
-        raise ValueError("eps_qae must be positive")
+    walk_rows = cost_block_encoding(p.eta, p.eta_e, grid.n_p, prec.mu_t, prec.n_m, prec.n_theta,
+                                    spec.budget.b_r)
+    walk = cost_walk(walk_rows["PREP_H"], walk_rows["CTRL_SEL_H"], walk_rows["UNPREP_H"],
+                     walk_rows["REFLECT_W"])
+    propagator = cost_propagator(d_tilde, walk, eps_rot)
+
+    qft_one = cost_qft(grid.n_p, 1e-10)
+    qft = CostPair(3.0 * p.eta * qft_one.toffoli, qft_one.ancilla)
+    warnings = ()
+    if spec.channels:
+        chan = spec.channels[0]
+        u_pis = cost_u_pis(chan.b_j, grid.n_p, len(chan.nuclei_involved()))
+    else:
+        u_pis = CostPair(0.0, 0)
+        warnings = ("no reaction channels supplied; yield indicator cost is zero",)
+    r0_qae = cost_r0_qae(p.eta_e, p.eta_n, grid.n_p, grid.n_p + grid.n_ext)
+
     u_tilde_toff = qft.toffoli + propagator.toffoli + isp.toffoli
     iterate_toff = 2.0 * (u_pis.toffoli + u_tilde_toff) + r0_qae.toffoli
-    calls = lambda_obs / (2.0 * eps_qae)
+    calls = bud.lambda_obs / (2.0 * bud.eps_qae)
     qae_toff = calls * iterate_toff
-    total_toff = u_tilde_toff + qae_toff
-
-    s_qpe = ceil_log2(lambda_obs / eps_qae)
+    s_qpe = ceil_log2(bud.lambda_obs / bud.eps_qae)
     demand = {"U_PiS": u_pis.ancilla - 1, "propagator": propagator.ancilla,
-              "ISP": isp.ancilla - held, "R0_QAE": r0_qae.ancilla}
+              "ISP": isp_rows[isp_set_by].ancilla, "R0_QAE": r0_qae.ancilla}
     set_by = max(demand, key=demand.get)
     anc_iterate = 1 + held + demand[set_by]
-    anc_qae = s_qpe + anc_iterate
+    c_anc = s_qpe + anc_iterate
+    c_data = gridsizer.data_qubits(p.eta, p.eta_e, grid.n_p)
 
     bound_any = any(c.bound for c in (isp, propagator, qft, u_pis, r0_qae))
-    aggregates = {
-        "U_evolution": CostPair(u_tilde_toff, max(isp.ancilla, propagator.ancilla),
-                                bound=bound_any),
-        "QAE_iterate": CostPair(iterate_toff, anc_iterate, bound=bound_any),
-        "QAE_total": CostPair(qae_toff, anc_qae, bound=bound_any),
-        "total": CostPair(total_toff, anc_qae, bound=bound_any),
-    }
-    return TotalCost(aggregates, calls, s_qpe, set_by, anc_qae)
+    return Ledger(
+        rows={**isp_rows, **walk_rows, "QFT": qft, "U_PiS": u_pis, "R0_QAE": r0_qae},
+        aggregates={
+            "U_evolution": CostPair(u_tilde_toff, max(isp.ancilla, propagator.ancilla),
+                                    bound=bound_any),
+            "QAE_iterate": CostPair(iterate_toff, anc_iterate, bound=bound_any),
+            "QAE_total": CostPair(qae_toff, c_anc, bound=bound_any),
+            "total": CostPair(u_tilde_toff + qae_toff, c_anc, bound=bound_any),
+            "ISP_total": isp, "ctrl_walk": walk, "time_evolution": propagator,
+        },
+        qubits={"C_anc": c_anc, "C_data": c_data, "total": c_data + c_anc},
+        qae_calls=calls, qpe_register=s_qpe, isp_ancilla_set_by=isp_set_by,
+        iterate_ancilla_set_by=set_by, warnings=warnings,
+    )

@@ -425,6 +425,67 @@ def test_iterate_ancilla_holds_its_parts_on_narrow_isp_grid(tmp_path, overrides)
     assert doc["rows"]["R0_QAE"]["toffoli"] == 3 * eta * scalars["n_p"]
 
 
+def _set_omegas(doc):
+    doc["normal_modes"]["omegas"] = [1e-300] * len(doc["normal_modes"]["omegas"])
+
+
+@pytest.mark.parametrize("edit, flags", [
+    (lambda doc: doc["simulation"].update(time_fs=1e300), []),
+    (lambda doc: doc["budget"].update(eps_total=1e-300), []),
+    (lambda doc: doc["budget"].update(lambda_obs=1e300), []),
+    (lambda doc: doc["budget"].update(b_r=2000), []),
+    (lambda doc: doc["electronic"].update(gamma_max=1e300), []),
+    (lambda doc: doc["electronic"].update(sigma_ortho=1e300), []),
+    (lambda doc: doc["electronic"].update(sigma_ortho=1e-300), []),
+    (_set_omegas, []),
+    (None, ["--override", "lambda_h_tilde=1e300"]),
+], ids=["time_fs", "eps_total", "lambda_obs", "b_r", "gamma_max", "sigma_ortho-large",
+        "sigma_ortho-small", "omegas", "lambda_h_tilde"])
+def test_formula_overflow_exits_2(tmp_path, capsys, edit, flags):
+    # each value passes the schema, yet a cost formula overflows or divides by zero
+    doc = json.loads(Path(CH4).read_text())
+    if edit:
+        edit(doc)
+    mol = tmp_path / "extreme.json"
+    mol.write_text(json.dumps(doc))
+    out = tmp_path / "o.json"
+    assert main(["estimate", "--input", str(mol), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    ["estimate", "--input", CH4, "--out", "{missing}/r.json"],
+    ["estimate", "--batch", CH4, "--out", "{missing}/"],
+    ["report", "--input", "tests/data/golden_ch4_report.json", "--format", "markdown",
+     "--out", "{missing}/r.md"],
+    ["verify", "--only", "poly*", "--out", "{missing}/v.json"],
+    ["lct-bench", "--out", "{missing}/s.csv"],
+], ids=["estimate", "estimate-batch", "report", "verify", "lct-bench"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv):
+    # a write failure is an input error, not a failed check
+    missing = tmp_path / "missing"
+    argv = [arg.format(missing=missing) for arg in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert str(missing) in err
+    assert not missing.exists()
+
+
+def test_estimate_without_channels():
+    # no reaction channel: the yield indicator is a zero row, said once, and
+    # sets no ancilla maximum
+    doc = {**json.loads(Path(CH4).read_text()), "channels": []}
+    report = _estimate(doc)
+    assert report["rows"]["U_PiS"] == {"toffoli": 0, "toffoli_real": 0.0, "ancilla": 0,
+                                       "is_bound": False}
+    assert [w for w in report["warnings"] if "no reaction channels" in w] == \
+        ["no reaction channels supplied; yield indicator cost is zero"]
+    assert report["scalars"]["iterate_ancilla_set_by"] != "U_PiS"
+
+
 def test_verify_only_matching_nothing_exits_2(tmp_path, capsys):
     # a mistyped glob must not pass on an empty suite
     out = tmp_path / "verify.json"

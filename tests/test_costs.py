@@ -16,7 +16,6 @@ from qdyncost.costs import (
     cost_block_encoding,
     cost_ctrl_sel_h,
     cost_isp,
-    cost_isp_total,
     cost_lct,
     cost_onb2mob,
     cost_onb2smb,
@@ -76,26 +75,6 @@ def test_ssct_matches_closed_form():
     expect = 9 * 4 * (36 + 24 - 1) - 3 * 2 * (36 + 12 - 1) - 12
     assert pair.toffoli == pytest.approx(expect)
     assert pair.ancilla == 21
-
-
-def test_isp_total_zero_components():
-    pair = cost_isp_total({}, held=3 * 5 * 4)
-    assert pair.toffoli == 0
-    assert pair.ancilla == 3 * 5 * 4
-
-
-def test_isp_total_nonseparable_is_additive():
-    base = {
-        "a": CostPair(100.0, 7),
-        "b": CostPair(50.0, 3),
-    }
-    sep = cost_isp_total(base, held=6)
-    joint = dict(base)
-    joint["ASP_en"] = cost_asp(d_configs=16, b_asp=8)
-    joint["SoSlat_en"] = cost_soslat(d_configs=16)
-    non = cost_isp_total(joint, held=6)
-    extra = joint["ASP_en"].toffoli + joint["SoSlat_en"].toffoli
-    assert non.toffoli == pytest.approx(sep.toffoli + extra)
 
 
 def test_isp_ch4_scale_order_anchor():
@@ -192,45 +171,76 @@ def test_u_pis_needs_constraint():
         cost_u_pis(b_j=0, n_p=3, n_nuc=2)
 
 
-def _total(eps_qae, lambda_obs=1.0):
-    return cost_total(
-        isp=CostPair(1000.0, 50),
-        propagator=CostPair(5000.0, 60),
-        qft=CostPair(100.0, 0),
-        u_pis=CostPair(10.0, 20),
-        r0_qae=CostPair(30.0, 25),
-        lambda_obs=lambda_obs,
-        eps_qae=eps_qae,
-        held=12,
-    )
+ISP_ROWS = ("ASP_e", "SoSlat_e", "ONB2MOB", "ASYM", "W_e", "ASP_n", "SoSlat_n", "ONB2SMB",
+            "W_n", "PK", "TC2SM", "NCT")
+
+
+def _ledger(molecule="molecules/ch4_synthetic.json", pad_mode="SSCT", **budget):
+    """The ledger of a fixture on its own grid, at fixed register widths and
+    QSP degree, with the given error-budget fields replaced."""
+    from qdyncost.budget import allocate
+    from qdyncost.cli import size_grid
+    from qdyncost.encoding import PrecisionParams
+    from qdyncost.model import load_molecule
+
+    spec = load_molecule(molecule)
+    spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
+    bud = replace(allocate(spec.budget, spec.simulation.time_au), **budget)
+    grid = size_grid(spec, bud)
+    prec = PrecisionParams(mu_t=12, n_m=20, n_theta=18, r_nu=1.0)
+    return spec, grid, cost_total(spec, grid, prec, 1e6, 1e-12, bud)
 
 
 def test_cost_total_call_count_and_register():
-    total = _total(0.0625)
-    assert total.qae_calls == pytest.approx(8.0)
-    assert total.qpe_register == 4
-    # iterate demands: U_PiS 19, propagator 60, ISP 38, R0_QAE 25; 12 qubits held
-    assert total.iterate_ancilla_set_by == "propagator"
-    assert total.c_anc == 4 + 1 + 12 + 60
+    spec, grid, ledger = _ledger(eps_qae=0.0625, lambda_obs=1.0)
+    assert ledger.qae_calls == pytest.approx(8.0)
+    assert ledger.qpe_register == 4
+    # the iterate holds the exterior-grid qubits and one more, plus the
+    # largest demand of its terms (the first listed wins a tie)
+    rows, agg = ledger.rows, ledger.aggregates
+    held = 3 * spec.particles.eta_n * grid.n_ext
+    demand = {"U_PiS": rows["U_PiS"].ancilla - 1, "propagator": agg["time_evolution"].ancilla,
+              "ISP": max(rows[name].ancilla for name in ISP_ROWS),
+              "R0_QAE": rows["R0_QAE"].ancilla}
+    assert ledger.iterate_ancilla_set_by == max(demand, key=demand.get) == "propagator"
+    c_anc = 4 + 1 + held + demand["propagator"]
+    assert agg["QAE_iterate"].ancilla == c_anc - 4
+    assert ledger.qubits["C_anc"] == agg["QAE_total"].ancilla == agg["total"].ancilla == c_anc
+    assert ledger.qubits["total"] == ledger.qubits["C_data"] + c_anc
 
 
 def test_cost_total_linear_in_inverse_eps():
-    a = _total(0.0625).aggregates["QAE_total"].toffoli
-    b = _total(0.03125).aggregates["QAE_total"].toffoli
+    a = _ledger(eps_qae=0.0625)[2].aggregates["QAE_total"].toffoli
+    b = _ledger(eps_qae=0.03125)[2].aggregates["QAE_total"].toffoli
     assert b == pytest.approx(2.0 * a)
 
 
 def test_cost_total_iterate_identity():
-    total = _total(0.05)
-    u_t = total.aggregates["U_evolution"].toffoli
-    iterate = total.aggregates["QAE_iterate"].toffoli
-    assert iterate == pytest.approx(2 * (10.0 + u_t) + 30.0)
-    assert total.aggregates["QAE_total"].toffoli == pytest.approx(
-        total.qae_calls * iterate
-    )
-    assert total.aggregates["total"].toffoli == pytest.approx(
-        u_t + total.aggregates["QAE_total"].toffoli
-    )
+    ledger = _ledger(eps_qae=0.05)[2]
+    rows, agg = ledger.rows, ledger.aggregates
+    u_t = agg["U_evolution"].toffoli
+    assert u_t == pytest.approx(rows["QFT"].toffoli + agg["time_evolution"].toffoli
+                                + agg["ISP_total"].toffoli)
+    iterate = agg["QAE_iterate"].toffoli
+    assert iterate == pytest.approx(2 * (rows["U_PiS"].toffoli + u_t) + rows["R0_QAE"].toffoli)
+    assert agg["QAE_total"].toffoli == pytest.approx(ledger.qae_calls * iterate)
+    assert agg["total"].toffoli == pytest.approx(u_t + agg["QAE_total"].toffoli)
+
+
+@pytest.mark.parametrize("pad_mode", ["SSCT", "LCT"])
+@pytest.mark.parametrize("molecule", ["molecules/ch4_synthetic.json",
+                                      "molecules/ch3obr_synthetic.json"])
+def test_isp_total_sums_its_rows(molecule, pad_mode):
+    # Toffolis add; the ancilla is the held exterior-grid qubits plus the
+    # largest row, which isp_ancilla_set_by names; a bound row makes a bound
+    spec, grid, ledger = _ledger(molecule, pad_mode)
+    rows = [ledger.rows[name] for name in ISP_ROWS]
+    isp = ledger.aggregates["ISP_total"]
+    assert isp.toffoli == sum(row.toffoli for row in rows)
+    largest = max(row.ancilla for row in rows)
+    assert ledger.rows[ledger.isp_ancilla_set_by].ancilla == largest
+    assert isp.ancilla == 3 * spec.particles.eta_n * grid.n_ext + largest
+    assert isp.bound == any(row.bound for row in rows)
 
 
 def test_qae_ratio_anchor_ch4():
@@ -413,8 +423,7 @@ def test_isp_rows_in_ledger_order():
         spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
         grid = size_grid(spec, bud)
         rows = cost_isp(spec, grid, bud.eps_pk)
-        assert list(rows) == ["ASP_e", "SoSlat_e", "ONB2MOB", "ASYM", "W_e", "ASP_n",
-                              "SoSlat_n", "ONB2SMB", "W_n", "PK", "TC2SM", "NCT"]
+        assert tuple(rows) == ISP_ROWS
         assert rows["NCT"] == nct(spec.particles.eta_n, grid.n_bar_isp)
 
 

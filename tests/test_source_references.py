@@ -4,13 +4,19 @@ library itself.
 A top-level name in ``src/qdyncost/*.py`` that no file under ``src/``
 references (as a name, an attribute or an import alias), or a public method
 or property of one of its classes that no file under ``src/`` reads as an
-attribute, is code that only tests call; it belongs in ``tests/`` or goes.
+attribute, is code that only tests call; it belongs in ``tests/`` or goes.  Each
+``<module>.<function>`` layer that ``BENCHMARK.json`` reads from the tracer is
+a public function of that module.
 """
 
 import ast
+import importlib
+import inspect
+import json
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src"
 
 # error terms that only tests evaluate today; ROADMAP item 3 wires them into
 # the budget audit stage of the pipeline
@@ -74,3 +80,34 @@ def test_every_public_member_is_referenced_from_src():
         if name not in attributes
     ]
     assert unused == []
+
+
+def _traced_modules() -> tuple:
+    """``TRACED_MODULES`` of the benchmark's tracer, read without importing it."""
+    tree = ast.parse((ROOT / "perfbench" / "tracer.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and \
+                [t.id for t in node.targets if isinstance(t, ast.Name)] == ["TRACED_MODULES"]:
+            return ast.literal_eval(node.value)
+    raise AssertionError("perfbench/tracer.py defines no TRACED_MODULES")
+
+
+def test_benchmark_layer_names_are_public_functions():
+    # the tracer wraps each public function of its modules and the benchmark
+    # reads "<module>.<function>.<metric>"; a renamed or moved function would
+    # first show as a KeyError in a traced benchmark run
+    traced = _traced_modules()
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]]
+    layers = {name.rsplit(".", 1)[0] for name in names
+              if name.split(".")[0] in traced and name.count(".") == 2
+              and not name.startswith("verify.check.")}
+    assert "costs.cost_total" in layers
+    missing = []
+    for layer in sorted(layers):
+        module, function = layer.split(".")
+        mod = importlib.import_module(f"qdyncost.{module}")
+        fn = getattr(mod, function, None)
+        if function.startswith("_") or not inspect.isfunction(fn) \
+                or fn.__module__ != mod.__name__:
+            missing.append(layer)
+    assert missing == []
