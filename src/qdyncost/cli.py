@@ -41,9 +41,10 @@ REPORTED_BUDGET = ("eps_total", "lambda_obs", "eps_isp", "eps_prop", "eps_b", "e
 
 def _rescaled_frequencies(spec: MoleculeSpec) -> list:
     """Vibrational frequencies rescaled by the factored diagonal, plus the
-    translational/rotational Gaussian widths treated as frequencies."""
+    translational/rotational Gaussian widths treated as frequencies; a linear
+    molecule has one vibration more and one rotation fewer."""
     nm = spec.normal_modes
-    widths = [nm.gamma_trans] * 3 + [nm.upsilon_rot] * 3
+    widths = [nm.gamma_trans] * 3 + [nm.upsilon_rot] * (2 if nm.linear else 3)
     return [d ** 2 * w for d, w in zip(nm.d_diag, nm.omegas)] + widths
 
 

@@ -85,7 +85,6 @@ def _mps_synthesis_ancilla(bond_rows, b_rot: int) -> int:
 def _resize_bond_table(table: np.ndarray, n_sites: int) -> np.ndarray:
     """Fit a supplied per-site bond-dimension table to the computed site
     count: truncate, or repeat the last column (profiles saturate)."""
-    table = np.atleast_2d(np.asarray(table, dtype=int))
     have = table.shape[-1]
     if have >= n_sites:
         return table[..., :n_sites]
@@ -145,8 +144,6 @@ def cost_onb2smb(n_vib: int, n_smb: int) -> CostPair:
 def cost_w_n(n_isp: int, b_rot: int, bond_dims) -> CostPair:
     """Nuclear single-modal MPS synthesis; ``bond_dims`` is (modes, n_smb, n_isp) (a bound)."""
     bond = np.asarray(bond_dims, dtype=int)
-    if bond.ndim == 2:
-        bond = bond[:, None, :]
     n_smb = bond.shape[1]
     toff = sum(n_smb * n_isp + 2.0 * s for s in _mps_synthesis_sums(bond, b_rot).tolist())
     return CostPair(toff, _mps_synthesis_ancilla(bond, b_rot), bound=True)

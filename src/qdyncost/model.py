@@ -441,6 +441,17 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
         raise ValidationError(f"must equal the number of normal_modes.omegas ({nm.n_vib}), "
                               f"got {spec.nuclear.n_vib}", "nuclear", "n_vib")
 
+    # each bond table has one row per orbital or per mode and single-modal;
+    # a missing row would drop its synthesis cost from a reported bound
+    tables = [("electronic", (spec.electronic.n_mob,), "(n_mob, sites)")]
+    if dim:
+        tables.append(("nuclear", (dim, spec.nuclear.n_smb), "(3*eta_n, n_smb, sites)"))
+    for section, rows, layout in tables:
+        shape = getattr(spec, section).bond_dims.shape
+        if shape[:-1] != rows:
+            raise ValidationError(f"must have shape {layout} = ({', '.join(map(str, rows))}, "
+                                  f"sites), got {shape}", section, "bond_dims")
+
     max_pairs = p.eta_n * (p.eta_n - 1) // 2
     for i, ch in enumerate(spec.channels):
         for k, c in enumerate(ch.constraints):

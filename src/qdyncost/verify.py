@@ -127,19 +127,15 @@ def galerkin_hamiltonian(masses, charges, n_p: int, length: float) -> np.ndarray
     The Coulomb coefficient is ``(2*pi/L^3) z_i z_j / |k_nu|^2`` between
     ``|p>|q> -> |p+nu>|q-nu>`` with both results on the grid.
     """
-    masses = list(masses)
-    charges = list(charges)
-    eta = len(masses)
     points, strides, particle_pt = _basis(masses, n_p)
-    per_particle, total = len(points), len(particle_pt[0])
+    total = len(particle_pt[0])
     k_unit = 2.0 * math.pi / length
 
-    # kinetic diagonal
+    # kinetic diagonal, gathered at each particle's point
     ksq_single = (k_unit ** 2) * np.sum(points.astype(float) ** 2, axis=1)
     diag = np.zeros(total)
-    for j in range(eta):
-        block = np.repeat(np.tile(ksq_single, per_particle ** j), per_particle ** (eta - 1 - j))
-        diag += block / (2.0 * masses[j])
+    for mass, pt in zip(masses, particle_pt):
+        diag += ksq_single[pt] / (2.0 * mass)
     h = np.zeros((total, total), dtype=complex)
     real = _real_parts(h)
     real[:: total + 1] = diag
@@ -202,10 +198,8 @@ def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int):
     signs ``(-1)**(b*(p_r p_s XOR 1))`` on the magnitude bits; Coulomb terms
     iterate over (b, i, j, nu) with the Boolean sign function, acting as
     identity-with-sign when a shifted momentum leaves the grid.  The
-    coefficients come from :func:`lcu_terms`.
-
-    Returns (H, lambda_t_sum, lambda_v_sum): the assembled operator and the
-    accumulated coefficient one-norms of both term families.
+    coefficients come from :func:`lcu_terms`, whose ``sums()`` are the
+    coefficient one-norms of both term families.
     """
     terms = lcu_terms(masses, charges, n_p, length, eta_e)
     points, strides, particle_pt = _basis(masses, n_p)
@@ -232,7 +226,7 @@ def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int):
             diag += row  # b = 0
             diag -= row  # b = 1
     real[:: total + 1] = diag
-    return (h, *terms.sums())
+    return h
 
 
 def sector_norm(d: np.ndarray, masses, n_p: int) -> float:
@@ -267,6 +261,20 @@ def sector_norm(d: np.ndarray, masses, n_p: int) -> float:
 # walk-operator spectrum and truncated-series propagator
 
 
+def _within_lambda(h, lam: float) -> np.ndarray:
+    """``h`` as a complex array, once ``lam >= ||h||_2`` is checked."""
+    h = np.asarray(h, dtype=complex)
+    norm = float(np.linalg.norm(h, 2))
+    if lam < norm:
+        raise ValueError(f"lambda = {lam} < ||H|| = {norm}")
+    return h
+
+
+def _unitarity_defect(u: np.ndarray) -> float:
+    """``||U U^dag - I||_2``."""
+    return float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0]), 2))
+
+
 def _walk(h: np.ndarray, lam: float):
     """The block-rotation walk ``[[H/l, -S], [S, H/l]]`` with
     ``S = sqrt(I - (H/l)^2)`` built spectrally, and the spectrum of H/l."""
@@ -285,21 +293,15 @@ def qubiterate_check(h: np.ndarray, lam: float) -> float:
     The walk's eigenvalues are compared against the phases implied by the
     spectrum of H.
     """
-    h = np.asarray(h, dtype=complex)
-    norm = float(np.linalg.norm(h, 2))
-    if lam < norm:
-        raise ValueError(f"lambda = {lam} < ||H|| = {norm}")
-    walk, e_scaled = _walk(h, lam)
+    walk, e_scaled = _walk(_within_lambda(h, lam), lam)
     phases = np.sort(np.angle(np.linalg.eigvals(walk)))
     expected = np.sort(np.concatenate([np.arccos(e_scaled), -np.arccos(e_scaled)]))
     return float(np.max(np.abs(phases - expected)))
 
 
 def walk_unitarity_defect(h: np.ndarray, lam: float) -> float:
-    """||W W^dag - I||_inf for the block-rotation walk above."""
-    walk, _ = _walk(np.asarray(h, dtype=complex), lam)
-    eye = np.eye(walk.shape[0])
-    return float(np.linalg.norm(walk @ walk.conj().T - eye, 2))
+    """||W W^dag - I||_2 for the block-rotation walk above."""
+    return _unitarity_defect(_walk(np.asarray(h, dtype=complex), lam)[0])
 
 
 def propagator(h: np.ndarray, t: float) -> np.ndarray:
@@ -346,12 +348,7 @@ def jacobi_anger_check(h: np.ndarray, lam: float, t: float, degree: int) -> floa
     is built by the Chebyshev matrix recurrence and compared against the
     spectral :func:`propagator`.
     """
-    h = np.asarray(h, dtype=complex)
-    norm = float(np.linalg.norm(h, 2))
-    if lam < norm:
-        raise ValueError(f"lambda = {lam} < ||H|| = {norm}")
-    if degree < 0:
-        raise ValueError("degree must be non-negative")
+    h = _within_lambda(h, lam)
     hn = h / lam
     eye = np.eye(h.shape[0], dtype=complex)
     jk = bessel_j(lam * t, degree)
@@ -409,7 +406,10 @@ def poly_mps_bond_check(coeffs, n_bits: int) -> int:
     """Measured tensor-train rank of a polynomial sampled on the
     two's-complement grid; bounded by 2*deg + 4.
 
-    ``coeffs`` are polynomial coefficients, lowest order first.
+    ``coeffs`` are polynomial coefficients, lowest order first.  The rank is
+    the largest numerical rank over the ``n_bits - 1`` unfoldings of the
+    samples (leading bits by the rest), each cut at ``TT_RANK_TOL`` times
+    its largest singular value; a zero polynomial has rank 1.
     """
     if n_bits > 12:
         raise ValueError("n_bits capped at 12 for desk checks")
@@ -417,22 +417,11 @@ def poly_mps_bond_check(coeffs, n_bits: int) -> int:
     half = 2 ** (n_bits - 1)
     k = np.where(idx < half, idx, idx - 2 ** n_bits).astype(float)
     vals = np.polynomial.polynomial.polyval(k, np.asarray(coeffs, dtype=float))
-    norm = np.linalg.norm(vals)
-    if norm == 0:
-        return 1
-    vec = vals / norm
-    max_rank = 1
-    rank = 1
-    rest = vec.copy()
-    for _ in range(n_bits - 1):
-        rest = rest.reshape(rank * 2, -1)
-        u, s, vt = np.linalg.svd(rest, full_matrices=False)
-        keep = int(np.sum(s > TT_RANK_TOL * s[0])) if s[0] > 0 else 1
-        keep = max(keep, 1)
-        max_rank = max(max_rank, keep)
-        rank = keep
-        rest = (s[:keep, None] * vt[:keep])
-    return max_rank
+    ranks = [1]
+    for cut in range(1, n_bits):
+        s = np.linalg.svd(vals.reshape(2 ** cut, -1), compute_uv=False)
+        ranks.append(int(np.sum(s > TT_RANK_TOL * s[0])))
+    return max(ranks)
 
 
 # ---------------------------------------------------------------------------
@@ -447,8 +436,7 @@ def yield_indicator(channel, positions: np.ndarray) -> np.ndarray:
     squared ("greater" is strict, "less" is its complement).
     """
     positions = np.asarray(positions)
-    n_points = positions.shape[0]
-    result = np.ones(n_points, dtype=bool)
+    result = np.ones(positions.shape[0], dtype=bool)
     for c in channel.constraints:
         diff = positions[:, c.alpha, :].astype(np.int64) - positions[:, c.beta, :].astype(np.int64)
         ssq = np.sum(diff * diff, axis=1)
@@ -468,27 +456,13 @@ def tc2sm_convert(bits: int, width: int) -> int:
         raise ValueError("width must be >= 2")
     if not 0 <= bits < 2 ** width:
         raise ValueError("bit pattern out of range")
-    sign = bits >> (width - 1)
-    rest = bits & ((1 << (width - 1)) - 1)
-    if sign == 0:
+    sign = 1 << (width - 1)
+    rest = bits & (sign - 1)
+    if not bits & sign:
         return bits
     if rest == 0:
         raise ValueError(f"-2**{width - 1} has no signed-magnitude image")
-    mag = (((~rest) & ((1 << (width - 1)) - 1)) + 1) & ((1 << (width - 1)) - 1)
-    return (1 << (width - 1)) | mag
-
-
-def sm2tc_convert(bits: int, width: int) -> int:
-    """Inverse of :func:`tc2sm_convert` on its image."""
-    if width < 2:
-        raise ValueError("width must be >= 2")
-    sign = bits >> (width - 1)
-    mag = bits & ((1 << (width - 1)) - 1)
-    if sign == 0:
-        return bits
-    if mag == 0:
-        raise ValueError("negative zero has no two's-complement preimage here")
-    return (1 << (width - 1)) | ((((~mag) & ((1 << (width - 1)) - 1)) + 1) & ((1 << (width - 1)) - 1))
+    return sign | (-rest & (sign - 1))  # ~rest + 1 in the low bits
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +494,13 @@ class SuiteReport:
         return {"passed": self.passed, "checks": checks}
 
 
+def _random_hermitian(rng, dim: int) -> np.ndarray:
+    """A suite instance: ``(A + A^dag) / 2`` of a complex Gaussian ``dim`` x
+    ``dim`` matrix A, its real parts drawn before its imaginary parts."""
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    return (a + a.conj().T) / 2.0
+
+
 def run_suite(only: str | None = None) -> SuiteReport:
     """Run the verification suite; ``only`` filters check names by glob."""
     checks = []
@@ -536,7 +517,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
         # takes |d|: over repeated suites this order keeps the heap from
         # fragmenting around the two 729^2 buffers
         hg = galerkin_hamiltonian(masses, charges, 2, length)
-        hl, _, _ = lcu_assemble(masses, charges, 2, length, eta_e=1)
+        hl = lcu_assemble(masses, charges, 2, length, eta_e=1)
         hl -= hg
         del hg
         return sector_norm(hl, masses, 2), 1e-12
@@ -547,11 +528,8 @@ def run_suite(only: str | None = None) -> SuiteReport:
             # eta = 2 is the largest 3D instance under the dense cap
             # (three particles would need dimension 27**3)
             eta = 2
-            masses = [1.0] * eta
             charges = [int(z) for z in rng.choice([-2, -1, 1, 2], size=eta)]
-            for j in range(eta):
-                if charges[j] > 0:
-                    masses[j] = float(rng.uniform(100.0, 2000.0))
+            masses = [float(rng.uniform(100.0, 2000.0)) if z > 0 else 1.0 for z in charges]
             length = float(rng.uniform(3.0, 9.0))
             eta_e = sum(1 for z in charges if z < 0)
             lam_t_sum, lam_v_sum = lcu_terms(masses, charges, 2, length, eta_e=eta_e).sums()
@@ -565,9 +543,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
     def check_qubiterate(rng):
         worst = 0.0
         for _ in range(20):
-            dim = int(rng.integers(4, 17))
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = (a + a.conj().T) / 2.0
+            h = _random_hermitian(rng, int(rng.integers(4, 17)))
             lam = 2.0 * float(np.linalg.norm(h, 2))
             worst = max(worst, qubiterate_check(h, lam))
         return worst, 1e-10
@@ -576,9 +552,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
         worst_ratio = 0.0
         for lt in (1.0, 5.0, 20.0):
             for eps in (1e-3, 1e-6):
-                dim = 12
-                a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-                h = (a + a.conj().T) / 2.0
+                h = _random_hermitian(rng, 12)
                 lam = 1.1 * float(np.linalg.norm(h, 2))
                 t = lt / lam
                 d = math.ceil(costs.qsp_degree(lam, t, eps))
@@ -589,13 +563,10 @@ def run_suite(only: str | None = None) -> SuiteReport:
     def check_unitarity(rng):
         worst = 0.0
         for _ in range(5):
-            dim = int(rng.integers(4, 13))
-            a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            h = (a + a.conj().T) / 2.0
+            h = _random_hermitian(rng, int(rng.integers(4, 13)))
             lam = 2.0 * float(np.linalg.norm(h, 2))
-            worst = max(worst, walk_unitarity_defect(h, lam))
-            u = propagator(h, 1.0)
-            worst = max(worst, float(np.linalg.norm(u @ u.conj().T - np.eye(dim), 2)))
+            worst = max(worst, walk_unitarity_defect(h, lam),
+                        _unitarity_defect(propagator(h, 1.0)))
         return worst, 1e-10
 
     def check_sm_truncation(rng):
@@ -631,12 +602,8 @@ def run_suite(only: str | None = None) -> SuiteReport:
         return max(idem, complete), 0.0
 
     def check_tc2sm(rng):
-        bad = 0
-        for v in range(64):
-            if v == 32:  # -2**5 pattern has no image
-                continue
-            if sm2tc_convert(tc2sm_convert(v, 6), 6) != v:
-                bad += 1
+        # TC2SM is its own inverse on its image, which lacks the -2**5 pattern
+        bad = sum(tc2sm_convert(tc2sm_convert(v, 6), 6) != v for v in range(64) if v != 32)
         return float(bad), 0.0
 
     add("lcu_equality", check_lcu_equality)

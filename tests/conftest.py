@@ -1,11 +1,16 @@
 """Fixtures shared across test modules."""
 
 import math
+import os
+
+# the suite's dense matrices are small, and OpenBLAS threads cost more than
+# they save on them; the pin must precede numpy's first import
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 import pytest
 
-from qdyncost import lct
+from qdyncost import gridsizer, lct
 
 
 def _random_instance(rng, dims):
@@ -28,10 +33,8 @@ def _random_instance(rng, dims):
     sigma_grid = 1.0 / (delta * math.sqrt(float(np.min(sigma))))
     n_int = max(3, math.ceil(math.log2(2.0 * 5.0 * sigma_grid)))
     norm_l = float(np.max(np.sum(np.abs(low), axis=1)))
-    # padding from the multi-shear bound, generalized to d dimensions
-    beta = 2 * dims * (dims - 1) + 1
-    inner = 1.619 * math.sqrt(dims) * (2 ** n_int * norm_l + beta) + 1.0
-    n_pad = max(0, math.ceil(math.log2(inner)) - n_int)
+    # padding from the multi-shear bound the estimator sizes LCT grids with
+    n_pad = gridsizer.pad_qubits("LCT", norm_l, dims, n_int)
     n_bits = n_int + n_pad
     if n_bits > cap:
         return None

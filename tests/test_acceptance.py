@@ -29,7 +29,7 @@ def _line(num, ok, detail):
 def test_criterion_01_lcu_galerkin_equality():
     t0 = time.time()
     h_g = verify.galerkin_hamiltonian([1.0, 1836.0], [-1, 1], 2, 5.0)
-    h_l, _, _ = verify.lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
+    h_l = verify.lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
     dev = float(np.linalg.norm(h_l - h_g, 2))
     elapsed = time.time() - t0
     _line(1, dev <= 1e-12 and elapsed < 10.0,
@@ -48,7 +48,7 @@ def test_criterion_02_lcu_norm_cross_check():
         eta_e = sum(1 for z in charges if z < 0)
         masses = [1.0 if z < 0 else float(rng.uniform(100, 2000)) for z in charges]
         length = float(rng.uniform(3.0, 9.0))
-        _, lam_t, lam_v = verify.lcu_assemble(masses, charges, 2, length, eta_e=eta_e)
+        lam_t, lam_v = verify.lcu_terms(masses, charges, 2, length, eta_e=eta_e).sums()
         pt = ParticleTable(masses=tuple(masses), charges=tuple(charges),
                            eta_e=eta_e, eta_n=2 - eta_e)
         norms = encoding.lcu_norms(pt, 2, length ** 3)

@@ -120,10 +120,10 @@ def test_verify_fails_on_broken_momentum_conservation(tmp_path, monkeypatch):
     def leaky(*args, **kwargs):
         # couple the lowest and highest total momentum of the grid, which no
         # term of the Hamiltonian does
-        h, lam_t, lam_v = assemble(*args, **kwargs)
+        h = assemble(*args, **kwargs)
         h[0, -1] += 1e-9
         h[-1, 0] += 1e-9
-        return h, lam_t, lam_v
+        return h
 
     monkeypatch.setattr(verify, "lcu_assemble", leaky)
     out = tmp_path / "verify.json"
@@ -183,6 +183,27 @@ def test_estimate_lct_pad_mode(tmp_path):
     rep = json.loads(out.read_text())
     assert rep["scalars"]["pad_mode"] == "LCT"
     assert "NCT" in rep["rows"]
+
+
+def _linear(doc):
+    """``doc`` as a linear molecule: one more vibrational frequency, and two
+    rotational widths where a non-linear molecule has three."""
+    nm = doc["normal_modes"]
+    omegas = nm["omegas"] + nm["omegas"][-1:]
+    return {**doc, "normal_modes": {**nm, "linear": True, "omegas": omegas},
+            "nuclear": {**doc["nuclear"], "n_vib": len(omegas)}}
+
+
+@pytest.mark.parametrize("pad_mode", ["SSCT", "LCT"])
+def test_estimate_linear_molecule(tmp_path, pad_mode):
+    # 3*eta_n - 5 frequencies and 5 widths fill the 3*eta_n transform
+    doc = _linear(json.loads(Path(CH4).read_text()))
+    doc["budget"]["pad_mode"] = pad_mode
+    mol = tmp_path / "linear.json"
+    mol.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--input", str(mol), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["scalars"]["pad_mode"] == pad_mode
 
 
 def test_report_records_grid_caveats(tmp_path):
@@ -311,6 +332,15 @@ def test_params_hash_follows_effective_configuration(tmp_path):
     ("budget", "policy", "paper", "budget.policy"),
     ("budget", "eps_total", 2.0, "budget.eps_total:"),
     ("budget", "trim_alpha", 0, "budget.trim_alpha:"),
+    # CH4's tables are 10 x 8 and 15 x 4 x 8: a table must cover every
+    # orbital, mode and single-modal it is a bound for
+    ("electronic", "bond_dims", [[2, 12, 40, 80, 120, 80, 40, 20]],
+     "error: electronic.bond_dims: must have shape (n_mob, sites)"),
+    ("electronic", "bond_dims", [2, 12, 40, 80], "error: electronic.bond_dims: must have shape"),
+    ("nuclear", "bond_dims", [[[2, 12, 40, 80]] * 4],
+     "error: nuclear.bond_dims: must have shape (3*eta_n, n_smb, sites)"),
+    ("nuclear", "bond_dims", [[[2, 12, 40, 80]] * 3] * 15, "error: nuclear.bond_dims: must have"),
+    ("nuclear", "bond_dims", [[2, 12, 40, 80]] * 15, "error: nuclear.bond_dims: must have shape"),
 ])
 def test_malformed_molecule_exits_2(tmp_path, capsys, section, key, value, field):
     doc = json.loads(Path(CH4).read_text())
@@ -537,6 +567,7 @@ def test_malformed_report_input_exits_2(tmp_path, capsys, out_format, doc, reaso
 
 FIXTURE_DOCS = [json.loads(Path(path).read_text())
                 for path in (CH4, "molecules/ch3obr_synthetic.json")]
+FIXTURE_DOCS.append(_linear(FIXTURE_DOCS[0]))
 ISP_ROWS = ("ASP_e", "SoSlat_e", "ONB2MOB", "ASYM", "W_e", "ASP_n", "SoSlat_n", "ONB2SMB",
             "W_n", "PK", "TC2SM", "NCT")
 # each grid value pinned or left computed, independently of the others

@@ -375,7 +375,7 @@ def test_mps_synthesis_matches_per_site_loop(table, b_rot):
     else:
         modes = table
     n_smb, n_isp = modes.shape[1:]
-    w_n = cost_w_n(n_isp=n_isp, b_rot=b_rot, bond_dims=table)
+    w_n = cost_w_n(n_isp=n_isp, b_rot=b_rot, bond_dims=modes)
     assert w_n.toffoli == sum(n_smb * n_isp + 2.0 * _mps_synthesis_sum_loop(mode, b_rot)
                               for mode in modes)
 

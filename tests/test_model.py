@@ -232,6 +232,14 @@ def test_fractional_integer_field_named_in_error(path, value):
     ("normal_modes", "linear", "false", "normal_modes.linear"),
     ("budget", "eps_total", 2.0, "^budget.eps_total: "),
     ("budget", "trim_alpha", 0, "^budget.trim_alpha: "),
+    ("electronic", "bond_dims", [[2, 12, 40, 80, 120, 80, 40, 20]],
+     r"^electronic.bond_dims: must have shape \(n_mob, sites\) = \(10, sites\), got \(1, 8\)"),
+    ("electronic", "bond_dims", [2, 12, 40, 80], "^electronic.bond_dims: must have shape"),
+    ("nuclear", "bond_dims", [[[2, 12, 40, 80]] * 4],
+     r"^nuclear.bond_dims: must have shape \(3\*eta_n, n_smb, sites\) = \(15, 4, sites\), "
+     r"got \(1, 4, 4\)"),
+    ("nuclear", "bond_dims", [[[2, 12, 40, 80]] * 3] * 15, "^nuclear.bond_dims: must have"),
+    ("nuclear", "bond_dims", [[2, 12, 40, 80]] * 15, "^nuclear.bond_dims: must have shape"),
 ])
 def test_malformed_field_named_in_error(section, key, value, field):
     doc = json.loads(Path(CH4).read_text())

@@ -25,16 +25,13 @@ from qdyncost.verify import (
     run_suite,
     sector_norm,
     sm_projection_check,
-    sm2tc_convert,
     tc2sm_convert,
     walk_unitarity_defect,
     yield_indicator,
 )
 
 
-def random_hermitian(rng, dim):
-    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (a + a.conj().T) / 2.0
+random_hermitian = verify._random_hermitian  # the suite's instance generator
 
 
 # ---------------------------------------------------------------------------
@@ -101,12 +98,12 @@ def test_shift_indices_match_dictionary_lookup(n_p):
 def test_lcu_kinetic_diagonal_identity():
     # the two b-branches collapse to 2*[p_r p_s = 1], giving |k|^2/2m exactly
     h_g = galerkin_hamiltonian([1.0], [-1], 3, 7.0)
-    h_l, _, _ = lcu_assemble([1.0], [-1], 3, 7.0, eta_e=1)
+    h_l = lcu_assemble([1.0], [-1], 3, 7.0, eta_e=1)
     assert np.max(np.abs(h_l - h_g)) <= 1e-12
 
 
 def test_lcu_electron_nucleus_attraction_sign():
-    h_l, _, _ = lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
+    h_l = lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
     # pick a momentum-conserving off-diagonal element and check it is negative
     off = np.real(h_l[np.abs(h_l) > 1e-14])
     off_diag = [h_l[i, j] for i in range(h_l.shape[0]) for j in range(h_l.shape[0])
@@ -117,13 +114,13 @@ def test_lcu_electron_nucleus_attraction_sign():
 def test_lcu_equality_eta2():
     # acceptance criterion 1 measures the same difference with a dense SVD
     h_g = galerkin_hamiltonian([1.0, 1836.0], [-1, 1], 2, 5.0)
-    h_l, _, _ = lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
+    h_l = lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
     assert sector_norm(h_l - h_g, [1.0, 1836.0], 2) <= 1e-12
 
 
 def test_lcu_coefficient_sums_match_norms():
     pt = ParticleTable(masses=(1.0, 1836.0), charges=(-1, 1), eta_e=1, eta_n=1)
-    _, lam_t, lam_v = lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
+    lam_t, lam_v = lcu_terms([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1).sums()
     norms = encoding.lcu_norms(pt, 2, 125.0)
     assert lam_t == pytest.approx(norms.lambda_t, rel=1e-10)
     assert lam_v == pytest.approx(norms.lambda_v, rel=1e-10)
@@ -144,11 +141,10 @@ def _sha256(h):
 def test_assembled_matrices_match_pinned(pin):
     args = (pin["masses"], pin["charges"], pin["n_p"], pin["length"])
     h_g = galerkin_hamiltonian(*args)
-    h_l, lam_t, lam_v = lcu_assemble(*args, eta_e=pin["eta_e"])
+    h_l = lcu_assemble(*args, eta_e=pin["eta_e"])
     assert h_g.shape == h_l.shape == (pin["dim"], pin["dim"])
     assert _sha256(h_g) == pin["galerkin_sha256"]
     assert _sha256(h_l) == pin["lcu_sha256"]
-    assert (repr(lam_t), repr(lam_v)) == (pin["lam_t_sum"], pin["lam_v_sum"])
 
 
 @pytest.mark.parametrize("pin", PINNED_MATRICES, ids=lambda pin: pin["label"])
@@ -398,6 +394,20 @@ def test_poly_mps_linear():
     assert poly_mps_bond_check([0.0, 1.0], 4) <= 6
 
 
+@pytest.mark.parametrize("deg", range(6))
+def test_poly_mps_rank_is_exact(deg):
+    # every cut splits k into a leading and a trailing part, k = k_hi + k_lo,
+    # so a degree-d polynomial's unfolding has rank d + 1 once both sides
+    # have d + 1 distinct values; the squarest unfolding of n bits has
+    # 2**(n // 2) rows
+    for n_bits in range(1, 13):
+        assert poly_mps_bond_check(np.ones(deg + 1), n_bits) == min(deg + 1, 2 ** (n_bits // 2))
+
+
+def test_poly_mps_zero_polynomial():
+    assert poly_mps_bond_check([0.0, 0.0], 5) == 1
+
+
 def test_poly_mps_cubic_random():
     rng = np.random.default_rng(6)
     for _ in range(5):
@@ -463,7 +473,8 @@ def test_tc2sm_roundtrip_width6():
     for v in range(64):
         if v == 32:
             continue
-        assert sm2tc_convert(tc2sm_convert(v, 6), 6) == v
+        # TC2SM is its own inverse on its image
+        assert tc2sm_convert(tc2sm_convert(v, 6), 6) == v
 
 
 # ---------------------------------------------------------------------------
