@@ -41,10 +41,12 @@ REPORTED_BUDGET = ("eps_total", "lambda_obs", "eps_isp", "eps_prop", "eps_b", "e
 
 def _rescaled_frequencies(spec: MoleculeSpec) -> list:
     """Vibrational frequencies rescaled by the factored diagonal, plus the
-    translational/rotational Gaussian widths treated as frequencies; a linear
-    molecule has one vibration more and one rotation fewer."""
+    translational/rotational Gaussian widths treated as frequencies: three
+    translations, and a rotation for each of the other modes (3 for a
+    non-linear molecule, 2 for a linear one, 0 for an atom)."""
     nm = spec.normal_modes
-    widths = [nm.gamma_trans] * 3 + [nm.upsilon_rot] * (2 if nm.linear else 3)
+    n_rot = 3 * spec.particles.eta_n - 3 - nm.n_vib
+    widths = [nm.gamma_trans] * 3 + [nm.upsilon_rot] * n_rot
     return [d ** 2 * w for d, w in zip(nm.d_diag, nm.omegas)] + widths
 
 
@@ -134,6 +136,8 @@ def size_grid(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> gridsizer.Grid
 def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     """Run the full estimation pipeline on a validated molecule."""
     p = spec.particles
+    if not p.eta_n:
+        raise ValidationError("the estimate needs at least one nucleus", "particles", "eta_n")
     settings = spec.budget
     t_au = spec.simulation.time_au
     bud = budget_mod.allocate(settings, t_au)
@@ -305,7 +309,7 @@ def run_lct_bench(args: argparse.Namespace) -> int:
     sigma = np.array([1.0, 1.5])
     rows = [("delta", "measured_error", "bound")]
     for delta in np.geomspace(0.02, 0.2, 8):
-        n_int, n_bits = _fit_grid(2, float(delta), sigma, program)
+        n_int, n_bits = _fit_grid(float(delta), sigma, program)
         res = lct.gaussian_instance_error(program, sigma, float(delta), n_bits, n_int)
         rows.append((f"{delta:.6f}", f"{res['measured']:.8e}", f"{res['bound']:.8e}"))
     out = args.out_path or "lct_bench.csv"
@@ -316,24 +320,15 @@ def run_lct_bench(args: argparse.Namespace) -> int:
     return 0
 
 
-def _fit_grid(dims: int, delta: float, sigma_prime, program) -> tuple[int, int]:
+def _fit_grid(delta: float, sigma_prime, program) -> tuple[int, int]:
     """Smallest interior/padded grid exponents holding a Gaussian instance:
     the interior box covers ~5 standard deviations, and padding follows the
-    multi-shear bound; dims * n_bits stays within ``lct.MAX_TOTAL_BITS``."""
-    sigma_min = float(np.min(sigma_prime))
-    sigma_grid = 1.0 / (delta * math.sqrt(sigma_min))
-    need = 5.0 * sigma_grid
-    n_int = max(2, math.ceil(math.log2(2.0 * need)))
+    multi-shear bound."""
+    sigma_grid = 1.0 / (delta * math.sqrt(float(np.min(sigma_prime))))
+    n_int = math.ceil(math.log2(2.0 * 5.0 * sigma_grid))
     # decompose_lct puts the full QL shear first
     norm_l = _inf_norm(program.steps[0].matrix)
-    cap = lct.MAX_TOTAL_BITS // dims
-    while True:
-        n_pad = gridsizer.pad_qubits("LCT", norm_l, dims, n_int)
-        if n_int + n_pad <= cap:
-            return n_int, n_int + n_pad
-        n_int -= 1
-        if n_int < 2:
-            raise ValueError("instance does not fit in the grid budget")
+    return n_int, n_int + gridsizer.pad_qubits("LCT", norm_l, program.dim, n_int)
 
 
 def run_report(args: argparse.Namespace) -> int:

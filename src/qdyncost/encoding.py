@@ -35,9 +35,7 @@ class SuccessProbs:
 
     p_nu: float
     p_zeta: float
-    ps_w: float          # uniform superposition over the 3 spatial axes
-    ps_eta: float        # uniform superposition over eta particle labels
-    p_eq: float
+    p_eq: float          # uniform superpositions over the 3 axes and the eta labels
     p_nu_exact: bool
 
 
@@ -146,15 +144,11 @@ def success_probs(particles: ParticleTable, n_p: int, n_m: int, b_r: int) -> Suc
     abs_sum = sum(abs(z) for z in particles.charges)
     sq_sum = sum(z * z for z in particles.charges)
     p_zeta = 1.0 - sq_sum / abs_sum ** 2
-    ps_w = uniform_prep_success(3, b_r)
     ps_eta = uniform_prep_success(particles.eta, b_r)
-    p_eq = ps_w * ps_eta * ps_eta ** 2
     return SuccessProbs(
         p_nu=float(p_nu),
         p_zeta=float(p_zeta),
-        ps_w=ps_w,
-        ps_eta=ps_eta,
-        p_eq=p_eq,
+        p_eq=uniform_prep_success(3, b_r) * ps_eta * ps_eta ** 2,
         p_nu_exact=exact,
     )
 

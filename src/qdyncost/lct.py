@@ -29,8 +29,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# cap on dims * n_bits for the lct-bench grid exponents
-MAX_TOTAL_BITS = 24
 # tolerances of the decomposition checks (the last two relative to the largest entry)
 DET_TOL = 1e-9                # | |det T| - 1 |
 UNIT_DIAG_TOL = 1e-9          # diagonal of the QL factor against 1
@@ -253,41 +251,29 @@ def ssct_program(lam: np.ndarray) -> tuple[TransformProgram, np.ndarray]:
 # exact permutation arithmetic
 
 
-class WrapCounter:
-    """Counts wrap events: row updates whose exact image leaves the grid."""
-
-    def __init__(self):
-        self.count = 0
-
-    def add(self, n: int):
-        self.count += int(n)
-
-
 def _quantize_coeff(b: float, r: int) -> int:
     """Fixed-point representation of a shear coefficient: round-half-up at
     r fraction bits, returned as the scaled integer."""
     return int(math.floor(b * (1 << r) + 0.5))
 
 
-def _wrap_int(vals: np.ndarray, modulus: int, counter: WrapCounter | None,
-              out: np.ndarray | None = None) -> np.ndarray:
-    """Centered wrap of integers into [-modulus, modulus - 1]; ``modulus``
-    must be a positive power of two, so the wrap is a bitmask.  ``out`` must
-    not share memory with ``vals``."""
+def _wrap_int(vals: np.ndarray, modulus: int, out: np.ndarray | None = None):
+    """Centered wrap of integers into [-modulus, modulus - 1], and the number
+    of entries it moved; ``modulus`` must be a positive power of two, so the
+    wrap is a bitmask.  ``out`` must not share memory with ``vals``."""
     if modulus <= 0 or modulus & (modulus - 1):
         raise ValueError(f"wrap modulus {modulus} is not a positive power of two")
     wrapped = np.add(vals, modulus, out=out)
     wrapped &= 2 * modulus - 1
     wrapped -= modulus
-    if counter is not None:
-        counter.add(np.count_nonzero(wrapped != vals))
-    return wrapped
+    return wrapped, int(np.count_nonzero(wrapped != vals))
 
 
 def _apply_shear(rows: np.ndarray, matrix: np.ndarray, n_bits: int,
-                 counter: WrapCounter | None, acc: np.ndarray, tmp: np.ndarray):
+                 acc: np.ndarray, tmp: np.ndarray) -> int:
     """In-place permutation of a unit-triangular shear on (d, N) coordinate
-    rows, one row at a time, with ``acc`` and ``tmp`` as length-N scratch.
+    rows, one row at a time, with ``acc`` and ``tmp`` as length-N scratch;
+    returns the number of wraps.
 
     Row i adds R(sum_j q(b_ij) n_j / 2**r) and wraps once.  Rows are updated
     so that each reads the old values of the rows it depends on: the last
@@ -297,6 +283,7 @@ def _apply_shear(rows: np.ndarray, matrix: np.ndarray, n_bits: int,
     r = n_bits - 1
     half = np.int64(1) << r
     lower = not np.any(np.triu(matrix, 1))
+    wraps = 0
     for i in (range(d - 1, -1, -1) if lower else range(d)):
         cols = [j for j in range(d) if j != i and matrix[i, j] != 0.0]
         if cols:
@@ -307,44 +294,53 @@ def _apply_shear(rows: np.ndarray, matrix: np.ndarray, n_bits: int,
             acc += 1 << (r - 1)
             acc >>= r
             acc += rows[i]
-            _wrap_int(acc, half, counter, out=rows[i])
+            wraps += _wrap_int(acc, half, out=rows[i])[1]
+    return wraps
 
 
-def _apply_perm(rows: np.ndarray, matrix: np.ndarray, n_bits: int, counter: WrapCounter | None):
+def _apply_perm(rows: np.ndarray, matrix: np.ndarray, n_bits: int) -> int:
     """In-place signed permutation of (d, N) coordinate rows; copies only the
-    rows that move.  A negated -2**(n_bits-1) leaves the grid and wraps back
-    onto itself."""
+    rows that move, and returns the number of wraps.  A negated
+    -2**(n_bits-1) leaves the grid and wraps back onto itself."""
     half = np.int64(1) << (n_bits - 1)
-    moved = {}
+    moved, wraps = {}, 0
     for i in np.flatnonzero(np.diag(matrix) != 1.0):
         j = int(np.flatnonzero(matrix[i])[0])
-        moved[i] = rows[j].copy() if matrix[i, j] > 0 else _wrap_int(-rows[j], half, counter)
+        if matrix[i, j] > 0:
+            moved[i] = rows[j].copy()
+        else:
+            moved[i], n = _wrap_int(-rows[j], half)
+            wraps += n
     for i, row in moved.items():
         rows[i] = row
+    return wraps
 
 
-def push_points(coords: np.ndarray, program: TransformProgram, n_bits: int,
-                counter: WrapCounter | None = None) -> np.ndarray:
+def push_points(coords: np.ndarray, program: TransformProgram,
+                n_bits: int) -> tuple[np.ndarray, int]:
     """Apply the program's grid permutation to an (N, d) array of integer
-    points.  The steps run on one contiguous (d, N) copy, so each row update
-    reads and writes contiguous memory; the result is its (N, d) transpose."""
+    points; returns the moved points and the number of wraps.  The steps run
+    on one contiguous (d, N) copy, so each row update reads and writes
+    contiguous memory; the points are its (N, d) transpose."""
     rows = np.array(np.asarray(coords).T, dtype=np.int64, order="C")
     acc, tmp = np.empty_like(rows[0]), np.empty_like(rows[0])
+    wraps = 0
     for step in program.steps:
         if step.kind == "perm":
-            _apply_perm(rows, step.matrix, n_bits, counter)
+            wraps += _apply_perm(rows, step.matrix, n_bits)
         else:
-            _apply_shear(rows, step.matrix, n_bits, counter, acc, tmp)
-    return rows.T
+            wraps += _apply_shear(rows, step.matrix, n_bits, acc, tmp)
+    return rows.T, wraps
 
 
 # ---------------------------------------------------------------------------
 # error bounds and measurement
 
 
-def shear_error_bound(shear: np.ndarray, sigma_prime, delta: float, dims: int) -> float:
+def shear_error_bound(shear: np.ndarray, sigma_prime, delta: float) -> float:
     """Gaussian shear-error bound sqrt(2)*(1 - exp(-delta^2 * dims * lmax))^1/2
     with lmax the largest eigenvalue of S^-T Sigma' S^-1."""
+    dims = shear.shape[0]
     sigma_prime = np.diag(np.broadcast_to(np.asarray(sigma_prime, dtype=float), (dims,)))
     if np.any(np.diag(sigma_prime) <= 0):
         raise ValueError("Gaussian exponent matrix must be positive definite")
@@ -370,7 +366,7 @@ def program_error_bound(program: TransformProgram, sigma_prime, delta: float) ->
     for step in program.steps:
         c_mat = c_mat @ np.linalg.inv(step.matrix)
         if step.kind == "shear":
-            shear_bound += shear_error_bound(step.matrix, sigma_prime, delta, d)
+            shear_bound += shear_error_bound(step.matrix, sigma_prime, delta)
         elif step.kind == "ortho":
             k = step.axis
             lam_p = c_mat.T @ sigma_mat @ c_mat
@@ -457,8 +453,8 @@ def gaussian_instance_error(program: TransformProgram, sigma_prime, delta: float
     amps = np.exp(-0.5 * delta ** 2 * (sigma_vec @ np.square(coords.T, dtype=float)))
     norm0 = math.sqrt(float(amps @ amps))
 
-    counter = WrapCounter()
-    final = push_points(coords, program, n_bits, counter).T.astype(float)
+    final, wraps = push_points(coords, program, n_bits)
+    final = final.T.astype(float)
     del coords
 
     sigma_mat = np.diag(sigma_vec)
@@ -473,6 +469,6 @@ def gaussian_instance_error(program: TransformProgram, sigma_prime, delta: float
     return {
         "measured": measured,
         "bound": program_error_bound(program, sigma_vec, delta)["total"],
-        "wraps": counter.count,
+        "wraps": wraps,
         "overlap": overlap,
     }

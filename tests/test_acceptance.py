@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from qdyncost import budget, encoding, lct, verify
+from qdyncost import budget, encoding, gridsizer, lct, verify
 from qdyncost.cli import estimate_report
 from qdyncost.gridsizer import k_cutoff_nuclear
 from qdyncost.model import BudgetSettings, ParticleTable, fs_to_au, load_molecule
@@ -118,8 +118,8 @@ def test_criterion_05_lct_error_lemma(transform_ensemble):
     for delta in np.geomspace(0.02, 0.2, 8):
         sigma_grid = 1.0 / (float(delta) * math.sqrt(1.0))
         n_int = max(3, math.ceil(math.log2(10.0 * sigma_grid)))
-        inner = 1.619 * math.sqrt(2.0) * (2 ** n_int * 1.25 + 5) + 1.0
-        n_bits = n_int + max(0, math.ceil(math.log2(inner)) - n_int)
+        # the program's QL shear [[1, 0], [0.25, 1]] has infinity norm 1.25
+        n_bits = n_int + gridsizer.pad_qubits("LCT", 1.25, 2, n_int)
         res = lct.gaussian_instance_error(program, sigma, float(delta), n_bits, n_int)
         ds.append(float(delta))
         ms.append(res["measured"])

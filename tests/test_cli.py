@@ -206,6 +206,25 @@ def test_estimate_linear_molecule(tmp_path, pad_mode):
     assert json.loads(out.read_text())["scalars"]["pad_mode"] == pad_mode
 
 
+@pytest.mark.parametrize("pad_mode", ["SSCT", "LCT"])
+def test_estimate_atom(tmp_path, pad_mode):
+    # a hydrogen atom: no frequencies, and three translational widths fill
+    # the 3x3 transform with no rotational one
+    doc = json.loads(Path(CH4).read_text())
+    nm, nuc = doc["normal_modes"], doc["nuclear"]
+    doc.update(particles={"masses": [1.0, 1836.15267], "charges": [-1, 1],
+                          "eta_e": 1, "eta_n": 1},
+               normal_modes={**nm, "omegas": [], "d_diag": nm["d_diag"][:3], "r0": [0.0] * 3,
+                             "transform": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
+               nuclear={**nuc, "n_vib": 0, "bond_dims": nuc["bond_dims"][:3]}, channels=[])
+    doc["budget"]["pad_mode"] = pad_mode
+    mol = tmp_path / "atom.json"
+    mol.write_text(json.dumps(doc))
+    out = tmp_path / "r.json"
+    assert main(["estimate", "--input", str(mol), "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["scalars"]["pad_mode"] == pad_mode
+
+
 def test_report_records_grid_caveats(tmp_path):
     out = tmp_path / "r.json"
     main(["estimate", "--input", CH4, "--out", str(out)])
@@ -357,11 +376,18 @@ def _set_charge(doc):
     doc["particles"]["charges"][12] = 1.5
 
 
+def _free_electron(doc):
+    # validates (tests/test_model.py), but the estimate needs a nucleus
+    doc.update(particles={"masses": [1.0], "charges": [-1], "eta_e": 1, "eta_n": 0},
+               allow_non_neutral=True, channels=[])
+
+
 @pytest.mark.parametrize("edit, flags, field", [
     (None, ["--override", "n_P=20"], "simulation.overrides.n_P"),
     (lambda doc: doc["budget"].update(custom={"eps_bogus": 0.1}), [], "budget.custom.eps_bogus"),
     (_set_charge, [], "particles.charges[12]"),
     (lambda doc: doc["normal_modes"].update(linear="false"), [], "normal_modes.linear"),
+    (_free_electron, [], "error: particles.eta_n: "),
 ])
 def test_schema_violation_exits_2(tmp_path, capsys, edit, flags, field):
     # typos, unknown shares and fractional integers were once read past

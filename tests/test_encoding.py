@@ -131,10 +131,11 @@ def test_p_zeta_water():
 
 def test_ps_w_uses_rotation_precision():
     # the three-way selection register is amplified with the same b_r-bit
-    # rotation as the particle register
+    # rotation as the particle register; two labels prepare exactly, so p_eq
+    # is the three-way success alone
     pt = _table([-1, 1])
-    assert success_probs(pt, 3, n_m=8, b_r=4).ps_w == 0.9375
-    assert success_probs(pt, 3, n_m=8, b_r=8).ps_w == uniform_prep_success(3, 8)
+    assert success_probs(pt, 3, n_m=8, b_r=4).p_eq == 0.9375
+    assert success_probs(pt, 3, n_m=8, b_r=8).p_eq == uniform_prep_success(3, 8)
 
 
 def test_uniform_prep_success_power_of_two_exact():

@@ -17,7 +17,6 @@ from qdyncost import lct
 from qdyncost.lct import (
     Step,
     TransformProgram,
-    WrapCounter,
     cholesky_unit,
     decompose_lct,
     gaussian_instance_error,
@@ -33,7 +32,7 @@ RNG = np.random.default_rng(20240817)
 def push_one(point, step, n_bits=4):
     """Image of one grid point under a one-step program."""
     prog = TransformProgram(dim=len(point), steps=[step])
-    return tuple(int(c) for c in push_points(np.array([point]), prog, n_bits)[0])
+    return tuple(int(c) for c in push_points(np.array([point]), prog, n_bits)[0][0])
 
 
 def lower_shear(matrix):
@@ -121,7 +120,7 @@ def test_decompose_rejects_scaled_matrix():
 def test_identity_shear_is_identity():
     coords = lct._interior_coords(2, 5)
     prog = TransformProgram(dim=2, steps=[lower_shear(np.eye(2))])
-    assert np.array_equal(push_points(coords, prog, 5), coords)
+    assert np.array_equal(push_points(coords, prog, 5)[0], coords)
 
 
 def test_integer_shear_delta():
@@ -146,7 +145,7 @@ def test_unknown_step_kind_rejected():
 
 def test_identity_program_is_identity():
     coords = lct._interior_coords(2, 5)
-    assert np.array_equal(push_points(coords, decompose_lct(np.eye(2)), 5), coords)
+    assert np.array_equal(push_points(coords, decompose_lct(np.eye(2)), 5)[0], coords)
 
 
 def test_norm_preserved_bit_for_bit():
@@ -156,7 +155,7 @@ def test_norm_preserved_bit_for_bit():
     coords = lct._interior_coords(2, n_bits)
     amps = np.exp(-0.5 * np.sum((coords * 0.15 / np.array([0.9, 1.4])) ** 2, axis=1))
     prog = decompose_lct(random_unit_det_transform(np.random.default_rng(3), 2))
-    moved = push_points(coords, prog, n_bits)
+    moved, _ = push_points(coords, prog, n_bits)
     assert_grid_bijection(moved, n_bits)
     out = np.zeros(len(coords))
     out[grid_keys(moved, n_bits)] = amps
@@ -172,12 +171,12 @@ def test_full_program_exact_inverse():
         coords = lct._interior_coords(dim, n_bits)
         for _ in range(5):
             prog = decompose_lct(random_unit_det_transform(rng, dim))
-            fwd = push_points(coords, prog, n_bits)
+            fwd, _ = push_points(coords, prog, n_bits)
             assert_grid_bijection(fwd, n_bits)
             preimage = np.full_like(coords, np.iinfo(np.int64).min)
             preimage[grid_keys(fwd, n_bits)] = coords
             assert np.all(preimage != np.iinfo(np.int64).min)
-            assert np.array_equal(push_points(preimage, prog, n_bits), coords)
+            assert np.array_equal(push_points(preimage, prog, n_bits)[0], coords)
 
 
 def test_shear_bijection_and_exact_inverse():
@@ -189,7 +188,7 @@ def test_shear_bijection_and_exact_inverse():
             low = np.eye(dim)
             low[np.tril_indices(dim, -1)] = rng.uniform(-2.0, 2.0, size=dim * (dim - 1) // 2)
             prog = TransformProgram(dim=dim, steps=[lower_shear(low)])
-            assert_grid_bijection(push_points(coords, prog, n_bits), n_bits)
+            assert_grid_bijection(push_points(coords, prog, n_bits)[0], n_bits)
 
 
 # ---------------------------------------------------------------------------
@@ -224,7 +223,7 @@ def test_ssct_measured_error_below_bound():
         lam *= 2.0 / np.max(np.linalg.eigvalsh(lam))
         prog, d_ch = lct.ssct_program(lam)
         res = gaussian_instance_error(prog, d_ch, delta, n_bits=10, n_int=9)
-        bound = shear_error_bound(prog.steps[0].matrix, d_ch, delta, 2)
+        bound = shear_error_bound(prog.steps[0].matrix, d_ch, delta)
         assert res["bound"] == bound
         assert res["wraps"] == 0
         assert res["measured"] <= bound
@@ -240,7 +239,7 @@ def test_bound_zero_at_zero_delta():
 
 
 def test_shear_bound_reference_value():
-    val = shear_error_bound(np.eye(3), [1.0, 1.0, 1.0], 0.1, 3)
+    val = shear_error_bound(np.eye(3), [1.0, 1.0, 1.0], 0.1)
     assert val == pytest.approx(0.24312328745, rel=1e-9)
 
 
@@ -254,14 +253,14 @@ def test_bound_linear_relaxation():
         delta = rng.uniform(0.01, 0.3)
         lam_p = np.linalg.inv(low).T @ np.diag(sigma) @ np.linalg.inv(low)
         lmax = np.linalg.eigvalsh(lam_p)[-1]
-        assert shear_error_bound(low, sigma, delta, dim) <= \
+        assert shear_error_bound(low, sigma, delta) <= \
             math.sqrt(2.0) * delta * math.sqrt(dim * lmax) + 1e-12
 
 
 def test_error_bounds_dispatcher():
     prog = decompose_lct(random_unit_det_transform(np.random.default_rng(5), 2))
     bounds = program_error_bound(prog, [1.0, 1.0], 0.1)
-    assert bounds["shear"] == shear_error_bound(prog.steps[0].matrix, [1.0, 1.0], 0.1, 2)
+    assert bounds["shear"] == shear_error_bound(prog.steps[0].matrix, [1.0, 1.0], 0.1)
     # a 2D program with a rotation left after the shear has an ortho term
     assert any(step.kind == "ortho" for step in prog.steps) and bounds["ortho"] > 0.0
     assert bounds["shear"] + bounds["ortho"] == pytest.approx(bounds["total"])
@@ -393,7 +392,7 @@ def test_transform_ensemble_matches_pinned(transform_ensemble):
         assert abs(res["overlap"] - pin["overlap"]) <= 1e-13
         assert abs(res["measured"] ** 2 - pin["measured"] ** 2) <= 1e-13
         if "coords_sha256" in pin:
-            final = push_points(lct._interior_coords(dims, n_int), program, n_bits)
+            final, _ = push_points(lct._interior_coords(dims, n_int), program, n_bits)
             digest = hashlib.sha256(np.ascontiguousarray(final, dtype="<i8").tobytes())
             assert digest.hexdigest() == pin["coords_sha256"]
 
@@ -413,18 +412,15 @@ def test_wrap_counter_detects_unpadded_shear():
     # without padding, a strong shear pushes edge points around the grid
     coords = lct._interior_coords(2, 5)
     prog = TransformProgram(dim=2, steps=[lower_shear([[1.0, 0.0], [1.5, 1.0]])])
-    counter = WrapCounter()
-    push_points(coords, prog, 5, counter)
-    assert counter.count > 0
+    assert push_points(coords, prog, 5)[1] > 0
 
 
 def test_wrap_counted_once_per_row_update():
     # -8 + R(q(-0.4) * 1 / 8) = -8 + R(-3/8) = -8 stays on the 4-bit grid, so
     # nothing wraps; wrapping the scaled row value first would count 2
-    counter = WrapCounter()
     prog = TransformProgram(dim=2, steps=[lower_shear([[1.0, 0.0], [-0.4, 1.0]])])
-    assert push_points(np.array([[1, -8]]), prog, 4, counter).tolist() == [[1, -8]]
-    assert counter.count == 0
+    moved, wraps = push_points(np.array([[1, -8]]), prog, 4)
+    assert (moved.tolist(), wraps) == ([[1, -8]], 0)
 
 
 @pytest.mark.parametrize("modulus", [1, 2, 8, 1 << 11, 1 << 40])
@@ -432,25 +428,23 @@ def test_wrap_bitmask_matches_centered_modulo(modulus):
     m = modulus
     vals = np.array([-m, m, -m - 1, -m + 1, m - 1, m + 1, -2 * m, 2 * m - 1, 0, -1],
                     dtype=np.int64)
-    counter = WrapCounter()
-    wrapped = lct._wrap_int(vals, m, counter)
+    wrapped, wraps = lct._wrap_int(vals, m)
     want = (vals + m) % (2 * m) - m
     assert wrapped.tolist() == want.tolist()
-    assert counter.count == np.count_nonzero(want != vals)
+    assert wraps == np.count_nonzero(want != vals)
 
 
 @pytest.mark.parametrize("modulus", [0, -8, 3, 12])
 def test_wrap_rejects_modulus_not_power_of_two(modulus):
     with pytest.raises(ValueError, match="power of two"):
-        lct._wrap_int(np.arange(4, dtype=np.int64), modulus, None)
+        lct._wrap_int(np.arange(4, dtype=np.int64), modulus)
 
 
 def test_negated_grid_minimum_counts_one_wrap():
     # -(-8) = 8 leaves the 4-bit grid [-8, 7] and wraps back onto -8
-    counter = WrapCounter()
     prog = TransformProgram(dim=2, steps=[Step("perm", np.diag([-1.0, 1.0]))])
-    assert push_points(np.array([[-8, 0]]), prog, 4, counter).tolist() == [[-8, 0]]
-    assert counter.count == 1
+    moved, wraps = push_points(np.array([[-8, 0]]), prog, 4)
+    assert (moved.tolist(), wraps) == ([[-8, 0]], 1)
 
 
 def exact_push(points, steps, n_bits):
@@ -495,11 +489,10 @@ def test_wrap_counter_matches_exact_oracle(data, dim, n_bits):
     # row update whose exact image leaves it counts one wrap
     steps = data.draw(st.lists(shear_steps(dim), min_size=1, max_size=3))
     coords = lct._interior_coords(dim, n_bits)
-    counter = WrapCounter()
-    moved = push_points(coords, TransformProgram(dim=dim, steps=steps), n_bits, counter)
-    want, wraps = exact_push(coords, steps, n_bits)
+    moved, wraps = push_points(coords, TransformProgram(dim=dim, steps=steps), n_bits)
+    want, want_wraps = exact_push(coords, steps, n_bits)
     assert np.array_equal(moved, want)
-    assert counter.count == wraps
+    assert wraps == want_wraps
 
 
 def test_decomposition_checks_raise_under_optimize():

@@ -249,8 +249,8 @@ def test_malformed_field_named_in_error(section, key, value, field):
 
 
 def _each_per_entry(convert, value):
-    """The array converter entry by entry, as ``model._each`` falls back to:
-    the converted tuple, or the error naming the first bad entry."""
+    """The array converter entry by entry: the converted tuple, or the error
+    naming the first bad entry."""
     try:
         return tuple(model._convert(convert, x, i) for i, x in enumerate(value))
     except ValidationError as exc:
@@ -263,8 +263,8 @@ ENTRIES = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(["_number", "_positive", "_whole"]), st.lists(ENTRIES, max_size=6))
-@example("_positive", [1.0, math.nan])  # min() passes over a NaN that is not first
-def test_each_fast_path_matches_per_entry(name, value):
+@example("_positive", [1.0, math.nan])  # a NaN that is not first is still named
+def test_each_matches_per_entry(name, value):
     convert = getattr(model, name)
     want = _each_per_entry(convert, value)
     try:
