@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,8 +40,15 @@ def lower_shear(matrix):
     return Step("shear", np.asarray(matrix, dtype=float))
 
 
+def interior_coords(dims, n_int):
+    """Interior-box points in row-major order, as the (N, d) transpose of a
+    contiguous (d, N) array."""
+    half = 1 << (n_int - 1)
+    return (np.indices((2 * half,) * dims).reshape(dims, -1) - half).T
+
+
 def grid_keys(points, n_bits):
-    """Row-major index of each grid point, the order of ``_interior_coords``."""
+    """Row-major index of each grid point, the order of ``interior_coords``."""
     half = 1 << (n_bits - 1)
     return np.ravel_multi_index(tuple((points + half).T), (1 << n_bits,) * points.shape[1])
 
@@ -118,7 +126,7 @@ def test_decompose_rejects_scaled_matrix():
 
 
 def test_identity_shear_is_identity():
-    coords = lct._interior_coords(2, 5)
+    coords = interior_coords(2, 5)
     prog = TransformProgram(dim=2, steps=[lower_shear(np.eye(2))])
     assert np.array_equal(push_points(coords, prog, 5)[0], coords)
 
@@ -144,7 +152,7 @@ def test_unknown_step_kind_rejected():
 
 
 def test_identity_program_is_identity():
-    coords = lct._interior_coords(2, 5)
+    coords = interior_coords(2, 5)
     assert np.array_equal(push_points(coords, decompose_lct(np.eye(2)), 5)[0], coords)
 
 
@@ -152,7 +160,7 @@ def test_norm_preserved_bit_for_bit():
     # a full program permutes the grid, so every amplitude lands on its own
     # point and the state norm is preserved bit for bit
     n_bits = 6
-    coords = lct._interior_coords(2, n_bits)
+    coords = interior_coords(2, n_bits)
     amps = np.exp(-0.5 * np.sum((coords * 0.15 / np.array([0.9, 1.4])) ** 2, axis=1))
     prog = decompose_lct(random_unit_det_transform(np.random.default_rng(3), 2))
     moved, _ = push_points(coords, prog, n_bits)
@@ -168,7 +176,7 @@ def test_full_program_exact_inverse():
     # inverse permutation read off the images undoes the push exactly
     rng = np.random.default_rng(23)
     for dim, n_bits in ((2, 7), (3, 4)):
-        coords = lct._interior_coords(dim, n_bits)
+        coords = interior_coords(dim, n_bits)
         for _ in range(5):
             prog = decompose_lct(random_unit_det_transform(rng, dim))
             fwd, _ = push_points(coords, prog, n_bits)
@@ -183,7 +191,7 @@ def test_shear_bijection_and_exact_inverse():
     # a bijection of the grid has an exact inverse permutation
     rng = np.random.default_rng(17)
     for dim, n_bits in ((2, 6), (3, 4)):
-        coords = lct._interior_coords(dim, n_bits)
+        coords = interior_coords(dim, n_bits)
         for _ in range(5):
             low = np.eye(dim)
             low[np.tril_indices(dim, -1)] = rng.uniform(-2.0, 2.0, size=dim * (dim - 1) // 2)
@@ -380,6 +388,10 @@ PINNED_ENSEMBLE = json.loads(
 def test_transform_ensemble_matches_pinned(transform_ensemble):
     # recorded from the box-enumerating lattice norm and the (N, d) shear
     # loop: every 10th instance also pins a SHA-256 of its pushed points.
+    # Images and wraps are integers, so they match exactly.  The overlap is a
+    # float sum whose order has since changed (theta rows, then blocks of
+    # points with product-of-1D amplitudes); that moved it by at most 8e-16
+    # here and 5e-15 on the benchmark's instances, far inside the 1e-13.
     # measured = sqrt(1 - overlap^2) magnifies a 1e-15 change in overlap to
     # ~1e-10 relative at measured ~ 1e-2, so measured^2 is pinned absolutely
     assert len(transform_ensemble) == len(PINNED_ENSEMBLE) == 200
@@ -392,9 +404,63 @@ def test_transform_ensemble_matches_pinned(transform_ensemble):
         assert abs(res["overlap"] - pin["overlap"]) <= 1e-13
         assert abs(res["measured"] ** 2 - pin["measured"] ** 2) <= 1e-13
         if "coords_sha256" in pin:
-            final, _ = push_points(lct._interior_coords(dims, n_int), program, n_bits)
+            final, _ = push_points(interior_coords(dims, n_int), program, n_bits)
             digest = hashlib.sha256(np.ascontiguousarray(final, dtype="<i8").tobytes())
             assert digest.hexdigest() == pin["coords_sha256"]
+
+
+def unblocked_instance_error(program, sigma, delta, n_bits, n_int):
+    """Reference harness over the whole interior box at once: a full-N exp
+    for the initial state, a full-N g(delta*T*n) and one dot product."""
+    t_matrix = np.linalg.inv(program.matrix())
+    coords = interior_coords(program.dim, n_int)
+    amps = np.exp(-0.5 * delta ** 2 * (np.square(coords, dtype=float) @ sigma))
+    final, wraps = push_points(coords, program, n_bits)
+    m_quad = delta ** 2 * (t_matrix.T @ np.diag(sigma) @ t_matrix)
+    g_exact = np.exp(-0.5 * np.einsum("ni,ij,nj->n", final, m_quad, final))
+    norm_sq = float(amps @ amps) * lct._lattice_norm_sq(m_quad, n_bits)
+    return {"bound": program_error_bound(program, sigma, delta)["total"], "wraps": wraps,
+            "overlap": float(amps @ g_exact) / math.sqrt(norm_sq)}
+
+
+# (dims, n_int, n_bits, BLOCK_POINTS): the first axis's 2**n_int rows run in
+# blocks of BLOCK_POINTS // 2**((dims-1) n_int) rows, at least one
+@pytest.mark.parametrize("dims, n_int, n_bits, block", [
+    (1, 6, 8, 10),      # 7 blocks of 10 rows, the last of 4
+    (2, 5, 8, 100),     # 11 blocks of 3 rows, the last of 2
+    (2, 5, 5, 100),     # the same blocks unpadded: edge points wrap
+    (3, 4, 6, 800),     # 6 blocks of 3 rows, the last of 1
+    (3, 4, 6, 200),     # a block below one row still holds one row
+])
+def test_blocked_harness_matches_unblocked_reference(monkeypatch, dims, n_int, n_bits, block):
+    rng = np.random.default_rng(100 * dims + n_bits)
+    if dims == 1:
+        prog = TransformProgram(dim=1, steps=[Step("perm", np.array([[-1.0]]))])
+    else:
+        prog = decompose_lct(random_unit_det_transform(rng, dims, shear_scale=1.5))
+    sigma = rng.uniform(0.5, 2.0, size=dims)
+    delta = 2.0 ** (2 - n_int)
+    monkeypatch.setattr(lct, "BLOCK_POINTS", block)
+    res = gaussian_instance_error(prog, sigma, delta, n_bits, n_int)
+    want = unblocked_instance_error(prog, sigma, delta, n_bits, n_int)
+    assert (res["wraps"], res["bound"]) == (want["wraps"], want["bound"])
+    assert abs(res["overlap"] - want["overlap"]) <= 1e-13
+    if n_bits == n_int:
+        assert res["wraps"] > 0
+
+
+def test_instance_harness_memory_does_not_grow_with_grid():
+    # the largest lct-ensemble shape, about 1M interior points: the
+    # whole-box harness traced a 73 MB peak on it, the blocked one under 2 MB
+    prog = decompose_lct(random_unit_det_transform(np.random.default_rng(41), 2, 0.4))
+    tracemalloc.start()
+    try:
+        res = gaussian_instance_error(prog, [0.5, 0.5], 0.02, n_bits=12, n_int=10)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res["measured"] <= res["bound"]
+    assert peak < 16 * 2 ** 20
 
 
 def test_full_lct_gaussian_error_below_bound_2d():
@@ -410,7 +476,7 @@ def test_full_lct_gaussian_error_below_bound_2d():
 
 def test_wrap_counter_detects_unpadded_shear():
     # without padding, a strong shear pushes edge points around the grid
-    coords = lct._interior_coords(2, 5)
+    coords = interior_coords(2, 5)
     prog = TransformProgram(dim=2, steps=[lower_shear([[1.0, 0.0], [1.5, 1.0]])])
     assert push_points(coords, prog, 5)[1] > 0
 
@@ -488,7 +554,7 @@ def test_wrap_counter_matches_exact_oracle(data, dim, n_bits):
     # unpadded grids: strong shears push points off the grid, and each
     # row update whose exact image leaves it counts one wrap
     steps = data.draw(st.lists(shear_steps(dim), min_size=1, max_size=3))
-    coords = lct._interior_coords(dim, n_bits)
+    coords = interior_coords(dim, n_bits)
     moved, wraps = push_points(coords, TransformProgram(dim=dim, steps=steps), n_bits)
     want, want_wraps = exact_push(coords, steps, n_bits)
     assert np.array_equal(moved, want)

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qdyncost import model
 from qdyncost.model import (
@@ -248,28 +248,35 @@ def test_malformed_field_named_in_error(section, key, value, field):
         validate_molecule(molecule_from_dict(doc))
 
 
-def _each_per_entry(convert, value):
-    """The array converter entry by entry: the converted tuple, or the error
-    naming the first bad entry."""
-    try:
-        return tuple(model._convert(convert, x, i) for i, x in enumerate(value))
-    except ValidationError as exc:
-        return exc.path, str(exc)
+# (converter, array, the converted tuple or the (path, message) of the
+# first bad entry), as model._each gives them
+EACH_CASES = [
+    ("_number", [1, 2.5, -0.0, 1e-300], (1.0, 2.5, -0.0, 1e-300)),
+    ("_number", [], ()),
+    ("_number", [1.0, True], ([1], "[1]: must be a number, got bool")),
+    ("_number", [None], ([0], "[0]: must be a number, got NoneType")),
+    ("_number", [1, 10 ** 400], ([1], "[1]: int too large to convert to float")),
+    ("_positive", [1.0, 3, 2.5], (1.0, 3.0, 2.5)),
+    ("_positive", [1.0, math.nan], ([1], "[1]: must be > 0, got nan")),
+    ("_positive", [2.0, 0], ([1], "[1]: must be > 0, got 0.0")),
+    ("_positive", [-1.0], ([0], "[0]: must be > 0, got -1.0")),
+    ("_positive", ["1"], ([0], "[0]: must be a number, got str")),
+    ("_whole", [1, 2.0, -3, 0.0], (1, 2, -3, 0)),
+    ("_whole", [1, 2.5], ([1], "[1]: must be a whole number, got 2.5")),
+    ("_whole", [math.inf], ([0], "[0]: must be a whole number, got inf")),
+    ("_whole", [False], ([0], "[0]: must be a number, got bool")),
+]
 
 
-ENTRIES = st.one_of(st.integers(), st.floats(), st.booleans(), st.none(),
-                    st.sampled_from([0, 1, -1, 0.0, -0.0, 1e-300, 2.5, 10 ** 400]))
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(["_number", "_positive", "_whole"]), st.lists(ENTRIES, max_size=6))
-@example("_positive", [1.0, math.nan])  # a NaN that is not first is still named
-def test_each_matches_per_entry(name, value):
-    convert = getattr(model, name)
-    want = _each_per_entry(convert, value)
-    try:
-        got = model._each(convert)(value)
-    except ValidationError as exc:
-        got = exc.path, str(exc)
-    assert repr(got) == repr(want)
-    assert list(map(type, got)) == list(map(type, want))
+def test_each_converts_or_names_first_bad_entry():
+    for name, value, want in EACH_CASES:
+        try:
+            got = model._each(getattr(model, name))(value)
+        except ValidationError as exc:
+            got = exc.path, str(exc)
+        # repr tells 1 from 1.0 and -0.0 from 0.0
+        assert repr(got) == repr(want), (name, value)
+    with pytest.raises(TypeError, match="must be an array, got str"):
+        model._each(model._number)("1, 2")
+    with pytest.raises(ValueError, match="must not be empty"):
+        model._each(model._number, nonempty=True)([])
