@@ -1,10 +1,10 @@
-"""Command-line front door: estimate, verify, lct-bench, report.
+"""Command-line front door: estimate, verify, lct-bench.
 
 ``estimate`` runs the full pipeline (validate -> grid sizing -> encoding ->
-budget -> costs) and writes a deterministic report; ``verify`` runs the
-brute-force check suite; ``lct-bench`` sweeps the coordinate-transform error
-against its analytic bound.  Exit codes: 0 pass, 1 check failure, 2 input
-error.
+budget -> costs) and writes a deterministic report as JSON, markdown or CSV;
+``verify`` runs the brute-force check suite; ``lct-bench`` sweeps the
+coordinate-transform error against its analytic bound.  Exit codes: 0 pass,
+1 check failure, 2 input error.
 """
 
 from __future__ import annotations
@@ -138,6 +138,8 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     p = spec.particles
     if not p.eta_n:
         raise ValidationError("the estimate needs at least one nucleus", "particles", "eta_n")
+    if not p.eta_e:
+        raise ValidationError("the estimate needs at least one electron", "particles", "eta_e")
     settings = spec.budget
     t_au = spec.simulation.time_au
     bud = budget_mod.allocate(settings, t_au)
@@ -331,85 +333,41 @@ def _fit_grid(delta: float, sigma_prime, program) -> tuple[int, int]:
     return n_int, n_int + gridsizer.pad_qubits("LCT", norm_l, program.dim, n_int)
 
 
-def run_report(args: argparse.Namespace) -> int:
-    """Re-render a saved JSON report as markdown or CSV."""
-    try:
-        with open(args.input_path) as fh:
-            doc = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    problem = _report_problem(doc)
-    if problem:
-        print(f"error: {args.input_path}: {problem}", file=sys.stderr)
-        return 2
-    return _write_report(doc, args.out_format, args.out_path)
-
-
-def _report_problem(doc) -> str | None:
-    """Why ``doc`` is not a report the renderers can read, or None."""
-    if not isinstance(doc, dict):
-        return f"a report is a JSON object, not {type(doc).__name__}"
-    for section in ("scalars", "rows", "aggregates", "qubits", "anchors"):
-        if not isinstance(doc.get(section, {}), dict):
-            return f"report field {section!r} is not a JSON object"
-    for section in ("rows", "aggregates"):
-        for name, row in doc.get(section, {}).items():
-            for key in ("toffoli", "ancilla", "is_bound"):
-                if not isinstance(row, dict) or key not in row:
-                    return f"report row {section}.{name} has no {key!r}"
-            if type(row["toffoli"]) not in (int, float):
-                return f"report field {section}.{name}.toffoli is not a number"
-    if type(doc.get("scalars", {}).get("t_au", 0.0)) not in (int, float):
-        return "report field scalars.t_au is not a number"
-    if not isinstance(doc.get("warnings", []), list):
-        return "report field 'warnings' is not a JSON array"
-    if not isinstance(doc.get("params_hash", ""), str):
-        return "report field 'params_hash' is not a string"
-    return None
-
-
 def _render_markdown(doc: dict) -> str:
-    lines = ["# Resource estimate", ""]
-    sc = doc.get("scalars", {})
-    if sc:
-        lines.append(f"Simulation time: {sc.get('t_fs', '?')} fs = {sc.get('t_au', 0):.1f} a.u.")
-        lines.append("")
-    lines.append("| subroutine | toffoli | ancilla | bound |")
-    lines.append("|---|---|---|---|")
+    sc = doc["scalars"]
+    lines = ["# Resource estimate", "",
+             f"Simulation time: {sc['t_fs']} fs = {sc['t_au']:.1f} a.u.", "",
+             "| subroutine | toffoli | ancilla | bound |", "|---|---|---|---|"]
     for section, mark in (("rows", ""), ("aggregates", "**")):
-        for name, row in sorted(doc.get(section, {}).items()):
+        for name, row in sorted(doc[section].items()):
             lines.append(f"| {mark}{name}{mark} | {row['toffoli']:.4g} | {row['ancilla']} "
                          f"| {row['is_bound']} |")
     lines.append("")
-    for name, val in sorted(doc.get("qubits", {}).items()):
+    for name, val in sorted(doc["qubits"].items()):
         lines.append(f"- qubits/{name}: {val}")
-    for w in doc.get("warnings", []):
+    for w in doc["warnings"]:
         lines.append(f"- warning: {w}")
-    anchors = doc.get("anchors", {})
-    if anchors:
+    if doc["anchors"]:
         lines.append("")
         lines.append("Anchors (computed vs published coarse values):")
-        for k, v in sorted(anchors.items()):
+        for k, v in sorted(doc["anchors"].items()):
             lines.append(f"- {k}: {v}")
     return "\n".join(lines) + "\n"
 
 
 def _write_report(doc: dict, out_format: str, out_path: str | None) -> int:
+    """Render ``doc``, a ``CostReport.to_json_dict()``, in ``out_format``."""
     if out_format == "json":
         text = json.dumps(doc, indent=2, sort_keys=True) + "\n"
     elif out_format == "markdown":
         text = _render_markdown(doc)
-    elif out_format == "csv":
-        rows = [("subroutine", "toffoli", "ancilla", "is_bound", "params_hash")]
-        ph = doc.get("params_hash", "")
-        for section in ("rows", "aggregates"):
-            for name, row in sorted(doc.get(section, {}).items()):
-                rows.append((name, str(row["toffoli"]), str(row["ancilla"]),
-                             str(row["is_bound"]).lower(), ph))
-        text = "\n".join(",".join(r) for r in rows) + "\n"
     else:
-        raise ValueError(f"unknown format {out_format!r}")
+        rows = [("subroutine", "toffoli", "ancilla", "is_bound", "params_hash")]
+        for section in ("rows", "aggregates"):
+            for name, row in sorted(doc[section].items()):
+                rows.append((name, str(row["toffoli"]), str(row["ancilla"]),
+                             str(row["is_bound"]).lower(), doc["params_hash"]))
+        text = "\n".join(",".join(r) for r in rows) + "\n"
     return _emit(text, out_path)
 
 
@@ -462,7 +420,6 @@ SUBCOMMAND_FLAGS = {
                  "--override"),
     "verify": ("--out", "--only"),
     "lct-bench": ("--out", "--seed"),
-    "report": ("--input", "--out", "--format"),
 }
 
 
@@ -482,7 +439,7 @@ def main(argv=None) -> int:
         return run_verify(args)
     if args.command == "lct-bench":
         return run_lct_bench(args)
-    if args.command == "estimate" and args.batch:
+    if args.batch:
         if args.input_path:
             print("error: --input and --batch exclude each other", file=sys.stderr)
             return 2
@@ -497,9 +454,7 @@ def main(argv=None) -> int:
     if not args.input_path:
         print("error: --input is required", file=sys.stderr)
         return 2
-    if args.command == "estimate":
-        return run_estimate(args, args.input_path, args.out_path)
-    return run_report(args)
+    return run_estimate(args, args.input_path, args.out_path)
 
 
 if __name__ == "__main__":

@@ -113,15 +113,14 @@ def cost_soslat(d_configs: int) -> CostPair:
 def cost_onb2mob(n_mob: int, eta_e: int) -> CostPair:
     """Occupation-number to molecular-orbital basis conversion."""
     # the -4 constant underflows for a single orbital; clamp at zero
-    toff = max(0.0, n_mob * (2.0 * eta_e + math.ceil(math.log2(eta_e + 1))
-                             + eta_e * ceil_log2(n_mob) - 4.0))
-    return CostPair(toff, int(n_mob + 3 * math.ceil(math.log2(eta_e + 1))))
+    toff = max(0.0, n_mob * (2.0 * eta_e + ceil_log2(eta_e + 1) + eta_e * ceil_log2(n_mob) - 4.0))
+    return CostPair(toff, int(n_mob + 3 * ceil_log2(eta_e + 1)))
 
 
 def cost_asym(eta_e: int, n_p: int) -> CostPair:
     """Antisymmetrization of ``eta_e`` electron registers of ``n_p`` qubits."""
-    nbar = 2 ** math.ceil(math.log2(n_p + 1))
-    ln = math.log2(nbar)
+    ln = ceil_log2(n_p + 1)
+    nbar = 2 ** ln
     toff = 2.0 * (eta_e - 1) * (ln + 1.0) \
         + 0.25 * nbar * ln * (1.0 + ln) * (6.0 * ln + n_p + 1.0)
     anc = eta_e * (math.log2(eta_e) if eta_e > 1 else 0.0) \
@@ -216,7 +215,7 @@ def cost_unprep_t(eta: int, n_p: int) -> CostPair:
 def cost_prep_v(eta: int, eta_e: int, n_p: int, n_m: int, b_r: int) -> CostPair:
     """Potential part of the coefficient preparation."""
     n_eta = ceil_log2(eta)
-    log2e = math.ceil(math.log2(2 * eta_e))
+    log2e = ceil_log2(2 * eta_e)
     toff = 4.0 * eta_e + n_eta + 6.0 * log2e + 4.0 * b_r - 24.0 \
         + 3.0 * n_p ** 2 + 11.0 * n_p + 4.0 * n_m * (n_p + 1.0)
     anc = 3 * n_p ** 2 + 10 * n_p + 6 * log2e + 3 * n_eta + 5 * n_m + 4 * n_m * n_p + 14
@@ -226,7 +225,7 @@ def cost_prep_v(eta: int, eta_e: int, n_p: int, n_m: int, b_r: int) -> CostPair:
 def cost_unprep_v(eta: int, eta_e: int, n_p: int, b_r: int) -> CostPair:
     """Potential part of the coefficient unpreparation."""
     er2, n_er2 = erasure_cost(2 * eta_e)
-    toff = ceil_log2(eta) + 2.0 * er2 + 6.0 * math.ceil(math.log2(2 * eta_e)) \
+    toff = ceil_log2(eta) + 2.0 * er2 + 6.0 * ceil_log2(2 * eta_e) \
         + 4.0 * b_r - 19.0 + 4.0 * (n_p - 1.0)
     return CostPair(toff, int(n_er2))
 
@@ -258,7 +257,7 @@ def cost_block_encoding(eta: int, eta_e: int, n_p: int, mu_t: int, n_m: int,
 def prep_h_output_size(eta: int, eta_e: int, n_p: int, n_m: int) -> int:
     """Output-register width of the inverse coefficient preparation; the
     qubiterate reflection is (anti-)controlled on all of it."""
-    return ceil_log2(eta) + 6 * n_p + n_m + 2 * math.ceil(math.log2(2 * eta_e)) + 11
+    return ceil_log2(eta) + 6 * n_p + n_m + 2 * ceil_log2(2 * eta_e) + 11
 
 
 def cost_walk(prep_h: CostPair, ctrl_sel_h: CostPair, unprep_h: CostPair,

@@ -46,17 +46,14 @@ def test_time_conversion_in_report(tmp_path):
     assert doc["scalars"]["t_au"] == pytest.approx(30.0 / 0.0241888)
 
 
-def test_report_rerender_markdown_and_csv(tmp_path):
-    src = tmp_path / "r.json"
-    main(["estimate", "--input", CH4, "--out", str(src)])
+def test_estimate_renders_markdown_and_csv(tmp_path):
     md = tmp_path / "r.md"
-    assert main(["report", "--input", str(src), "--format", "markdown",
-                 "--out", str(md)]) == 0
+    assert main(["estimate", "--input", CH4, "--format", "markdown", "--out", str(md)]) == 0
     text = md.read_text()
     assert "Resource estimate" in text
     assert "a.u." in text
     cv = tmp_path / "r.csv"
-    assert main(["report", "--input", str(src), "--format", "csv", "--out", str(cv)]) == 0
+    assert main(["estimate", "--input", CH4, "--format", "csv", "--out", str(cv)]) == 0
     header = cv.read_text().splitlines()[0]
     assert header == "subroutine,toffoli,ancilla,is_bound,params_hash"
 
@@ -245,11 +242,9 @@ def test_grid_params_derived_fields():
 
 
 def test_anchor_side_by_side_in_markdown(tmp_path):
-    src = tmp_path / "br.json"
-    main(["estimate", "--input", "molecules/ch3obr_synthetic.json",
-          "--out", str(src), "--seed", "7"])
     md = tmp_path / "br.md"
-    main(["report", "--input", str(src), "--format", "markdown", "--out", str(md)])
+    assert main(["estimate", "--input", "molecules/ch3obr_synthetic.json", "--format", "markdown",
+                 "--out", str(md), "--seed", "7"]) == 0
     text = md.read_text()
     assert "time_evolution_computed" in text
     assert "time_evolution_toffoli" in text
@@ -305,7 +300,6 @@ def test_flags_registered_per_subcommand():
                      "--override", "--seed"],
         "verify": ["--only", "--out"],
         "lct-bench": ["--out", "--seed"],
-        "report": ["--format", "--input", "--out"],
     }
 
 
@@ -314,7 +308,8 @@ def test_flags_registered_per_subcommand():
     ["verify", "--batch", "a", "b"],
     ["verify", "--seed", "9"],
     ["lct-bench", "--input", CH4],
-    ["report", "--seed", "1"],
+    # no subcommand re-renders a saved report; estimate --format renders one
+    ["report", "--input", CH4, "--format", "markdown"],
     ["verify", "--override", "qubiterate_lambda_scale=0.5"],
 ])
 def test_ignored_flag_is_usage_error(argv):
@@ -382,12 +377,21 @@ def _free_electron(doc):
                allow_non_neutral=True, channels=[])
 
 
+def _bare_nuclei(doc):
+    # validates, but the estimate's state preparation needs an electron
+    p = doc["particles"]
+    doc.update(particles={**p, "masses": p["masses"][p["eta_e"]:],
+                          "charges": p["charges"][p["eta_e"]:], "eta_e": 0},
+               allow_non_neutral=True)
+
+
 @pytest.mark.parametrize("edit, flags, field", [
     (None, ["--override", "n_P=20"], "simulation.overrides.n_P"),
     (lambda doc: doc["budget"].update(custom={"eps_bogus": 0.1}), [], "budget.custom.eps_bogus"),
     (_set_charge, [], "particles.charges[12]"),
     (lambda doc: doc["normal_modes"].update(linear="false"), [], "normal_modes.linear"),
     (_free_electron, [], "error: particles.eta_n: "),
+    (_bare_nuclei, [], "error: particles.eta_e: "),
 ])
 def test_schema_violation_exits_2(tmp_path, capsys, edit, flags, field):
     # typos, unknown shares and fractional integers were once read past
@@ -514,11 +518,9 @@ def test_formula_overflow_exits_2(tmp_path, capsys, edit, flags):
 @pytest.mark.parametrize("argv", [
     ["estimate", "--input", CH4, "--out", "{missing}/r.json"],
     ["estimate", "--batch", CH4, "--out", "{missing}/"],
-    ["report", "--input", "tests/data/golden_ch4_report.json", "--format", "markdown",
-     "--out", "{missing}/r.md"],
     ["verify", "--only", "poly*", "--out", "{missing}/v.json"],
     ["lct-bench", "--out", "{missing}/s.csv"],
-], ids=["estimate", "estimate-batch", "report", "verify", "lct-bench"])
+], ids=["estimate", "estimate-batch", "verify", "lct-bench"])
 def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     # a write failure is an input error, not a failed check
     missing = tmp_path / "missing"
@@ -562,30 +564,6 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, argv):
     err = capsys.readouterr().err
     assert "argument --seed" in err and "non-negative" in err
     assert not (tmp_path / "out").exists()
-
-
-@pytest.mark.parametrize("out_format", ["json", "markdown", "csv"])
-@pytest.mark.parametrize("doc, reason", [
-    ([1, 2], "not list"),
-    ({"rows": {"PREP": {"ancilla": 3, "is_bound": False}}}, "rows.PREP has no 'toffoli'"),
-    ({"aggregates": {"total": 5}}, "aggregates.total has no 'toffoli'"),
-    ({"qubits": [1]}, "'qubits' is not a JSON object"),
-    ({"rows": {"A": {"toffoli": "x", "ancilla": 1, "is_bound": False}}},
-     "rows.A.toffoli is not a number"),
-    ({"scalars": {"t_au": "y"}}, "scalars.t_au is not a number"),
-    ({"warnings": 5}, "'warnings' is not a JSON array"),
-    ({"rows": {"A": {"toffoli": 1, "ancilla": 1, "is_bound": False}}, "params_hash": 7},
-     "'params_hash' is not a string"),
-], ids=["array", "row-without-toffoli", "aggregate-not-object", "qubits-array",
-        "toffoli-string", "t_au-string", "warnings-number", "params_hash-number"])
-def test_malformed_report_input_exits_2(tmp_path, capsys, out_format, doc, reason):
-    src = tmp_path / "x.json"
-    src.write_text(json.dumps(doc))
-    out = tmp_path / "out"
-    assert main(["report", "--input", str(src), "--format", out_format, "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert reason in err and "Traceback" not in err
-    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
