@@ -22,7 +22,14 @@ clips the row, which is then enumerated.
 Conventions of the point arithmetic:
   * rounding is half-up on the signed value, R(x) = floor(x + 1/2);
   * shear coefficients are quantized to r = n_bits - 1 fraction bits, q(b);
-  * grids are two's-complement ranges [-2**(n_bits-1), 2**(n_bits-1) - 1].
+  * grids are two's-complement ranges [-2**(n_bits-1), 2**(n_bits-1) - 1];
+  * points are pushed in offset form u = n + 2**(n_bits-1), in [0, 2**n_bits):
+    a row update adds (sum_j q_j u_j + c) >> r, with the one constant
+    c = 2**(r-1) - 2**r sum_j q_j for the rounding and the offsets; the
+    wrap is the bitmask 2**n_bits - 1, and a negation is 2**n_bits - u;
+  * the rows are int32 when every row update's bound
+    sum_j |q_j| 2**n_bits + |c| + 2**n_bits is below 2**31, else int64; a
+    bound at or above 2**63 is refused, since int64 would overflow.
 """
 
 from __future__ import annotations
@@ -264,83 +271,101 @@ def _quantize_coeff(b: float, r: int) -> int:
     return int(math.floor(b * (1 << r) + 0.5))
 
 
-def _wrap_int(vals: np.ndarray, modulus: int, out: np.ndarray | None = None):
-    """Centered wrap of integers into [-modulus, modulus - 1], and the number
-    of entries it moved; ``modulus`` must be a positive power of two, so the
-    wrap is a bitmask.  ``out`` must not share memory with ``vals``."""
-    if modulus <= 0 or modulus & (modulus - 1):
-        raise ValueError(f"wrap modulus {modulus} is not a positive power of two")
-    wrapped = np.add(vals, modulus, out=out)
-    wrapped &= 2 * modulus - 1
-    wrapped -= modulus
-    return wrapped, int(np.count_nonzero(wrapped != vals))
+def _wrap(row: np.ndarray, n_bits: int) -> int:
+    """In-place wrap of offset coordinates into [0, 2**n_bits), and the
+    number of entries it moved.  One OR-reduction detects any entry outside
+    the range (a set sign bit or a bit at n_bits or above); only then do the
+    count and the bitmask run."""
+    if not np.bitwise_or.reduce(row) >> n_bits:
+        return 0
+    moved = int(np.count_nonzero(row >> n_bits))
+    row &= (1 << n_bits) - 1
+    return moved
 
 
-def _apply_shear(rows: np.ndarray, matrix: np.ndarray, n_bits: int,
-                 acc: np.ndarray, tmp: np.ndarray) -> int:
-    """In-place permutation of a unit-triangular shear on (d, N) coordinate
-    rows, one row at a time, with ``acc`` and ``tmp`` as length-N scratch;
-    returns the number of wraps.
-
-    Row i adds R(sum_j q(b_ij) n_j / 2**r) and wraps once.  Rows are updated
-    so that each reads the old values of the rows it depends on: the last
-    row first for a lower-triangular matrix, the first row first otherwise.
-    """
-    d = matrix.shape[0]
-    r = n_bits - 1
-    half = np.int64(1) << r
-    # the step's setup in Python floats: the harness pushes many small blocks
-    m = matrix.tolist()
-    lower = not any(m[i][j] for i in range(d) for j in range(i + 1, d))
-    wraps = 0
-    for i in (range(d - 1, -1, -1) if lower else range(d)):
-        terms = [(j, _quantize_coeff(m[i][j], r)) for j in range(d) if j != i and m[i][j] != 0.0]
-        if terms:
-            (j, q), *rest = terms
-            np.multiply(rows[j], q, out=acc)
-            for j, q in rest:
-                acc += np.multiply(rows[j], q, out=tmp)
-            # half-up rounding of the fixed-point sum, then the exact image
-            acc += 1 << (r - 1)
-            acc >>= r
-            acc += rows[i]
-            wraps += _wrap_int(acc, half, out=rows[i])[1]
-    return wraps
-
-
-def _apply_perm(rows: np.ndarray, matrix: np.ndarray, n_bits: int) -> int:
-    """In-place signed permutation of (d, N) coordinate rows; copies only the
-    rows that move, and returns the number of wraps.  A negated
-    -2**(n_bits-1) leaves the grid and wraps back onto itself."""
-    half = np.int64(1) << (n_bits - 1)
-    moved, wraps = {}, 0
-    for i in np.flatnonzero(np.diag(matrix) != 1.0):
-        j = int(np.flatnonzero(matrix[i])[0])
-        if matrix[i, j] > 0:
-            moved[i] = rows[j].copy()
+def _plan(program: TransformProgram, n_bits: int):
+    """The program as offset-form operations, and the row dtype they run in
+    (see the module's conventions).  A row update is (i, [(j, q_j), ...], c);
+    a perm step is a list of (target, source, negate) moves.  Raises where a
+    row update's bound reaches 2**63."""
+    if n_bits < 1:
+        raise ValueError(f"n_bits = {n_bits} leaves no grid")
+    r, size = n_bits - 1, 1 << n_bits
+    ops, bound = [], size
+    for k, step in enumerate(program.steps):
+        m = step.matrix.tolist()
+        d = len(m)
+        if step.kind == "perm":
+            moves = []
+            for i in range(d):
+                if m[i][i] != 1.0:
+                    j = next(j for j in range(d) if m[i][j])
+                    moves.append((i, j, m[i][j] < 0))
+            ops.append(moves)
+            continue
+        if step.kind == "ortho":
+            order = [step.axis]
+        # rows read the old values of the rows they depend on: the last row
+        # first for a lower-triangular matrix, the first row first otherwise
+        elif any(m[i][j] for i in range(d) for j in range(i + 1, d)):
+            order = range(d)
         else:
-            moved[i], n = _wrap_int(-rows[j], half)
-            wraps += n
-    for i, row in moved.items():
-        rows[i] = row
-    return wraps
+            order = range(d - 1, -1, -1)
+        for i in order:
+            terms = [(j, _quantize_coeff(b, r)) for j, b in enumerate(m[i]) if j != i and b]
+            if not terms:
+                continue
+            qs = [q for _, q in terms]
+            c = ((1 << r) >> 1) - (1 << r) * sum(qs)
+            bound = max(bound, sum(map(abs, qs)) * size + abs(c) + size)
+            if bound >= 1 << 63:
+                raise ValueError(f"program step {k} overflows int64 at n_bits = {n_bits}")
+            ops.append((i, terms, c))
+    return ops, np.int32 if bound < 1 << 31 else np.int64
 
 
 def push_points(coords: np.ndarray, program: TransformProgram,
                 n_bits: int) -> tuple[np.ndarray, int]:
     """Apply the program's grid permutation to an (N, d) array of integer
-    points; returns the moved points and the number of wraps.  The steps run
-    on one contiguous (d, N) copy, so each row update reads and writes
-    contiguous memory; the points are its (N, d) transpose."""
-    rows = np.array(np.asarray(coords).T, dtype=np.int64, order="C")
+    points on the grid; returns the moved points and the number of wraps.
+    The steps run on one contiguous (d, N) copy in offset form, so each row
+    update reads and writes contiguous memory; the points are the (N, d)
+    transpose of that copy moved back to signed coordinates."""
+    plan, dtype = _plan(program, n_bits)
+    r, half = n_bits - 1, 1 << (n_bits - 1)
+    size = 1 << n_bits
+    coords = np.asarray(coords)
+    # the plan's dtype bound holds for grid points only
+    if coords.size and not (-half <= coords.min() and coords.max() < half):
+        raise ValueError(f"points lie off the n_bits = {n_bits} grid")
+    rows = np.empty((coords.shape[1], coords.shape[0]), dtype=dtype)
+    # exact in either dtype: the points lie on the grid
+    np.add(coords.T, half, out=rows, casting="unsafe")
     acc, tmp = np.empty_like(rows[0]), np.empty_like(rows[0])
     wraps = 0
-    for step in program.steps:
-        if step.kind == "perm":
-            wraps += _apply_perm(rows, step.matrix, n_bits)
-        else:
-            wraps += _apply_shear(rows, step.matrix, n_bits, acc, tmp)
-    return rows.T, wraps
+    for op in plan:
+        if isinstance(op, list):  # signed permutation: copy only the rows that move
+            moved = []
+            for i, j, negate in op:
+                if negate:  # -n is 2**n_bits - u in offset form
+                    new = np.subtract(size, rows[j])
+                    wraps += _wrap(new, n_bits)
+                else:
+                    new = rows[j].copy()
+                moved.append((i, new))
+            for i, new in moved:
+                rows[i] = new
+            continue
+        i, ((j, q), *rest), c = op
+        np.multiply(rows[j], q, out=acc)
+        for j, q in rest:
+            acc += np.multiply(rows[j], q, out=tmp)
+        acc += c
+        acc >>= r
+        row = rows[i]
+        row += acc
+        wraps += _wrap(row, n_bits)
+    return np.subtract(rows, half, dtype=np.int64).T, wraps
 
 
 # ---------------------------------------------------------------------------

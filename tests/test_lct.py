@@ -491,19 +491,43 @@ def test_wrap_counted_once_per_row_update():
 
 @pytest.mark.parametrize("modulus", [1, 2, 8, 1 << 11, 1 << 40])
 def test_wrap_bitmask_matches_centered_modulo(modulus):
+    # on the grid of half-width m = 2**(n_bits-1), the offset-form wrap of
+    # u = n + m into [0, 2m) is the centered modulo of n into [-m, m - 1]
     m = modulus
     vals = np.array([-m, m, -m - 1, -m + 1, m - 1, m + 1, -2 * m, 2 * m - 1, 0, -1],
                     dtype=np.int64)
-    wrapped, wraps = lct._wrap_int(vals, m)
     want = (vals + m) % (2 * m) - m
-    assert wrapped.tolist() == want.tolist()
-    assert wraps == np.count_nonzero(want != vals)
+    for dtype in (np.int32, np.int64) if m < 1 << 20 else (np.int64,):
+        row = (vals + m).astype(dtype)
+        wraps = lct._wrap(row, m.bit_length())
+        assert (row - m).tolist() == want.tolist()
+        assert wraps == np.count_nonzero(want != vals)
 
 
-@pytest.mark.parametrize("modulus", [0, -8, 3, 12])
-def test_wrap_rejects_modulus_not_power_of_two(modulus):
-    with pytest.raises(ValueError, match="power of two"):
-        lct._wrap_int(np.arange(4, dtype=np.int64), modulus)
+@pytest.mark.parametrize("n_bits", [0, -8])
+def test_push_rejects_grid_without_bits(n_bits):
+    prog = TransformProgram(dim=2, steps=[lower_shear([[1.0, 0.0], [0.5, 1.0]])])
+    with pytest.raises(ValueError, match=f"n_bits = {n_bits} leaves no grid"):
+        push_points(np.zeros((1, 2), dtype=np.int64), prog, n_bits)
+
+
+def test_push_rejects_points_off_grid():
+    # the row dtype is chosen for grid points; a point off the grid could
+    # overflow it, and int32 rows would silently truncate one beyond 2**31
+    prog = TransformProgram(dim=2, steps=[lower_shear([[1.0, 0.0], [0.5, 1.0]])])
+    for point in ([8, 0], [0, -9], [1 << 40, 0]):
+        with pytest.raises(ValueError, match="off the n_bits = 4 grid"):
+            push_points(np.array([point]), prog, 4)
+
+
+@pytest.mark.parametrize("entry", [2.0 ** 20, 2.0 ** 25])
+def test_push_rejects_int64_overflow(entry):
+    # at n_bits = 40 the entry quantizes to 2**59, whose product with
+    # 2**38 + 2**39 overflows int64 (the exact image 2**58 of (2**38, 0) used
+    # to come back with no wrap), or to 2**64, not an int64 at all
+    prog = TransformProgram(dim=2, steps=[lower_shear([[1.0, 0.0], [entry, 1.0]])])
+    with pytest.raises(ValueError, match="step 0 overflows int64 at n_bits = 40"):
+        push_points(np.array([[1 << 38, 0]]), prog, 40)
 
 
 def test_negated_grid_minimum_counts_one_wrap():
@@ -516,12 +540,19 @@ def test_negated_grid_minimum_counts_one_wrap():
 def exact_push(points, steps, n_bits):
     """Oracle: each row update in exact integer arithmetic, then one
     centered wrap; returns the images and the number of updates whose
-    exact image leaves the grid."""
+    exact image leaves the grid.  A perm step moves every row at once."""
     r, half = n_bits - 1, 1 << (n_bits - 1)
     d = points.shape[1]
     out, wraps = points.tolist(), 0
     for step in steps:
         m = step.matrix
+        if step.kind == "perm":
+            p = m.astype(int).tolist()
+            for n in out:
+                exact = [sum(pij * nj for pij, nj in zip(row, n)) for row in p]
+                wraps += sum(not -half <= e < half for e in exact)
+                n[:] = [(e + half) % (2 * half) - half for e in exact]
+            continue
         lower = not np.any(np.triu(m, 1))
         for i in (range(d - 1, -1, -1) if lower else range(d)):
             q = [math.floor(Fraction(float(m[i, j])) * 2 ** r + Fraction(1, 2)) if j != i else 0
@@ -535,14 +566,23 @@ def exact_push(points, steps, n_bits):
 
 
 @st.composite
-def shear_steps(draw, dim):
-    """A random unit-triangular "shear" or a 2D "ortho" shear."""
-    if draw(st.booleans()):
+def program_steps(draw, dim):
+    """A random unit-triangular "shear", a 2D "ortho" shear, or a "perm"
+    step: a quarter turn in a random plane or the reflection of axis 0."""
+    kind = draw(st.sampled_from(lct.STEP_KINDS))
+    m = np.eye(dim)
+    if kind == "perm":
+        if draw(st.booleans()):
+            m[0, 0] = -1.0
+        else:
+            i, j = draw(st.permutations(range(dim)))[:2]
+            sign = draw(st.sampled_from([1.0, -1.0]))
+            m[[i, j, i, j], [i, j, j, i]] = 0.0, 0.0, sign, -sign
+        return Step("perm", m)
+    if kind == "ortho":
         axis, other = draw(st.permutations(range(dim)))[:2]
-        m = np.eye(dim)
         m[axis, other] = draw(st.floats(-1.0, 1.0))
         return Step("ortho", m, axis)
-    m = np.eye(dim)
     idx = np.tril_indices(dim, -1)
     m[idx] = draw(st.lists(st.floats(-2.5, 2.5), min_size=len(idx[0]), max_size=len(idx[0])))
     return Step("shear", m if draw(st.booleans()) else m.T)
@@ -552,13 +592,52 @@ def shear_steps(draw, dim):
 @given(st.data(), st.integers(2, 3), st.integers(2, 4))
 def test_wrap_counter_matches_exact_oracle(data, dim, n_bits):
     # unpadded grids: strong shears push points off the grid, and each
-    # row update whose exact image leaves it counts one wrap
-    steps = data.draw(st.lists(shear_steps(dim), min_size=1, max_size=3))
+    # row update whose exact image leaves it counts one wrap, as does each
+    # grid minimum a perm step negates
+    steps = data.draw(st.lists(program_steps(dim), min_size=1, max_size=3))
     coords = interior_coords(dim, n_bits)
     moved, wraps = push_points(coords, TransformProgram(dim=dim, steps=steps), n_bits)
     want, want_wraps = exact_push(coords, steps, n_bits)
     assert np.array_equal(moved, want)
     assert wraps == want_wraps
+
+
+# quantized entries q = b 2**11 at n_bits = 12: a one-term row's bound
+# |q| 2**12 + |2**10 - 2**11 q| + 2**12 = 6144 q + 3072 for q > 0 crosses
+# 2**31 between 349524 and 349525; 614400 (b = 300) runs in int64
+@pytest.mark.parametrize("q, dtype", [(349524, np.int32), (349525, np.int64),
+                                      (614400, np.int64)])
+def test_row_dtype_boundary_matches_exact_oracle(q, dtype):
+    n_bits = 12
+    half = 1 << (n_bits - 1)
+    steps = [lower_shear([[1.0, 0.0], [q / 2 ** 11, 1.0]]),
+             Step("perm", np.array([[0.0, 1.0], [-1.0, 0.0]]))]
+    prog = TransformProgram(dim=2, steps=steps)
+    assert lct._plan(prog, n_bits)[1] is dtype
+    corners = [[-half, -half], [-half, half - 1], [half - 1, -half], [half - 1, half - 1]]
+    coords = np.concatenate([corners, np.random.default_rng(q).integers(-half, half, (500, 2))])
+    moved, wraps = push_points(coords, prog, n_bits)
+    want, want_wraps = exact_push(coords, steps, n_bits)
+    assert np.array_equal(moved, want)
+    assert wraps == want_wraps > 0
+
+
+@pytest.mark.parametrize("dims, n_int, n_bits", [(2, 9, 11), (3, 5, 7)])
+def test_harness_pushes_interior_box_in_blocks(monkeypatch, dims, n_int, n_bits):
+    # the harness calls push_points once per block, and the blocks together
+    # hold every interior point once
+    sizes = []
+    push = lct.push_points
+
+    def counted(coords, program, n_bits):
+        sizes.append(len(coords))
+        return push(coords, program, n_bits)
+
+    monkeypatch.setattr(lct, "push_points", counted)
+    prog = decompose_lct(random_unit_det_transform(np.random.default_rng(dims), dims, 0.3))
+    gaussian_instance_error(prog, np.ones(dims), 0.2, n_bits, n_int)
+    assert sum(sizes) == (1 << n_int) ** dims
+    assert len(sizes) > 1 and max(sizes) <= lct.BLOCK_POINTS
 
 
 def test_decomposition_checks_raise_under_optimize():
