@@ -1,17 +1,22 @@
 """Desk-scale brute-force oracles for the grid-basis constructions.
 
-Tiny dense instances (Hilbert dimension <= 4096) validate the algebraic
-claims the estimator relies on: the explicit unitary decomposition of the
-Hamiltonian reassembles to the Galerkin matrix, the walk operator has
-eigenphases +-arccos(E/lambda), the truncated Bessel-series propagator meets
-its degree bound, single-modal momentum truncation meets its cutoff bound,
-polynomial grid states meet the two's-complement rank bound, and channel
-projectors behave as projectors.
+Tiny instances (Hilbert dimension <= 4096) validate the algebraic claims the
+estimator relies on: the explicit unitary decomposition of the Hamiltonian
+reassembles to the Galerkin operator, the walk operator has eigenphases
++-arccos(E/lambda), the truncated Bessel-series propagator meets its degree
+bound at the suite's lambda*t of 1, 5 and 20 (ROADMAP items 6 and 21: no
+larger lambda*t is checked), single-modal momentum truncation meets its
+cutoff bound, polynomial grid states meet the two's-complement rank bound,
+and channel projectors behave as projectors.
 
-The reassembly check measures ``||H_LCU - H_Galerkin||`` with
+Both Hamiltonians are assembled as a :class:`SparseOperator`: the diagonal,
+plus the off-diagonal Coulomb entries, each of which moves a momentum nu
+between two particles (4,184 of the 729^2 entries at two particles and
+n_p = 2); neither assembly allocates a ``dim`` x ``dim`` array.  The
+reassembly check measures ``||H_LCU - H_Galerkin||`` with
 :func:`sector_norm`: the largest spectral norm over the total-momentum
 blocks plus a one-norm bound on every entry outside them.  Both operators
-conserve total momentum, so the residue is exactly zero and the result is
+conserve total momentum, so the residue has no entries and the result is
 the spectral norm; a term that breaks the conservation raises the measure
 rather than hiding from it.
 
@@ -25,6 +30,7 @@ import fnmatch
 import math
 import time
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -95,10 +101,12 @@ def _shift_indices(points: np.ndarray, pidx: np.ndarray, nu) -> np.ndarray:
 
 
 def _coulomb_moves(points: np.ndarray, nus: np.ndarray, strides: list, particle_pt: list):
-    """Every ordered particle pair ``(i, j)`` in assembly order, with the mask
-    ``ok[n, state]`` of basis states whose momenta ``p_i + nus[n]`` and
-    ``p_j - nus[n]`` both stay on the grid, and the flat matrix index
-    ``dst * total + state`` of each such move, in row-major order of ``ok``."""
+    """The sorted unique flat indices ``dst * total + state`` of every
+    Coulomb move, and every ordered particle pair ``(i, j)`` in assembly
+    order, with the mask ``ok[n, state]`` of basis states whose momenta
+    ``p_i + nus[n]`` and ``p_j - nus[n]`` both stay on the grid and the
+    position among those indices of each such move, in row-major order of
+    ``ok``."""
     total = len(particle_pt[0])
     src = np.arange(total)
     # a shift depends only on the single-particle point: tabulate it once per
@@ -106,23 +114,39 @@ def _coulomb_moves(points: np.ndarray, nus: np.ndarray, strides: list, particle_
     own = np.arange(len(points))
     up = _shift_indices(points, own, nus[:, None])
     down = _shift_indices(points, own, -nus[:, None])
+    moves = []
     for i, j in _pairs(len(strides)):
         pi_new = up[:, particle_pt[i]]
         pj_new = down[:, particle_pt[j]]
         ok = (pi_new >= 0) & (pj_new >= 0)
         dst = src + (pi_new - particle_pt[i]) * strides[i] + (pj_new - particle_pt[j]) * strides[j]
-        yield i, j, ok, (dst * total + src)[ok]
+        moves.append((i, j, ok, (dst * total + src)[ok]))
+    keys = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *(m[3] for m in moves)]))
+    return keys, [(i, j, ok, np.searchsorted(keys, flat)) for i, j, ok, flat in moves]
 
 
-def _real_parts(h: np.ndarray) -> np.ndarray:
-    """The real parts of the C-contiguous complex matrix ``h`` as a flat,
-    writable view: entry ``(r, c)`` sits at ``r * n + c``."""
-    return h.reshape(-1).view(float)[::2]
+class SparseOperator(NamedTuple):
+    """An operator on a composite grid basis of dimension ``dim``: its
+    diagonal, plus the off-diagonal entries at the sorted unique flat
+    indices ``keys = row * dim + col``; every other entry is zero."""
+
+    diag: np.ndarray    # (dim,)
+    keys: np.ndarray    # (nnz,) int64, sorted, no diagonal index
+    values: np.ndarray  # (nnz,)
+
+    def __sub__(self, other: SparseOperator) -> SparseOperator:
+        """The entrywise difference, on the union of both operators' keys."""
+        keys = np.union1d(self.keys, other.keys)
+        dtype = np.result_type(self.values, other.values)
+        mine, theirs = np.zeros(len(keys), dtype), np.zeros(len(keys), dtype)
+        mine[np.searchsorted(keys, self.keys)] = self.values
+        theirs[np.searchsorted(keys, other.keys)] = other.values
+        return SparseOperator(self.diag - other.diag, keys, mine - theirs)
 
 
-def galerkin_hamiltonian(masses, charges, n_p: int, length: float) -> np.ndarray:
-    """Dense grid-basis Hamiltonian: diagonal kinetic term plus the Coulomb
-    term coupling momentum transfers nu within the grid.
+def galerkin_hamiltonian(masses, charges, n_p: int, length: float) -> SparseOperator:
+    """Grid-basis Hamiltonian: diagonal kinetic term plus the Coulomb term
+    coupling momentum transfers nu within the grid.
 
     The Coulomb coefficient is ``(2*pi/L^3) z_i z_j / |k_nu|^2`` between
     ``|p>|q> -> |p+nu>|q-nu>`` with both results on the grid.
@@ -136,16 +160,15 @@ def galerkin_hamiltonian(masses, charges, n_p: int, length: float) -> np.ndarray
     diag = np.zeros(total)
     for mass, pt in zip(masses, particle_pt):
         diag += ksq_single[pt] / (2.0 * mass)
-    h = np.zeros((total, total), dtype=complex)
-    real = _real_parts(h)
-    real[:: total + 1] = diag
 
     coeff_base = 2.0 * math.pi / length ** 3
     nus, knu_sq = _transfers(points, length)
-    for i, j, ok, flat in _coulomb_moves(points, nus, strides, particle_pt):
+    keys, moves = _coulomb_moves(points, nus, strides, particle_pt)
+    values = np.zeros(len(keys))
+    for i, j, ok, at in moves:
         coeff = coeff_base * (charges[i] * charges[j]) / knu_sq
-        real[flat] += np.repeat(coeff, np.count_nonzero(ok, axis=1))
-    return h
+        values[at] += np.repeat(coeff, np.count_nonzero(ok, axis=1))
+    return SparseOperator(diag, keys, values)
 
 
 @dataclass(frozen=True)
@@ -191,7 +214,7 @@ def lcu_terms(masses, charges, n_p: int, length: float, eta_e: int) -> LcuTerms:
     return LcuTerms(kinetic, nus, coulomb)
 
 
-def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int):
+def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int) -> SparseOperator:
     """Explicitly sum the unitary decomposition of the grid Hamiltonian.
 
     Kinetic terms iterate over (b, particle, axis, bit r, bit s) with
@@ -214,46 +237,60 @@ def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int):
         diag += alpha
         diag += np.where((comp >> r) & (comp >> s) & 1, alpha, -alpha)
 
-    h = np.zeros((total, total), dtype=complex)
-    real = _real_parts(h)
-    moves = _coulomb_moves(points, terms.nus, strides, particle_pt)
-    for (_, _, sign, alphas), (_, _, ok, flat) in zip(terms.coulomb, moves):
+    keys, moves = _coulomb_moves(points, terms.nus, strides, particle_pt)
+    values = np.zeros(len(keys))
+    for (_, _, sign, alphas), (_, _, ok, at) in zip(terms.coulomb, moves):
         on_grid = np.repeat(alphas * sign, np.count_nonzero(ok, axis=1))
-        real[flat] += on_grid  # b = 0
-        real[flat] += on_grid  # b = 1
+        values[at] += on_grid  # b = 0
+        values[at] += on_grid  # b = 1
         # off-grid branch: identity with the extra b sign, nu by nu
         for row in np.where(ok, 0.0, (alphas * sign)[:, None]):
             diag += row  # b = 0
             diag -= row  # b = 1
-    real[:: total + 1] = diag
-    return h
+    return SparseOperator(diag, keys, values)
 
 
-def sector_norm(d: np.ndarray, masses, n_p: int) -> float:
-    """Upper bound on ``||d||_2`` for an operator on the grid basis of
-    ``masses``, exact when ``d`` conserves total momentum.
+def sector_norm(op: SparseOperator, masses, n_p: int) -> float:
+    """Upper bound on ``||op||_2`` for an operator on the grid basis of
+    ``masses``, exact when ``op`` conserves total momentum.
 
-    The basis states fall into sectors of equal total momentum.  ``d`` is
+    The basis states fall into sectors of equal total momentum.  ``op`` is
     its in-sector blocks plus a residue R outside them, so
-    ``||d||_2 <= max_s ||d_s||_2 + sqrt(||R||_1 ||R||_inf)``, the residue
+    ``||op||_2 <= max_s ||op_s||_2 + sqrt(||R||_1 ||R||_inf)``, the residue
     term bounding the spectral norm of the entrywise ``|R|``, which is at
-    least ``||R||_2``.  Under momentum conservation R = 0 and the block
-    maximum is the spectral norm; the blocks of each size go through one
-    stacked SVD.
+    least ``||R||_2``.  The in-sector entries are scattered into one stack
+    of blocks per block size, and each stack goes through one SVD.  Under
+    momentum conservation R has no entries and the block maximum is the
+    spectral norm; otherwise R's one-norms are taken from its dense ``|R|``.
     """
     points, _, particle_pt = _basis(masses, n_p)
     momentum = sum(points[pt] for pt in particle_pt)  # (basis state, 3)
     sector = np.unique(momentum, axis=0, return_inverse=True)[1].ravel()
     sizes = np.bincount(sector)
+    dim = len(sector)
     # each sector's states in ascending order, the sectors in label order
     members = np.split(np.argsort(sector, kind="stable"), np.cumsum(sizes)[:-1])
-    residue = np.abs(d)
+    rows, cols = np.divmod(op.keys, dim)
+    inside = sector[rows] == sector[cols]
+    rows = np.concatenate([np.arange(dim), rows[inside]])
+    cols = np.concatenate([np.arange(dim), cols[inside]])
+    values = np.concatenate([op.diag, op.values[inside]])
+    # each state's block in the stack of its sector's size, and its place there
+    block, place = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64)
     worst = 0.0
     for size in np.unique(sizes):
         states = np.stack([m for m in members if len(m) == size])  # (blocks, size)
-        blocks = (states[:, :, None], states[:, None, :])
-        worst = max(worst, float(np.linalg.svd(d[blocks], compute_uv=False).max()))
-        residue[blocks] = 0.0
+        block[states] = np.arange(len(states))[:, None]
+        place[states] = np.arange(size)
+        sel = sizes[sector[rows]] == size
+        r, c = rows[sel], cols[sel]
+        stack = np.zeros((len(states), size, size), dtype=complex)
+        stack[block[r], place[r], place[c]] = values[sel]
+        worst = max(worst, float(np.linalg.svd(stack, compute_uv=False).max()))
+    if inside.all():
+        return worst
+    residue = np.zeros((dim, dim))
+    residue.flat[op.keys[~inside]] = np.abs(op.values[~inside])
     return worst + math.sqrt(float(residue.sum(axis=0).max()) * float(residue.sum(axis=1).max()))
 
 
@@ -513,14 +550,9 @@ def run_suite(only: str | None = None) -> SuiteReport:
         masses = [1.0, 1836.0]
         charges = [-1, 1]
         length = 5.0
-        # the Galerkin operator is built first and freed before sector_norm
-        # takes |d|: over repeated suites this order keeps the heap from
-        # fragmenting around the two 729^2 buffers
         hg = galerkin_hamiltonian(masses, charges, 2, length)
         hl = lcu_assemble(masses, charges, 2, length, eta_e=1)
-        hl -= hg
-        del hg
-        return sector_norm(hl, masses, 2), 1e-12
+        return sector_norm(hl - hg, masses, 2), 1e-12
 
     def check_lcu_norms(rng):
         devs = []

@@ -10,6 +10,7 @@ import time
 import numpy as np
 import pytest
 
+from grid_operators import densify
 from qdyncost import budget, encoding, gridsizer, lct, verify
 from qdyncost.cli import estimate_report
 from qdyncost.gridsizer import k_cutoff_nuclear
@@ -28,8 +29,8 @@ def _line(num, ok, detail):
 
 def test_criterion_01_lcu_galerkin_equality():
     t0 = time.time()
-    h_g = verify.galerkin_hamiltonian([1.0, 1836.0], [-1, 1], 2, 5.0)
-    h_l = verify.lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
+    h_g = densify(verify.galerkin_hamiltonian([1.0, 1836.0], [-1, 1], 2, 5.0))
+    h_l = densify(verify.lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1))
     dev = float(np.linalg.norm(h_l - h_g, 2))
     elapsed = time.time() - t0
     _line(1, dev <= 1e-12 and elapsed < 10.0,

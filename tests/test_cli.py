@@ -7,6 +7,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -116,11 +117,13 @@ def test_verify_fails_on_broken_momentum_conservation(tmp_path, monkeypatch):
 
     def leaky(*args, **kwargs):
         # couple the lowest and highest total momentum of the grid, which no
-        # term of the Hamiltonian does
+        # term of the Hamiltonian does: entries (0, dim - 1) and (dim - 1, 0)
         h = assemble(*args, **kwargs)
-        h[0, -1] += 1e-9
-        h[-1, 0] += 1e-9
-        return h
+        dim = len(h.diag)
+        pair = np.array([dim - 1, (dim - 1) * dim])
+        assert not np.isin(pair, h.keys).any()
+        at = np.searchsorted(h.keys, pair)
+        return h._replace(keys=np.insert(h.keys, at, pair), values=np.insert(h.values, at, 1e-9))
 
     monkeypatch.setattr(verify, "lcu_assemble", leaky)
     out = tmp_path / "verify.json"

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.linalg import expm
 from scipy.special import eval_hermite, jv
 
+from grid_operators import densify, sparsify
 from qdyncost import encoding, verify
 from qdyncost.gridsizer import k_cutoff_nuclear
 from qdyncost.model import ChannelConstraint, ParticleTable, ReactionChannel
@@ -42,14 +44,16 @@ def test_galerkin_single_particle_kinetic_diagonal():
     # k = 2 pi/L = 1: each of the 27 points of [-1, 1]^3 has energy |n|^2 / 2
     h = galerkin_hamiltonian([1.0], [-1], 2, 2.0 * math.pi)
     n = np.indices((3, 3, 3)).reshape(3, -1).T - 1
-    assert np.allclose(np.diag(h), 0.5 * np.sum(n * n, axis=1))
-    assert np.count_nonzero(h - np.diag(np.diag(h))) == 0  # single particle: no V
+    assert np.allclose(h.diag, 0.5 * np.sum(n * n, axis=1))
+    assert len(h.keys) == len(h.values) == 0  # single particle: no V
 
 
 def test_galerkin_two_charges_hermitian_real():
-    h = galerkin_hamiltonian([1.0, 1836.0], [-1, 1], 2, 5.0)
+    op = galerkin_hamiltonian([1.0, 1836.0], [-1, 1], 2, 5.0)
+    assert op.diag.dtype == op.values.dtype == np.float64
+    assert np.all(np.diff(op.keys) > 0) and np.all(op.keys % (len(op.diag) + 1) != 0)
+    h = densify(op)
     assert np.max(np.abs(h - h.conj().T)) <= 1e-12
-    assert np.max(np.abs(h.imag)) == 0.0
 
 
 def test_galerkin_dimension_cap():
@@ -97,25 +101,50 @@ def test_shift_indices_match_dictionary_lookup(n_p):
 
 def test_lcu_kinetic_diagonal_identity():
     # the two b-branches collapse to 2*[p_r p_s = 1], giving |k|^2/2m exactly
-    h_g = galerkin_hamiltonian([1.0], [-1], 3, 7.0)
-    h_l = lcu_assemble([1.0], [-1], 3, 7.0, eta_e=1)
+    h_g = densify(galerkin_hamiltonian([1.0], [-1], 3, 7.0))
+    h_l = densify(lcu_assemble([1.0], [-1], 3, 7.0, eta_e=1))
     assert np.max(np.abs(h_l - h_g)) <= 1e-12
 
 
 def test_lcu_electron_nucleus_attraction_sign():
+    # every off-diagonal entry is an electron-nucleus Coulomb term: attractive
     h_l = lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
-    # pick a momentum-conserving off-diagonal element and check it is negative
-    off = np.real(h_l[np.abs(h_l) > 1e-14])
-    off_diag = [h_l[i, j] for i in range(h_l.shape[0]) for j in range(h_l.shape[0])
-                if i != j and abs(h_l[i, j]) > 1e-14]
-    assert off_diag and all(np.real(v) < 0 for v in off_diag)
+    off_diag = h_l.values[np.abs(h_l.values) > 1e-14]
+    assert len(off_diag) > 0 and np.all(off_diag < 0)
 
 
 def test_lcu_equality_eta2():
     # acceptance criterion 1 measures the same difference with a dense SVD
     h_g = galerkin_hamiltonian([1.0, 1836.0], [-1, 1], 2, 5.0)
     h_l = lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
-    assert sector_norm(h_l - h_g, [1.0, 1836.0], 2) <= 1e-12
+    diff = h_l - h_g
+    assert densify(diff).tobytes() == (densify(h_l) - densify(h_g)).tobytes()
+    assert sector_norm(diff, [1.0, 1836.0], 2) <= 1e-12
+
+
+def test_sparse_difference_matches_dense():
+    # keys in both operators, in one only, and a difference that cancels
+    rng = np.random.default_rng(5)
+    a, b = (np.where(rng.random((12, 12)) < 0.5, random_hermitian(rng, 12), 0.0)
+            for _ in range(2))
+    b[3, 7] = a[3, 7] = 0.25
+    diff = sparsify(a) - sparsify(b)
+    assert len(diff.keys) > max(len(sparsify(a).keys), len(sparsify(b).keys))
+    assert np.all(np.diff(diff.keys) > 0)
+    assert densify(diff).tobytes() == (a - b).tobytes()
+
+
+def test_lcu_equality_check_allocates_no_dense_operator():
+    # one 729^2 complex matrix is 8.1 MiB; the sparse forms, the block stacks
+    # and the move tables of the check stay near 1 MiB
+    assert run_suite(only="lcu_equality").passed  # warm caches and imports
+    tracemalloc.start()
+    try:
+        assert run_suite(only="lcu_equality").passed
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def test_lcu_coefficient_sums_match_norms():
@@ -140,8 +169,8 @@ def _sha256(h):
 @pytest.mark.parametrize("pin", PINNED_MATRICES, ids=lambda pin: pin["label"])
 def test_assembled_matrices_match_pinned(pin):
     args = (pin["masses"], pin["charges"], pin["n_p"], pin["length"])
-    h_g = galerkin_hamiltonian(*args)
-    h_l = lcu_assemble(*args, eta_e=pin["eta_e"])
+    h_g = densify(galerkin_hamiltonian(*args))
+    h_l = densify(lcu_assemble(*args, eta_e=pin["eta_e"]))
     assert h_g.shape == h_l.shape == (pin["dim"], pin["dim"])
     assert _sha256(h_g) == pin["galerkin_sha256"]
     assert _sha256(h_l) == pin["lcu_sha256"]
@@ -218,7 +247,7 @@ def test_sector_norm_matches_per_sector_reference(grid):
     leaking = conserving.copy()
     leaking[0, -1] = leaking[-1, 0] = 1e-9
     for d in (conserving, leaking, dense):
-        assert sector_norm(d, masses, n_p) == sector_norm_reference(d, masses, n_p)
+        assert sector_norm(sparsify(d), masses, n_p) == sector_norm_reference(d, masses, n_p)
 
 
 @settings(max_examples=40, deadline=None)
@@ -237,7 +266,7 @@ def test_sector_norm_bounds_dense_norm(grid, seed, off_sector, log_leak):
     h = np.zeros((len(labels), len(labels)), dtype=complex)
     h[np.ix_(states, states)] = h_s
     dense = float(np.max(np.abs(np.linalg.eigvalsh(h_s))))
-    measured = sector_norm(h, masses, n_p)
+    measured = sector_norm(sparsify(h), masses, n_p)
     assert measured >= dense * (1.0 - 1e-12)
     if not off_sector:
         assert measured == pytest.approx(dense, rel=1e-12)
@@ -252,7 +281,7 @@ def test_sector_norm_counts_an_off_sector_entry():
     assert len(sizes) == 125 and sizes.max() == 27 and labels[0] != labels[-1]
     d = np.zeros((len(labels), len(labels)), dtype=complex)
     d[0, -1] = d[-1, 0] = 1e-9
-    assert sector_norm(d, masses, 2) == pytest.approx(1e-9, rel=1e-12)
+    assert sector_norm(sparsify(d), masses, 2) == pytest.approx(1e-9, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
