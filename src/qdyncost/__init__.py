@@ -2,8 +2,8 @@
 grid-based quantum simulation of full chemical dynamics (electrons and
 nuclei on a common plane-wave grid)."""
 
-from qdyncost.model import MoleculeSpec, load_molecule, validate_molecule
+from qdyncost.model import MoleculeSpec, validate_molecule
 
-__all__ = ["MoleculeSpec", "load_molecule", "validate_molecule"]
+__all__ = ["MoleculeSpec", "validate_molecule"]
 
 __version__ = "0.1.0"

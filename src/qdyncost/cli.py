@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-from pathlib import Path
 
 import numpy as np
 
@@ -75,8 +74,11 @@ def _delta_target(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> tuple[floa
     if spec.budget.pad_mode == "LCT":
         beta = gridsizer.shear_beta(dims)
         delta_ortho = bud.eps_ortho / (math.sqrt(2.0) * beta * math.sqrt(lmax))
-        t_inv = spec.normal_modes.transform.T  # A^T = X L
-        shear = lct.ql_unit_decompose(t_inv)[1]
+        try:
+            shear = lct.ql_unit_decompose(spec.normal_modes.transform.T)[1]  # A^T = X L
+        except ValueError:
+            raise ValidationError("pad_mode LCT needs transform^T = X L with X orthogonal and L "
+                                  "unit lower-triangular", "normal_modes", "transform") from None
         return min(delta_shear, delta_ortho), _inf_norm(shear)
     return delta_shear, _inf_norm(lct.ssct_program(lam)[0].steps[0].matrix)
 
@@ -248,7 +250,7 @@ def _with_value(doc, path: tuple, value):
     return {**doc, key: _with_value(doc.get(key, {}), rest, value) if rest else value}
 
 
-def run_estimate(args: argparse.Namespace, input_path: str, out_path: str | None) -> int:
+def run_estimate(args: argparse.Namespace) -> int:
     """Estimate command: molecule file in, deterministic report out.
 
     The ``--override`` values and ``--budget-policy`` are written into the
@@ -259,7 +261,7 @@ def run_estimate(args: argparse.Namespace, input_path: str, out_path: str | None
     """
     overrides = dict(args.override)
     try:
-        with open(input_path) as fh:
+        with open(args.input_path) as fh:
             doc = json.load(fh)
         effective = doc
         for key, value in overrides.items():
@@ -276,7 +278,7 @@ def run_estimate(args: argparse.Namespace, input_path: str, out_path: str | None
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
     report = dataclasses.replace(
         report, params_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16])
-    return _write_report(report.to_json_dict(), args.out_format, out_path)
+    return _write_report(report.to_json_dict(), args.out_format, args.out_path)
 
 
 def run_verify(args: argparse.Namespace) -> int:
@@ -406,18 +408,16 @@ def _parse_override(item: str):
 
 # every flag, and the subcommands that read it
 FLAGS = {
-    "--input": dict(dest="input_path"),
+    "--input": dict(dest="input_path", required=True),
     "--out": dict(dest="out_path"),
     "--format": dict(dest="out_format", default="json", choices=("json", "csv", "markdown")),
     "--seed": dict(type=_seed, default=0),
     "--budget-policy": dict(dest="budget_policy", choices=BUDGET_POLICIES),
     "--only": dict(),
-    "--batch": dict(nargs="*", default=[]),
     "--override": dict(action="append", default=[], type=_parse_override),
 }
 SUBCOMMAND_FLAGS = {
-    "estimate": ("--input", "--out", "--format", "--seed", "--budget-policy", "--batch",
-                 "--override"),
+    "estimate": ("--input", "--out", "--format", "--seed", "--budget-policy", "--override"),
     "verify": ("--out", "--only"),
     "lct-bench": ("--out", "--seed"),
 }
@@ -435,26 +435,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "verify":
-        return run_verify(args)
-    if args.command == "lct-bench":
-        return run_lct_bench(args)
-    if args.batch:
-        if args.input_path:
-            print("error: --input and --batch exclude each other", file=sys.stderr)
-            return 2
-        suffix = {"json": "json", "markdown": "md", "csv": "csv"}[args.out_format]
-        inputs = {}  # output path -> input path
-        for path in args.batch:
-            out = f"{args.out_path or ''}{Path(path).stem}.report.{suffix}"
-            if inputs.setdefault(out, path) != path:
-                print(f"error: --batch {inputs[out]} and {path} both write {out}", file=sys.stderr)
-                return 2
-        return max([run_estimate(args, path, out) for out, path in inputs.items()])
-    if not args.input_path:
-        print("error: --input is required", file=sys.stderr)
-        return 2
-    return run_estimate(args, args.input_path, args.out_path)
+    run = {"estimate": run_estimate, "verify": run_verify, "lct-bench": run_lct_bench}
+    return run[args.command](args)
 
 
 if __name__ == "__main__":

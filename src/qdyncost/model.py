@@ -15,7 +15,6 @@ together.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import MISSING, dataclass, field, fields
 
@@ -83,9 +82,13 @@ def _typed(value, kind, what: str):
 
 
 def _number(value) -> float:
+    """A finite number, as a float; ``json`` also reads the tokens NaN and Infinity."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise TypeError(f"must be a number, got {type(value).__name__}")
-    return float(value)
+    v = float(value)
+    if math.isfinite(v):
+        return v
+    raise ValueError(f"must be a finite number, got {v}")
 
 
 def _whole(value) -> int:
@@ -153,17 +156,19 @@ def _each(convert, nonempty: bool = False):
 
 
 def _table(max_rank: int | None = None):
-    """A (nested) JSON array of numbers as a float ndarray; with ``max_rank``,
-    a bond-dimension table: a non-empty int ndarray of at most ``max_rank``
-    axes whose entries are whole numbers >= 1."""
+    """A (nested) JSON array of finite numbers as a float ndarray; with
+    ``max_rank``, a bond-dimension table: a non-empty int ndarray of at most
+    ``max_rank`` axes whose entries are whole numbers >= 1."""
     def check(value):
         a = np.asarray(_typed(value, list, "an array"))
         if a.dtype.kind not in "iuf":
             raise TypeError("must be a table of numbers")
+        if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
+            raise ValueError("entries must be finite numbers")
         if max_rank is None:
             return a.astype(float)
         if a.dtype.kind == "f":
-            if not np.all(np.isfinite(a) & (a == np.trunc(a))):
+            if not np.all(a == np.trunc(a)):
                 raise ValueError("entries must be whole numbers")
             a = a.astype(int)
         if a.size == 0 or a.ndim > max_rank or not np.all(a >= 1):
@@ -454,10 +459,3 @@ def molecule_from_dict(doc: dict) -> MoleculeSpec:
     if not isinstance(doc, dict):
         raise ValidationError(f"a molecule document must be an object, got {type(doc).__name__}")
     return _MOLECULE(doc)
-
-
-def load_molecule(path) -> MoleculeSpec:
-    """Load and validate a molecule JSON file."""
-    with open(path) as fh:
-        doc = json.load(fh)
-    return validate_molecule(molecule_from_dict(doc))

@@ -338,7 +338,7 @@ def qubiterate_check(h: np.ndarray, lam: float) -> float:
 
 def walk_unitarity_defect(h: np.ndarray, lam: float) -> float:
     """||W W^dag - I||_2 for the block-rotation walk above."""
-    return _unitarity_defect(_walk(np.asarray(h, dtype=complex), lam)[0])
+    return _unitarity_defect(_walk(_within_lambda(h, lam), lam)[0])
 
 
 def propagator(h: np.ndarray, t: float) -> np.ndarray:

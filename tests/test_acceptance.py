@@ -11,10 +11,11 @@ import numpy as np
 import pytest
 
 from grid_operators import densify
+from molecule_files import load_molecule
 from qdyncost import budget, encoding, gridsizer, lct, verify
 from qdyncost.cli import estimate_report
 from qdyncost.gridsizer import k_cutoff_nuclear
-from qdyncost.model import BudgetSettings, ParticleTable, fs_to_au, load_molecule
+from qdyncost.model import BudgetSettings, ParticleTable, fs_to_au
 
 
 def _line(num, ok, detail):

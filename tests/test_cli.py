@@ -36,7 +36,10 @@ def test_estimate_missing_budget_key(tmp_path, capsys):
 
 
 def test_estimate_missing_input_flag(capsys):
-    assert main(["estimate"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["estimate", "--seed", "1"])
+    assert exc.value.code == 2
+    assert "the following arguments are required: --input" in capsys.readouterr().err
 
 
 def test_time_conversion_in_report(tmp_path):
@@ -185,6 +188,22 @@ def test_estimate_lct_pad_mode(tmp_path):
     assert "NCT" in rep["rows"]
 
 
+def test_lct_transform_must_factor(tmp_path, capsys):
+    # a det-1 rotation times a unit-lower shear: A^T = L^T Q^T is no
+    # orthogonal-times-unit-lower product, which only the LCT route needs
+    q, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(15, 15)))
+    q[:, 0] *= np.sign(np.linalg.det(q))
+    shear = np.eye(15) + np.tril(np.full((15, 15), 0.1), -1)
+    doc = json.loads(Path(CH4).read_text())
+    doc["normal_modes"]["transform"] = (q @ shear).tolist()
+    for pad_mode, code in (("SSCT", 0), ("LCT", 2)):
+        doc["budget"]["pad_mode"] = pad_mode
+        mol = tmp_path / f"{pad_mode}.json"
+        mol.write_text(json.dumps(doc))
+        assert main(["estimate", "--input", str(mol), "--out", str(tmp_path / "r.json")]) == code
+    assert capsys.readouterr().err.startswith("error: normal_modes.transform: ")
+
+
 def _linear(doc):
     """``doc`` as a linear molecule: one more vibrational frequency, and two
     rotational widths where a non-linear molecule has three."""
@@ -253,57 +272,30 @@ def test_anchor_side_by_side_in_markdown(tmp_path):
     assert "time_evolution_toffoli" in text
 
 
-def test_estimate_batch(tmp_path):
-    code = main(["estimate", "--batch", CH4, "molecules/ch3obr_synthetic.json",
-                 "--out", str(tmp_path) + "/"])
-    assert code == 0
-    assert (tmp_path / "ch4_synthetic.report.json").exists()
-    assert (tmp_path / "ch3obr_synthetic.report.json").exists()
-
-
-def test_estimate_batch_same_stem_exits_2(tmp_path, capsys):
-    inputs = []
-    for sub, molecule in (("a", CH4), ("b", "molecules/ch3obr_synthetic.json")):
-        (tmp_path / sub).mkdir()
-        inputs.append(str(tmp_path / sub / "m.json"))
-        Path(inputs[-1]).write_text(Path(molecule).read_text())
-    out = tmp_path / "o"
-    out.mkdir()
-    assert main(["estimate", "--batch", *inputs, "--out", str(out) + "/"]) == 2
-    err = capsys.readouterr().err
-    assert inputs[0] in err and inputs[1] in err
-    assert list(out.iterdir()) == []
-
-
-@pytest.mark.parametrize("out_format, suffix", [("markdown", "md"), ("csv", "csv")])
-def test_estimate_batch_names_follow_format(tmp_path, out_format, suffix):
-    assert main(["estimate", "--batch", CH4, "--format", out_format,
-                 "--out", str(tmp_path) + "/"]) == 0
-    assert [p.name for p in tmp_path.iterdir()] == [f"ch4_synthetic.report.{suffix}"]
-    text = (tmp_path / f"ch4_synthetic.report.{suffix}").read_text()
-    assert text.startswith("# Resource estimate" if out_format == "markdown" else "subroutine,")
-
-
-def test_estimate_batch_with_input_exits_2(tmp_path, capsys):
-    assert main(["estimate", "--batch", CH4, "--input", "molecules/ch3obr_synthetic.json",
-                 "--out", str(tmp_path) + "/"]) == 2
-    assert "--input" in capsys.readouterr().err
-    assert list(tmp_path.iterdir()) == []
-
-
-def test_flags_registered_per_subcommand():
+def _registered_flags():
+    """Each subcommand's flags, sorted, as ``build_parser`` registers them."""
     from qdyncost.cli import build_parser
 
     sub = next(a for a in build_parser()._actions if a.dest == "command")
-    flags = {name: sorted(s for a in sp._actions for s in a.option_strings
-                          if s not in ("-h", "--help"))
-             for name, sp in sub.choices.items()}
-    assert flags == {
-        "estimate": ["--batch", "--budget-policy", "--format", "--input", "--out",
-                     "--override", "--seed"],
+    return {name: sorted(s for a in sp._actions for s in a.option_strings
+                         if s not in ("-h", "--help"))
+            for name, sp in sub.choices.items()}
+
+
+def test_flags_registered_per_subcommand():
+    assert _registered_flags() == {
+        "estimate": ["--budget-policy", "--format", "--input", "--out", "--override", "--seed"],
         "verify": ["--only", "--out"],
         "lct-bench": ["--out", "--seed"],
     }
+
+
+def test_readme_flag_table_matches_parser():
+    # each row of README's subcommand table names exactly the registered flags
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = re.findall(r"^\| `([a-z-]+)` \| (.*) \|$", readme, flags=re.MULTILINE)
+    table = {name: sorted(set(re.findall(r"`(--[a-z-]+)", cell))) for name, cell in rows}
+    assert table == _registered_flags()
 
 
 @pytest.mark.parametrize("argv", [
@@ -314,6 +306,9 @@ def test_flags_registered_per_subcommand():
     # no subcommand re-renders a saved report; estimate --format renders one
     ["report", "--input", CH4, "--format", "markdown"],
     ["verify", "--override", "qubiterate_lambda_scale=0.5"],
+    ["estimate"],
+    # one molecule file per run; a shell loop over --input estimates several
+    ["estimate", "--batch", CH4],
 ])
 def test_ignored_flag_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
@@ -520,10 +515,9 @@ def test_formula_overflow_exits_2(tmp_path, capsys, edit, flags):
 
 @pytest.mark.parametrize("argv", [
     ["estimate", "--input", CH4, "--out", "{missing}/r.json"],
-    ["estimate", "--batch", CH4, "--out", "{missing}/"],
     ["verify", "--only", "poly*", "--out", "{missing}/v.json"],
     ["lct-bench", "--out", "{missing}/s.csv"],
-], ids=["estimate", "estimate-batch", "verify", "lct-bench"])
+], ids=["estimate", "verify", "lct-bench"])
 def test_unwritable_out_exits_2(tmp_path, capsys, argv):
     # a write failure is an input error, not a failed check
     missing = tmp_path / "missing"

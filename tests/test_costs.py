@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from molecule_files import load_molecule
 from qdyncost.costs import (
     CostPair,
     _resize_bond_table,
@@ -80,7 +81,6 @@ def test_ssct_matches_closed_form():
 def test_isp_ch4_scale_order_anchor():
     # synthetic CH4-scale inputs land at the published order of magnitude
     from qdyncost.cli import estimate_report
-    from qdyncost.model import load_molecule
 
     spec = load_molecule("molecules/ch4_synthetic.json")
     report = estimate_report(spec, seed=7)
@@ -181,7 +181,6 @@ def _ledger(molecule="molecules/ch4_synthetic.json", pad_mode="SSCT", **budget):
     from qdyncost.budget import allocate
     from qdyncost.cli import size_grid
     from qdyncost.encoding import PrecisionParams
-    from qdyncost.model import load_molecule
 
     spec = load_molecule(molecule)
     spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
@@ -245,7 +244,6 @@ def test_isp_total_sums_its_rows(molecule, pad_mode):
 
 def test_qae_ratio_anchor_ch4():
     from qdyncost.cli import estimate_report
-    from qdyncost.model import load_molecule
 
     spec = load_molecule("molecules/ch4_synthetic.json")
     report = estimate_report(spec, seed=7)
@@ -388,7 +386,6 @@ PINNED_W_ROWS = json.loads((Path(__file__).parent / "data" / "pinned_w_rows.json
 def test_w_rows_pinned_across_grid_sizes(case):
     from qdyncost.budget import allocate
     from qdyncost.cli import size_grid
-    from qdyncost.model import load_molecule
 
     molecule, pad_mode, n_isp = case.split("|")
     spec = load_molecule(f"molecules/{molecule}")
@@ -415,7 +412,6 @@ def test_resize_bond_table():
 def test_isp_rows_in_ledger_order():
     from qdyncost.budget import allocate
     from qdyncost.cli import size_grid
-    from qdyncost.model import load_molecule
 
     spec = load_molecule("molecules/ch4_synthetic.json")
     bud = allocate(spec.budget, spec.simulation.time_au)
@@ -441,7 +437,6 @@ def test_golden_report_regression(golden_file):
     from pathlib import Path
 
     from qdyncost.cli import estimate_report
-    from qdyncost.model import load_molecule
 
     molecule, pad_mode = GOLDEN[golden_file]
 

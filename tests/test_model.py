@@ -6,13 +6,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from molecule_files import load_molecule
 from qdyncost import model
 from qdyncost.model import (
     ParticleTable,
     ValidationError,
     ceil_log2,
     fs_to_au,
-    load_molecule,
     molecule_from_dict,
     validate_molecule,
 )
@@ -240,6 +240,13 @@ def test_fractional_integer_field_named_in_error(path, value):
      r"got \(1, 4, 4\)"),
     ("nuclear", "bond_dims", [[[2, 12, 40, 80]] * 3] * 15, "^nuclear.bond_dims: must have"),
     ("nuclear", "bond_dims", [[2, 12, 40, 80]] * 15, "^nuclear.bond_dims: must have shape"),
+    # json reads the tokens Infinity and NaN as floats
+    ("simulation", "anchors", {"time_evolution_toffoli": math.inf},
+     "^simulation.anchors.time_evolution_toffoli: must be a finite number, got inf"),
+    ("normal_modes", "r0", [math.nan] + [0.0] * 14,
+     r"^normal_modes.r0\[0\]: must be a finite number, got nan"),
+    ("normal_modes", "transform", [[math.nan] * 15] * 15,
+     "^normal_modes.transform: entries must be finite numbers"),
 ])
 def test_malformed_field_named_in_error(section, key, value, field):
     doc = json.loads(Path(CH4).read_text())
@@ -257,13 +264,13 @@ EACH_CASES = [
     ("_number", [None], ([0], "[0]: must be a number, got NoneType")),
     ("_number", [1, 10 ** 400], ([1], "[1]: int too large to convert to float")),
     ("_positive", [1.0, 3, 2.5], (1.0, 3.0, 2.5)),
-    ("_positive", [1.0, math.nan], ([1], "[1]: must be > 0, got nan")),
+    ("_positive", [1.0, math.nan], ([1], "[1]: must be a finite number, got nan")),
     ("_positive", [2.0, 0], ([1], "[1]: must be > 0, got 0.0")),
     ("_positive", [-1.0], ([0], "[0]: must be > 0, got -1.0")),
     ("_positive", ["1"], ([0], "[0]: must be a number, got str")),
     ("_whole", [1, 2.0, -3, 0.0], (1, 2, -3, 0)),
     ("_whole", [1, 2.5], ([1], "[1]: must be a whole number, got 2.5")),
-    ("_whole", [math.inf], ([0], "[0]: must be a whole number, got inf")),
+    ("_whole", [math.inf], ([0], "[0]: must be a finite number, got inf")),
     ("_whole", [False], ([0], "[0]: must be a number, got bool")),
 ]
 

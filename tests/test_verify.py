@@ -314,6 +314,15 @@ def test_qubiterate_rejects_small_lambda():
         qubiterate_check(h, 0.5 * np.linalg.norm(h, 2))
 
 
+def test_walk_unitarity_rejects_small_lambda():
+    # below ||H|| the walk of the clipped H/lambda is still unitary, so the
+    # defect alone would pass
+    rng = np.random.default_rng(2)
+    h = random_hermitian(rng, 4)
+    with pytest.raises(ValueError, match="lambda"):
+        walk_unitarity_defect(h, 0.1 * np.linalg.norm(h, 2))
+
+
 # ---------------------------------------------------------------------------
 # truncated-series propagator
 
