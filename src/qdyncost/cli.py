@@ -144,48 +144,58 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
         raise ValidationError("the estimate needs at least one electron", "particles", "eta_e")
     settings = spec.budget
     t_au = spec.simulation.time_au
-    bud = budget_mod.allocate(settings, t_au)
-    grid = size_grid(spec, bud)
+    # a formula that overflows or divides by zero names the stage it ran in
+    stage = "budget allocation"
+    try:
+        bud = budget_mod.allocate(settings, t_au)
+        stage = "grid sizing"
+        grid = size_grid(spec, bud)
 
-    length_adj = 2.0 * math.pi / grid.delta
-    omega_cell = length_adj ** 3
-    warn = []
+        length_adj = 2.0 * math.pi / grid.delta
+        omega_cell = length_adj ** 3
+        warn = []
 
-    norms = encoding.lcu_norms(p, grid.n_p, omega_cell)
-    if not norms.lambda_nu_exact:
-        warn.append(f"lambda_nu uses the closed lower bound at n_p={grid.n_p}")
+        stage = "norms and probabilities"
+        norms = encoding.lcu_norms(p, grid.n_p, omega_cell)
+        if not norms.lambda_nu_exact:
+            warn.append(f"lambda_nu uses the closed lower bound at n_p={grid.n_p}")
 
-    # p_nu is evaluated at n_M = 8, not at the n_M chosen below (ROADMAP item 2)
-    probs = encoding.success_probs(p, grid.n_p, n_m=8, b_r=settings.b_r)
-    if not probs.p_nu_exact:
-        warn.append(f"p_nu uses the nominal 1/4 at n_p={grid.n_p}")
-    lam_tilde, strategy = encoding.lambda_h_tilde(
-        norms.lambda_t, norms.lambda_v, probs.p_nu, probs.p_zeta, probs.p_eq
-    )
-    if spec.simulation.overrides.lambda_h_tilde is not None:
-        lam_tilde = spec.simulation.overrides.lambda_h_tilde
-        warn.append("lambda_h_tilde overridden by configuration")
+        # p_nu is evaluated at n_M = 8, not at the n_M chosen below (ROADMAP item 2)
+        probs = encoding.success_probs(p, grid.n_p, n_m=8, b_r=settings.b_r)
+        if not probs.p_nu_exact:
+            warn.append(f"p_nu uses the nominal 1/4 at n_p={grid.n_p}")
+        lam_tilde, strategy = encoding.lambda_h_tilde(
+            norms.lambda_t, norms.lambda_v, probs.p_nu, probs.p_zeta, probs.p_eq
+        )
+        if spec.simulation.overrides.lambda_h_tilde is not None:
+            lam_tilde = spec.simulation.overrides.lambda_h_tilde
+            warn.append("lambda_h_tilde overridden by configuration")
 
-    d_tilde = costs.qsp_degree(lam_tilde, t_au, bud.eps_dtilde)
-    eps_rot = budget_mod.rotation_share(bud, d_tilde)
-    prec = encoding.precision_params(
-        norms.lambda_t, norms.lambda_v, lam_tilde,
-        bud.eps_t, bud.eps_v, bud.eps_theta, grid.n_p, norms.lambda_nu,
-    )
-    eps_h = encoding.block_error(bud.eps_t, bud.eps_v, lam_tilde, prec.n_theta)
+        stage = "precision"
+        d_tilde = costs.qsp_degree(lam_tilde, t_au, bud.eps_dtilde)
+        eps_rot = budget_mod.rotation_share(bud, d_tilde)
+        prec = encoding.precision_params(
+            norms.lambda_t, norms.lambda_v, lam_tilde,
+            bud.eps_t, bud.eps_v, bud.eps_theta, grid.n_p, norms.lambda_nu,
+        )
+        eps_h = encoding.block_error(bud.eps_t, bud.eps_v, lam_tilde, prec.n_theta)
 
-    ledger = costs.cost_total(spec, grid, prec, d_tilde, eps_rot, bud)
-    warn.extend(ledger.warnings)
+        stage = "cost ledger"
+        ledger = costs.cost_total(spec, grid, prec, d_tilde, eps_rot, bud)
+        warn.extend(ledger.warnings)
 
-    # --- trimming error (seeded Monte Carlo) -----------------------------
-    omega_min = min(_rescaled_frequencies(spec))
-    sigma_grid = 1.0 / (grid.delta * math.sqrt(omega_min))
-    rng = np.random.Generator(np.random.Philox(seed))
-    sampler = budget_mod.gaussian_box_sampler(sigma_grid, 2 ** grid.n_p // 2)
-    trim_bound, all_inside = budget_mod.trim_error_mc(sampler, settings.trim_n_mc,
-                                                      settings.trim_alpha, rng)
-    if not all_inside:
-        warn.append("trim Monte Carlo observed samples outside the interior box")
+        # --- trimming error (seeded Monte Carlo) -----------------------------
+        stage = "trim Monte Carlo"
+        omega_min = min(_rescaled_frequencies(spec))
+        sigma_grid = 1.0 / (grid.delta * math.sqrt(omega_min))
+        rng = np.random.Generator(np.random.Philox(seed))
+        sampler = budget_mod.gaussian_box_sampler(sigma_grid, 2 ** grid.n_p // 2)
+        trim_bound, all_inside = budget_mod.trim_error_mc(sampler, settings.trim_n_mc,
+                                                          settings.trim_alpha, rng)
+        if not all_inside:
+            warn.append("trim Monte Carlo observed samples outside the interior box")
+    except ArithmeticError as exc:
+        raise type(exc)(f"{stage}: {exc}") from exc
 
     # anchors: print the computed value and the published coarse anchor side
     # by side; never fit to them.

@@ -18,7 +18,14 @@ reassembly check measures ``||H_LCU - H_Galerkin||`` with
 blocks plus a one-norm bound on every entry outside them.  Both operators
 conserve total momentum, so the residue has no entries and the result is
 the spectral norm; a term that breaks the conservation raises the measure
-rather than hiding from it.
+rather than hiding from it.  What does not depend on an instance's masses,
+charges or cell length (the basis, the Coulomb moves and the sectors) is
+built once per (eta, n_p) by :func:`_grid_table` and cached read-only.
+
+The walk checks test ``lambda >= ||H||`` on the eigendecomposition of H
+that builds the walk, and still take the walk's eigenvalues from a dense
+eigensolve of the assembled walk.  The polynomial-rank check stacks its
+polynomials, so each unfolding goes through one batched SVD.
 
 Dense linear algebra here is single-threaded and deterministic by contract
 (results feed golden files); matrix functions use spectral decompositions.
@@ -27,6 +34,7 @@ Dense linear algebra here is single-threaded and deterministic by contract
 from __future__ import annotations
 
 import fnmatch
+import functools
 import math
 import time
 from dataclasses import asdict, dataclass, field
@@ -58,28 +66,16 @@ def _grid_points(n_p: int) -> np.ndarray:
     return np.stack([m.ravel() for m in mesh], axis=1)  # (per_particle, 3)
 
 
-def _basis(masses, n_p: int):
-    """Single-particle 3D grid points, composite strides, and each particle's
-    point index at every composite basis index."""
-    eta = len(masses)
-    points = _grid_points(n_p)
-    per_particle = len(points)
-    total = per_particle ** eta
-    if total > MAX_DENSE_DIM:
-        raise ValueError(f"Hilbert dimension {total} exceeds cap {MAX_DENSE_DIM}")
-    # particle j occupies stride per_particle**(eta-1-j)
-    strides = [per_particle ** (eta - 1 - j) for j in range(eta)]
-    all_idx = np.arange(total)
-    particle_pt = [(all_idx // stride) % per_particle for stride in strides]
-    return points, strides, particle_pt
+def _transfers(points: np.ndarray) -> np.ndarray:
+    """The Coulomb momentum transfers nu: the nonzero grid points, in
+    assembly order."""
+    return points[np.any(points != 0, axis=1)]
 
 
-def _transfers(points: np.ndarray, length: float) -> tuple[np.ndarray, np.ndarray]:
-    """The Coulomb momentum transfers nu (the nonzero grid points, in
-    assembly order) and their ``|k_nu|^2``."""
-    nus = points[np.any(points != 0, axis=1)]
+def _knu_sq(nus: np.ndarray, length: float) -> np.ndarray:
+    """``|k_nu|^2`` of each transfer nu on a cell of side ``length``."""
     k_unit = 2.0 * math.pi / length
-    return nus, (k_unit ** 2) * np.sum(nus * nus, axis=1).astype(float)
+    return (k_unit ** 2) * np.sum(nus * nus, axis=1).astype(float)
 
 
 def _pairs(eta: int) -> list:
@@ -100,13 +96,14 @@ def _shift_indices(points: np.ndarray, pidx: np.ndarray, nu) -> np.ndarray:
     return np.where(np.all(np.abs(shifted) <= half, axis=-1), flat, -1)
 
 
-def _coulomb_moves(points: np.ndarray, nus: np.ndarray, strides: list, particle_pt: list):
+def _coulomb_moves(points: np.ndarray, nus: np.ndarray, strides: list,
+                   particle_pt: np.ndarray):
     """The sorted unique flat indices ``dst * total + state`` of every
     Coulomb move, and every ordered particle pair ``(i, j)`` in assembly
     order, with the mask ``ok[n, state]`` of basis states whose momenta
-    ``p_i + nus[n]`` and ``p_j - nus[n]`` both stay on the grid and the
+    ``p_i + nus[n]`` and ``p_j - nus[n]`` both stay on the grid, the
     position among those indices of each such move, in row-major order of
-    ``ok``."""
+    ``ok``, and the number of such moves per nu."""
     total = len(particle_pt[0])
     src = np.arange(total)
     # a shift depends only on the single-particle point: tabulate it once per
@@ -122,7 +119,67 @@ def _coulomb_moves(points: np.ndarray, nus: np.ndarray, strides: list, particle_
         dst = src + (pi_new - particle_pt[i]) * strides[i] + (pj_new - particle_pt[j]) * strides[j]
         moves.append((i, j, ok, (dst * total + src)[ok]))
     keys = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *(m[3] for m in moves)]))
-    return keys, [(i, j, ok, np.searchsorted(keys, flat)) for i, j, ok, flat in moves]
+    return keys, [(i, j, ok, np.searchsorted(keys, flat), np.count_nonzero(ok, axis=1))
+                  for i, j, ok, flat in moves]
+
+
+class _GridTable(NamedTuple):
+    """The tables of a composite grid basis that no instance's masses,
+    charges or cell length change, built by :func:`_grid_table`."""
+
+    dim: int
+    points: np.ndarray       # (per_particle, 3) single-particle grid points
+    particle_pt: np.ndarray  # (eta, dim) each particle's point index at every state
+    nus: np.ndarray          # the Coulomb momentum transfers, in assembly order
+    keys: np.ndarray         # sorted unique flat indices of every Coulomb move
+    moves: tuple             # (i, j, ok, at, counts) per pair: see _coulomb_moves
+    sector: np.ndarray       # (dim,) total-momentum sector label of each state
+    sizes: np.ndarray        # states per sector
+    stacks: tuple            # (size, blocks) per block size, ascending
+    block: np.ndarray        # (dim,) each state's block in the stack of its size
+    place: np.ndarray        # (dim,) and its place in that block
+
+
+@functools.lru_cache(maxsize=None)
+def _grid_table(eta: int, n_p: int) -> _GridTable:
+    """The grid tables of ``eta`` particles at ``n_p`` bits per axis, built
+    once per ``(eta, n_p)`` and cached with every array read-only.  The
+    ``MAX_DENSE_DIM`` cap raises before anything is built, and a raised call
+    is not cached.
+
+    The total-momentum sectors are labelled in the order of their momenta;
+    the sectors of one size are stacked in label order, each with its states
+    in ascending order.
+    """
+    points = _grid_points(n_p)
+    per_particle = len(points)
+    dim = per_particle ** eta
+    if dim > MAX_DENSE_DIM:
+        raise ValueError(f"Hilbert dimension {dim} exceeds cap {MAX_DENSE_DIM}")
+    # particle j occupies stride per_particle**(eta-1-j)
+    strides = [per_particle ** (eta - 1 - j) for j in range(eta)]
+    particle_pt = np.arange(dim) // np.array(strides, dtype=np.int64)[:, None] % per_particle
+    nus = _transfers(points)
+    keys, moves = _coulomb_moves(points, nus, strides, particle_pt)
+
+    momentum = sum(points[pt] for pt in particle_pt)  # (dim, 3)
+    sector = np.unique(momentum, axis=0, return_inverse=True)[1].ravel()
+    sizes = np.bincount(sector)
+    members = np.split(np.argsort(sector, kind="stable"), np.cumsum(sizes)[:-1])
+    block, place = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64)
+    stacks = []
+    for size in np.unique(sizes).tolist():
+        states = np.stack([m for m in members if len(m) == size])  # (blocks, size)
+        block[states] = np.arange(len(states))[:, None]
+        place[states] = np.arange(size)
+        stacks.append((size, len(states)))
+
+    table = _GridTable(dim, points, particle_pt, nus, keys, tuple(moves), sector, sizes,
+                       tuple(stacks), block, place)
+    for array in (points, particle_pt, nus, keys, sector, sizes, block, place,
+                  *(a for move in moves for a in move[2:])):
+        array.flags.writeable = False
+    return table
 
 
 class SparseOperator(NamedTuple):
@@ -135,7 +192,10 @@ class SparseOperator(NamedTuple):
     values: np.ndarray  # (nnz,)
 
     def __sub__(self, other: SparseOperator) -> SparseOperator:
-        """The entrywise difference, on the union of both operators' keys."""
+        """The entrywise difference, on the union of both operators' keys;
+        two operators on one key array subtract value by value."""
+        if self.keys is other.keys:
+            return SparseOperator(self.diag - other.diag, self.keys, self.values - other.values)
         keys = np.union1d(self.keys, other.keys)
         dtype = np.result_type(self.values, other.values)
         mine, theirs = np.zeros(len(keys), dtype), np.zeros(len(keys), dtype)
@@ -151,24 +211,22 @@ def galerkin_hamiltonian(masses, charges, n_p: int, length: float) -> SparseOper
     The Coulomb coefficient is ``(2*pi/L^3) z_i z_j / |k_nu|^2`` between
     ``|p>|q> -> |p+nu>|q-nu>`` with both results on the grid.
     """
-    points, strides, particle_pt = _basis(masses, n_p)
-    total = len(particle_pt[0])
+    grid = _grid_table(len(masses), n_p)
     k_unit = 2.0 * math.pi / length
 
     # kinetic diagonal, gathered at each particle's point
-    ksq_single = (k_unit ** 2) * np.sum(points.astype(float) ** 2, axis=1)
-    diag = np.zeros(total)
-    for mass, pt in zip(masses, particle_pt):
+    ksq_single = (k_unit ** 2) * np.sum(grid.points.astype(float) ** 2, axis=1)
+    diag = np.zeros(grid.dim)
+    for mass, pt in zip(masses, grid.particle_pt):
         diag += ksq_single[pt] / (2.0 * mass)
 
     coeff_base = 2.0 * math.pi / length ** 3
-    nus, knu_sq = _transfers(points, length)
-    keys, moves = _coulomb_moves(points, nus, strides, particle_pt)
-    values = np.zeros(len(keys))
-    for i, j, ok, at in moves:
+    knu_sq = _knu_sq(grid.nus, length)
+    values = np.zeros(len(grid.keys))
+    for i, j, _, at, counts in grid.moves:
         coeff = coeff_base * (charges[i] * charges[j]) / knu_sq
-        values[at] += np.repeat(coeff, np.count_nonzero(ok, axis=1))
-    return SparseOperator(diag, keys, values)
+        values[at] += np.repeat(coeff, counts)
+    return SparseOperator(diag, grid.keys, values)
 
 
 @dataclass(frozen=True)
@@ -177,7 +235,6 @@ class LcuTerms:
     assembly order; every term enters once per branch b = 0, 1."""
 
     kinetic: tuple    # (j, w, r, s, alpha): particle, axis, magnitude bits r and s
-    nus: np.ndarray   # the Coulomb momentum transfers, in assembly order
     coulomb: tuple    # (i, j, sign, alphas): pair, (-1)**species_xor, alpha per nu
 
     def sums(self) -> tuple[float, float]:
@@ -199,19 +256,20 @@ def lcu_terms(masses, charges, n_p: int, length: float, eta_e: int) -> LcuTerms:
 
     Kinetic terms run over (particle, axis, bit r, bit s) with
     ``alpha = pi^2 2^(r+s) / (Omega^(2/3) m_j)``; Coulomb terms over
-    (i, j, nu) with ``alpha = pi |z_i z_j| / (Omega |k_nu|^2)``.
+    (i, j, nu) with ``alpha = pi |z_i z_j| / (Omega |k_nu|^2)``, the
+    transfers nu in the order of :func:`_transfers`.
     """
     eta = len(masses)
     omega = length ** 3
     kinetic = tuple(
         (j, w, r, s, math.pi ** 2 * 2.0 ** (r + s) / (omega ** (2.0 / 3.0) * masses[j]))
         for j in range(eta) for w in range(3) for r in range(n_p - 1) for s in range(n_p - 1))
-    nus, knu_sq = _transfers(_grid_points(n_p), length)
+    knu_sq = _knu_sq(_transfers(_grid_points(n_p)), length)
     coulomb = tuple(
         (i, j, (-1.0) ** (int(i < eta_e) ^ int(j < eta_e)),
          math.pi * (abs(charges[i]) * abs(charges[j])) / (omega * knu_sq))
         for i, j in _pairs(eta))
-    return LcuTerms(kinetic, nus, coulomb)
+    return LcuTerms(kinetic, coulomb)
 
 
 def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int) -> SparseOperator:
@@ -225,29 +283,27 @@ def lcu_assemble(masses, charges, n_p: int, length: float, eta_e: int) -> Sparse
     coefficient one-norms of both term families.
     """
     terms = lcu_terms(masses, charges, n_p, length, eta_e)
-    points, strides, particle_pt = _basis(masses, n_p)
-    total = len(particle_pt[0])
+    grid = _grid_table(len(masses), n_p)
 
     # kinetic family on the diagonal: branch b = 0 adds alpha, b = 1 adds
     # -alpha unless magnitude bits r and s are both set
-    diag = np.zeros(total)
-    mag_bits = np.abs(points)  # (per_particle, 3)
+    diag = np.zeros(grid.dim)
+    mag_bits = np.abs(grid.points)  # (per_particle, 3)
     for j, w, r, s, alpha in terms.kinetic:
-        comp = mag_bits[particle_pt[j], w]
+        comp = mag_bits[grid.particle_pt[j], w]
         diag += alpha
         diag += np.where((comp >> r) & (comp >> s) & 1, alpha, -alpha)
 
-    keys, moves = _coulomb_moves(points, terms.nus, strides, particle_pt)
-    values = np.zeros(len(keys))
-    for (_, _, sign, alphas), (_, _, ok, at) in zip(terms.coulomb, moves):
-        on_grid = np.repeat(alphas * sign, np.count_nonzero(ok, axis=1))
+    values = np.zeros(len(grid.keys))
+    for (_, _, sign, alphas), (_, _, ok, at, counts) in zip(terms.coulomb, grid.moves):
+        on_grid = np.repeat(alphas * sign, counts)
         values[at] += on_grid  # b = 0
         values[at] += on_grid  # b = 1
         # off-grid branch: identity with the extra b sign, nu by nu
         for row in np.where(ok, 0.0, (alphas * sign)[:, None]):
             diag += row  # b = 0
             diag -= row  # b = 1
-    return SparseOperator(diag, keys, values)
+    return SparseOperator(diag, grid.keys, values)
 
 
 def sector_norm(op: SparseOperator, masses, n_p: int) -> float:
@@ -263,29 +319,20 @@ def sector_norm(op: SparseOperator, masses, n_p: int) -> float:
     momentum conservation R has no entries and the block maximum is the
     spectral norm; otherwise R's one-norms are taken from its dense ``|R|``.
     """
-    points, _, particle_pt = _basis(masses, n_p)
-    momentum = sum(points[pt] for pt in particle_pt)  # (basis state, 3)
-    sector = np.unique(momentum, axis=0, return_inverse=True)[1].ravel()
-    sizes = np.bincount(sector)
-    dim = len(sector)
-    # each sector's states in ascending order, the sectors in label order
-    members = np.split(np.argsort(sector, kind="stable"), np.cumsum(sizes)[:-1])
+    grid = _grid_table(len(masses), n_p)
+    dim = grid.dim
     rows, cols = np.divmod(op.keys, dim)
-    inside = sector[rows] == sector[cols]
+    inside = grid.sector[rows] == grid.sector[cols]
     rows = np.concatenate([np.arange(dim), rows[inside]])
     cols = np.concatenate([np.arange(dim), cols[inside]])
     values = np.concatenate([op.diag, op.values[inside]])
-    # each state's block in the stack of its sector's size, and its place there
-    block, place = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64)
+    row_size = grid.sizes[grid.sector[rows]]
     worst = 0.0
-    for size in np.unique(sizes):
-        states = np.stack([m for m in members if len(m) == size])  # (blocks, size)
-        block[states] = np.arange(len(states))[:, None]
-        place[states] = np.arange(size)
-        sel = sizes[sector[rows]] == size
+    for size, blocks in grid.stacks:
+        sel = row_size == size
         r, c = rows[sel], cols[sel]
-        stack = np.zeros((len(states), size, size), dtype=complex)
-        stack[block[r], place[r], place[c]] = values[sel]
+        stack = np.zeros((blocks, size, size), dtype=complex)
+        stack[grid.block[r], grid.place[r], grid.place[c]] = values[sel]
         worst = max(worst, float(np.linalg.svd(stack, compute_uv=False).max()))
     if inside.all():
         return worst
@@ -298,13 +345,15 @@ def sector_norm(op: SparseOperator, masses, n_p: int) -> float:
 # walk-operator spectrum and truncated-series propagator
 
 
-def _within_lambda(h, lam: float) -> np.ndarray:
-    """``h`` as a complex array, once ``lam >= ||h||_2`` is checked."""
-    h = np.asarray(h, dtype=complex)
-    norm = float(np.linalg.norm(h, 2))
+def _spectrum(h, lam: float):
+    """The eigendecomposition ``(w, V)`` of ``h`` as a complex array, once
+    its spectrum shows ``lam >= ||h||_2``: a Hermitian matrix's spectral
+    norm is its largest eigenvalue magnitude."""
+    evals, vecs = np.linalg.eigh(np.asarray(h, dtype=complex))
+    norm = float(np.max(np.abs(evals), initial=0.0))
     if lam < norm:
         raise ValueError(f"lambda = {lam} < ||H|| = {norm}")
-    return h
+    return evals, vecs
 
 
 def _unitarity_defect(u: np.ndarray) -> float:
@@ -312,25 +361,28 @@ def _unitarity_defect(u: np.ndarray) -> float:
     return float(np.linalg.norm(u @ u.conj().T - np.eye(u.shape[0]), 2))
 
 
-def _walk(h: np.ndarray, lam: float):
+def _walk(evals: np.ndarray, vecs: np.ndarray, lam: float):
     """The block-rotation walk ``[[H/l, -S], [S, H/l]]`` with
-    ``S = sqrt(I - (H/l)^2)`` built spectrally, and the spectrum of H/l."""
-    evals, vecs = np.linalg.eigh(h)
+    ``S = sqrt(I - (H/l)^2)``, built from the spectrum ``H = V diag(w) V^dag``,
+    and the spectrum of H/l."""
     e_scaled = np.clip(evals / lam, -1.0, 1.0)
     s_diag = np.sqrt(np.maximum(0.0, 1.0 - e_scaled ** 2))
-    hn = (vecs * e_scaled) @ vecs.conj().T
-    s_mat = (vecs * s_diag) @ vecs.conj().T
-    return np.block([[hn, -s_mat], [s_mat, hn]]), e_scaled
+    n = len(evals)
+    walk = np.empty((2 * n, 2 * n), dtype=complex)
+    walk[:n, :n] = walk[n:, n:] = (vecs * e_scaled) @ vecs.conj().T
+    walk[n:, :n] = (vecs * s_diag) @ vecs.conj().T
+    np.negative(walk[n:, :n], out=walk[:n, n:])
+    return walk, e_scaled
 
 
 def qubiterate_check(h: np.ndarray, lam: float) -> float:
     """Max deviation of the walk operator's eigenphases from
     +-arccos(E_k/lambda).
 
-    The walk's eigenvalues are compared against the phases implied by the
-    spectrum of H.
+    The walk's eigenvalues, from a dense eigensolve of the assembled walk,
+    are compared against the phases implied by the spectrum of H.
     """
-    walk, e_scaled = _walk(_within_lambda(h, lam), lam)
+    walk, e_scaled = _walk(*_spectrum(h, lam), lam)
     phases = np.sort(np.angle(np.linalg.eigvals(walk)))
     expected = np.sort(np.concatenate([np.arccos(e_scaled), -np.arccos(e_scaled)]))
     return float(np.max(np.abs(phases - expected)))
@@ -338,13 +390,17 @@ def qubiterate_check(h: np.ndarray, lam: float) -> float:
 
 def walk_unitarity_defect(h: np.ndarray, lam: float) -> float:
     """||W W^dag - I||_2 for the block-rotation walk above."""
-    return _unitarity_defect(_walk(_within_lambda(h, lam), lam)[0])
+    return _unitarity_defect(_walk(*_spectrum(h, lam), lam)[0])
 
 
 def propagator(h: np.ndarray, t: float) -> np.ndarray:
     """``e^{-iHt}`` of a Hermitian H, as ``V diag(e^{-iwt}) V^dag`` from its
     eigendecomposition ``H = V diag(w) V^dag``."""
-    evals, vecs = np.linalg.eigh(h)
+    return _evolve(*np.linalg.eigh(h), t)
+
+
+def _evolve(evals: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
+    """``V diag(e^{-iwt}) V^dag`` of the spectrum ``(w, V)``."""
     return (vecs * np.exp(-1j * t * evals)) @ vecs.conj().T
 
 
@@ -383,9 +439,11 @@ def jacobi_anger_check(h: np.ndarray, lam: float, t: float, degree: int) -> floa
 
     ``f_d(H) = J_0(lam t) T_0(H/lam) + 2 sum_k (-i)^k J_k(lam t) T_k(H/lam)``
     is built by the Chebyshev matrix recurrence and compared against the
-    spectral :func:`propagator`.
+    spectral propagator, from the eigendecomposition of H that also checks
+    ``lam >= ||H||``.
     """
-    h = _within_lambda(h, lam)
+    h = np.asarray(h, dtype=complex)
+    spectrum = _spectrum(h, lam)
     hn = h / lam
     eye = np.eye(h.shape[0], dtype=complex)
     jk = bessel_j(lam * t, degree)
@@ -394,7 +452,7 @@ def jacobi_anger_check(h: np.ndarray, lam: float, t: float, degree: int) -> floa
     for k in range(1, degree + 1):
         f = f + 2.0 * (-1j) ** k * jk[k] * t_cur
         t_prev, t_cur = t_cur, 2.0 * hn @ t_cur - t_prev
-    return float(np.linalg.norm(propagator(h, t) - f, 2))
+    return float(np.linalg.norm(_evolve(*spectrum, t) - f, 2))
 
 
 # ---------------------------------------------------------------------------
@@ -439,26 +497,32 @@ def sm_projection_check(nu: int, omega: float, length: float, k_cut: float):
     return k_ref[inside], coeff_ref[inside], dist
 
 
-def poly_mps_bond_check(coeffs, n_bits: int) -> int:
-    """Measured tensor-train rank of a polynomial sampled on the
-    two's-complement grid; bounded by 2*deg + 4.
+def poly_mps_bond_check(coeffs, n_bits: int) -> np.ndarray:
+    """Measured tensor-train ranks of polynomials sampled on the
+    two's-complement grid; each is bounded by 2*deg + 4.
 
-    ``coeffs`` are polynomial coefficients, lowest order first.  The rank is
-    the largest numerical rank over the ``n_bits - 1`` unfoldings of the
-    samples (leading bits by the rest), each cut at ``TT_RANK_TOL`` times
-    its largest singular value; a zero polynomial has rank 1.
+    ``coeffs`` holds polynomial coefficients, lowest order first, along its
+    last axis, after any leading batch axes; a polynomial of lower degree is
+    padded with zero leading coefficients, which leave its Horner samples
+    unchanged bit for bit.  A rank is the largest numerical rank over the
+    ``n_bits - 1`` unfoldings of the samples (leading bits by the rest),
+    each cut at ``TT_RANK_TOL`` times its largest singular value; a zero
+    polynomial has rank 1.  Each unfolding of the whole batch goes through
+    one SVD.  Returns the ranks, an integer array of the batch shape.
     """
     if n_bits > 12:
         raise ValueError("n_bits capped at 12 for desk checks")
+    coeffs = np.asarray(coeffs, dtype=float)
     idx = np.arange(2 ** n_bits)
     half = 2 ** (n_bits - 1)
     k = np.where(idx < half, idx, idx - 2 ** n_bits).astype(float)
-    vals = np.polynomial.polynomial.polyval(k, np.asarray(coeffs, dtype=float))
-    ranks = [1]
+    # polyval reads the coefficients along the first axis
+    vals = np.polynomial.polynomial.polyval(k, np.moveaxis(coeffs, -1, 0))  # (*batch, 2**n_bits)
+    ranks = np.ones(coeffs.shape[:-1], dtype=np.int64)
     for cut in range(1, n_bits):
-        s = np.linalg.svd(vals.reshape(2 ** cut, -1), compute_uv=False)
-        ranks.append(int(np.sum(s > TT_RANK_TOL * s[0])))
-    return max(ranks)
+        s = np.linalg.svd(vals.reshape(*ranks.shape, 2 ** cut, -1), compute_uv=False)
+        np.maximum(ranks, np.sum(s > TT_RANK_TOL * s[..., :1], axis=-1), out=ranks)
+    return ranks
 
 
 # ---------------------------------------------------------------------------
@@ -612,14 +676,18 @@ def run_suite(only: str | None = None) -> SuiteReport:
         return worst_ratio, 1.0
 
     def check_poly_mps(rng):
-        worst_slack = 0.0
-        for deg in range(6):
-            for n_bits in (4, 6, 8, 10):
-                coeffs = rng.normal(size=deg + 1)
-                coeffs[-1] = coeffs[-1] if abs(coeffs[-1]) > 0.1 else 1.0
-                rank = poly_mps_bond_check(coeffs, n_bits)
-                worst_slack = max(worst_slack, rank - (2 * deg + 4))
-        return worst_slack, 0.0
+        degrees, widths = np.arange(6), (4, 6, 8, 10)
+        # drawn degree by degree, width by width; row [w, deg] holds a
+        # polynomial of that degree, zero-padded to the largest
+        coeffs = np.zeros((len(widths), len(degrees), len(degrees)))
+        for deg in degrees:
+            for w in range(len(widths)):
+                row = rng.normal(size=deg + 1)
+                row[-1] = row[-1] if abs(row[-1]) > 0.1 else 1.0
+                coeffs[w, deg, :deg + 1] = row
+        slack = max(int(np.max(poly_mps_bond_check(coeffs[w], n_bits) - (2 * degrees + 4)))
+                    for w, n_bits in enumerate(widths))
+        return max(0.0, slack), 0.0
 
     def check_yield_projectors(rng):
         pts = rng.integers(-8, 8, size=(200, 3, 3))

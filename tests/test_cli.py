@@ -487,20 +487,21 @@ def _set_omegas(doc):
     doc["normal_modes"]["omegas"] = [1e-300] * len(doc["normal_modes"]["omegas"])
 
 
-@pytest.mark.parametrize("edit, flags", [
-    (lambda doc: doc["simulation"].update(time_fs=1e300), []),
-    (lambda doc: doc["budget"].update(eps_total=1e-300), []),
-    (lambda doc: doc["budget"].update(lambda_obs=1e300), []),
-    (lambda doc: doc["budget"].update(b_r=2000), []),
-    (lambda doc: doc["electronic"].update(gamma_max=1e300), []),
-    (lambda doc: doc["electronic"].update(sigma_ortho=1e300), []),
-    (lambda doc: doc["electronic"].update(sigma_ortho=1e-300), []),
-    (_set_omegas, []),
-    (None, ["--override", "lambda_h_tilde=1e300"]),
+@pytest.mark.parametrize("edit, flags, stage", [
+    (lambda doc: doc["simulation"].update(time_fs=1e300), [], "precision"),
+    (lambda doc: doc["budget"].update(eps_total=1e-300), [], "grid sizing"),
+    (lambda doc: doc["budget"].update(lambda_obs=1e300), [], "grid sizing"),
+    (lambda doc: doc["budget"].update(b_r=2000), [], "norms and probabilities"),
+    (lambda doc: doc["electronic"].update(gamma_max=1e300), [], "norms and probabilities"),
+    (lambda doc: doc["electronic"].update(sigma_ortho=1e300), [], "grid sizing"),
+    (lambda doc: doc["electronic"].update(sigma_ortho=1e-300), [], "grid sizing"),
+    (_set_omegas, [], "grid sizing"),
+    (None, ["--override", "lambda_h_tilde=1e300"], "cost ledger"),
 ], ids=["time_fs", "eps_total", "lambda_obs", "b_r", "gamma_max", "sigma_ortho-large",
         "sigma_ortho-small", "omegas", "lambda_h_tilde"])
-def test_formula_overflow_exits_2(tmp_path, capsys, edit, flags):
-    # each value passes the schema, yet a cost formula overflows or divides by zero
+def test_formula_overflow_exits_2(tmp_path, capsys, edit, flags, stage):
+    # each value passes the schema, yet a cost formula overflows or divides by
+    # zero; the one-line message names the pipeline stage it happened in
     doc = json.loads(Path(CH4).read_text())
     if edit:
         edit(doc)
@@ -509,7 +510,7 @@ def test_formula_overflow_exits_2(tmp_path, capsys, edit, flags):
     out = tmp_path / "o.json"
     assert main(["estimate", "--input", str(mol), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {stage}: ") and err.count("\n") == 1
     assert not out.exists()
 
 

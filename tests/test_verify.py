@@ -61,6 +61,35 @@ def test_galerkin_dimension_cap():
         galerkin_hamiltonian([1.0, 1.0, 1.0], [-1, -1, 2], 2, 5.0)
 
 
+def test_dimension_cap_raises_on_every_call():
+    # a refused grid is not cached: the second call checks the cap again
+    for _ in range(2):
+        for build in (lambda: galerkin_hamiltonian([1.0] * 3, [-1, -1, 2], 2, 5.0),
+                      lambda: lcu_assemble([1.0] * 3, [-1, -1, 2], 2, 5.0, eta_e=2),
+                      lambda: sector_norm(galerkin_hamiltonian([1.0], [-1], 2, 5.0),
+                                          [1.0] * 3, 2)):
+            with pytest.raises(ValueError, match="exceeds cap"):
+                build()
+
+
+def test_cached_grid_tables_are_read_only():
+    op = galerkin_hamiltonian([1.0, 1836.0], [-1, 1], 2, 5.0)
+    with pytest.raises(ValueError, match="read-only"):
+        op.keys[0] = 0
+    grid = verify._grid_table(2, 2)
+    arrays = [a for a in grid if isinstance(a, np.ndarray)]
+    arrays += [a for move in grid.moves for a in move if isinstance(a, np.ndarray)]
+    assert len(arrays) == 8 + 3 * 2 and not any(a.flags.writeable for a in arrays)
+
+
+def test_assembly_from_a_cold_and_a_warm_table_is_byte_identical():
+    args = ([1.0, 1836.0], [-1, 1], 2, 5.0)
+    for build in (lambda: galerkin_hamiltonian(*args), lambda: lcu_assemble(*args, eta_e=1)):
+        verify._grid_table.cache_clear()
+        cold, warm = build(), build()
+        assert [a.tobytes() for a in cold] == [a.tobytes() for a in warm]
+
+
 def shift_indices_reference(points, pidx, nu, half):
     """Per-point dictionary lookup of the shifted single-particle indices."""
     point_index = {tuple(pt): i for i, pt in enumerate(points)}
@@ -75,7 +104,8 @@ def shift_indices_reference(points, pidx, nu, half):
 
 @pytest.mark.parametrize("n_p", [2, 3])
 def test_shift_indices_match_dictionary_lookup(n_p):
-    points, _, particle_pt = verify._basis([1.0], n_p)
+    grid = verify._grid_table(1, n_p)
+    points, particle_pt = grid.points, grid.particle_pt
     half = (2 ** n_p - 2) // 2
     pidx = particle_pt[0]  # every point of the cube
     for nu in points:
@@ -88,7 +118,7 @@ def test_shift_indices_match_dictionary_lookup(n_p):
     stacked = verify._shift_indices(points, pidx, points[:, None])
     if len(points) ** 2 > verify.MAX_DENSE_DIM:
         return
-    _, _, pair_pt = verify._basis([1.0, 1.0], n_p)
+    pair_pt = verify._grid_table(2, n_p).particle_pt
     for row, nu in zip(stacked, points):
         assert np.array_equal(row, verify._shift_indices(points, pidx, nu))
         for pt in pair_pt:
@@ -118,6 +148,7 @@ def test_lcu_equality_eta2():
     h_g = galerkin_hamiltonian([1.0, 1836.0], [-1, 1], 2, 5.0)
     h_l = lcu_assemble([1.0, 1836.0], [-1, 1], 2, 5.0, eta_e=1)
     diff = h_l - h_g
+    assert diff.keys is h_l.keys is h_g.keys  # one grid table's moves
     assert densify(diff).tobytes() == (densify(h_l) - densify(h_g)).tobytes()
     assert sector_norm(diff, [1.0, 1836.0], 2) <= 1e-12
 
@@ -136,15 +167,19 @@ def test_sparse_difference_matches_dense():
 
 def test_lcu_equality_check_allocates_no_dense_operator():
     # one 729^2 complex matrix is 8.1 MiB; the sparse forms, the block stacks
-    # and the move tables of the check stay near 1 MiB
-    assert run_suite(only="lcu_equality").passed  # warm caches and imports
-    tracemalloc.start()
-    try:
-        assert run_suite(only="lcu_equality").passed
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 4 * 2 ** 20
+    # and the move tables of the check stay near 1 MiB, whether the check
+    # builds the grid tables or finds them cached
+    assert run_suite(only="lcu_equality").passed  # warm imports
+    for cold in (True, False):
+        if cold:
+            verify._grid_table.cache_clear()
+        tracemalloc.start()
+        try:
+            assert run_suite(only="lcu_equality").passed
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2 ** 20
 
 
 def test_lcu_coefficient_sums_match_norms():
@@ -218,8 +253,8 @@ SECTOR_GRIDS = [([1.0], 2), ([1.0], 3), ([1.0, 2.0], 2)]
 
 def _sectors(masses, n_p):
     """Total-momentum sector label of each basis state."""
-    points, _, particle_pt = verify._basis(masses, n_p)
-    momentum = sum(points[pt] for pt in particle_pt)
+    grid = verify._grid_table(len(masses), n_p)
+    momentum = sum(grid.points[pt] for pt in grid.particle_pt)
     return np.unique(momentum, axis=0, return_inverse=True)[1].ravel()
 
 
@@ -312,6 +347,21 @@ def test_qubiterate_rejects_small_lambda():
     h = random_hermitian(rng, 4)
     with pytest.raises(ValueError, match="lambda"):
         qubiterate_check(h, 0.5 * np.linalg.norm(h, 2))
+
+
+@pytest.mark.parametrize("check", [
+    qubiterate_check,
+    walk_unitarity_defect,
+    lambda h, lam: jacobi_anger_check(h, lam, 5.0 / lam, 40),
+], ids=["qubiterate", "unitarity", "jacobi_anger"])
+def test_lambda_guard_at_the_spectral_norm(check):
+    # the guard reads ||H|| off the eigendecomposition each check computes
+    rng = np.random.default_rng(9)
+    h = random_hermitian(rng, 6)
+    norm = float(np.linalg.norm(h, 2))
+    with pytest.raises(ValueError, match=r"lambda = .* < \|\|H\|\| = "):
+        check(h, 0.99 * norm)
+    assert check(h, 1.01 * norm) <= 1e-10
 
 
 def test_walk_unitarity_rejects_small_lambda():
@@ -444,6 +494,24 @@ def test_poly_mps_rank_is_exact(deg):
 
 def test_poly_mps_zero_polynomial():
     assert poly_mps_bond_check([0.0, 0.0], 5) == 1
+
+
+def test_poly_mps_stack_matches_row_by_row():
+    # a (2, 4) batch of polynomials of degree 0 to 4, zero-padded to degree
+    # 4, with one zero polynomial
+    rng = np.random.default_rng(8)
+    degrees = np.array([[0, 2, 4, -1], [1, 3, 0, 4]])
+    coeffs = np.zeros(degrees.shape + (5,))
+    for idx in np.ndindex(degrees.shape):
+        coeffs[idx][:degrees[idx] + 1] = rng.normal(size=degrees[idx] + 1)
+    for n_bits in (1, 4, 7, 10):
+        ranks = poly_mps_bond_check(coeffs, n_bits)
+        assert ranks.shape == degrees.shape
+        for idx in np.ndindex(degrees.shape):
+            assert ranks[idx] == poly_mps_bond_check(coeffs[idx][:max(1, degrees[idx] + 1)],
+                                                     n_bits)
+        assert ranks[0, 3] == 1
+    assert ranks.tolist() == [[1, 3, 5, 1], [2, 4, 1, 5]]
 
 
 def test_poly_mps_cubic_random():
