@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 from qdyncost.model import BudgetSettings, BudgetShares
 
@@ -98,7 +98,7 @@ def allocate(settings: BudgetSettings, t_au: float) -> ErrorBudget:
     eps_h = shares.eps_prop / (2.0 * t_au)
     isp = shares.eps_isp / 7.0
     b = ErrorBudget(
-        eps_total=eps_total, lambda_obs=lambda_obs, policy=policy, **asdict(shares),
+        eps_total=eps_total, lambda_obs=lambda_obs, policy=policy, **vars(shares),
         eps_h=eps_h, eps_t=eps_h / 3.0, eps_v=eps_h / 3.0, eps_theta=eps_h / 3.0,
         eps_dtilde=shares.eps_prop / 4.0,
         eps_asp=isp, eps_mps_classical=isp, eps_mps_quantum=isp, eps_shear=isp,

@@ -49,15 +49,17 @@ def _rescaled_frequencies(spec: MoleculeSpec) -> list:
     return [d ** 2 * w for d, w in zip(nm.d_diag, nm.omegas)] + widths
 
 
-def _nuclear_gaussian_matrix(spec: MoleculeSpec) -> np.ndarray:
+def _nuclear_gaussian_matrix(spec: MoleculeSpec, omegas: list) -> np.ndarray:
     """Momentum-space Gaussian matrix of the ground-state nuclear wavepacket
-    in Cartesian coordinates: A^-1 diag(1/omega) A^-T."""
+    in Cartesian coordinates, A^-1 diag(1/omega) A^-T for the rescaled
+    frequencies ``omegas``; scaling the columns of A^-1 gives the same bits
+    as multiplying by the diagonal matrix, whose other products are zeros."""
     a_inv = np.linalg.inv(spec.normal_modes.transform)
-    omegas = np.asarray(_rescaled_frequencies(spec), dtype=float)
-    return a_inv @ np.diag(1.0 / omegas) @ a_inv.T
+    return (a_inv * (1.0 / np.asarray(omegas, dtype=float))) @ a_inv.T
 
 
-def _delta_target(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> tuple[float, float]:
+def _delta_target(spec: MoleculeSpec, bud: budget_mod.ErrorBudget,
+                  omegas: list) -> tuple[float, float]:
     """Momentum spacing from the coordinate-transform error budget, and the
     infinity norm of the pad mode's shear.
 
@@ -66,7 +68,7 @@ def _delta_target(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> tuple[floa
     route) the 2D-shear sum with its ``beta`` prefactor.
     """
     dims = 3 * spec.particles.eta_n
-    lam = _nuclear_gaussian_matrix(spec)
+    lam = _nuclear_gaussian_matrix(spec, omegas)
     # the Gaussian matrix after the single shear equals lam itself
     # (S^-T D_ch S^-1 = L D_ch L^T), so its top eigenvalue sets the bound
     lmax = float(np.linalg.eigvalsh(lam)[-1])
@@ -84,7 +86,7 @@ def _delta_target(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> tuple[floa
 
 
 def _inf_norm(matrix: np.ndarray) -> float:
-    return float(np.max(np.sum(np.abs(matrix), axis=1)))
+    return float(np.abs(matrix).sum(axis=1).max())
 
 
 def _isp_deltas(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> tuple[float, float]:
@@ -103,36 +105,39 @@ def _isp_deltas(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> tuple[float,
     return min(0.5, delta_e), min(0.25, delta_n_c / 2.0)
 
 
-def size_grid(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> gridsizer.GridParams:
+def size_grid(spec: MoleculeSpec, bud: budget_mod.ErrorBudget,
+              omegas: list) -> gridsizer.GridParams:
     """Size the common grid: the spacing comes from the coordinate-transform
     error budget (which fixes the cell size L), then the cutoffs follow from
     the truncation targets at that L; the molecule's grid overrides may pin
     ``n_p``, ``length``, ``n_isp`` and ``n_pad``.  Unless pinned, ``n_pad``
-    pads the final ``n_isp``."""
+    pads the final ``n_isp``.  ``omegas`` are the molecule's
+    :func:`_rescaled_frequencies`."""
     pins = spec.simulation.overrides
     delta_eca, delta_nt = _isp_deltas(spec, bud)
-    delta_target, norm_inf = _delta_target(spec, bud)
+    delta_target, norm_inf = _delta_target(spec, bud, omegas)
 
     length = 2.0 * math.pi / delta_target
     e = spec.electronic
     k_elec = gridsizer.k_cutoff_electronic(e.gamma_max, e.l_max, e.n_gauss, e.sigma_ortho,
                                            delta_eca)
-    k_nuc = [gridsizer.k_cutoff_nuclear(w, length, spec.nuclear.n_hg, delta_nt)
-             for w in _rescaled_frequencies(spec)]
+    k_nuc = [gridsizer.k_cutoff_nuclear(w, length, spec.nuclear.n_hg, delta_nt) for w in omegas]
 
     grid = gridsizer.common_grid([k_elec] + k_nuc, delta_target, k_nuc)
+    pinned, n_isp = {}, grid.n_isp
     if pins.n_p is not None or pins.length is not None:
         n_p = grid.n_p if pins.n_p is None else pins.n_p
         length_o = grid.length if pins.length is None else pins.length
         n_grid = 2 ** n_p - 1
         delta = 2.0 * math.pi / length_o
-        grid = dataclasses.replace(grid, k_max=delta * (n_grid - 1) / 2.0, delta=delta,
-                                   length=length_o, n_p=n_p, n_grid=n_grid,
-                                   n_isp=min(grid.n_isp, n_p))
-    n_isp = grid.n_isp if pins.n_isp is None else pins.n_isp
+        pinned = dict(k_max=delta * (n_grid - 1) / 2.0, delta=delta, length=length_o,
+                      n_p=n_p, n_grid=n_grid)
+        n_isp = min(n_isp, n_p)
+    if pins.n_isp is not None:
+        n_isp = pins.n_isp
     n_pad = gridsizer.pad_qubits(spec.budget.pad_mode, norm_inf, 3 * spec.particles.eta_n,
                                  n_isp) if pins.n_pad is None else pins.n_pad
-    return dataclasses.replace(grid, n_isp=n_isp, n_pad=n_pad)
+    return dataclasses.replace(grid, **pinned, n_isp=n_isp, n_pad=n_pad)
 
 
 def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
@@ -149,7 +154,8 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     try:
         bud = budget_mod.allocate(settings, t_au)
         stage = "grid sizing"
-        grid = size_grid(spec, bud)
+        omegas = _rescaled_frequencies(spec)
+        grid = size_grid(spec, bud, omegas)
 
         length_adj = 2.0 * math.pi / grid.delta
         omega_cell = length_adj ** 3
@@ -186,7 +192,7 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
 
         # --- trimming error (seeded Monte Carlo) -----------------------------
         stage = "trim Monte Carlo"
-        omega_min = min(_rescaled_frequencies(spec))
+        omega_min = min(omegas)
         sigma_grid = 1.0 / (grid.delta * math.sqrt(omega_min))
         rng = np.random.Generator(np.random.Philox(seed))
         sampler = budget_mod.gaussian_box_sampler(sigma_grid, 2 ** grid.n_p // 2)
@@ -195,7 +201,8 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
         if not all_inside:
             warn.append("trim Monte Carlo observed samples outside the interior box")
     except ArithmeticError as exc:
-        raise type(exc)(f"{stage}: {exc}") from exc
+        # a float power that overflows carries (errno, text): report the text
+        raise type(exc)(f"{stage}: {exc.args[-1] if exc.args else exc}") from exc
 
     # anchors: print the computed value and the published coarse anchor side
     # by side; never fit to them.

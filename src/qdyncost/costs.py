@@ -52,8 +52,10 @@ def erasure_cost(eta: int) -> tuple[int, int]:
     return best_val, best_k
 
 
-# 2**0 .. 2**62: how many are <= m - 1 is ceil(log2(m)) for int64 m > 1, 0 for m = 1
+# 2**0 .. 2**62: how many are < m is ceil(log2(m)) for int64 m >= 1
 _POW2 = 2 ** np.arange(63, dtype=np.int64)
+# sqrt(2**k) for every count k of _POW2, looked up rather than recomputed
+_ROOT_POW2 = np.sqrt(np.ldexp(1.0, np.arange(64)))
 
 
 def _mps_synthesis_sums(tables, b_rot: int) -> np.ndarray:
@@ -62,17 +64,20 @@ def _mps_synthesis_sums(tables, b_rot: int) -> np.ndarray:
     of a site and the one before (1 before the first), so log2(2*m_bar) = k_bar + 1.
     Terms are added one at a time from 0.0 in site order, as a per-site loop does."""
     m = np.asarray(tables, dtype=np.int64)
-    k = np.searchsorted(_POW2, m - 1, side="right")
-    k_bar = np.maximum(k, np.insert(k[..., :-1], 0, 0, axis=-1))
-    m_real = m.astype(float)
-    coeff = 32.0 * (1.0 + math.sqrt(2.0)) * math.sqrt(b_rot + 1.0)
-    terms = np.stack([coeff * m_real * np.sqrt(np.ldexp(1.0, k_bar)),
-                      (8.0 * b_rot - 15.0) * m_real * (k_bar + 1.0)], axis=-1)
+    k_bar = np.searchsorted(_POW2, m)
+    # in place: a ufunc reads overlapping input as it was before the call
+    np.maximum(k_bar[..., 1:], k_bar[..., :-1], out=k_bar[..., 1:])
+    terms = np.empty(m.shape + (2,))
+    sqrt_term, log_term = terms[..., 0], terms[..., 1]
+    np.multiply(m, 32.0 * (1.0 + math.sqrt(2.0)) * math.sqrt(b_rot + 1.0), out=sqrt_term)
+    sqrt_term *= _ROOT_POW2[k_bar]
+    np.multiply(m, 8.0 * b_rot - 15.0, out=log_term)
+    log_term *= k_bar + 1.0
     return np.cumsum(terms.reshape(len(m), -1), axis=1)[:, -1]
 
 
-def _mps_synthesis_ancilla(bond_rows, b_rot: int) -> int:
-    m_max = int(np.max(np.asarray(bond_rows)))
+def _mps_synthesis_ancilla(bond_rows: np.ndarray, b_rot: int) -> int:
+    m_max = int(bond_rows.max())
     anc = (
         0.5 * math.log2(m_max)
         + 2.0 * b_rot * math.sqrt(m_max) / math.sqrt(b_rot + 1.0)
@@ -88,8 +93,10 @@ def _resize_bond_table(table: np.ndarray, n_sites: int) -> np.ndarray:
     have = table.shape[-1]
     if have >= n_sites:
         return table[..., :n_sites]
-    pad = np.repeat(table[..., -1:], n_sites - have, axis=-1)
-    return np.concatenate([table, pad], axis=-1)
+    out = np.empty(table.shape[:-1] + (n_sites,), dtype=table.dtype)
+    out[..., :have] = table
+    out[..., have:] = table[..., -1:]
+    return out
 
 
 def cost_asp(d_configs: int, b_asp: int) -> CostPair:
@@ -130,8 +137,9 @@ def cost_asym(eta_e: int, n_p: int) -> CostPair:
 
 def cost_w_e(eta_e: int, n_mob: int, n_p: int, b_rot: int, bond_dims) -> CostPair:
     """Electronic orbital MPS synthesis; ``bond_dims`` is (n_mob, n_p) (a bound)."""
-    toff = eta_e * n_mob * n_p + 2.0 * eta_e * _mps_synthesis_sums([bond_dims], b_rot).item()
-    return CostPair(toff, n_mob * n_p + _mps_synthesis_ancilla(bond_dims, b_rot), bound=True)
+    bond = np.asarray(bond_dims, dtype=np.int64)
+    toff = eta_e * n_mob * n_p + 2.0 * eta_e * _mps_synthesis_sums(bond[None], b_rot).item()
+    return CostPair(toff, n_mob * n_p + _mps_synthesis_ancilla(bond, b_rot), bound=True)
 
 
 def cost_onb2smb(n_vib: int, n_smb: int) -> CostPair:

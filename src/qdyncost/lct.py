@@ -113,22 +113,20 @@ def ql_unit_decompose(a: np.ndarray):
     scale must be factored out of the transform first.
     """
     a = np.asarray(a, dtype=float)
-    d = a.shape[0]
     q, r = np.linalg.qr(a[::-1, ::-1])
     x = q[::-1, ::-1]
     low = r[::-1, ::-1]
-    signs = np.sign(np.diag(low))
+    signs = np.sign(low.diagonal())
     signs[signs == 0] = 1.0
     x = x * signs[None, :]
     low = low * signs[:, None]
-    if np.max(np.abs(np.diag(low) - 1.0)) > UNIT_DIAG_TOL:
+    if np.abs(low.diagonal() - 1.0).max() > UNIT_DIAG_TOL:
         raise ValueError(
             "transform does not factor as orthogonal times unit shear; "
             "factor out the diagonal scale first"
         )
-    low = low.copy()
+    low = np.tril(low, -1)
     np.fill_diagonal(low, 1.0)
-    low[np.triu_indices(d, 1)] = 0.0
     return x, low
 
 
@@ -241,11 +239,12 @@ def cholesky_unit(lam: np.ndarray):
         c = np.linalg.cholesky(lam)
     except np.linalg.LinAlgError as exc:
         raise ValueError("matrix is not symmetric positive definite") from exc
-    d = np.diag(c).copy()
-    low = c / d[None, :]
+    d = c.diagonal()
+    low = c / d
     d_ch = d ** 2
-    if not np.max(np.abs(low @ np.diag(d_ch) @ low.T - lam)) <= CHOLESKY_TOL * max(
-            1.0, np.max(np.abs(lam))):
+    # scaling the columns of L gives the bits of L @ diag(d_ch): the rest are zeros
+    if not np.abs((low * d_ch) @ low.T - lam).max() <= CHOLESKY_TOL * max(
+            1.0, np.abs(lam).max()):
         raise ValueError("Cholesky factors do not reproduce the matrix")
     return low, d_ch
 

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import MISSING, dataclass, field, fields
+from itertools import chain
 
 import numpy as np
 
@@ -146,32 +147,87 @@ def _one_of(choices):
 
 
 def _each(convert, nonempty: bool = False):
-    """A JSON array, ``convert`` on each entry, as a tuple."""
+    """A JSON array, ``convert`` on each entry, as a tuple.  A list of numbers
+    for ``_number``, ``_positive`` or ``_whole`` is checked in one pass; the
+    entry-by-entry conversion runs only when that check fails, to name the
+    first bad entry."""
+    one_pass = _LIST_CHECKS.get(convert)
+
     def check(value):
         value = _typed(value, list, "an array")
         if nonempty and not value:
             raise ValueError("must not be empty")
+        out = one_pass(value) if one_pass else None
+        if out is not None:
+            return out
         return tuple(_convert(convert, x, i) for i, x in enumerate(value))
     return check
 
 
-def _table(max_rank: int | None = None):
-    """A (nested) JSON array of finite numbers as a float ndarray; with
-    ``max_rank``, a bond-dimension table: a non-empty int ndarray of at most
-    ``max_rank`` axes whose entries are whole numbers >= 1."""
+_REAL = frozenset((int, float))   # the JSON number types; bool is not one
+
+
+def _floats_above(low: float):
+    """The one-pass form of a float converter that accepts finite numbers
+    above ``low``: the entries as floats, or None if any would fail it."""
     def check(value):
-        a = np.asarray(_typed(value, list, "an array"))
-        if a.dtype.kind not in "iuf":
+        if not _REAL.issuperset(map(type, value)):
+            return None
+        try:
+            out = tuple(map(float, value))
+        except OverflowError:
+            return None
+        if all(map(math.isfinite, out)) and (not out or min(out) > low):
+            return out
+        return None
+    return check
+
+
+def _wholes(value):
+    """The one-pass form of ``_whole``: the entries as ints, or None if any
+    would fail it."""
+    if not _REAL.issuperset(map(type, value)):
+        return None
+    try:
+        out = tuple(map(int, value))
+    except (ValueError, OverflowError):
+        return None
+    return out if out == tuple(value) else None
+
+
+_LIST_CHECKS = {_number: _floats_above(-math.inf), _positive: _floats_above(0.0), _whole: _wholes}
+
+
+def _table(max_rank: int | None = None):
+    """A rectangular (nested) JSON array of finite numbers as a float ndarray;
+    with ``max_rank``, a bond-dimension table: a non-empty int ndarray of at
+    most ``max_rank`` axes whose entries are whole numbers >= 1.  The shape
+    and entry types are checked one level of nesting at a time, and the
+    array is built once from the flat entries."""
+    def check(value):
+        shape, level, kinds = [], [_typed(value, list, "an array")], {list}
+        while kinds == {list}:
+            sizes = {*map(len, level)}
+            if len(sizes) > 1:
+                raise ValueError("must be a rectangular table")
+            shape += sizes
+            level = list(chain.from_iterable(level))
+            kinds = {*map(type, level)}
+        if list in kinds:
+            raise ValueError("must be a rectangular table")
+        if not _REAL.issuperset(kinds):
             raise TypeError("must be a table of numbers")
-        if a.dtype.kind == "f" and not np.all(np.isfinite(a)):
-            raise ValueError("entries must be finite numbers")
-        if max_rank is None:
-            return a.astype(float)
-        if a.dtype.kind == "f":
-            if not np.all(a == np.trunc(a)):
+        exact = max_rank is not None and float not in kinds
+        a = np.fromiter(level, np.int64 if exact else float, len(level)).reshape(shape)
+        if not exact:
+            if not np.isfinite(a).all():
+                raise ValueError("entries must be finite numbers")
+            if max_rank is None:
+                return a
+            if not (a == np.trunc(a)).all():
                 raise ValueError("entries must be whole numbers")
             a = a.astype(int)
-        if a.size == 0 or a.ndim > max_rank or not np.all(a >= 1):
+        if a.size == 0 or a.ndim > max_rank or not a.min() >= 1:
             raise ValueError(f"must be a non-empty table of rank <= {max_rank} with "
                              f"entries >= 1, got shape {a.shape}")
         return a

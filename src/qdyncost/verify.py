@@ -118,9 +118,18 @@ def _coulomb_moves(points: np.ndarray, nus: np.ndarray, strides: list,
         ok = (pi_new >= 0) & (pj_new >= 0)
         dst = src + (pi_new - particle_pt[i]) * strides[i] + (pj_new - particle_pt[j]) * strides[j]
         moves.append((i, j, ok, (dst * total + src)[ok]))
-    keys = np.unique(np.concatenate([np.zeros(0, dtype=np.int64), *(m[3] for m in moves)]))
+    keys = _sorted_unique(np.concatenate([np.zeros(0, dtype=np.int64), *(m[3] for m in moves)]))
     return keys, [(i, j, ok, np.searchsorted(keys, flat), np.count_nonzero(ok, axis=1))
                   for i, j, ok, flat in moves]
+
+
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """The distinct entries of a 1-D array, ascending, as ``np.unique`` gives
+    them; a sort and a neighbour mask, since ``np.unique`` loads ``numpy.ma``."""
+    values = np.sort(values)
+    keep = np.ones(len(values), dtype=bool)
+    np.not_equal(values[1:], values[:-1], out=keep[1:])
+    return values[keep]
 
 
 class _GridTable(NamedTuple):
@@ -163,12 +172,18 @@ def _grid_table(eta: int, n_p: int) -> _GridTable:
     keys, moves = _coulomb_moves(points, nus, strides, particle_pt)
 
     momentum = sum(points[pt] for pt in particle_pt)  # (dim, 3)
-    sector = np.unique(momentum, axis=0, return_inverse=True)[1].ravel()
+    # each state's rank among the distinct momenta, sorted on x, then y, then z
+    order = np.lexsort(momentum.T[::-1])
+    ranked = momentum[order]
+    distinct = np.ones(dim, dtype=bool)
+    distinct[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    sector = np.empty(dim, dtype=np.int64)
+    sector[order] = np.cumsum(distinct) - 1
     sizes = np.bincount(sector)
     members = np.split(np.argsort(sector, kind="stable"), np.cumsum(sizes)[:-1])
     block, place = np.empty(dim, dtype=np.int64), np.empty(dim, dtype=np.int64)
     stacks = []
-    for size in np.unique(sizes).tolist():
+    for size in sorted(set(sizes.tolist())):
         states = np.stack([m for m in members if len(m) == size])  # (blocks, size)
         block[states] = np.arange(len(states))[:, None]
         place[states] = np.arange(size)
@@ -516,8 +531,10 @@ def poly_mps_bond_check(coeffs, n_bits: int) -> np.ndarray:
     idx = np.arange(2 ** n_bits)
     half = 2 ** (n_bits - 1)
     k = np.where(idx < half, idx, idx - 2 ** n_bits).astype(float)
-    # polyval reads the coefficients along the first axis
-    vals = np.polynomial.polynomial.polyval(k, np.moveaxis(coeffs, -1, 0))  # (*batch, 2**n_bits)
+    # Horner's rule in numpy's polyval order, highest coefficient first
+    vals = coeffs[..., -1:] + k * 0.0  # (*batch, 2**n_bits)
+    for i in range(coeffs.shape[-1] - 2, -1, -1):
+        vals = coeffs[..., i, None] + vals * k
     ranks = np.ones(coeffs.shape[:-1], dtype=np.int64)
     for cut in range(1, n_bits):
         s = np.linalg.svd(vals.reshape(*ranks.shape, 2 ** cut, -1), compute_uv=False)

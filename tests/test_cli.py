@@ -89,6 +89,25 @@ def test_cli_and_verify_run_without_scipy():
     assert out == ["True", "[]"]
 
 
+def test_verify_and_estimate_leave_lazy_numpy_submodules_unloaded():
+    # numpy 2 loads numpy.ma and numpy.polynomial on first use, which costs a
+    # cold verify about 10 ms; numpy 1.x loads them with numpy itself, so only
+    # modules new since `import numpy` count
+    code = ("import json, sys, numpy\n"
+            "before = set(sys.modules)\n"
+            "from qdyncost import cli, model, verify\n"
+            "verify.run_suite()\n"
+            f"doc = json.load(open({str(Path(CH4).resolve())!r}))\n"
+            "cli.estimate_report(model.validate_molecule(model.molecule_from_dict(doc)))\n"
+            "print(sorted(m for m in set(sys.modules) - before\n"
+            "             if m.split('.')[:2] in (['numpy', 'ma'], ['numpy', 'polynomial'])))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, check=True, env=env).stdout
+    assert out == "[]\n"
+
+
 def test_verify_only_filter(tmp_path):
     out = tmp_path / "verify.json"
     code = main(["verify", "--only", "lcu*", "--out", str(out)])
@@ -511,6 +530,8 @@ def test_formula_overflow_exits_2(tmp_path, capsys, edit, flags, stage):
     assert main(["estimate", "--input", str(mol), "--out", str(out), *flags]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error: {stage}: ") and err.count("\n") == 1
+    # the reason is text, not an (errno, text) tuple
+    assert "(34," not in err
     assert not out.exists()
 
 

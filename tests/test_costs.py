@@ -179,13 +179,13 @@ def _ledger(molecule="molecules/ch4_synthetic.json", pad_mode="SSCT", **budget):
     """The ledger of a fixture on its own grid, at fixed register widths and
     QSP degree, with the given error-budget fields replaced."""
     from qdyncost.budget import allocate
-    from qdyncost.cli import size_grid
+    from qdyncost.cli import _rescaled_frequencies, size_grid
     from qdyncost.encoding import PrecisionParams
 
     spec = load_molecule(molecule)
     spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
     bud = replace(allocate(spec.budget, spec.simulation.time_au), **budget)
-    grid = size_grid(spec, bud)
+    grid = size_grid(spec, bud, _rescaled_frequencies(spec))
     prec = PrecisionParams(mu_t=12, n_m=20, n_theta=18, r_nu=1.0)
     return spec, grid, cost_total(spec, grid, prec, 1e6, 1e-12, bud)
 
@@ -385,7 +385,7 @@ PINNED_W_ROWS = json.loads((Path(__file__).parent / "data" / "pinned_w_rows.json
 @pytest.mark.parametrize("case", sorted(PINNED_W_ROWS))
 def test_w_rows_pinned_across_grid_sizes(case):
     from qdyncost.budget import allocate
-    from qdyncost.cli import size_grid
+    from qdyncost.cli import _rescaled_frequencies, size_grid
 
     molecule, pad_mode, n_isp = case.split("|")
     spec = load_molecule(f"molecules/{molecule}")
@@ -393,7 +393,7 @@ def test_w_rows_pinned_across_grid_sizes(case):
     spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode),
                    simulation=replace(spec.simulation, overrides=overrides))
     bud = allocate(spec.budget, spec.simulation.time_au)
-    grid = size_grid(spec, bud)
+    grid = size_grid(spec, bud, _rescaled_frequencies(spec))
     rows = cost_isp(spec, grid, bud.eps_pk)
     pinned = PINNED_W_ROWS[case]
     assert (grid.n_p, grid.n_isp) == (pinned["n_p"], pinned["n_isp"])
@@ -411,13 +411,13 @@ def test_resize_bond_table():
 
 def test_isp_rows_in_ledger_order():
     from qdyncost.budget import allocate
-    from qdyncost.cli import size_grid
+    from qdyncost.cli import _rescaled_frequencies, size_grid
 
     spec = load_molecule("molecules/ch4_synthetic.json")
     bud = allocate(spec.budget, spec.simulation.time_au)
     for pad_mode, nct in (("SSCT", cost_ssct), ("LCT", cost_lct)):
         spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
-        grid = size_grid(spec, bud)
+        grid = size_grid(spec, bud, _rescaled_frequencies(spec))
         rows = cost_isp(spec, grid, bud.eps_pk)
         assert tuple(rows) == ISP_ROWS
         assert rows["NCT"] == nct(spec.particles.eta_n, grid.n_bar_isp)

@@ -247,6 +247,15 @@ def test_fractional_integer_field_named_in_error(path, value):
      r"^normal_modes.r0\[0\]: must be a finite number, got nan"),
     ("normal_modes", "transform", [[math.nan] * 15] * 15,
      "^normal_modes.transform: entries must be finite numbers"),
+    # a table entry is a number, not true or false, though numpy reads true as 1
+    ("nuclear", "bond_dims", [[[True, 12, 40, 80]] * 4] * 15,
+     "^nuclear.bond_dims: must be a table of numbers"),
+    ("normal_modes", "transform", [[True] + [0.0] * 14] + [[0.0] * 15] * 14,
+     "^normal_modes.transform: must be a table of numbers"),
+    ("electronic", "bond_dims", [[2, 12, 40, 80]] * 9 + [[2, 12, 40]],
+     "^electronic.bond_dims: must be a rectangular table$"),
+    ("nuclear", "bond_dims", [[[2, 12, 40, 80]] * 4] * 14 + [[2, 12, 40, 80]],
+     "^nuclear.bond_dims: must be a rectangular table$"),
 ])
 def test_malformed_field_named_in_error(section, key, value, field):
     doc = json.loads(Path(CH4).read_text())
@@ -272,6 +281,11 @@ EACH_CASES = [
     ("_whole", [1, 2.5], ([1], "[1]: must be a whole number, got 2.5")),
     ("_whole", [math.inf], ([0], "[0]: must be a finite number, got inf")),
     ("_whole", [False], ([0], "[0]: must be a number, got bool")),
+    # several bad entries: the first one is named
+    ("_positive", [2.0, True, math.nan, "x", -1.0], ([1], "[1]: must be a number, got bool")),
+    ("_positive", [2.0, 0, math.nan, "x", True], ([1], "[1]: must be > 0, got 0.0")),
+    ("_number", [2.0, math.nan, "x", True], ([1], "[1]: must be a finite number, got nan")),
+    ("_whole", [2, "x", 1.5, True], ([1], "[1]: must be a number, got str")),
 ]
 
 
@@ -287,3 +301,20 @@ def test_each_converts_or_names_first_bad_entry():
         model._each(model._number)("1, 2")
     with pytest.raises(ValueError, match="must not be empty"):
         model._each(model._number, nonempty=True)([])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(["_number", "_positive", "_whole"]),
+       st.lists(st.one_of(st.integers(-2 ** 70, 2 ** 70), st.floats(), st.booleans(),
+                          st.sampled_from([2.0, -0.0, 1e300, "1"]))))
+def test_each_one_pass_matches_entry_by_entry(name, value):
+    # the one-pass list check gives the entry-by-entry tuple, element types
+    # and all, and declines every list that conversion rejects
+    convert = getattr(model, name)
+    try:
+        want = tuple(convert(x) for x in value)
+    except (TypeError, ValueError, OverflowError):
+        want = None
+    assert repr(model._LIST_CHECKS[convert](value)) == repr(want)
+    if want is not None:
+        assert repr(model._each(convert)(value)) == repr(want)
