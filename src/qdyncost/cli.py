@@ -99,8 +99,8 @@ def _isp_deltas(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> tuple[float,
     """
     p = spec.particles
     mps_share = bud.eps_mps_classical / 2.0
-    delta_e = mps_share / (2.0 ** 1.5 * max(1, p.eta_e) * spec.electronic.n_mob)
-    n_states = 3 * max(1, p.eta_n) * spec.nuclear.n_smb
+    delta_e = mps_share / (2.0 ** 1.5 * p.eta_e * spec.electronic.n_mob)
+    n_states = 3 * p.eta_n * spec.nuclear.n_smb
     delta_n_c = mps_share / (2.0 ** 1.5 * n_states)
     return min(0.5, delta_e), min(0.25, delta_n_c / 2.0)
 
@@ -143,10 +143,6 @@ def size_grid(spec: MoleculeSpec, bud: budget_mod.ErrorBudget,
 def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     """Run the full estimation pipeline on a validated molecule."""
     p = spec.particles
-    if not p.eta_n:
-        raise ValidationError("the estimate needs at least one nucleus", "particles", "eta_n")
-    if not p.eta_e:
-        raise ValidationError("the estimate needs at least one electron", "particles", "eta_e")
     settings = spec.budget
     t_au = spec.simulation.time_au
     # a formula that overflows or divides by zero names the stage it ran in

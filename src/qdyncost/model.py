@@ -147,55 +147,16 @@ def _one_of(choices):
 
 
 def _each(convert, nonempty: bool = False):
-    """A JSON array, ``convert`` on each entry, as a tuple.  A list of numbers
-    for ``_number``, ``_positive`` or ``_whole`` is checked in one pass; the
-    entry-by-entry conversion runs only when that check fails, to name the
-    first bad entry."""
-    one_pass = _LIST_CHECKS.get(convert)
-
+    """A JSON array, ``convert`` on each entry, as a tuple."""
     def check(value):
         value = _typed(value, list, "an array")
         if nonempty and not value:
             raise ValueError("must not be empty")
-        out = one_pass(value) if one_pass else None
-        if out is not None:
-            return out
         return tuple(_convert(convert, x, i) for i, x in enumerate(value))
     return check
 
 
 _REAL = frozenset((int, float))   # the JSON number types; bool is not one
-
-
-def _floats_above(low: float):
-    """The one-pass form of a float converter that accepts finite numbers
-    above ``low``: the entries as floats, or None if any would fail it."""
-    def check(value):
-        if not _REAL.issuperset(map(type, value)):
-            return None
-        try:
-            out = tuple(map(float, value))
-        except OverflowError:
-            return None
-        if all(map(math.isfinite, out)) and (not out or min(out) > low):
-            return out
-        return None
-    return check
-
-
-def _wholes(value):
-    """The one-pass form of ``_whole``: the entries as ints, or None if any
-    would fail it."""
-    if not _REAL.issuperset(map(type, value)):
-        return None
-    try:
-        out = tuple(map(int, value))
-    except (ValueError, OverflowError):
-        return None
-    return out if out == tuple(value) else None
-
-
-_LIST_CHECKS = {_number: _floats_above(-math.inf), _positive: _floats_above(0.0), _whole: _wholes}
 
 
 def _table(max_rank: int | None = None):
@@ -278,8 +239,8 @@ class ParticleTable:
 
     masses: tuple = _arg(_each(_positive))       # electron-mass units; electrons have 1
     charges: tuple = _arg(_each(_whole))         # units of e; electrons have -1
-    eta_e: int = _arg(_at_least(_whole, 0))      # number of electrons
-    eta_n: int = _arg(_at_least(_whole, 0))      # number of nuclei
+    eta_e: int = _arg(_count)                    # number of electrons
+    eta_n: int = _arg(_count)                    # number of nuclei
 
     @property
     def eta(self) -> int:
@@ -450,10 +411,9 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
     together (its converter checked each field alone).  Returns the input
     unchanged, or raises :class:`ValidationError` naming the field."""
     p = spec.particles
-    if not len(p.masses) == len(p.charges) == p.eta >= 1:
-        raise ValidationError(f"eta_e + eta_n = {p.eta} must be >= 1 and equal the numbers of "
-                              f"masses ({len(p.masses)}) and charges ({len(p.charges)})",
-                              "particles")
+    if not len(p.masses) == len(p.charges) == p.eta:
+        raise ValidationError(f"eta_e + eta_n = {p.eta} must equal the numbers of masses "
+                              f"({len(p.masses)}) and charges ({len(p.charges)})", "particles")
     if p.masses[:p.eta_e].count(1) + p.charges[:p.eta_e].count(-1) != 2 * p.eta_e:
         raise ValidationError("the first eta_e particles are electrons, of mass 1 and "
                               "charge -1", "particles")
@@ -463,30 +423,28 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
 
     nm = spec.normal_modes
     dim = 3 * p.eta_n
-    if dim:
-        shape = nm.transform.shape
-        det = float(np.linalg.det(nm.transform)) if shape == (dim, dim) else math.nan
-        if not abs(det - 1.0) <= DET_A_TOL:
-            raise ValidationError(f"must be {dim}x{dim} with det 1 within {DET_A_TOL}, got "
-                                  f"shape {shape} and det={det!r}", "normal_modes", "transform")
-        n_vib = max(0, dim - (5 if nm.linear else 6))
-        if nm.n_vib != n_vib:
-            raise ValidationError(f"expected {n_vib} vibrational frequencies for a "
-                                  f"{'linear' if nm.linear else 'non-linear'} molecule, "
-                                  f"got {nm.n_vib}", "normal_modes", "omegas")
-        for key in ("d_diag", "r0"):
-            if len(getattr(nm, key)) != dim:
-                raise ValidationError(f"must have {dim} entries", "normal_modes", key)
+    shape = nm.transform.shape
+    det = float(np.linalg.det(nm.transform)) if shape == (dim, dim) else math.nan
+    if not abs(det - 1.0) <= DET_A_TOL:
+        raise ValidationError(f"must be {dim}x{dim} with det 1 within {DET_A_TOL}, got "
+                              f"shape {shape} and det={det!r}", "normal_modes", "transform")
+    n_vib = max(0, dim - (5 if nm.linear else 6))
+    if nm.n_vib != n_vib:
+        raise ValidationError(f"expected {n_vib} vibrational frequencies for a "
+                              f"{'linear' if nm.linear else 'non-linear'} molecule, "
+                              f"got {nm.n_vib}", "normal_modes", "omegas")
+    for key in ("d_diag", "r0"):
+        if len(getattr(nm, key)) != dim:
+            raise ValidationError(f"must have {dim} entries", "normal_modes", key)
     if spec.nuclear.n_vib != nm.n_vib:
         raise ValidationError(f"must equal the number of normal_modes.omegas ({nm.n_vib}), "
                               f"got {spec.nuclear.n_vib}", "nuclear", "n_vib")
 
     # each bond table has one row per orbital or per mode and single-modal;
     # a missing row would drop its synthesis cost from a reported bound
-    tables = [("electronic", (spec.electronic.n_mob,), "(n_mob, sites)")]
-    if dim:
-        tables.append(("nuclear", (dim, spec.nuclear.n_smb), "(3*eta_n, n_smb, sites)"))
-    for section, rows, layout in tables:
+    for section, rows, layout in (
+            ("electronic", (spec.electronic.n_mob,), "(n_mob, sites)"),
+            ("nuclear", (dim, spec.nuclear.n_smb), "(3*eta_n, n_smb, sites)")):
         shape = getattr(spec, section).bond_dims.shape
         if shape[:-1] != rows:
             raise ValidationError(f"must have shape {layout} = ({', '.join(map(str, rows))}, "

@@ -389,13 +389,13 @@ def _set_charge(doc):
 
 
 def _free_electron(doc):
-    # validates (tests/test_model.py), but the estimate needs a nucleus
+    # a free electron: the schema asks for at least one nucleus
     doc.update(particles={"masses": [1.0], "charges": [-1], "eta_e": 1, "eta_n": 0},
                allow_non_neutral=True, channels=[])
 
 
 def _bare_nuclei(doc):
-    # validates, but the estimate's state preparation needs an electron
+    # bare nuclei: the schema asks for at least one electron
     p = doc["particles"]
     doc.update(particles={**p, "masses": p["masses"][p["eta_e"]:],
                           "charges": p["charges"][p["eta_e"]:], "eta_e": 0},
@@ -648,3 +648,40 @@ def test_estimate_invariants(fixture, pad_mode, eps_total, time_fs, pins, tighte
         harder = _variant(fixture, pad_mode, min(eps_total, eps_other) if tighter else eps_total,
                           time_fs if tighter else max(time_fs, time_other), {})
         assert _estimate(harder)["aggregates"]["total"]["toffoli"] >= agg["total"]["toffoli"]
+
+
+@pytest.mark.parametrize("path", [CH4, "molecules/ch3obr_synthetic.json"])
+@pytest.mark.parametrize("pad_mode", ["SSCT", "LCT"])
+def test_larger_bond_dims_never_cost_fewer_toffolis(path, pad_mode):
+    # every entry of both MPS bond tables times k = 1, 2, 3
+    doc = json.loads(Path(path).read_text())
+    doc["budget"]["pad_mode"] = pad_mode
+    isp, total = [], []
+    for k in (1, 2, 3):
+        agg = _estimate({**doc, **{
+            section: {**doc[section], "bond_dims": (np.array(doc[section]["bond_dims"]) * k).tolist()}
+            for section in ("electronic", "nuclear")}})["aggregates"]
+        isp.append(agg["ISP_total"]["toffoli"])
+        total.append(agg["total"]["toffoli"])
+    assert isp == sorted(isp)
+    assert total == sorted(total)
+
+
+def _k_max(doc, gamma_scale=1.0) -> float:
+    e = doc["electronic"]
+    scaled = {**doc, "electronic": {**e, "gamma_max": e["gamma_max"] * gamma_scale}}
+    return _estimate(scaled)["scalars"]["k_max"]
+
+
+def test_sto3g_core_exponent_sets_k_max():
+    # CH4 with STO-3G's carbon 1s exponent, 71.6: the electronic cutoff, which
+    # grows as sqrt(gamma_max), sets K_max; at CH4's 2.2 a nuclear one does
+    doc = json.loads(Path("molecules/ch4_sto3g_synthetic.json").read_text())
+    report = _estimate(doc)
+    assert report["scalars"]["n_p"] == 19
+    assert report["scalars"]["k_max"] == pytest.approx(294.56, abs=0.01)
+    assert report["aggregates"]["total"]["toffoli"] == pytest.approx(3.0847e14, rel=1e-4)
+    assert report["qubits"]["total"] == 5862
+    assert _k_max(doc, 1.21) == pytest.approx(1.1 * _k_max(doc), rel=1e-12)
+    ch4 = json.loads(Path(CH4).read_text())
+    assert _k_max(ch4, 1.21) == _k_max(ch4)

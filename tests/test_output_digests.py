@@ -2,7 +2,7 @@
 
 The test regenerates each output in process and compares its digest with
 ``tests/data/output_digests.json``.  The outputs are the ``estimate`` JSON
-(with ``params_hash``), markdown and CSV on both fixtures x {SSCT, LCT} x
+(with ``params_hash``), markdown and CSV on each fixture x {SSCT, LCT} x
 seeds {0, 7}, the ``verify --out`` JSON and the ``lct-bench`` CSV for seeds 0
 and 3.
 
@@ -12,8 +12,10 @@ root::
     PYTHONPATH=src python tests/test_output_digests.py [REV]
 
 For each output whose digest moved, it prints the changed key paths of a JSON
-output (the changed lines of any other) with their values under the source at
-git revision ``REV`` (default ``HEAD``) and under the working tree.
+output (the changed lines of any other) with their values under the source and
+fixtures at git revision ``REV`` (default ``HEAD``) and under the working tree.
+An output with no committed digest, such as one of a new fixture, is printed
+as added.
 """
 
 import contextlib
@@ -32,7 +34,7 @@ from qdyncost.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "tests" / "data" / "output_digests.json"
-FIXTURES = ("ch4_synthetic", "ch3obr_synthetic")
+FIXTURES = ("ch4_synthetic", "ch3obr_synthetic", "ch4_sto3g_synthetic")
 SUFFIXES = {"json": "json", "markdown": "md", "csv": "csv"}
 # verify's measured values end in rounding residuals whose last bits follow
 # the BLAS build, so they are digested rounded to 1e-12: the absolute
@@ -40,8 +42,9 @@ SUFFIXES = {"json": "json", "markdown": "md", "csv": "csv"}
 VERIFY_DECIMALS = 12
 
 
-def outputs() -> dict:
-    """Each deterministic output's name -> its bytes."""
+def outputs(molecules: Path = ROOT / "molecules") -> dict:
+    """Each deterministic output's name -> its bytes, for the fixtures found
+    in ``molecules``."""
     found = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
         out = Path(tmp) / "out"
@@ -52,7 +55,10 @@ def outputs() -> dict:
             found[name] = out.read_bytes()
 
         for fixture in FIXTURES:
-            doc = json.loads((ROOT / "molecules" / f"{fixture}.json").read_text())
+            path = molecules / f"{fixture}.json"
+            if not path.exists():
+                continue
+            doc = json.loads(path.read_text())
             for pad_mode in ("SSCT", "LCT"):
                 mol = Path(tmp) / f"{fixture}.json"
                 mol.write_text(json.dumps({**doc, "budget": {**doc["budget"], "pad_mode": pad_mode}}))
@@ -86,14 +92,15 @@ def test_outputs_match_committed_digests():
 # regeneration
 
 def _outputs_at(rev: str) -> dict:
-    """``outputs()`` under the source tree of git revision ``rev``."""
-    archive = subprocess.run(["git", "archive", rev, "src"], cwd=ROOT, capture_output=True,
-                             check=True).stdout
+    """``outputs()`` under the source tree and fixtures of git revision ``rev``."""
+    archive = subprocess.run(["git", "archive", rev, "src", "molecules"], cwd=ROOT,
+                             capture_output=True, check=True).stdout
     with tempfile.TemporaryDirectory() as tmp:
         with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
             tar.extractall(tmp, filter="data")
-        code = ("import json, runpy, sys\n"
-                f"found = runpy.run_path({str(Path(__file__))!r})['outputs']()\n"
+        code = ("import json, runpy, sys\nfrom pathlib import Path\n"
+                f"found = runpy.run_path({str(Path(__file__))!r})['outputs']"
+                f"(Path({str(Path(tmp) / 'molecules')!r}))\n"
                 "json.dump({k: v.decode() for k, v in found.items()}, sys.stdout)")
         env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
         text = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
@@ -119,7 +126,10 @@ def regenerate(rev: str = "HEAD") -> None:
     found = outputs()
     digests = _digests(found)
     committed = json.loads(DIGESTS.read_text()) if DIGESTS.exists() else {}
-    moved = [name for name in digests if committed.get(name) != digests[name]]
+    added = [name for name in digests if name not in committed]
+    moved = [name for name in digests if committed.get(name, digests[name]) != digests[name]]
+    for name in added:
+        print(f"{name}: added")
     old = _outputs_at(rev) if moved else {}
     for name in moved:
         print(f"{name}: digest moved")
@@ -133,7 +143,8 @@ def regenerate(rev: str = "HEAD") -> None:
                 if not line.startswith(("---", "+++", "@@")):
                     print(f"  {line}")
     DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
-    print(f"wrote {DIGESTS.relative_to(ROOT)}: {len(moved)} of {len(digests)} digests moved")
+    print(f"wrote {DIGESTS.relative_to(ROOT)}: {len(moved)} moved and {len(added)} added "
+          f"of {len(digests)} digests")
 
 
 if __name__ == "__main__":
