@@ -33,6 +33,9 @@ from qdyncost.model import (
 # ---------------------------------------------------------------------------
 # estimation pipeline
 
+# the errors that make an estimate exit 2: the input, not a check, is at fault
+INPUT_ERRORS = (ValidationError, ValueError, KeyError, OSError, ArithmeticError)
+
 # the error-budget fields the report echoes
 REPORTED_BUDGET = ("eps_total", "lambda_obs", "eps_isp", "eps_prop", "eps_b", "eps_qae", "eps_meas",
                    "eps_h", "eps_t", "eps_v", "eps_theta", "eps_dtilde", "policy")
@@ -283,7 +286,7 @@ def run_estimate(args: argparse.Namespace) -> int:
             effective = _with_value(effective, ("budget", "policy"), args.budget_policy)
         report = estimate_report(validate_molecule(molecule_from_dict(effective)),
                                  seed=args.seed)
-    except (ValidationError, ValueError, KeyError, OSError, ArithmeticError) as exc:
+    except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = {"input": doc, "overrides": overrides, "seed": args.seed,

@@ -199,7 +199,7 @@ def cost_isp(spec: MoleculeSpec, grid: gridsizer.GridParams, eps_pk: float) -> d
                         _resize_bond_table(e.bond_dims, grid.n_p)),
         "ASP_n": cost_asp(n.d_configs, n.b_asp),
         "SoSlat_n": cost_soslat(n.d_configs),
-        "ONB2SMB": cost_onb2smb(n.n_vib, n.n_smb),
+        "ONB2SMB": cost_onb2smb(spec.normal_modes.n_vib, n.n_smb),
         "W_n": cost_w_n(grid.n_isp, n.b_rot, _resize_bond_table(n.bond_dims, grid.n_isp)),
         "PK": cost_pk(p.eta_n, grid.n_bar_isp, n.b_grad, eps_pk),
         "TC2SM": cost_tc2sm(p.eta_n, grid.n_bar_isp),

@@ -276,7 +276,6 @@ class NormalModeData:
     omegas: tuple = _arg(_each(_positive))
     transform: np.ndarray = _arg(_table())   # (3*eta_n, 3*eta_n), det = 1
     d_diag: tuple = _arg(_each(_positive))       # diagonal of the factored scale
-    r0: tuple = _arg(_each(_number))             # equilibrium geometry, 3*eta_n bohr values
     gamma_trans: float = _arg(_positive)         # translational Gaussian width
     upsilon_rot: float = _arg(_positive)         # rotational Gaussian width
     linear: bool = _arg(_bool, False)
@@ -306,7 +305,6 @@ class NuclearMeta:
     """Nuclear basis metadata (single-modals and their MPS sizes)."""
 
     n_smb: int = _arg(_count)                    # single-modal basis size per mode
-    n_vib: int = _arg(_whole)
     d_configs: int = _arg(_count)                # number of nuclear configurations
     n_hg: int = _arg(_count)                     # Hermite-Gaussian primitives per mode
     bond_dims: np.ndarray = _arg(_table(max_rank=3))  # (n_modes, n_smb, n_sites) MPS bond dims
@@ -428,17 +426,15 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
     if not abs(det - 1.0) <= DET_A_TOL:
         raise ValidationError(f"must be {dim}x{dim} with det 1 within {DET_A_TOL}, got "
                               f"shape {shape} and det={det!r}", "normal_modes", "transform")
+    if p.eta_n == 2 and not nm.linear:
+        raise ValidationError("must be true: two nuclei lie on a line", "normal_modes", "linear")
     n_vib = max(0, dim - (5 if nm.linear else 6))
     if nm.n_vib != n_vib:
         raise ValidationError(f"expected {n_vib} vibrational frequencies for a "
                               f"{'linear' if nm.linear else 'non-linear'} molecule, "
                               f"got {nm.n_vib}", "normal_modes", "omegas")
-    for key in ("d_diag", "r0"):
-        if len(getattr(nm, key)) != dim:
-            raise ValidationError(f"must have {dim} entries", "normal_modes", key)
-    if spec.nuclear.n_vib != nm.n_vib:
-        raise ValidationError(f"must equal the number of normal_modes.omegas ({nm.n_vib}), "
-                              f"got {spec.nuclear.n_vib}", "nuclear", "n_vib")
+    if len(nm.d_diag) != dim:
+        raise ValidationError(f"must have {dim} entries", "normal_modes", "d_diag")
 
     # each bond table has one row per orbital or per mode and single-modal;
     # a missing row would drop its synthesis cost from a reported bound

@@ -227,9 +227,8 @@ def _linear(doc):
     """``doc`` as a linear molecule: one more vibrational frequency, and two
     rotational widths where a non-linear molecule has three."""
     nm = doc["normal_modes"]
-    omegas = nm["omegas"] + nm["omegas"][-1:]
-    return {**doc, "normal_modes": {**nm, "linear": True, "omegas": omegas},
-            "nuclear": {**doc["nuclear"], "n_vib": len(omegas)}}
+    return {**doc, "normal_modes": {**nm, "linear": True,
+                                    "omegas": nm["omegas"] + nm["omegas"][-1:]}}
 
 
 @pytest.mark.parametrize("pad_mode", ["SSCT", "LCT"])
@@ -244,19 +243,29 @@ def test_estimate_linear_molecule(tmp_path, pad_mode):
     assert json.loads(out.read_text())["scalars"]["pad_mode"] == pad_mode
 
 
+def _hydrogens(doc, eta_n, linear=False):
+    """``doc`` cut down in place to ``eta_n`` hydrogen nuclei and as many
+    electrons, with as many frequencies as a molecule of that shape has, an
+    identity transform and no reaction channel."""
+    nm, nuc, dim = doc["normal_modes"], doc["nuclear"], 3 * eta_n
+    n_omegas = max(0, dim - (5 if linear else 6))
+    doc.update(particles={"masses": [1.0] * eta_n + [1836.15267] * eta_n,
+                          "charges": [-1] * eta_n + [1] * eta_n, "eta_e": eta_n, "eta_n": eta_n},
+               normal_modes={**nm, "omegas": nm["omegas"][:n_omegas], "linear": linear,
+                             "d_diag": nm["d_diag"][:dim], "transform": np.eye(dim).tolist()},
+               nuclear={**nuc, "bond_dims": nuc["bond_dims"][:dim]}, channels=[])
+
+
+@pytest.mark.parametrize("eta_n, linear", [(1, False), (2, True)], ids=["atom", "diatomic"])
 @pytest.mark.parametrize("pad_mode", ["SSCT", "LCT"])
-def test_estimate_atom(tmp_path, pad_mode):
+def test_estimate_atom(tmp_path, pad_mode, eta_n, linear):
     # a hydrogen atom: no frequencies, and three translational widths fill
-    # the 3x3 transform with no rotational one
+    # the 3x3 transform with no rotational one; H2: one frequency, and two
+    # rotational widths
     doc = json.loads(Path(CH4).read_text())
-    nm, nuc = doc["normal_modes"], doc["nuclear"]
-    doc.update(particles={"masses": [1.0, 1836.15267], "charges": [-1, 1],
-                          "eta_e": 1, "eta_n": 1},
-               normal_modes={**nm, "omegas": [], "d_diag": nm["d_diag"][:3], "r0": [0.0] * 3,
-                             "transform": [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]]},
-               nuclear={**nuc, "n_vib": 0, "bond_dims": nuc["bond_dims"][:3]}, channels=[])
+    _hydrogens(doc, eta_n, linear)
     doc["budget"]["pad_mode"] = pad_mode
-    mol = tmp_path / "atom.json"
+    mol = tmp_path / "small.json"
     mol.write_text(json.dumps(doc))
     out = tmp_path / "r.json"
     assert main(["estimate", "--input", str(mol), "--out", str(out)]) == 0
@@ -358,7 +367,8 @@ def test_params_hash_follows_effective_configuration(tmp_path):
                                           "direction": "greater"}]}], "alpha=99"),
     (None, "channels", [{"constraints": [{"alpha": 0, "beta": -1, "cutoff": 3.9,
                                           "direction": "greater"}]}], "beta=-1"),
-    ("nuclear", "n_vib", 99, "nuclear.n_vib"),
+    # a key of older files: n_vib restated len(omegas)
+    ("nuclear", "n_vib", 9, "error: nuclear.n_vib: unknown key"),
     ("budget", "pad_mode", "lct", "budget.pad_mode"),
     ("budget", "policy", "paper", "budget.policy"),
     ("budget", "eps_total", 2.0, "budget.eps_total:"),
@@ -372,6 +382,8 @@ def test_params_hash_follows_effective_configuration(tmp_path):
      "error: nuclear.bond_dims: must have shape (3*eta_n, n_smb, sites)"),
     ("nuclear", "bond_dims", [[[2, 12, 40, 80]] * 3] * 15, "error: nuclear.bond_dims: must have"),
     ("nuclear", "bond_dims", [[2, 12, 40, 80]] * 15, "error: nuclear.bond_dims: must have shape"),
+    # a key of older files, never read
+    ("normal_modes", "r0", [0.0] * 15, "error: normal_modes.r0: unknown key"),
 ])
 def test_malformed_molecule_exits_2(tmp_path, capsys, section, key, value, field):
     doc = json.loads(Path(CH4).read_text())
@@ -409,6 +421,8 @@ def _bare_nuclei(doc):
     (lambda doc: doc["normal_modes"].update(linear="false"), [], "normal_modes.linear"),
     (_free_electron, [], "error: particles.eta_n: "),
     (_bare_nuclei, [], "error: particles.eta_e: "),
+    # a diatomic is linear: one vibration and two rotations, never three
+    (lambda doc: _hydrogens(doc, 2), [], "error: normal_modes.linear: "),
 ])
 def test_schema_violation_exits_2(tmp_path, capsys, edit, flags, field):
     # typos, unknown shares and fractional integers were once read past

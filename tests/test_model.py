@@ -90,20 +90,6 @@ def test_time_conversion_constant():
     assert fs_to_au(30.0) == pytest.approx(1240.2434, abs=1e-3)
 
 
-def test_channel_cutoffs_are_bond_length_plus_margin():
-    # dissociation cutoffs sit 0.4 bohr beyond the equilibrium bond lengths
-    spec = load_molecule(CH4)
-    r0 = np.asarray(spec.normal_modes.r0).reshape(-1, 3)
-    for c in spec.channels[0].constraints:
-        bond = float(np.linalg.norm(r0[c.alpha] - r0[c.beta]))
-        assert c.cutoff == pytest.approx(bond + 0.4, abs=1e-3)
-    spec_br = load_molecule("molecules/ch3obr_synthetic.json")
-    r0b = np.asarray(spec_br.normal_modes.r0).reshape(-1, 3)
-    for c in spec_br.channels[0].constraints:
-        bond = float(np.linalg.norm(r0b[c.alpha] - r0b[c.beta]))
-        assert c.cutoff == pytest.approx(bond + 0.4, abs=1e-3)
-
-
 def test_particle_table_helpers():
     # water: 10 electrons, nuclei 8, 1, 1
     pt = ParticleTable(masses=(1.0,) * 10 + (29164.4, 1837.5, 1837.5),
@@ -221,7 +207,8 @@ def test_fractional_integer_field_named_in_error(path, value):
                                           "direction": "greater"}]}], "alpha=99"),
     (None, "channels", [{"constraints": [{"alpha": 0, "beta": -1, "cutoff": 3.9,
                                           "direction": "greater"}]}], "beta=-1"),
-    ("nuclear", "n_vib", 99, "nuclear.n_vib"),
+    # a key of older files: n_vib restated len(omegas)
+    ("nuclear", "n_vib", 9, "^nuclear.n_vib: unknown key"),
     ("budget", "pad_mode", "lct", "budget.pad_mode"),
     ("budget", "policy", "paper", "budget.policy"),
     ("budget", "eps_totl", 0.1, "budget.eps_totl"),
@@ -242,8 +229,8 @@ def test_fractional_integer_field_named_in_error(path, value):
     # json reads the tokens Infinity and NaN as floats
     ("simulation", "anchors", {"time_evolution_toffoli": math.inf},
      "^simulation.anchors.time_evolution_toffoli: must be a finite number, got inf"),
-    ("normal_modes", "r0", [math.nan] + [0.0] * 14,
-     r"^normal_modes.r0\[0\]: must be a finite number, got nan"),
+    # a key of older files, never read
+    ("normal_modes", "r0", [0.0] * 15, "^normal_modes.r0: unknown key"),
     ("normal_modes", "transform", [[math.nan] * 15] * 15,
      "^normal_modes.transform: entries must be finite numbers"),
     # a table entry is a number, not true or false, though numpy reads true as 1

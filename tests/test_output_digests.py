@@ -2,9 +2,9 @@
 
 The test regenerates each output in process and compares its digest with
 ``tests/data/output_digests.json``.  The outputs are the ``estimate`` JSON
-(with ``params_hash``), markdown and CSV on each fixture x {SSCT, LCT} x
-seeds {0, 7}, the ``verify --out`` JSON and the ``lct-bench`` CSV for seeds 0
-and 3.
+(with ``params_hash``), markdown and CSV on each document of
+``molecule_files.fixture_documents`` x {SSCT, LCT} x seeds {0, 7}, the
+``verify --out`` JSON and the ``lct-bench`` CSV for seeds 0 and 3.
 
 To rewrite the file after a declared output change, run from the repository
 root::
@@ -30,11 +30,11 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+from molecule_files import MOLECULES, fixture_documents
 from qdyncost.cli import main
 
 ROOT = Path(__file__).resolve().parents[1]
 DIGESTS = ROOT / "tests" / "data" / "output_digests.json"
-FIXTURES = ("ch4_synthetic", "ch3obr_synthetic", "ch4_sto3g_synthetic")
 SUFFIXES = {"json": "json", "markdown": "md", "csv": "csv"}
 # verify's measured values end in rounding residuals whose last bits follow
 # the BLAS build, so they are digested rounded to 1e-12: the absolute
@@ -42,9 +42,9 @@ SUFFIXES = {"json": "json", "markdown": "md", "csv": "csv"}
 VERIFY_DECIMALS = 12
 
 
-def outputs(molecules: Path = ROOT / "molecules") -> dict:
-    """Each deterministic output's name -> its bytes, for the fixtures found
-    in ``molecules``."""
+def outputs(molecules: Path = MOLECULES) -> dict:
+    """Each deterministic output's name -> its bytes, for the fixture
+    documents of the files in ``molecules``."""
     found = {}
     with tempfile.TemporaryDirectory() as tmp, contextlib.redirect_stderr(io.StringIO()):
         out = Path(tmp) / "out"
@@ -54,11 +54,7 @@ def outputs(molecules: Path = ROOT / "molecules") -> dict:
                 raise RuntimeError(f"{' '.join(argv)} failed")
             found[name] = out.read_bytes()
 
-        for fixture in FIXTURES:
-            path = molecules / f"{fixture}.json"
-            if not path.exists():
-                continue
-            doc = json.loads(path.read_text())
+        for fixture, doc in fixture_documents(molecules).items():
             for pad_mode in ("SSCT", "LCT"):
                 mol = Path(tmp) / f"{fixture}.json"
                 mol.write_text(json.dumps({**doc, "budget": {**doc["budget"], "pad_mode": pad_mode}}))
@@ -102,7 +98,8 @@ def _outputs_at(rev: str) -> dict:
                 f"found = runpy.run_path({str(Path(__file__))!r})['outputs']"
                 f"(Path({str(Path(tmp) / 'molecules')!r}))\n"
                 "json.dump({k: v.decode() for k, v in found.items()}, sys.stdout)")
-        env = {**os.environ, "PYTHONPATH": str(Path(tmp) / "src")}
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(Path(tmp) / "src"),
+                                                             str(Path(__file__).parent)))}
         text = subprocess.run([sys.executable, "-c", code], cwd=ROOT, env=env,
                               capture_output=True, check=True, text=True).stdout
     return {name: data.encode() for name, data in json.loads(text).items()}
