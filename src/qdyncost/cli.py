@@ -21,13 +21,7 @@ import numpy as np
 
 from qdyncost import budget as budget_mod
 from qdyncost import costs, encoding, gridsizer, lct
-from qdyncost.model import (
-    BUDGET_POLICIES,
-    MoleculeSpec,
-    ValidationError,
-    molecule_from_dict,
-    validate_molecule,
-)
+from qdyncost.model import MoleculeSpec, ValidationError, molecule_from_dict, validate_molecule
 
 
 # ---------------------------------------------------------------------------
@@ -148,7 +142,8 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     p = spec.particles
     settings = spec.budget
     t_au = spec.simulation.time_au
-    # a formula that overflows or divides by zero names the stage it ran in
+    # a formula that overflows, divides by zero or fails a guard names the
+    # stage it ran in; a schema error already names its field
     stage = "budget allocation"
     try:
         bud = budget_mod.allocate(settings, t_au)
@@ -199,7 +194,9 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
                                                           settings.trim_alpha, rng)
         if not all_inside:
             warn.append("trim Monte Carlo observed samples outside the interior box")
-    except ArithmeticError as exc:
+    except ValidationError:
+        raise
+    except (ArithmeticError, ValueError) as exc:
         # a float power that overflows carries (errno, text): report the text
         raise type(exc)(f"{stage}: {exc.args[-1] if exc.args else exc}") from exc
 
@@ -217,11 +214,12 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
         anchors["time_evolution_computed"] = evolution
         anchors["time_evolution_ratio"] = evolution / float(anchors["time_evolution_toffoli"])
 
-    return costs.CostReport(
-        rows=ledger.rows, aggregates=ledger.aggregates, qubits=ledger.qubits,
+    return dataclasses.replace(
+        ledger,
         scalars={
-            # in pipeline order: inputs, grid, norms, probabilities, precision,
-            # propagator, ledger, trimming
+            **ledger.scalars,
+            # then in pipeline order: inputs, grid, norms, probabilities,
+            # precision, propagator, trimming
             "t_fs": spec.simulation.time_fs, "t_au": t_au, "seed": seed,
             "pad_mode": settings.pad_mode,
             "k_max": grid.k_max, "delta": grid.delta, "length": grid.length,
@@ -234,9 +232,6 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
             "p_nu": probs.p_nu, "p_zeta": probs.p_zeta, "p_eq": probs.p_eq,
             "mu_t": prec.mu_t, "n_m": prec.n_m, "n_theta": prec.n_theta, "r_nu": prec.r_nu,
             "eps_h": eps_h, "d_tilde": math.ceil(d_tilde), "qsp_degree_real": d_tilde,
-            "qae_calls": ledger.qae_calls, "qpe_register": ledger.qpe_register,
-            "iterate_ancilla_set_by": ledger.iterate_ancilla_set_by,
-            "isp_ancilla_set_by": ledger.isp_ancilla_set_by,
             "eps_trim_bound": trim_bound, "trim_n_mc": settings.trim_n_mc,
             "trim_alpha": settings.trim_alpha,
             "budget": {**{name: getattr(bud, name) for name in REPORTED_BUDGET},
@@ -269,29 +264,21 @@ def _with_value(doc, path: tuple, value):
 def run_estimate(args: argparse.Namespace) -> int:
     """Estimate command: molecule file in, deterministic report out.
 
-    The ``--override`` values and ``--budget-policy`` are written into the
-    document before it is parsed, so they pass the same checks as file
-    values.  ``params_hash`` is a hash of the effective configuration: the
-    input document, the ``--override`` values, the seed and the budget
-    policy.
+    The ``--override`` values are written into the document before it is
+    parsed, so they pass the same checks as file values.  ``params_hash`` is
+    a hash of the effective configuration: that one document and the seed.
     """
-    overrides = dict(args.override)
     try:
         with open(args.input_path) as fh:
-            doc = json.load(fh)
-        effective = doc
-        for key, value in overrides.items():
-            effective = _with_value(effective, ("simulation", "overrides", key), value)
-        if args.budget_policy:
-            effective = _with_value(effective, ("budget", "policy"), args.budget_policy)
-        report = estimate_report(validate_molecule(molecule_from_dict(effective)),
-                                 seed=args.seed)
+            doc = _decode(fh.read())
+        for key, value in args.override:
+            doc = _with_value(doc, ("simulation", "overrides", key), value)
+        report = estimate_report(validate_molecule(molecule_from_dict(doc)), seed=args.seed)
     except INPUT_ERRORS as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = {"input": doc, "overrides": overrides, "seed": args.seed,
-              "budget_policy": args.budget_policy}
-    canonical = json.dumps(config, sort_keys=True, separators=(",", ":"))
+    canonical = json.dumps({"input": doc, "seed": args.seed}, sort_keys=True,
+                           separators=(",", ":"))
     report = dataclasses.replace(
         report, params_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16])
     return _write_report(report.to_json_dict(), args.out_format, args.out_path)
@@ -411,12 +398,21 @@ def _seed(text: str) -> int:
     return int(text)
 
 
+def _decode(text: str):
+    """``text`` as JSON; text nested past the decoder's recursion limit is
+    undecodable like any other malformed JSON."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise json.JSONDecodeError("nested too deeply to decode", text, 0) from None
+
+
 def _parse_override(item: str):
     key, _, raw = item.partition("=")
     if not _:
         raise argparse.ArgumentTypeError(f"override must be KEY=VALUE, got {item!r}")
     try:
-        val = json.loads(raw)
+        val = _decode(raw)
     except json.JSONDecodeError:
         val = raw
     return key, val
@@ -428,12 +424,11 @@ FLAGS = {
     "--out": dict(dest="out_path"),
     "--format": dict(dest="out_format", default="json", choices=("json", "csv", "markdown")),
     "--seed": dict(type=_seed, default=0),
-    "--budget-policy": dict(dest="budget_policy", choices=BUDGET_POLICIES),
     "--only": dict(),
     "--override": dict(action="append", default=[], type=_parse_override),
 }
 SUBCOMMAND_FLAGS = {
-    "estimate": ("--input", "--out", "--format", "--seed", "--budget-policy", "--override"),
+    "estimate": ("--input", "--out", "--format", "--seed", "--override"),
     "verify": ("--out", "--only"),
     "lct-bench": ("--out", "--seed"),
 }

@@ -334,7 +334,8 @@ def cost_r0_qae(eta_e: int, eta_n: int, n_p: int, n_nuc: int) -> CostPair:
 
 @dataclass(frozen=True)
 class CostReport:
-    """Full cost ledger: per-subroutine rows plus derived aggregates."""
+    """An estimate's report: its cost ledger's rows and aggregates, qubit
+    counts, scalars, warnings, anchors and configuration hash."""
 
     rows: dict          # name -> CostPair
     aggregates: dict    # name -> CostPair
@@ -364,31 +365,16 @@ class CostReport:
         }
 
 
-@dataclass(frozen=True)
-class Ledger:
-    """An estimate's whole cost ledger: every row and aggregate (name ->
-    CostPair), the qubit counts (``C_anc``, ``C_data``, ``total``), the
-    amplitude-estimation figures and the row that sets each ancilla maximum."""
-
-    rows: dict
-    aggregates: dict
-    qubits: dict
-    qae_calls: float
-    qpe_register: int
-    isp_ancilla_set_by: str
-    iterate_ancilla_set_by: str
-    warnings: tuple
-
-
 def cost_total(spec: MoleculeSpec, grid: gridsizer.GridParams, prec: encoding.PrecisionParams,
-               d_tilde: float, eps_rot: float, bud: budget.ErrorBudget) -> Ledger:
+               d_tilde: float, eps_rot: float, bud: budget.ErrorBudget) -> CostReport:
     """The end-to-end ledger: ISP, the propagator over the controlled walk and
     the QFT of all ``3*eta`` momentum registers make one pass ``U~``; amplitude
     estimation then makes ``lambda_O/(2*eps_QAE)`` calls to the iterate
     ``2*(U_PiS + U~) + R0_QAE``, ``U_PiS`` indicating the first reaction channel
     (a zero row without one).  ISP and the iterate hold the ``3*eta_n*n_ext``
     exterior-grid qubits plus their largest ancilla demand (the iterate one
-    more); the first maximum listed wins a tie."""
+    more); the first maximum listed wins a tie.  The report's scalars are the
+    amplitude-estimation figures and the row that sets each ancilla maximum."""
     p = spec.particles
     isp_rows = cost_isp(spec, grid, bud.eps_pk)
     isp_set_by = max(isp_rows, key=lambda k: isp_rows[k].ancilla)
@@ -426,7 +412,7 @@ def cost_total(spec: MoleculeSpec, grid: gridsizer.GridParams, prec: encoding.Pr
     c_data = gridsizer.data_qubits(p.eta, p.eta_e, grid.n_p)
 
     bound_any = any(c.bound for c in (isp, propagator, qft, u_pis, r0_qae))
-    return Ledger(
+    return CostReport(
         rows={**isp_rows, **walk_rows, "QFT": qft, "U_PiS": u_pis, "R0_QAE": r0_qae},
         aggregates={
             "U_evolution": CostPair(u_tilde_toff, max(isp.ancilla, propagator.ancilla),
@@ -437,6 +423,7 @@ def cost_total(spec: MoleculeSpec, grid: gridsizer.GridParams, prec: encoding.Pr
             "ISP_total": isp, "ctrl_walk": walk, "time_evolution": propagator,
         },
         qubits={"C_anc": c_anc, "C_data": c_data, "total": c_data + c_anc},
-        qae_calls=calls, qpe_register=s_qpe, isp_ancilla_set_by=isp_set_by,
-        iterate_ancilla_set_by=set_by, warnings=warnings,
+        scalars={"qae_calls": calls, "qpe_register": s_qpe, "isp_ancilla_set_by": isp_set_by,
+                 "iterate_ancilla_set_by": set_by},
+        warnings=warnings, anchors={},
     )

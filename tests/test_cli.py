@@ -312,7 +312,7 @@ def _registered_flags():
 
 def test_flags_registered_per_subcommand():
     assert _registered_flags() == {
-        "estimate": ["--budget-policy", "--format", "--input", "--out", "--override", "--seed"],
+        "estimate": ["--format", "--input", "--out", "--override", "--seed"],
         "verify": ["--only", "--out"],
         "lct-bench": ["--out", "--seed"],
     }
@@ -337,6 +337,8 @@ def test_readme_flag_table_matches_parser():
     ["estimate"],
     # one molecule file per run; a shell loop over --input estimates several
     ["estimate", "--batch", CH4],
+    # budget.policy is set in the molecule file only
+    ["estimate", "--input", CH4, "--budget-policy", "custom"],
 ])
 def test_ignored_flag_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:
@@ -345,16 +347,21 @@ def test_ignored_flag_is_usage_error(argv):
 
 
 def test_params_hash_follows_effective_configuration(tmp_path):
-    def params_hash(*extra):
+    def params_hash(*extra, mol=CH4):
         out = tmp_path / "r.json"
-        assert main(["estimate", "--input", CH4, "--out", str(out), *extra]) == 0
+        assert main(["estimate", "--input", str(mol), "--out", str(out), *extra]) == 0
         return json.loads(out.read_text())["params_hash"]
 
     base = params_hash("--seed", "1")
     assert params_hash("--seed", "1") == base
     assert params_hash("--seed", "2") != base
     assert params_hash("--seed", "1", "--override", "lambda_h_tilde=1e6") != base
-    assert params_hash("--seed", "1", "--budget-policy", "paper_default") != base
+    # one effective document, one hash: a pin in the file or on the command line
+    doc = json.loads(Path(CH4).read_text())
+    doc["simulation"]["overrides"] = {"n_p": 20}
+    pinned = tmp_path / "pinned.json"
+    pinned.write_text(json.dumps(doc))
+    assert params_hash(mol=pinned) == params_hash("--override", "n_p=20") != params_hash()
 
 
 @pytest.mark.parametrize("section, key, value, field", [
@@ -483,7 +490,33 @@ def test_custom_budget_zero_share_exits_2(tmp_path, capsys):
     mol = tmp_path / "custom.json"
     mol.write_text(json.dumps(doc))
     assert main(["estimate", "--input", str(mol), "--out", str(tmp_path / "o.json")]) == 2
-    assert "eps_prop" in capsys.readouterr().err
+    assert capsys.readouterr().err.startswith("error: budget allocation: eps_prop")
+
+
+# deeper than the JSON decoder's recursion limit
+DEEP = "[" * 5000 + "]" * 5000
+
+
+@pytest.mark.parametrize("text, flags", [
+    (b"", []),
+    (b'{"particles": ', []),
+    (b"\xff\xfe", []),
+    (b"[]", []),
+    (b'{"particles": ' + DEEP.encode() + b"}", []),
+    (None, ["--override", f"n_p={DEEP}"]),
+], ids=["empty", "truncated", "not-utf8", "array", "deep", "deep-override"])
+def test_unreadable_molecule_file_exits_2(tmp_path, capsys, text, flags):
+    # the molecule file holds ``text``, or is CH4 without one
+    mol = tmp_path / "raw.json"
+    if text is not None:
+        mol.write_bytes(text)
+    out = tmp_path / "o.json"
+    assert main(["estimate", "--input", CH4 if text is None else str(mol), "--out", str(out),
+                 *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 def test_trim_n_mc_above_int64_exits_2(tmp_path, capsys):
@@ -530,8 +563,10 @@ def _set_omegas(doc):
     (lambda doc: doc["electronic"].update(sigma_ortho=1e-300), [], "grid sizing"),
     (_set_omegas, [], "grid sizing"),
     (None, ["--override", "lambda_h_tilde=1e300"], "cost ledger"),
+    # the cell volume underflows to 0, which a guard rejects
+    (None, ["--override", "length=1e-300"], "norms and probabilities"),
 ], ids=["time_fs", "eps_total", "lambda_obs", "b_r", "gamma_max", "sigma_ortho-large",
-        "sigma_ortho-small", "omegas", "lambda_h_tilde"])
+        "sigma_ortho-small", "omegas", "lambda_h_tilde", "length"])
 def test_formula_overflow_exits_2(tmp_path, capsys, edit, flags, stage):
     # each value passes the schema, yet a cost formula overflows or divides by
     # zero; the one-line message names the pipeline stage it happened in

@@ -192,8 +192,8 @@ def _ledger(molecule="molecules/ch4_synthetic.json", pad_mode="SSCT", **budget):
 
 def test_cost_total_call_count_and_register():
     spec, grid, ledger = _ledger(eps_qae=0.0625, lambda_obs=1.0)
-    assert ledger.qae_calls == pytest.approx(8.0)
-    assert ledger.qpe_register == 4
+    assert ledger.scalars["qae_calls"] == pytest.approx(8.0)
+    assert ledger.scalars["qpe_register"] == 4
     # the iterate holds the exterior-grid qubits and one more, plus the
     # largest demand of its terms (the first listed wins a tie)
     rows, agg = ledger.rows, ledger.aggregates
@@ -201,7 +201,8 @@ def test_cost_total_call_count_and_register():
     demand = {"U_PiS": rows["U_PiS"].ancilla - 1, "propagator": agg["time_evolution"].ancilla,
               "ISP": max(rows[name].ancilla for name in ISP_ROWS),
               "R0_QAE": rows["R0_QAE"].ancilla}
-    assert ledger.iterate_ancilla_set_by == max(demand, key=demand.get) == "propagator"
+    assert ledger.scalars["iterate_ancilla_set_by"] == max(demand, key=demand.get) \
+        == "propagator"
     c_anc = 4 + 1 + held + demand["propagator"]
     assert agg["QAE_iterate"].ancilla == c_anc - 4
     assert ledger.qubits["C_anc"] == agg["QAE_total"].ancilla == agg["total"].ancilla == c_anc
@@ -222,7 +223,7 @@ def test_cost_total_iterate_identity():
                                 + agg["ISP_total"].toffoli)
     iterate = agg["QAE_iterate"].toffoli
     assert iterate == pytest.approx(2 * (rows["U_PiS"].toffoli + u_t) + rows["R0_QAE"].toffoli)
-    assert agg["QAE_total"].toffoli == pytest.approx(ledger.qae_calls * iterate)
+    assert agg["QAE_total"].toffoli == pytest.approx(ledger.scalars["qae_calls"] * iterate)
     assert agg["total"].toffoli == pytest.approx(u_t + agg["QAE_total"].toffoli)
 
 
@@ -237,7 +238,7 @@ def test_isp_total_sums_its_rows(molecule, pad_mode):
     isp = ledger.aggregates["ISP_total"]
     assert isp.toffoli == sum(row.toffoli for row in rows)
     largest = max(row.ancilla for row in rows)
-    assert ledger.rows[ledger.isp_ancilla_set_by].ancilla == largest
+    assert ledger.rows[ledger.scalars["isp_ancilla_set_by"]].ancilla == largest
     assert isp.ancilla == 3 * spec.particles.eta_n * grid.n_ext + largest
     assert isp.bound == any(row.bound for row in rows)
 

@@ -15,9 +15,11 @@ For each output whose digest moved, it prints the changed key paths of a JSON
 output (the changed lines of any other) with their values under the source and
 fixtures at git revision ``REV`` (default ``HEAD``) and under the working tree.
 An output with no committed digest, such as one of a new fixture, is printed
-as added.
+as added.  A summary follows: each changed JSON key path with the number of
+outputs it changed in, and the number of non-JSON outputs that moved.
 """
 
+import collections
 import contextlib
 import difflib
 import hashlib
@@ -128,17 +130,23 @@ def regenerate(rev: str = "HEAD") -> None:
     for name in added:
         print(f"{name}: added")
     old = _outputs_at(rev) if moved else {}
+    paths, other = collections.Counter(), 0
     for name in moved:
         print(f"{name}: digest moved")
         before, after = old.get(name, b""), found[name]
-        if name.endswith(".json") and before:
-            for path, a, b in _changed_paths(json.loads(before), json.loads(after)):
+        if name.endswith(".json"):
+            for path, a, b in _changed_paths(json.loads(before or b"{}"), json.loads(after)):
+                paths[path] += 1
                 print(f"  {path}: {a!r} -> {b!r}")
         else:
+            other += 1
             for line in difflib.unified_diff(before.decode().splitlines(),
                                              after.decode().splitlines(), lineterm="", n=0):
                 if not line.startswith(("---", "+++", "@@")):
                     print(f"  {line}")
+    for path, count in sorted(paths.items()):
+        print(f"{path}: moved in {count} JSON outputs")
+    print(f"{other} moved non-JSON outputs")
     DIGESTS.write_text(json.dumps(digests, indent=2) + "\n")
     print(f"wrote {DIGESTS.relative_to(ROOT)}: {len(moved)} moved and {len(added)} added "
           f"of {len(digests)} digests")
