@@ -17,11 +17,10 @@ import math
 import sys
 import time
 
-import numpy as np
-
 from qdyncost import budget as budget_mod
-from qdyncost import costs, encoding, gridsizer, lct
-from qdyncost.model import MoleculeSpec, ValidationError, molecule_from_dict, validate_molecule
+from qdyncost import costs, encoding, gram, gridsizer
+from qdyncost.model import (MoleculeSpec, ValidationError, molecule_from_dict, ordered_sum,
+                            validate_molecule)
 
 
 # ---------------------------------------------------------------------------
@@ -46,15 +45,6 @@ def _rescaled_frequencies(spec: MoleculeSpec) -> list:
     return [d ** 2 * w for d, w in zip(nm.d_diag, nm.omegas)] + widths
 
 
-def _nuclear_gaussian_matrix(spec: MoleculeSpec, omegas: list) -> np.ndarray:
-    """Momentum-space Gaussian matrix of the ground-state nuclear wavepacket
-    in Cartesian coordinates, A^-1 diag(1/omega) A^-T for the rescaled
-    frequencies ``omegas``; scaling the columns of A^-1 gives the same bits
-    as multiplying by the diagonal matrix, whose other products are zeros."""
-    a_inv = np.linalg.inv(spec.normal_modes.transform)
-    return (a_inv * (1.0 / np.asarray(omegas, dtype=float))) @ a_inv.T
-
-
 def _delta_target(spec: MoleculeSpec, bud: budget_mod.ErrorBudget,
                   omegas: list) -> tuple[float, float]:
     """Momentum spacing from the coordinate-transform error budget, and the
@@ -62,28 +52,33 @@ def _delta_target(spec: MoleculeSpec, bud: budget_mod.ErrorBudget,
 
     Uses the linear relaxation of the shear bound,
     ``eps <= sqrt(2)*Delta*sqrt(dims*lmax)``, plus (for the multi-shear
-    route) the 2D-shear sum with its ``beta`` prefactor.
+    route) the 2D-shear sum with its ``beta`` prefactor.  ``lmax`` is the top
+    eigenvalue of the nuclear Gaussian matrix ``lam = A^-1 diag(1/omega)
+    A^-T``, whose inverse is the Gram matrix ``M = A^T diag(omega) A``; the
+    single shear leaves lam as it is (S^-T D_ch S^-1 = L D_ch L^T), so its
+    top eigenvalue sets the bound.
     """
     dims = 3 * spec.particles.eta_n
-    lam = _nuclear_gaussian_matrix(spec, omegas)
-    # the Gaussian matrix after the single shear equals lam itself
-    # (S^-T D_ch S^-1 = L D_ch L^T), so its top eigenvalue sets the bound
-    lmax = float(np.linalg.eigvalsh(lam)[-1])
+    a = spec.normal_modes.transform
+    m = gram.gram(a, omegas)
+    lmax = 1.0 / gram.smallest_eigenvalue(m)
     delta_shear = bud.eps_shear / (math.sqrt(2.0) * math.sqrt(dims * lmax))
     if spec.budget.pad_mode == "LCT":
         beta = gridsizer.shear_beta(dims)
         delta_ortho = bud.eps_ortho / (math.sqrt(2.0) * beta * math.sqrt(lmax))
         try:
-            shear = lct.ql_unit_decompose(spec.normal_modes.transform.T)[1]  # A^T = X L
+            shear = gram.ql_unit_lower(zip(*a))  # A^T = X L
         except ValueError:
             raise ValidationError("pad_mode LCT needs transform^T = X L with X orthogonal and L "
                                   "unit lower-triangular", "normal_modes", "transform") from None
         return min(delta_shear, delta_ortho), _inf_norm(shear)
-    return delta_shear, _inf_norm(lct.ssct_program(lam)[0].steps[0].matrix)
+    # the single shear L^-T of lam = L D_ch L^T is the unit-upper U of M
+    return delta_shear, _inf_norm(gram.udu(m)[0])
 
 
-def _inf_norm(matrix: np.ndarray) -> float:
-    return float(np.abs(matrix).sum(axis=1).max())
+def _inf_norm(rows) -> float:
+    """The largest absolute row sum of the matrix with rows ``rows``."""
+    return float(max(ordered_sum(map(abs, row)) for row in rows))
 
 
 def _isp_deltas(spec: MoleculeSpec, bud: budget_mod.ErrorBudget) -> tuple[float, float]:
@@ -188,10 +183,9 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
         stage = "trim Monte Carlo"
         omega_min = min(omegas)
         sigma_grid = 1.0 / (grid.delta * math.sqrt(omega_min))
-        rng = np.random.Generator(np.random.Philox(seed))
         sampler = budget_mod.gaussian_box_sampler(sigma_grid, 2 ** grid.n_p // 2)
         trim_bound, all_inside = budget_mod.trim_error_mc(sampler, settings.trim_n_mc,
-                                                          settings.trim_alpha, rng)
+                                                          settings.trim_alpha, _PhiloxDraws(seed))
         if not all_inside:
             warn.append("trim Monte Carlo observed samples outside the interior box")
     except ValidationError:
@@ -252,6 +246,26 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
     )
 
 
+class _PhiloxDraws:
+    """The binomial draws of numpy's Philox generator of ``seed``, with the
+    generator built at the first draw whose outcome is not certain: a
+    Binomial(n, 0) draw is 0 and leaves the stream untouched, so the estimate
+    loads numpy only when a trim sample can fall outside the box."""
+
+    def __init__(self, seed: int):
+        self.seed = seed
+        self.rng = None
+
+    def binomial(self, n: int, p: float):
+        if p == 0.0:
+            return 0
+        if self.rng is None:
+            import numpy as np
+
+            self.rng = np.random.Generator(np.random.Philox(self.seed))
+        return self.rng.binomial(n, p)
+
+
 def _with_value(doc, path: tuple, value):
     """A copy of ``doc`` with ``value`` at the key path ``path``, copying only the
     objects along it; a non-object on the path stays, for the parser to reject."""
@@ -269,8 +283,7 @@ def run_estimate(args: argparse.Namespace) -> int:
     a hash of the effective configuration: that one document and the seed.
     """
     try:
-        with open(args.input_path) as fh:
-            doc = _decode(fh.read())
+        doc = _read_molecule(args.input_path)
         for key, value in args.override:
             doc = _with_value(doc, ("simulation", "overrides", key), value)
         report = estimate_report(validate_molecule(molecule_from_dict(doc)), seed=args.seed)
@@ -308,6 +321,10 @@ def run_verify(args: argparse.Namespace) -> int:
 
 def run_lct_bench(args: argparse.Namespace) -> int:
     """Sweep the coordinate-transform error against its bound, CSV out."""
+    import numpy as np
+
+    from qdyncost import lct
+
     rng = np.random.Generator(np.random.Philox(args.seed))
     angle = rng.uniform(0.3, 1.2)
     shear_entry = rng.uniform(-0.3, 0.3)
@@ -331,7 +348,7 @@ def _fit_grid(delta: float, sigma_prime, program) -> tuple[int, int]:
     """Smallest interior/padded grid exponents holding a Gaussian instance:
     the interior box covers ~5 standard deviations, and padding follows the
     multi-shear bound."""
-    sigma_grid = 1.0 / (delta * math.sqrt(float(np.min(sigma_prime))))
+    sigma_grid = 1.0 / (delta * math.sqrt(float(min(sigma_prime))))
     n_int = math.ceil(math.log2(2.0 * 5.0 * sigma_grid))
     # decompose_lct puts the full QL shear first
     norm_l = _inf_norm(program.steps[0].matrix)
@@ -398,13 +415,19 @@ def _seed(text: str) -> int:
     return int(text)
 
 
-def _decode(text: str):
-    """``text`` as JSON; text nested past the decoder's recursion limit is
-    undecodable like any other malformed JSON."""
+def _read_molecule(path: str):
+    """The JSON document in the file at ``path``.  A file that is not UTF-8
+    text, not JSON, or nested past the decoder's recursion limit raises
+    ValueError naming the path and the fault."""
     try:
-        return json.loads(text)
+        with open(path, encoding="utf-8") as fh:
+            return json.loads(fh.read())
+    except UnicodeDecodeError as exc:
+        raise ValueError(f"{path}: not UTF-8 text: {exc}") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{path}: not JSON: {exc}") from None
     except RecursionError:
-        raise json.JSONDecodeError("nested too deeply to decode", text, 0) from None
+        raise ValueError(f"{path}: nested too deeply to decode") from None
 
 
 def _parse_override(item: str):
@@ -412,8 +435,8 @@ def _parse_override(item: str):
     if not _:
         raise argparse.ArgumentTypeError(f"override must be KEY=VALUE, got {item!r}")
     try:
-        val = _decode(raw)
-    except json.JSONDecodeError:
+        val = json.loads(raw)
+    except (json.JSONDecodeError, RecursionError):
         val = raw
     return key, val
 

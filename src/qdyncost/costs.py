@@ -11,11 +11,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import chain
 
 from qdyncost import budget, encoding, gridsizer
-from qdyncost.model import MoleculeSpec, ceil_log2
+from qdyncost.model import MoleculeSpec, ceil_log2, ordered_sum
 
 
 @dataclass(frozen=True)
@@ -52,32 +51,42 @@ def erasure_cost(eta: int) -> tuple[int, int]:
     return best_val, best_k
 
 
-# 2**0 .. 2**62: how many are < m is ceil(log2(m)) for int64 m >= 1
-_POW2 = 2 ** np.arange(63, dtype=np.int64)
-# sqrt(2**k) for every count k of _POW2, looked up rather than recomputed
-_ROOT_POW2 = np.sqrt(np.ldexp(1.0, np.arange(64)))
+# sqrt(2**k) for every exponent k = ceil(log2(m)) of a bond dimension m < 2**63,
+# looked up rather than recomputed
+_ROOT_POW2 = tuple(math.sqrt(2.0 ** k) for k in range(64))
 
 
-def _mps_synthesis_sums(tables, b_rot: int) -> np.ndarray:
+def _mps_synthesis_sums(tables, n_sites: int, b_rot: int) -> list:
     """Shared rotation-synthesis sum of each (states, sites) table in a stack of
-    MPS bond dimensions; ``m_bar = 2**k_bar`` is the larger rounded-up power of two
-    of a site and the one before (1 before the first), so log2(2*m_bar) = k_bar + 1.
-    Terms are added one at a time from 0.0 in site order, as a per-site loop does."""
-    m = np.asarray(tables, dtype=np.int64)
-    k_bar = np.searchsorted(_POW2, m)
-    # in place: a ufunc reads overlapping input as it was before the call
-    np.maximum(k_bar[..., 1:], k_bar[..., :-1], out=k_bar[..., 1:])
-    terms = np.empty(m.shape + (2,))
-    sqrt_term, log_term = terms[..., 0], terms[..., 1]
-    np.multiply(m, 32.0 * (1.0 + math.sqrt(2.0)) * math.sqrt(b_rot + 1.0), out=sqrt_term)
-    sqrt_term *= _ROOT_POW2[k_bar]
-    np.multiply(m, 8.0 * b_rot - 15.0, out=log_term)
-    log_term *= k_bar + 1.0
-    return np.cumsum(terms.reshape(len(m), -1), axis=1)[:, -1]
+    MPS bond dimensions, each row fitted to ``n_sites`` sites: truncated, or its
+    last entry repeated (profiles saturate).  ``m_bar = 2**k_bar`` is the larger
+    rounded-up power of two of a site and the one before (1 before the first),
+    so log2(2*m_bar) = k_bar + 1.  Terms are added one at a time from 0.0 in
+    site order, row after row, as a per-site loop does; a saturated tail adds
+    one repeated pair of terms, and each distinct row's terms are built once."""
+    c_sqrt = 32.0 * (1.0 + math.sqrt(2.0)) * math.sqrt(b_rot + 1.0)
+    c_log = 8.0 * b_rot - 15.0
+    built = {}
+
+    def row_terms(row) -> list:
+        row = tuple(row)
+        if row not in built:
+            terms, k_prev = [], 0
+            for m in map(int, row[:n_sites]):
+                k = (m - 1).bit_length()
+                k_bar = max(k, k_prev)
+                terms += (m * c_sqrt * _ROOT_POW2[k_bar], m * c_log * (k_bar + 1.0))
+                k_prev = k
+            # past the table every site repeats the last, so k_bar is its own k
+            terms += (m * c_sqrt * _ROOT_POW2[k], m * c_log * (k + 1.0)) * (n_sites - len(row))
+            built[row] = terms
+        return built[row]
+
+    return [ordered_sum(chain.from_iterable(map(row_terms, table))) for table in tables]
 
 
-def _mps_synthesis_ancilla(bond_rows: np.ndarray, b_rot: int) -> int:
-    m_max = int(bond_rows.max())
+def _mps_synthesis_ancilla(tables, n_sites: int, b_rot: int) -> int:
+    m_max = int(max(max(row[:n_sites]) for table in tables for row in table))
     anc = (
         0.5 * math.log2(m_max)
         + 2.0 * b_rot * math.sqrt(m_max) / math.sqrt(b_rot + 1.0)
@@ -85,18 +94,6 @@ def _mps_synthesis_ancilla(bond_rows: np.ndarray, b_rot: int) -> int:
         + 3.0 * b_rot
     )
     return int(math.ceil(anc))
-
-
-def _resize_bond_table(table: np.ndarray, n_sites: int) -> np.ndarray:
-    """Fit a supplied per-site bond-dimension table to the computed site
-    count: truncate, or repeat the last column (profiles saturate)."""
-    have = table.shape[-1]
-    if have >= n_sites:
-        return table[..., :n_sites]
-    out = np.empty(table.shape[:-1] + (n_sites,), dtype=table.dtype)
-    out[..., :have] = table
-    out[..., have:] = table[..., -1:]
-    return out
 
 
 def cost_asp(d_configs: int, b_asp: int) -> CostPair:
@@ -136,10 +133,12 @@ def cost_asym(eta_e: int, n_p: int) -> CostPair:
 
 
 def cost_w_e(eta_e: int, n_mob: int, n_p: int, b_rot: int, bond_dims) -> CostPair:
-    """Electronic orbital MPS synthesis; ``bond_dims`` is (n_mob, n_p) (a bound)."""
-    bond = np.asarray(bond_dims, dtype=np.int64)
-    toff = eta_e * n_mob * n_p + 2.0 * eta_e * _mps_synthesis_sums(bond[None], b_rot).item()
-    return CostPair(toff, n_mob * n_p + _mps_synthesis_ancilla(bond, b_rot), bound=True)
+    """Electronic orbital MPS synthesis; ``bond_dims`` is (n_mob, sites), fitted
+    to ``n_p`` sites (a bound)."""
+    (total,) = _mps_synthesis_sums((bond_dims,), n_p, b_rot)
+    toff = eta_e * n_mob * n_p + 2.0 * eta_e * total
+    return CostPair(toff, n_mob * n_p + _mps_synthesis_ancilla((bond_dims,), n_p, b_rot),
+                    bound=True)
 
 
 def cost_onb2smb(n_vib: int, n_smb: int) -> CostPair:
@@ -149,11 +148,12 @@ def cost_onb2smb(n_vib: int, n_smb: int) -> CostPair:
 
 
 def cost_w_n(n_isp: int, b_rot: int, bond_dims) -> CostPair:
-    """Nuclear single-modal MPS synthesis; ``bond_dims`` is (modes, n_smb, n_isp) (a bound)."""
-    bond = np.asarray(bond_dims, dtype=int)
-    n_smb = bond.shape[1]
-    toff = sum(n_smb * n_isp + 2.0 * s for s in _mps_synthesis_sums(bond, b_rot).tolist())
-    return CostPair(toff, _mps_synthesis_ancilla(bond, b_rot), bound=True)
+    """Nuclear single-modal MPS synthesis; ``bond_dims`` is (modes, n_smb, sites),
+    fitted to ``n_isp`` sites (a bound)."""
+    n_smb = len(bond_dims[0])
+    toff = ordered_sum(n_smb * n_isp + 2.0 * s
+                       for s in _mps_synthesis_sums(bond_dims, n_isp, b_rot))
+    return CostPair(toff, _mps_synthesis_ancilla(bond_dims, n_isp, b_rot), bound=True)
 
 
 def cost_lct(eta_n: int, n_bar_isp: int) -> CostPair:
@@ -195,12 +195,11 @@ def cost_isp(spec: MoleculeSpec, grid: gridsizer.GridParams, eps_pk: float) -> d
         "SoSlat_e": cost_soslat(e.d_configs),
         "ONB2MOB": cost_onb2mob(e.n_mob, p.eta_e),
         "ASYM": cost_asym(p.eta_e, grid.n_p),
-        "W_e": cost_w_e(p.eta_e, e.n_mob, grid.n_p, e.b_rot,
-                        _resize_bond_table(e.bond_dims, grid.n_p)),
+        "W_e": cost_w_e(p.eta_e, e.n_mob, grid.n_p, e.b_rot, e.bond_dims),
         "ASP_n": cost_asp(n.d_configs, n.b_asp),
         "SoSlat_n": cost_soslat(n.d_configs),
         "ONB2SMB": cost_onb2smb(spec.normal_modes.n_vib, n.n_smb),
-        "W_n": cost_w_n(grid.n_isp, n.b_rot, _resize_bond_table(n.bond_dims, grid.n_isp)),
+        "W_n": cost_w_n(grid.n_isp, n.b_rot, n.bond_dims),
         "PK": cost_pk(p.eta_n, grid.n_bar_isp, n.b_grad, eps_pk),
         "TC2SM": cost_tc2sm(p.eta_n, grid.n_bar_isp),
         "NCT": (cost_lct if spec.budget.pad_mode == "LCT" else cost_ssct)(p.eta_n, grid.n_bar_isp),
@@ -255,8 +254,9 @@ def cost_block_encoding(eta: int, eta_e: int, n_p: int, mu_t: int, n_m: int,
     unprep = (cost_unprep_t(eta, n_p), cost_unprep_v(eta, eta_e, n_p, b_r), rot)
     out = prep_h_output_size(eta, eta_e, n_p, n_m)
     return {
-        "PREP_H": CostPair(sum(c.toffoli for c in prep), sum(c.ancilla for c in prep)),
-        "UNPREP_H": CostPair(sum(c.toffoli for c in unprep), sum(c.ancilla for c in unprep)),
+        "PREP_H": CostPair(ordered_sum(c.toffoli for c in prep), sum(c.ancilla for c in prep)),
+        "UNPREP_H": CostPair(ordered_sum(c.toffoli for c in unprep),
+                             sum(c.ancilla for c in unprep)),
         "CTRL_SEL_H": cost_ctrl_sel_h(eta, n_p),
         "REFLECT_W": CostPair(out - 1.0, out - 2),
     }
@@ -379,7 +379,8 @@ def cost_total(spec: MoleculeSpec, grid: gridsizer.GridParams, prec: encoding.Pr
     isp_rows = cost_isp(spec, grid, bud.eps_pk)
     isp_set_by = max(isp_rows, key=lambda k: isp_rows[k].ancilla)
     held = 3 * p.eta_n * grid.n_ext
-    isp = CostPair(sum(c.toffoli for c in isp_rows.values()), held + isp_rows[isp_set_by].ancilla,
+    isp = CostPair(ordered_sum(c.toffoli for c in isp_rows.values()),
+                   held + isp_rows[isp_set_by].ancilla,
                    bound=any(c.bound for c in isp_rows.values()))
 
     walk_rows = cost_block_encoding(p.eta, p.eta_e, grid.n_p, prec.mu_t, prec.n_m, prec.n_theta,

@@ -6,8 +6,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
 from qdyncost.model import ParticleTable, ceil_log2
 
 # Largest grid exponent whose momentum grid is enumerated exactly.
@@ -55,9 +53,13 @@ def lambda_nu_bound(n_p: int) -> float:
     return (7.0 * 2.0 ** (n_p + 1) - 9.0 * n_p - 11.0 - 3.0 * 2.0 ** (-n_p)) / 3.0
 
 
-def _octant(n_p: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``|k|^2``, the number of sign images in ``G_0`` and the max-norm of
-    every nonzero point ``0 <= k_x, k_y, k_z <= 2^(n_p-1) - 1``."""
+def _octant(n_p: int) -> tuple:
+    """Arrays of ``|k|^2``, the number of sign images in ``G_0`` and the
+    max-norm of every nonzero point ``0 <= k_x, k_y, k_z <= 2^(n_p-1) - 1``.
+    Only grids of at most BRUTE_NP_CAP qubits per axis are enumerated, so
+    numpy is loaded here and not with the module."""
+    import numpy as np
+
     axis = np.arange(2 ** (n_p - 1))
     w = np.where(axis > 0, 2.0, 1.0)  # a nonzero coordinate has two signs
     sq = np.add.outer(np.add.outer(axis ** 2, axis ** 2), axis ** 2)
@@ -72,7 +74,7 @@ def lambda_nu(n_p: int) -> float:
     if not 2 <= n_p <= BRUTE_NP_CAP:
         raise ValueError(f"enumeration needs 2 <= n_p <= {BRUTE_NP_CAP}, got {n_p}")
     sq, images, _ = _octant(n_p)
-    return float(np.sum(images / sq))
+    return float((images / sq).sum())
 
 
 def lcu_norms(particles: ParticleTable, n_p: int, omega_cell: float) -> LcuNorms:
@@ -122,6 +124,8 @@ def _p_nu(n_p: int, n_m: int) -> float:
     ``sum ceil(M 4^(mu-2)/|k|^2) / (M 4^mu 2^(n_p+1))`` over ``G_0`` minus the
     origin, where shell ``mu`` holds max-norms in ``[2^(mu-2), 2^(mu-1))``.
     About 0.24 on large grids; each shell sums exactly, and ``fsum`` rounds once."""
+    import numpy as np
+
     sq, images, norm = _octant(n_p)
     mu = np.frexp(norm)[1] + 1  # the bit length of the max-norm is mu - 1
     m_val = 2 ** n_m

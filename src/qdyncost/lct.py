@@ -39,11 +39,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# tolerances of the decomposition checks (the last two relative to the largest entry)
+# the QL and Cholesky checks share their tolerances (UNIT_DIAG_TOL, and
+# CHOLESKY_TOL relative to the largest entry) with the estimate's factors
+from qdyncost.gram import CHOLESKY_TOL, UNIT_DIAG_TOL
+
+# tolerances of the other decomposition checks (the last relative to the largest entry)
 DET_TOL = 1e-9                # | |det T| - 1 |
-UNIT_DIAG_TOL = 1e-9          # diagonal of the QL factor against 1
 PROGRAM_MATRIX_TOL = 1e-10    # program product against T^-1
-CHOLESKY_TOL = 1e-10          # L diag(d) L^T against the input
 # Poisson-dual terms of a lattice-norm row sum in closed form; the closed
 # form is used only where the first dropped term, exp(-pi^2 (THETA_TERMS+1)^2 / a),
 # is below exp(-THETA_TAIL_EXP)

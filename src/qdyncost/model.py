@@ -16,10 +16,11 @@ together.
 from __future__ import annotations
 
 import math
+import operator
+from collections import deque
 from dataclasses import MISSING, dataclass, field, fields
-from itertools import chain
-
-import numpy as np
+from functools import reduce
+from itertools import accumulate, chain
 
 # 1 atomic unit of time, expressed in femtoseconds.
 FS_PER_ATOMIC_TIME = 0.0241888
@@ -36,12 +37,20 @@ def fs_to_au(t_fs: float) -> float:
 
 
 def ceil_log2(x) -> int:
-    """``ceil(log2(x))`` computed exactly for positive integers."""
+    """``ceil(log2(x))`` computed exactly for integers of any type."""
     if x <= 0:
         raise ValueError(f"ceil_log2 requires a positive argument, got {x}")
-    if isinstance(x, (int, np.integer)):
-        return int(x - 1).bit_length()
-    return int(math.ceil(math.log2(x)))
+    try:
+        return (operator.index(x) - 1).bit_length()
+    except TypeError:
+        return int(math.ceil(math.log2(x)))
+
+
+def ordered_sum(values) -> float:
+    """The floats of ``values`` added one at a time from 0.0, as Python 3.11's
+    built-in ``sum`` adds them; from 3.12 ``sum`` compensates, which moves
+    the last bits of a report.  The last running total is kept, not a list."""
+    return deque(accumulate(values, initial=0.0), maxlen=1)[0]
 
 
 class ValidationError(ValueError):
@@ -160,11 +169,11 @@ _REAL = frozenset((int, float))   # the JSON number types; bool is not one
 
 
 def _table(max_rank: int | None = None):
-    """A rectangular (nested) JSON array of finite numbers as a float ndarray;
-    with ``max_rank``, a bond-dimension table: a non-empty int ndarray of at
-    most ``max_rank`` axes whose entries are whole numbers >= 1.  The shape
-    and entry types are checked one level of nesting at a time, and the
-    array is built once from the flat entries."""
+    """A rectangular (nested) JSON array of finite numbers as nested tuples of
+    floats; with ``max_rank``, a bond-dimension table: a non-empty table of
+    at most ``max_rank`` axes whose entries are whole numbers in [1, 2**63),
+    as ints.  The shape and entry types are checked one level of nesting at
+    a time, and the entries once, flat."""
     def check(value):
         shape, level, kinds = [], [_typed(value, list, "an array")], {list}
         while kinds == {list}:
@@ -178,21 +187,42 @@ def _table(max_rank: int | None = None):
             raise ValueError("must be a rectangular table")
         if not _REAL.issuperset(kinds):
             raise TypeError("must be a table of numbers")
-        exact = max_rank is not None and float not in kinds
-        a = np.fromiter(level, np.int64 if exact else float, len(level)).reshape(shape)
-        if not exact:
-            if not np.isfinite(a).all():
+        if max_rank is None or float in kinds:
+            if int in kinds:
+                level = list(map(float, level))
+            if not all(map(math.isfinite, level)):
                 raise ValueError("entries must be finite numbers")
             if max_rank is None:
-                return a
-            if not (a == np.trunc(a)).all():
+                return _nest(level, shape)
+            if not all(map(float.is_integer, level)):
                 raise ValueError("entries must be whole numbers")
-            a = a.astype(int)
-        if a.size == 0 or a.ndim > max_rank or not a.min() >= 1:
+            level = list(map(int, level))
+        if not level or len(shape) > max_rank or min(level) < 1:
             raise ValueError(f"must be a non-empty table of rank <= {max_rank} with "
-                             f"entries >= 1, got shape {a.shape}")
-        return a
+                             f"entries >= 1, got shape {tuple(shape)}")
+        # the ledger's sums took int64 entries, and still take no larger ones
+        if max(level) >= 2 ** 63:
+            raise ValueError("entries must be below 2**63")
+        return _nest(level, shape)
     return check
+
+
+def _nest(flat: list, shape: list) -> tuple:
+    """The entries ``flat`` as nested tuples of ``shape``, grouped innermost
+    axis first."""
+    for axis in range(len(shape) - 1, 0, -1):
+        size = shape[axis]
+        flat = list(zip(*[iter(flat)] * size)) if size else [()] * math.prod(shape[:axis])
+    return tuple(flat)
+
+
+def _table_shape(table) -> tuple:
+    """The shape of a rectangular table of nested tuples."""
+    dims = []
+    while isinstance(table, tuple):
+        dims.append(len(table))
+        table = table[0] if table else None
+    return tuple(dims)
 
 
 def _anchors(value) -> tuple:
@@ -253,7 +283,7 @@ class ParticleTable:
     @property
     def lambda_m(self) -> float:
         """Sum of inverse masses (kinetic LCU-norm prefactor)."""
-        return float(sum(1.0 / m for m in self.masses))
+        return ordered_sum(1.0 / m for m in self.masses)
 
     @property
     def sum_abs_charge_pairs(self) -> float:
@@ -274,7 +304,7 @@ class NormalModeData:
     """
 
     omegas: tuple = _arg(_each(_positive))
-    transform: np.ndarray = _arg(_table())   # (3*eta_n, 3*eta_n), det = 1
+    transform: tuple = _arg(_table())            # (3*eta_n, 3*eta_n), det = 1
     d_diag: tuple = _arg(_each(_positive))       # diagonal of the factored scale
     gamma_trans: float = _arg(_positive)         # translational Gaussian width
     upsilon_rot: float = _arg(_positive)         # rotational Gaussian width
@@ -295,7 +325,7 @@ class ElectronicMeta:
     gamma_max: float = _arg(_positive)           # largest Gaussian exponent
     l_max: int = _arg(_at_least(_whole, 0))      # largest Cartesian angular power
     sigma_ortho: float = _arg(_positive)         # orthogonalization eigenvalue cutoff
-    bond_dims: np.ndarray = _arg(_table(max_rank=2))  # (n_mob, n_sites) per-orbital MPS bond dims
+    bond_dims: tuple = _arg(_table(max_rank=2))  # (n_mob, n_sites) per-orbital MPS bond dims
     b_asp: int = _arg(_count, 10)                # precision qubits, arbitrary state prep
     b_rot: int = _arg(_count, 8)                 # precision qubits, rotation multiplexor
 
@@ -307,7 +337,7 @@ class NuclearMeta:
     n_smb: int = _arg(_count)                    # single-modal basis size per mode
     d_configs: int = _arg(_count)                # number of nuclear configurations
     n_hg: int = _arg(_count)                     # Hermite-Gaussian primitives per mode
-    bond_dims: np.ndarray = _arg(_table(max_rank=3))  # (n_modes, n_smb, n_sites) MPS bond dims
+    bond_dims: tuple = _arg(_table(max_rank=3))  # (n_modes, n_smb, n_sites) MPS bond dims
     b_asp: int = _arg(_count, 10)
     b_rot: int = _arg(_count, 8)
     b_grad: int = _arg(_count, 30)               # phase-gradient register width
@@ -404,6 +434,32 @@ class MoleculeSpec:
 _MOLECULE = _section(MoleculeSpec)
 
 
+def _determinant(matrix) -> float:
+    """The determinant of a square table, by LU with partial pivoting: the
+    signed product of the pivots.  An upper-triangular table takes no row
+    swap or elimination step, so its product is read off the diagonal."""
+    if not any(any(row[:i]) for i, row in enumerate(matrix)):
+        return reduce(operator.mul, (row[i] for i, row in enumerate(matrix)), 1.0)
+    a = [list(row) for row in matrix]
+    det = 1.0
+    for k in range(len(a)):
+        column = [abs(row[k]) for row in a[k:]]
+        p = k + column.index(max(column))
+        if p != k:
+            a[k], a[p] = a[p], a[k]
+            det = -det
+        pivot_row = a[k]
+        pivot = pivot_row[k]
+        det *= pivot
+        if not pivot:
+            return det
+        for row in a[k + 1:]:
+            if row[k]:
+                f = row[k] / pivot
+                row[k:] = [x - f * y for x, y in zip(row[k:], pivot_row[k:])]
+    return det
+
+
 def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
     """Check the invariants that tie two or more fields of a parsed molecule
     together (its converter checked each field alone).  Returns the input
@@ -421,11 +477,11 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
 
     nm = spec.normal_modes
     dim = 3 * p.eta_n
-    shape = nm.transform.shape
-    det = float(np.linalg.det(nm.transform)) if shape == (dim, dim) else math.nan
+    got = _table_shape(nm.transform)
+    det = _determinant(nm.transform) if got == (dim, dim) else math.nan
     if not abs(det - 1.0) <= DET_A_TOL:
         raise ValidationError(f"must be {dim}x{dim} with det 1 within {DET_A_TOL}, got "
-                              f"shape {shape} and det={det!r}", "normal_modes", "transform")
+                              f"shape {got} and det={det!r}", "normal_modes", "transform")
     if p.eta_n == 2 and not nm.linear:
         raise ValidationError("must be true: two nuclei lie on a line", "normal_modes", "linear")
     n_vib = max(0, dim - (5 if nm.linear else 6))
@@ -441,10 +497,10 @@ def validate_molecule(spec: MoleculeSpec) -> MoleculeSpec:
     for section, rows, layout in (
             ("electronic", (spec.electronic.n_mob,), "(n_mob, sites)"),
             ("nuclear", (dim, spec.nuclear.n_smb), "(3*eta_n, n_smb, sites)")):
-        shape = getattr(spec, section).bond_dims.shape
-        if shape[:-1] != rows:
+        got = _table_shape(getattr(spec, section).bond_dims)
+        if got[:-1] != rows:
             raise ValidationError(f"must have shape {layout} = ({', '.join(map(str, rows))}, "
-                                  f"sites), got {shape}", section, "bond_dims")
+                                  f"sites), got {got}", section, "bond_dims")
 
     max_pairs = p.eta_n * (p.eta_n - 1) // 2
     for i, ch in enumerate(spec.channels):

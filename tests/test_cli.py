@@ -89,6 +89,37 @@ def test_cli_and_verify_run_without_scipy():
     assert out == ["True", "[]"]
 
 
+def test_estimate_runs_without_numpy(tmp_path):
+    # numpy blocked in a fresh interpreter: the CLI and an estimate of each
+    # golden case load only the standard library and qdyncost, and each
+    # report is the golden one, its configuration hash aside
+    lct_mode = json.loads(Path(CH4).read_text())
+    lct_mode["budget"]["pad_mode"] = "LCT"
+    (tmp_path / "ch4_lct.json").write_text(json.dumps(lct_mode))
+    cases = {"golden_ch4_report.json": CH4,
+             "golden_ch4_lct_report.json": str(tmp_path / "ch4_lct.json"),
+             "golden_ch3obr_report.json": "molecules/ch3obr_synthetic.json"}
+    argvs = [["estimate", "--input", mol, "--seed", "7", "--out", str(tmp_path / name)]
+             for name, mol in cases.items()]
+    code = ("import json, sys\n"
+            "sys.modules['numpy'] = None\n"
+            "before = set(sys.modules)\n"
+            "from qdyncost.cli import main\n"
+            f"codes = [main(argv) for argv in {argvs!r}]\n"
+            "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+            "print(json.dumps([codes, sorted(loaded - set(sys.stdlib_module_names))]))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert json.loads(out) == [[0, 0, 0], ["qdyncost"]]
+    for name in cases:
+        doc = json.loads((tmp_path / name).read_text())
+        doc["params_hash"] = ""
+        text = json.dumps(doc, indent=2, sort_keys=True)
+        assert text == (Path("tests/data") / name).read_text()
+
+
 def test_verify_and_estimate_leave_lazy_numpy_submodules_unloaded():
     # numpy 2 loads numpy.ma and numpy.polynomial on first use, which costs a
     # cold verify about 10 ms; numpy 1.x loads them with numpy itself, so only
@@ -391,6 +422,8 @@ def test_params_hash_follows_effective_configuration(tmp_path):
     ("nuclear", "bond_dims", [[2, 12, 40, 80]] * 15, "error: nuclear.bond_dims: must have shape"),
     # a key of older files, never read
     ("normal_modes", "r0", [0.0] * 15, "error: normal_modes.r0: unknown key"),
+    ("electronic", "bond_dims", [[2 ** 63] + [2] * 7] * 10,
+     "error: electronic.bond_dims: entries must be below 2**63"),
 ])
 def test_malformed_molecule_exits_2(tmp_path, capsys, section, key, value, field):
     doc = json.loads(Path(CH4).read_text())
@@ -497,16 +530,17 @@ def test_custom_budget_zero_share_exits_2(tmp_path, capsys):
 DEEP = "[" * 5000 + "]" * 5000
 
 
-@pytest.mark.parametrize("text, flags", [
-    (b"", []),
-    (b'{"particles": ', []),
-    (b"\xff\xfe", []),
-    (b"[]", []),
-    (b'{"particles": ' + DEEP.encode() + b"}", []),
-    (None, ["--override", f"n_p={DEEP}"]),
+@pytest.mark.parametrize("text, flags, fault", [
+    (b"", [], "not JSON"),
+    (b'{"particles": ', [], "not JSON"),
+    (b"\xff\xfe", [], "not UTF-8 text"),
+    (b"[]", [], None),
+    (b'{"particles": ' + DEEP.encode() + b"}", [], "nested too deeply"),
+    (None, ["--override", f"n_p={DEEP}"], None),
 ], ids=["empty", "truncated", "not-utf8", "array", "deep", "deep-override"])
-def test_unreadable_molecule_file_exits_2(tmp_path, capsys, text, flags):
-    # the molecule file holds ``text``, or is CH4 without one
+def test_unreadable_molecule_file_exits_2(tmp_path, capsys, text, flags, fault):
+    # the molecule file holds ``text``, or is CH4 without one; a file that
+    # cannot be read as a JSON document is named, with the kind of fault
     mol = tmp_path / "raw.json"
     if text is not None:
         mol.write_bytes(text)
@@ -516,6 +550,8 @@ def test_unreadable_molecule_file_exits_2(tmp_path, capsys, text, flags):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert "Traceback" not in err
+    if fault:
+        assert err.startswith(f"error: {mol}: {fault}")
     assert not out.exists()
 
 

@@ -1,3 +1,4 @@
+import builtins
 import json
 import math
 from dataclasses import replace
@@ -11,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from molecule_files import load_molecule
 from qdyncost.costs import (
     CostPair,
-    _resize_bond_table,
+    _mps_synthesis_sums,
     cost_asp,
     cost_asym,
     cost_block_encoding,
@@ -403,11 +404,40 @@ def test_w_rows_pinned_across_grid_sizes(case):
 
 
 def test_resize_bond_table():
-    table = np.array([[2, 8, 4]])
-    assert _resize_bond_table(table, 2).tolist() == [[2, 8]]
-    assert _resize_bond_table(table, 5).tolist() == [[2, 8, 4, 4, 4]]
+    # a bond table is fitted to the site count: truncated, or its last
+    # column repeated (profiles saturate); the ancilla count reads the fit
+    table = ((2, 4, 8),)
+    for n_sites, fitted in ((2, ((2, 4),)), (5, ((2, 4, 8, 8, 8),))):
+        assert cost_w_e(eta_e=2, n_mob=1, n_p=n_sites, b_rot=8, bond_dims=table) == \
+            cost_w_e(eta_e=2, n_mob=1, n_p=n_sites, b_rot=8, bond_dims=fitted)
     cube = np.ones((3, 2, 4), dtype=int)
-    assert _resize_bond_table(cube, 6).shape == (3, 2, 6)
+    assert cost_w_n(n_isp=6, b_rot=8, bond_dims=cube) == \
+        cost_w_n(n_isp=6, b_rot=8, bond_dims=np.ones((3, 2, 6), dtype=int))
+
+
+def _mps_synthesis_sums_cumsum(tables, n_sites: int, b_rot: int) -> list:
+    """Reference: the sums as numpy arrays, each table fitted to ``n_sites``
+    sites, the terms added by ``np.cumsum``."""
+    m = np.asarray(tables, dtype=np.int64)
+    tail = np.repeat(m[..., -1:], max(0, n_sites - m.shape[-1]), axis=-1)
+    m = np.concatenate([m[..., :n_sites], tail], axis=-1)
+    k = np.searchsorted(2 ** np.arange(63, dtype=np.int64), m)
+    k_bar = k.copy()
+    k_bar[..., 1:] = np.maximum(k[..., 1:], k[..., :-1])
+    terms = np.empty(m.shape + (2,))
+    terms[..., 0] = m * (32.0 * (1.0 + math.sqrt(2.0)) * math.sqrt(b_rot + 1.0)) \
+        * np.sqrt(np.ldexp(1.0, k_bar))
+    terms[..., 1] = m * (8.0 * b_rot - 15.0) * (k_bar + 1.0)
+    return np.cumsum(terms.reshape(len(m), -1), axis=1)[:, -1].tolist()
+
+
+@settings(max_examples=80, deadline=None)
+@given(BOND_TABLES, st.integers(1, 260), st.integers(1, 40))
+def test_mps_synthesis_sums_match_numpy_cumsum(table, n_sites, b_rot):
+    # bit for bit, with site counts below and above the table's width
+    tables = (table if table.ndim == 3 else table[None]).tolist()
+    assert _mps_synthesis_sums(tables, n_sites, b_rot) == \
+        _mps_synthesis_sums_cumsum(tables, n_sites, b_rot)
 
 
 def test_isp_rows_in_ledger_order():
@@ -452,3 +482,37 @@ def test_golden_report_regression(golden_file):
     # and matches the committed golden file
     golden = json.loads((Path("tests/data") / golden_file).read_text())
     assert json.dumps(doc1, sort_keys=True) == json.dumps(golden, sort_keys=True)
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def _compensated_sum(iterable, /, start=0):
+    """The built-in ``sum`` as Python 3.12 adds floats, Neumaier-compensated;
+    any other iterable goes to the built-in."""
+    items = list(iterable)
+    if float not in map(type, items) or not {*map(type, items)} <= {int, float}:
+        return _BUILTIN_SUM(items, start)
+    total, compensation = float(start), 0.0
+    for x in map(float, items):
+        t = total + x
+        compensation += (total - t) + x if abs(total) >= abs(x) else (x - t) + total
+        total = t
+    return total + compensation
+
+
+@pytest.mark.parametrize("golden_file", sorted(GOLDEN))
+def test_golden_report_independent_of_builtin_sum(golden_file, monkeypatch):
+    # Python 3.12 compensates the built-in sum of floats; the report's sums
+    # add in order, so its bits are those of 3.11 under either sum
+    from qdyncost.cli import estimate_report
+
+    molecule, pad_mode = GOLDEN[golden_file]
+    spec = load_molecule(molecule)
+    spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
+    assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    monkeypatch.setattr(builtins, "sum", _compensated_sum)
+    doc = estimate_report(spec, seed=7).to_json_dict()
+    monkeypatch.undo()
+    golden = json.loads((Path("tests/data") / golden_file).read_text())
+    assert json.dumps(doc, sort_keys=True) == json.dumps(golden, sort_keys=True)

@@ -242,6 +242,9 @@ def test_fractional_integer_field_named_in_error(path, value):
      "^electronic.bond_dims: must be a rectangular table$"),
     ("nuclear", "bond_dims", [[[2, 12, 40, 80]] * 4] * 14 + [[2, 12, 40, 80]],
      "^nuclear.bond_dims: must be a rectangular table$"),
+    # the ledger's sums read int64 entries
+    ("electronic", "bond_dims", [[2 ** 63] + [2] * 7] * 10,
+     r"^electronic.bond_dims: entries must be below 2\*\*63$"),
 ])
 def test_malformed_field_named_in_error(section, key, value, field):
     doc = json.loads(Path(CH4).read_text())

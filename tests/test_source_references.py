@@ -26,6 +26,9 @@ ALLOWED_UNREFERENCED = {
     "budget.asp_error_bound",
     "budget.isp_error_bound",
     "budget.prop_error",
+    # the numpy oracle of the estimate's pure-Python SSCT shear (gram.udu);
+    # the tests pin its bits, and it keeps lct.cholesky_unit in the harness
+    "lct.ssct_program",
 }
 
 # budget leaves that ``budget.allocate`` sets and nothing reads yet; ROADMAP
