@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 
-from qdyncost.model import BudgetSettings, BudgetShares
+from qdyncost.model import BudgetSettings, BudgetShares, Record
 
 # Default allocation proportions, normalized to a total budget of 0.095.
 _REF_TOTAL = 0.095
@@ -23,8 +22,7 @@ _REF_ISP = 0.015
 _REF_PROP = 0.00125
 
 
-@dataclass(frozen=True)
-class ErrorBudget:
+class ErrorBudget(Record):
     """Tree of error allocations from the total observable error downwards.
 
     The top-level constraint is

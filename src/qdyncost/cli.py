@@ -10,7 +10,6 @@ coordinate-transform error against its analytic bound.  Exit codes: 0 pass,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import hashlib
 import json
 import math
@@ -129,7 +128,7 @@ def size_grid(spec: MoleculeSpec, bud: budget_mod.ErrorBudget,
         n_isp = pins.n_isp
     n_pad = gridsizer.pad_qubits(spec.budget.pad_mode, norm_inf, 3 * spec.particles.eta_n,
                                  n_isp) if pins.n_pad is None else pins.n_pad
-    return dataclasses.replace(grid, **pinned, n_isp=n_isp, n_pad=n_pad)
+    return grid.replace(**pinned, n_isp=n_isp, n_pad=n_pad)
 
 
 def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
@@ -208,8 +207,7 @@ def estimate_report(spec: MoleculeSpec, seed: int = 0) -> costs.CostReport:
         anchors["time_evolution_computed"] = evolution
         anchors["time_evolution_ratio"] = evolution / float(anchors["time_evolution_toffoli"])
 
-    return dataclasses.replace(
-        ledger,
+    return ledger.replace(
         scalars={
             **ledger.scalars,
             # then in pipeline order: inputs, grid, norms, probabilities,
@@ -292,8 +290,7 @@ def run_estimate(args: argparse.Namespace) -> int:
         return 2
     canonical = json.dumps({"input": doc, "seed": args.seed}, sort_keys=True,
                            separators=(",", ":"))
-    report = dataclasses.replace(
-        report, params_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16])
+    report = report.replace(params_hash=hashlib.sha256(canonical.encode()).hexdigest()[:16])
     return _write_report(report.to_json_dict(), args.out_format, args.out_path)
 
 
@@ -309,11 +306,11 @@ def run_verify(args: argparse.Namespace) -> int:
         return 2
     if _emit(json.dumps(suite.to_json_dict(), indent=2, sort_keys=True) + "\n", args.out_path):
         return 2
-    for check in suite.results:
+    for check, check_s in zip(suite.results, suite.seconds):
         status = "pass" if check.passed else "FAIL"
         details = f" details: {check.details}" if check.details else ""
         print(f"{status}: {check.name} measured={check.measured:.3e} "
-              f"bound={check.bound:.3e} time={check.seconds * 1e3:.1f}ms{details}",
+              f"bound={check.bound:.3e} time={check_s * 1e3:.1f}ms{details}",
               file=sys.stderr)
     print(f"total={seconds * 1e3:.1f}ms", file=sys.stderr)
     return 0 if suite.passed else 1
@@ -432,7 +429,7 @@ def _read_molecule(path: str):
 
 def _parse_override(item: str):
     key, _, raw = item.partition("=")
-    if not _:
+    if not (key and _):
         raise argparse.ArgumentTypeError(f"override must be KEY=VALUE, got {item!r}")
     try:
         val = json.loads(raw)

@@ -10,15 +10,13 @@ formula is an upper bound carry ``bound=True``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import chain
 
 from qdyncost import budget, encoding, gridsizer
-from qdyncost.model import MoleculeSpec, ceil_log2, ordered_sum
+from qdyncost.model import MoleculeSpec, Record, ceil_log2, ordered_sum
 
 
-@dataclass(frozen=True)
-class CostPair:
+class CostPair(Record):
     """Toffoli count (real, ceiled when reported) and ancilla count."""
 
     toffoli: float
@@ -332,8 +330,7 @@ def cost_r0_qae(eta_e: int, eta_n: int, n_p: int, n_nuc: int) -> CostPair:
     return CostPair(toff, max(0, 3 * (eta_e * n_p + eta_n * n_nuc) - 1))
 
 
-@dataclass(frozen=True)
-class CostReport:
+class CostReport(Record):
     """An estimate's report: its cost ledger's rows and aggregates, qubit
     counts, scalars, warnings, anchors and configuration hash."""
 

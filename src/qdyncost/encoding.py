@@ -4,16 +4,14 @@ precision parameters for the grid-basis molecular Hamiltonian."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from qdyncost.model import ParticleTable, ceil_log2
+from qdyncost.model import ParticleTable, Record, ceil_log2
 
 # Largest grid exponent whose momentum grid is enumerated exactly.
 BRUTE_NP_CAP = 7
 
 
-@dataclass(frozen=True)
-class LcuNorms:
+class LcuNorms(Record):
     """One-norms of the LCU decomposition of kinetic and potential terms."""
 
     lambda_m: float
@@ -27,8 +25,7 @@ class LcuNorms:
         return self.lambda_t + self.lambda_v
 
 
-@dataclass(frozen=True)
-class SuccessProbs:
+class SuccessProbs(Record):
     """Success probabilities of the probabilistic preparation subroutines."""
 
     p_nu: float
@@ -37,8 +34,7 @@ class SuccessProbs:
     p_nu_exact: bool
 
 
-@dataclass(frozen=True)
-class PrecisionParams:
+class PrecisionParams(Record):
     """Register widths implied by the block-encoding error allocations."""
 
     mu_t: int

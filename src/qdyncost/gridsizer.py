@@ -9,13 +9,11 @@ counts are integers.  The ``0*ln(0)`` terms that appear at ``l_max = 0`` or
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
-from qdyncost.model import ceil_log2
+from qdyncost.model import Record, ceil_log2
 
 
-@dataclass(frozen=True)
-class GridParams:
+class GridParams(Record):
     """The common simulation grid shared by every particle.
 
     ``n_p`` qubits per particle per dimension represent ``N = 2**n_p - 1``

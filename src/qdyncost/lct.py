@@ -35,13 +35,13 @@ Conventions of the point arithmetic:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 # the QL and Cholesky checks share their tolerances (UNIT_DIAG_TOL, and
 # CHOLESKY_TOL relative to the largest entry) with the estimate's factors
 from qdyncost.gram import CHOLESKY_TOL, UNIT_DIAG_TOL
+from qdyncost.model import Record
 
 # tolerances of the other decomposition checks (the last relative to the largest entry)
 DET_TOL = 1e-9                # | |det T| - 1 |
@@ -64,8 +64,7 @@ BLOCK_POINTS = 1 << 14
 STEP_KINDS = ("shear", "ortho", "perm")
 
 
-@dataclass(frozen=True)
-class Step:
+class Step(Record):
     """One program step, acting on coordinate vectors as ``matrix``.
 
     kind is "shear" (unit triangular), "ortho" (identity plus one
@@ -81,8 +80,7 @@ class Step:
             raise ValueError(f"unknown step kind {self.kind!r}")
 
 
-@dataclass(frozen=True)
-class TransformProgram:
+class TransformProgram(Record):
     """Ordered steps whose matrix product equals the inverse transform."""
 
     dim: int

@@ -5,8 +5,9 @@ electron masses, elementary charges).  Simulation times are accepted in
 femtoseconds and converted with ``1 a.u. of time = 0.0241888 fs``.
 Logarithms are base 2 throughout the package.
 
-This is the only module that knows the molecule file.  Each section of it is
-a frozen dataclass whose fields declare their converter and their one
+It also defines :class:`Record`, the frozen record every pipeline stage
+returns.  This is the only module that knows the molecule file.  Each
+section of it is a record whose fields declare their converter and their one
 default; :func:`molecule_from_dict` builds the whole document through one
 generic section builder, which rejects unknown keys and names the full path
 of any bad field.  :func:`validate_molecule` checks what ties fields
@@ -18,7 +19,6 @@ from __future__ import annotations
 import math
 import operator
 from collections import deque
-from dataclasses import MISSING, dataclass, field, fields
 from functools import reduce
 from itertools import accumulate, chain
 
@@ -51,6 +51,92 @@ def ordered_sum(values) -> float:
     built-in ``sum`` adds them; from 3.12 ``sum`` compensates, which moves
     the last bits of a report.  The last running total is kept, not a list."""
     return deque(accumulate(values, initial=0.0), maxlen=1)[0]
+
+
+_REQUIRED = object()   # the default of a field that has none
+
+
+class _Arg:
+    """A record field's converter (None outside the molecule file) and default."""
+
+    __slots__ = ("convert", "default")
+
+    def __init__(self, convert, default=_REQUIRED):
+        self.convert, self.default = convert, default
+
+
+class Record:
+    """A frozen record.  Its fields are the names its class body annotates, in
+    order, each with the default the body gives it, if any.
+
+    One ``__init__`` takes the fields by position or by name; a missing,
+    unknown or doubled field raises TypeError.  It then calls
+    ``__post_init__``.  A field cannot be assigned or deleted; equality, hash
+    and repr run over the fields, and :meth:`replace` makes a changed copy.
+    """
+
+    _fields = {}     # field name -> _Arg, in order
+    _defaults = {}   # field name -> default, _REQUIRED for none, in order
+    _required = frozenset()
+    _tails = {}      # positional argument count -> the defaults that complete it
+
+    def __init_subclass__(cls):
+        fields = dict(cls._fields)
+        # the class's own annotations: on 3.10 __annotations__ falls back to a base's
+        for name in cls.__dict__.get("__annotations__", {}):
+            value = cls.__dict__.get(name, _REQUIRED)
+            fields[name] = value if isinstance(value, _Arg) else _Arg(None, value)
+            if value is not _REQUIRED:
+                delattr(cls, name)
+        defaults = [arg.default for arg in fields.values()]
+        least = max((i + 1 for i, d in enumerate(defaults) if d is _REQUIRED), default=0)
+        cls._fields, cls._defaults = fields, dict(zip(fields, defaults))
+        cls._required = frozenset(k for k, d in cls._defaults.items() if d is _REQUIRED)
+        cls._tails = {count: tuple(defaults[count:]) for count in range(least, len(fields) + 1)}
+
+    def __init__(self, *args, **kwargs):
+        tail = self._tails.get(len(args))
+        if tail is None or kwargs:
+            given = dict(zip(self._fields, args), **kwargs) if args else kwargs
+            values = {**self._defaults, **given}
+            if len(given) != len(args) + len(kwargs) or len(values) != len(self._fields) \
+                    or not self._required <= given.keys():
+                raise TypeError(f"{type(self).__name__}() takes the fields "
+                                f"{', '.join(self._fields)}; got {len(args)} by position "
+                                f"and {', '.join(map(repr, kwargs)) or 'none'} by name")
+        else:
+            values = dict(zip(self._fields, args + tail))
+        # one dict, set whole: a generic loop of per-field sets is slower
+        object.__setattr__(self, "__dict__", values)
+        self.__post_init__()
+
+    def __post_init__(self):
+        pass
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._fields)
+
+    def __eq__(self, other):
+        return self._values() == other._values() if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = map("{}={!r}".format, self._fields, self._values())
+        return f"{type(self).__qualname__}({', '.join(fields)})"
+
+    def replace(self, **changes):
+        """A copy with the fields named in ``changes`` set to their values."""
+        values = [changes.pop(name) if name in changes else getattr(self, name)
+                  for name in self._fields]
+        return type(self)(*values, **changes)   # a name left in changes is no field
 
 
 class ValidationError(ValueError):
@@ -233,29 +319,30 @@ def _anchors(value) -> tuple:
     return tuple(value.items())
 
 
-def _arg(convert, default=MISSING):
+def _arg(convert, default=_REQUIRED):
     """A section field parsed by ``convert``; ``default`` is its only default."""
-    return field(default=default, metadata={"convert": convert})
+    return _Arg(convert, default)
 
 
 def _section(cls):
     """The converter of section ``cls``: a JSON object in, each key through
     its field's converter, absent optional fields at their defaults.  An
     unknown key or a missing required field is rejected."""
-    specs = [(f.name, f.metadata["convert"], f.default is MISSING) for f in fields(cls)]
-    names = frozenset(name for name, _, _ in specs)
+    names = cls._fields.keys()
 
     def build(value):
-        if not names.issuperset(_typed(value, dict, "an object")):
+        if not names >= _typed(value, dict, "an object").keys():
             key = next(k for k in value if k not in names)
             raise ValidationError(f"unknown key; expected one of {', '.join(sorted(names))}", key)
-        kwargs = {}
-        for name, convert, required in specs:
+        values = []
+        for name, arg in cls._fields.items():
             if name in value:
-                kwargs[name] = _convert(convert, value[name], name)
-            elif required:
+                values.append(_convert(arg.convert, value[name], name))
+            elif arg.default is _REQUIRED:
                 raise ValidationError("missing required field", name)
-        return cls(**kwargs)
+            else:
+                values.append(arg.default)
+        return cls(*values)
     return build
 
 
@@ -263,8 +350,7 @@ def _section(cls):
 # the sections of a molecule file
 
 
-@dataclass(frozen=True)
-class ParticleTable:
+class ParticleTable(Record):
     """Masses and charges of all particles, electrons first."""
 
     masses: tuple = _arg(_each(_positive))       # electron-mass units; electrons have 1
@@ -293,8 +379,7 @@ class ParticleTable:
         return float(s1 * s1 - s2)
 
 
-@dataclass(frozen=True)
-class NormalModeData:
+class NormalModeData(Record):
     """Normal-mode metadata for the nuclear state.
 
     ``transform`` is the normalized coordinate-transform matrix (det = 1)
@@ -315,8 +400,7 @@ class NormalModeData:
         return len(self.omegas)
 
 
-@dataclass(frozen=True)
-class ElectronicMeta:
+class ElectronicMeta(Record):
     """Electronic basis metadata (molecular orbitals and their MPS sizes)."""
 
     n_mob: int = _arg(_count)                    # number of molecular orbitals
@@ -330,8 +414,7 @@ class ElectronicMeta:
     b_rot: int = _arg(_count, 8)                 # precision qubits, rotation multiplexor
 
 
-@dataclass(frozen=True)
-class NuclearMeta:
+class NuclearMeta(Record):
     """Nuclear basis metadata (single-modals and their MPS sizes)."""
 
     n_smb: int = _arg(_count)                    # single-modal basis size per mode
@@ -343,8 +426,7 @@ class NuclearMeta:
     b_grad: int = _arg(_count, 30)               # phase-gradient register width
 
 
-@dataclass(frozen=True)
-class ChannelConstraint:
+class ChannelConstraint(Record):
     """One pairwise-distance constraint of a reaction channel."""
 
     alpha: int = _arg(_whole)                    # nucleus index
@@ -353,8 +435,7 @@ class ChannelConstraint:
     direction: str = _arg(_one_of(("greater", "less")))
 
 
-@dataclass(frozen=True)
-class ReactionChannel:
+class ReactionChannel(Record):
     """A reaction channel: conjunction of pairwise-distance constraints."""
 
     constraints: tuple = _arg(_each(_section(ChannelConstraint), nonempty=True))
@@ -367,8 +448,7 @@ class ReactionChannel:
         return {c.alpha for c in self.constraints} | {c.beta for c in self.constraints}
 
 
-@dataclass(frozen=True)
-class BudgetShares:
+class BudgetShares(Record):
     """The explicit shares of the ``custom`` budget policy."""
 
     eps_isp: float = _arg(_number, 0.0)
@@ -378,8 +458,7 @@ class BudgetShares:
     eps_obs: float = _arg(_number, 0.0)
 
 
-@dataclass(frozen=True)
-class BudgetSettings:
+class BudgetSettings(Record):
     """The error budget and the settings that size the estimate."""
 
     eps_total: float = _arg(_fraction, 0.095)
@@ -393,8 +472,7 @@ class BudgetSettings:
     trim_alpha: float = _arg(_fraction, 1e-5)    # trim Monte Carlo confidence level
 
 
-@dataclass(frozen=True)
-class GridOverrides:
+class GridOverrides(Record):
     """Grid values pinned for anchor comparisons; None leaves a value computed."""
 
     n_p: int | None = _arg(_at_least(_whole, 2), None)
@@ -404,8 +482,7 @@ class GridOverrides:
     lambda_h_tilde: float | None = _arg(_positive, None)
 
 
-@dataclass(frozen=True)
-class Simulation:
+class Simulation(Record):
     """Simulation time, grid pins, and published values to print alongside."""
 
     time_fs: float = _arg(_positive, 30.0)
@@ -417,8 +494,7 @@ class Simulation:
         return fs_to_au(self.time_fs)
 
 
-@dataclass(frozen=True)
-class MoleculeSpec:
+class MoleculeSpec(Record):
     """Parsed physical input: the estimator's sole description of a run."""
 
     particles: ParticleTable = _arg(_section(ParticleTable))

@@ -37,13 +37,11 @@ import fnmatch
 import functools
 import math
 import time
-from dataclasses import asdict, dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
 from qdyncost import costs, encoding, gridsizer
-from qdyncost.model import ChannelConstraint, ParticleTable, ReactionChannel
+from qdyncost.model import ChannelConstraint, ParticleTable, ReactionChannel, Record
 
 MAX_DENSE_DIM = 4096
 # seed of the check suite; each check draws from its own stream, keyed by its
@@ -132,7 +130,7 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-class _GridTable(NamedTuple):
+class _GridTable(Record):
     """The tables of a composite grid basis that no instance's masses,
     charges or cell length change, built by :func:`_grid_table`."""
 
@@ -197,7 +195,7 @@ def _grid_table(eta: int, n_p: int) -> _GridTable:
     return table
 
 
-class SparseOperator(NamedTuple):
+class SparseOperator(Record):
     """An operator on a composite grid basis of dimension ``dim``: its
     diagonal, plus the off-diagonal entries at the sorted unique flat
     indices ``keys = row * dim + col``; every other entry is zero."""
@@ -244,8 +242,7 @@ def galerkin_hamiltonian(masses, charges, n_p: int, length: float) -> SparseOper
     return SparseOperator(diag, grid.keys, values)
 
 
-@dataclass(frozen=True)
-class LcuTerms:
+class LcuTerms(Record):
     """Coefficient table of the grid Hamiltonian's unitary decomposition, in
     assembly order; every term enters once per branch b = 0, 1."""
 
@@ -587,28 +584,26 @@ def tc2sm_convert(bits: int, width: int) -> int:
 # check suite
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(Record):
     name: str
     passed: bool
     measured: float
     bound: float
     details: str = ""
-    # wall time of the check; it varies run to run, so it stays out of
-    # equality and of the deterministic JSON
-    seconds: float = field(default=0.0, compare=False)
 
 
-@dataclass(frozen=True)
-class SuiteReport:
+class SuiteReport(Record):
     results: list
+    # each check's wall time; it varies run to run, so it stays out of the
+    # results and of the deterministic JSON
+    seconds: tuple
 
     @property
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
     def to_json_dict(self) -> dict:
-        checks = [{k: v for k, v in asdict(r).items() if k != "seconds"} for r in self.results]
+        checks = [{name: getattr(r, name) for name in r._fields} for r in self.results]
         return {"passed": self.passed, "checks": checks}
 
 
@@ -733,7 +728,7 @@ def run_suite(only: str | None = None) -> SuiteReport:
     add("yield_projectors", check_yield_projectors)
     add("tc2sm_roundtrip", check_tc2sm)
 
-    results = []
+    results, seconds = [], []
     for name, fn in checks:
         rng = np.random.Generator(np.random.Philox([SUITE_SEED, *name.encode()]))
         t0 = time.perf_counter()
@@ -742,6 +737,6 @@ def run_suite(only: str | None = None) -> SuiteReport:
             passed, details = measured <= bound, ""
         except Exception as exc:  # surface as a failed check, not a crash
             measured, bound, passed, details = math.inf, 0.0, False, str(exc)
-        results.append(CheckResult(name, passed, measured, bound, details,
-                                   seconds=time.perf_counter() - t0))
-    return SuiteReport(results)
+        results.append(CheckResult(name, passed, measured, bound, details))
+        seconds.append(time.perf_counter() - t0)
+    return SuiteReport(results, tuple(seconds))

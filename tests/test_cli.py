@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import math
 import os
@@ -120,6 +119,23 @@ def test_estimate_runs_without_numpy(tmp_path):
         assert text == (Path("tests/data") / name).read_text()
 
 
+def test_estimate_generates_no_dataclass_code(tmp_path):
+    # records are model.Record subclasses, so a cold estimate loads neither
+    # dataclasses nor the inspect module it imports; this interpreter's site
+    # may load typing, re or enum, so only modules new since startup count
+    code = ("import json, sys\n"
+            "before = set(sys.modules)\n"
+            "from qdyncost.cli import main\n"
+            f"code = main(['estimate', '--input', {CH4!r}, '--out', {str(tmp_path / 'r.json')!r}])\n"
+            "new = set(sys.modules) - before\n"
+            "print(json.dumps([code, sorted(new & {'dataclasses', 'inspect', 'ast', 'dis'})]))")
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         check=True, env=env).stdout
+    assert json.loads(out) == [0, []]
+
+
 def test_verify_and_estimate_leave_lazy_numpy_submodules_unloaded():
     # numpy 2 loads numpy.ma and numpy.polynomial on first use, which costs a
     # cold verify about 10 ms; numpy 1.x loads them with numpy itself, so only
@@ -176,7 +192,7 @@ def test_verify_fails_on_broken_momentum_conservation(tmp_path, monkeypatch):
         pair = np.array([dim - 1, (dim - 1) * dim])
         assert not np.isin(pair, h.keys).any()
         at = np.searchsorted(h.keys, pair)
-        return h._replace(keys=np.insert(h.keys, at, pair), values=np.insert(h.values, at, 1e-9))
+        return h.replace(keys=np.insert(h.keys, at, pair), values=np.insert(h.values, at, 1e-9))
 
     monkeypatch.setattr(verify, "lcu_assemble", leaky)
     out = tmp_path / "verify.json"
@@ -315,11 +331,11 @@ def test_report_records_grid_caveats(tmp_path):
 def test_grid_params_derived_fields():
     from qdyncost.gridsizer import common_grid
 
-    grid = dataclasses.replace(common_grid([10.0], 1.0, [10.0]), n_pad=2)
+    grid = common_grid([10.0], 1.0, [10.0]).replace(n_pad=2)
     assert grid.n_bar_isp == grid.n_isp + 2
     assert grid.n_ext == max(0, grid.n_bar_isp - grid.n_p)
     # a padded ISP grid narrower than the main grid has no exterior qubits
-    assert dataclasses.replace(grid, n_isp=1, n_pad=0, n_p=grid.n_p + 2).n_ext == 0
+    assert grid.replace(n_isp=1, n_pad=0, n_p=grid.n_p + 2).n_ext == 0
 
 
 def test_anchor_side_by_side_in_markdown(tmp_path):
@@ -370,6 +386,8 @@ def test_readme_flag_table_matches_parser():
     ["estimate", "--batch", CH4],
     # budget.policy is set in the molecule file only
     ["estimate", "--input", CH4, "--budget-policy", "custom"],
+    # an override is KEY=VALUE with a key, not a field of an empty name
+    ["estimate", "--input", CH4, "--override", "=5"],
 ])
 def test_ignored_flag_is_usage_error(argv):
     with pytest.raises(SystemExit) as exc:

@@ -1,7 +1,6 @@
 import builtins
 import json
 import math
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -184,8 +183,8 @@ def _ledger(molecule="molecules/ch4_synthetic.json", pad_mode="SSCT", **budget):
     from qdyncost.encoding import PrecisionParams
 
     spec = load_molecule(molecule)
-    spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
-    bud = replace(allocate(spec.budget, spec.simulation.time_au), **budget)
+    spec = spec.replace(budget=spec.budget.replace(pad_mode=pad_mode))
+    bud = allocate(spec.budget, spec.simulation.time_au).replace(**budget)
     grid = size_grid(spec, bud, _rescaled_frequencies(spec))
     prec = PrecisionParams(mu_t=12, n_m=20, n_theta=18, r_nu=1.0)
     return spec, grid, cost_total(spec, grid, prec, 1e6, 1e-12, bud)
@@ -391,9 +390,9 @@ def test_w_rows_pinned_across_grid_sizes(case):
 
     molecule, pad_mode, n_isp = case.split("|")
     spec = load_molecule(f"molecules/{molecule}")
-    overrides = replace(spec.simulation.overrides, n_isp=int(n_isp))
-    spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode),
-                   simulation=replace(spec.simulation, overrides=overrides))
+    overrides = spec.simulation.overrides.replace(n_isp=int(n_isp))
+    spec = spec.replace(budget=spec.budget.replace(pad_mode=pad_mode),
+                        simulation=spec.simulation.replace(overrides=overrides))
     bud = allocate(spec.budget, spec.simulation.time_au)
     grid = size_grid(spec, bud, _rescaled_frequencies(spec))
     rows = cost_isp(spec, grid, bud.eps_pk)
@@ -447,7 +446,7 @@ def test_isp_rows_in_ledger_order():
     spec = load_molecule("molecules/ch4_synthetic.json")
     bud = allocate(spec.budget, spec.simulation.time_au)
     for pad_mode, nct in (("SSCT", cost_ssct), ("LCT", cost_lct)):
-        spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
+        spec = spec.replace(budget=spec.budget.replace(pad_mode=pad_mode))
         grid = size_grid(spec, bud, _rescaled_frequencies(spec))
         rows = cost_isp(spec, grid, bud.eps_pk)
         assert tuple(rows) == ISP_ROWS
@@ -473,7 +472,7 @@ def test_golden_report_regression(golden_file):
 
     def report():
         spec = load_molecule(molecule)
-        spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
+        spec = spec.replace(budget=spec.budget.replace(pad_mode=pad_mode))
         return estimate_report(spec, seed=7).to_json_dict()
 
     doc1, doc2 = report(), report()
@@ -509,7 +508,7 @@ def test_golden_report_independent_of_builtin_sum(golden_file, monkeypatch):
 
     molecule, pad_mode = GOLDEN[golden_file]
     spec = load_molecule(molecule)
-    spec = replace(spec, budget=replace(spec.budget, pad_mode=pad_mode))
+    spec = spec.replace(budget=spec.budget.replace(pad_mode=pad_mode))
     assert _compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
     monkeypatch.setattr(builtins, "sum", _compensated_sum)
     doc = estimate_report(spec, seed=7).to_json_dict()

@@ -5,8 +5,9 @@ A top-level name in ``src/qdyncost/*.py`` that no file under ``src/``
 references (as a name, an attribute or an import alias), or a public method
 or property of one of its classes that no file under ``src/`` reads as an
 attribute, is code that only tests call; it belongs in ``tests/`` or goes.  A
-field of a dataclass is read somewhere under ``src/``, as an attribute or named
-in a string constant (the getattr lists that echo or check fields).  Each
+field of a record (a ``model.Record`` subclass) is read somewhere under
+``src/``, as an attribute or named in a string constant (the getattr lists
+that echo or check fields).  Each
 ``<module>.<function>`` layer that ``BENCHMARK.json`` reads from the tracer is
 a public function of that module.
 """
@@ -96,8 +97,8 @@ def test_every_public_member_is_referenced_from_src():
 
 
 def _is_dataclass(node) -> bool:
-    decorators = [d.func if isinstance(d, ast.Call) else d for d in node.decorator_list]
-    return any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators)
+    """Whether class ``node`` declares a record: it subclasses ``Record``."""
+    return any(isinstance(b, ast.Name) and b.id == "Record" for b in node.bases)
 
 
 def test_every_dataclass_field_is_read_in_src():
