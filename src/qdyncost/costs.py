@@ -23,10 +23,14 @@ class CostPair(Record):
     ancilla: int
     bound: bool = False
 
-    def __post_init__(self):
-        if self.toffoli < -1e-9 or self.ancilla < 0:
+    # an estimate builds 32 of these: written out, the build takes half the
+    # time of Record's generic __init__
+    def __init__(self, toffoli, ancilla, bound=False):
+        object.__setattr__(self, "__dict__",
+                           {"toffoli": toffoli, "ancilla": ancilla, "bound": bound})
+        if toffoli < -1e-9 or ancilla < 0:
             raise ValueError(f"negative cost: {self}")
-        if not math.isfinite(self.toffoli):
+        if not math.isfinite(toffoli):
             raise OverflowError(f"cost is not a finite number: {self}")
 
     @property

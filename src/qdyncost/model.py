@@ -56,8 +56,9 @@ def ordered_sum(values) -> float:
 _REQUIRED = object()   # the default of a field that has none
 
 
-class _Arg:
-    """A record field's converter (None outside the molecule file) and default."""
+class _arg:
+    """A record field parsed by ``convert`` (None outside the molecule file);
+    ``default`` is its only default."""
 
     __slots__ = ("convert", "default")
 
@@ -75,37 +76,37 @@ class Record:
     and repr run over the fields, and :meth:`replace` makes a changed copy.
     """
 
-    _fields = {}     # field name -> _Arg, in order
-    _defaults = {}   # field name -> default, _REQUIRED for none, in order
-    _required = frozenset()
-    _tails = {}      # positional argument count -> the defaults that complete it
+    _fields = {}   # field name -> _arg, in order
+    _tails = {}    # positional argument count -> the defaults that complete it
 
     def __init_subclass__(cls):
         fields = dict(cls._fields)
         # the class's own annotations: on 3.10 __annotations__ falls back to a base's
         for name in cls.__dict__.get("__annotations__", {}):
             value = cls.__dict__.get(name, _REQUIRED)
-            fields[name] = value if isinstance(value, _Arg) else _Arg(None, value)
+            fields[name] = value if isinstance(value, _arg) else _arg(None, value)
             if value is not _REQUIRED:
                 delattr(cls, name)
         defaults = [arg.default for arg in fields.values()]
         least = max((i + 1 for i, d in enumerate(defaults) if d is _REQUIRED), default=0)
-        cls._fields, cls._defaults = fields, dict(zip(fields, defaults))
-        cls._required = frozenset(k for k, d in cls._defaults.items() if d is _REQUIRED)
+        cls._fields = fields
         cls._tails = {count: tuple(defaults[count:]) for count in range(least, len(fields) + 1)}
 
     def __init__(self, *args, **kwargs):
         tail = self._tails.get(len(args))
-        if tail is None or kwargs:
+        if tail is not None and not kwargs:
+            values = dict(zip(self._fields, args + tail))
+        else:
             given = dict(zip(self._fields, args), **kwargs) if args else kwargs
-            values = {**self._defaults, **given}
-            if len(given) != len(args) + len(kwargs) or len(values) != len(self._fields) \
-                    or not self._required <= given.keys():
+            # the usual keyword build names every field and keeps its dict
+            full = given.keys() == self._fields.keys()
+            values = given if full else \
+                {name: given.get(name, arg.default) for name, arg in self._fields.items()}
+            if len(given) != len(args) + len(kwargs) or not given.keys() <= values.keys() \
+                    or not full and any(value is _REQUIRED for value in values.values()):
                 raise TypeError(f"{type(self).__name__}() takes the fields "
                                 f"{', '.join(self._fields)}; got {len(args)} by position "
                                 f"and {', '.join(map(repr, kwargs)) or 'none'} by name")
-        else:
-            values = dict(zip(self._fields, args + tail))
         # one dict, set whole: a generic loop of per-field sets is slower
         object.__setattr__(self, "__dict__", values)
         self.__post_init__()
@@ -317,11 +318,6 @@ def _anchors(value) -> tuple:
     for key, v in _typed(value, dict, "an object").items():
         _convert(_positive, v, key)
     return tuple(value.items())
-
-
-def _arg(convert, default=_REQUIRED):
-    """A section field parsed by ``convert``; ``default`` is its only default."""
-    return _Arg(convert, default)
 
 
 def _section(cls):

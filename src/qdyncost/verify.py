@@ -37,6 +37,7 @@ import fnmatch
 import functools
 import math
 import time
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,7 +131,7 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-class _GridTable(Record):
+class _GridTable(NamedTuple):
     """The tables of a composite grid basis that no instance's masses,
     charges or cell length change, built by :func:`_grid_table`."""
 
@@ -195,7 +196,7 @@ def _grid_table(eta: int, n_p: int) -> _GridTable:
     return table
 
 
-class SparseOperator(Record):
+class SparseOperator(NamedTuple):
     """An operator on a composite grid basis of dimension ``dim``: its
     diagonal, plus the off-diagonal entries at the sorted unique flat
     indices ``keys = row * dim + col``; every other entry is zero."""

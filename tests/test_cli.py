@@ -91,7 +91,10 @@ def test_cli_and_verify_run_without_scipy():
 def test_estimate_runs_without_numpy(tmp_path):
     # numpy blocked in a fresh interpreter: the CLI and an estimate of each
     # golden case load only the standard library and qdyncost, and each
-    # report is the golden one, its configuration hash aside
+    # report is the golden one, its configuration hash aside.  Records are
+    # model.Record subclasses, so neither dataclasses nor the inspect module
+    # it imports is loaded; site may load typing, re or enum, so only modules
+    # new since startup count
     lct_mode = json.loads(Path(CH4).read_text())
     lct_mode["budget"]["pad_mode"] = "LCT"
     (tmp_path / "ch4_lct.json").write_text(json.dumps(lct_mode))
@@ -105,35 +108,20 @@ def test_estimate_runs_without_numpy(tmp_path):
             "before = set(sys.modules)\n"
             "from qdyncost.cli import main\n"
             f"codes = [main(argv) for argv in {argvs!r}]\n"
-            "loaded = {m.split('.')[0] for m in set(sys.modules) - before}\n"
-            "print(json.dumps([codes, sorted(loaded - set(sys.stdlib_module_names))]))")
+            "new = set(sys.modules) - before\n"
+            "loaded = {m.split('.')[0] for m in new}\n"
+            "print(json.dumps([codes, sorted(loaded - set(sys.stdlib_module_names)),\n"
+            "                  sorted(new & {'dataclasses', 'inspect', 'ast', 'dis'})]))")
     src = Path(__file__).resolve().parents[1] / "src"
     env = {**os.environ, "PYTHONPATH": str(src)}
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          check=True, env=env).stdout
-    assert json.loads(out) == [[0, 0, 0], ["qdyncost"]]
+    assert json.loads(out) == [[0, 0, 0], ["qdyncost"], []]
     for name in cases:
         doc = json.loads((tmp_path / name).read_text())
         doc["params_hash"] = ""
         text = json.dumps(doc, indent=2, sort_keys=True)
         assert text == (Path("tests/data") / name).read_text()
-
-
-def test_estimate_generates_no_dataclass_code(tmp_path):
-    # records are model.Record subclasses, so a cold estimate loads neither
-    # dataclasses nor the inspect module it imports; this interpreter's site
-    # may load typing, re or enum, so only modules new since startup count
-    code = ("import json, sys\n"
-            "before = set(sys.modules)\n"
-            "from qdyncost.cli import main\n"
-            f"code = main(['estimate', '--input', {CH4!r}, '--out', {str(tmp_path / 'r.json')!r}])\n"
-            "new = set(sys.modules) - before\n"
-            "print(json.dumps([code, sorted(new & {'dataclasses', 'inspect', 'ast', 'dis'})]))")
-    src = Path(__file__).resolve().parents[1] / "src"
-    env = {**os.environ, "PYTHONPATH": str(src)}
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         check=True, env=env).stdout
-    assert json.loads(out) == [0, []]
 
 
 def test_verify_and_estimate_leave_lazy_numpy_submodules_unloaded():
@@ -192,7 +180,7 @@ def test_verify_fails_on_broken_momentum_conservation(tmp_path, monkeypatch):
         pair = np.array([dim - 1, (dim - 1) * dim])
         assert not np.isin(pair, h.keys).any()
         at = np.searchsorted(h.keys, pair)
-        return h.replace(keys=np.insert(h.keys, at, pair), values=np.insert(h.values, at, 1e-9))
+        return h._replace(keys=np.insert(h.keys, at, pair), values=np.insert(h.values, at, 1e-9))
 
     monkeypatch.setattr(verify, "lcu_assemble", leaky)
     out = tmp_path / "verify.json"

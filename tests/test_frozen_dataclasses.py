@@ -4,7 +4,9 @@ A pipeline stage's record is complete when it is built and never changed
 afterwards; its ``replace`` makes a changed copy.  The package has one way to
 declare a record: each top-level class under ``src/qdyncost`` that annotates
 fields subclasses ``Record``, no module imports ``dataclasses``, and every
-``Record`` subclass refuses assignment and deletion at runtime.
+``Record`` subclass refuses assignment and deletion at runtime.  A
+``NamedTuple`` (``verify``'s array tables, which callers index and iterate)
+is an immutable tuple, not a record, and is exempt.
 """
 
 import ast
@@ -28,11 +30,11 @@ def _base_names(node) -> set:
 
 
 def _record_classes() -> dict:
-    """Each top-level class that annotates fields, by name: whether it
-    subclasses Record."""
+    """Each top-level class that annotates fields and is no NamedTuple, by
+    name: whether it subclasses Record."""
     return {node.name: "Record" in _base_names(node)
             for tree in _trees().values() for node in tree.body
-            if isinstance(node, ast.ClassDef)
+            if isinstance(node, ast.ClassDef) and "NamedTuple" not in _base_names(node)
             and any(isinstance(item, ast.AnnAssign) for item in node.body)}
 
 

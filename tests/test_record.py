@@ -104,3 +104,16 @@ def test_negative_cost_message_is_unchanged():
     with pytest.raises(ValueError) as exc:
         CostPair(-1.0, 0)
     assert str(exc.value) == "negative cost: CostPair(toffoli=-1.0, ancilla=0, bound=False)"
+
+
+def test_cost_pair_keeps_the_record_rules():
+    # CostPair writes its __init__ out, for speed; it is still a record
+    pair = CostPair(1.0, 2)
+    assert pair == CostPair(1.0, 2, False) == CostPair(ancilla=2, toffoli=1.0)
+    assert list(vars(pair)) == list(CostPair._fields) == ["toffoli", "ancilla", "bound"]
+    assert pair.replace(bound=True) == CostPair(1.0, 2, True)
+    for args, kwargs in (((1.0,), {}), ((1.0, 2), {"toffoli": 1.0}), ((1.0, 2), {"z": 0})):
+        with pytest.raises(TypeError):
+            CostPair(*args, **kwargs)
+    with pytest.raises(AttributeError):
+        pair.toffoli = 0.0

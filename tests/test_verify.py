@@ -77,8 +77,7 @@ def test_cached_grid_tables_are_read_only():
     with pytest.raises(ValueError, match="read-only"):
         op.keys[0] = 0
     grid = verify._grid_table(2, 2)
-    fields = [getattr(grid, name) for name in grid._fields]
-    arrays = [a for a in fields if isinstance(a, np.ndarray)]
+    arrays = [a for a in grid if isinstance(a, np.ndarray)]
     arrays += [a for move in grid.moves for a in move if isinstance(a, np.ndarray)]
     assert len(arrays) == 8 + 3 * 2 and not any(a.flags.writeable for a in arrays)
 
@@ -88,8 +87,7 @@ def test_assembly_from_a_cold_and_a_warm_table_is_byte_identical():
     for build in (lambda: galerkin_hamiltonian(*args), lambda: lcu_assemble(*args, eta_e=1)):
         verify._grid_table.cache_clear()
         cold, warm = build(), build()
-        assert [getattr(cold, name).tobytes() for name in cold._fields] == \
-            [getattr(warm, name).tobytes() for name in warm._fields]
+        assert [a.tobytes() for a in cold] == [a.tobytes() for a in warm]
 
 
 def shift_indices_reference(points, pidx, nu, half):
